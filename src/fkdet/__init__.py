@@ -44,10 +44,7 @@ from .fk_finite import (
 from .fk_zd import (
     PipelineError,
     PipelineTrace,
-    SpecSchedule,
-    build_schedule,
     fk_det_zd,
-    fk_det_zd_via_specialization,
     vn_dim_kernel_zd,
 )
 from .laurent import (
@@ -94,10 +91,8 @@ __all__ = [
     "Radical",
     "ScanReport",
     "SearchSpace",
-    "SpecSchedule",
     "TraceCheck",
     "VARIANTS",
-    "build_schedule",
     "chain_doubling",
     "chain_primes",
     "chain_range",
@@ -109,7 +104,6 @@ __all__ = [
     "fk_det_2x2_trivial",
     "fk_det_finite",
     "fk_det_zd",
-    "fk_det_zd_via_specialization",
     "format_element",
     "format_polynomial",
     "induce",

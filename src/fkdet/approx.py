@@ -15,7 +15,6 @@ operator and every finite reduction at once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -29,7 +28,6 @@ from .fk_finite import (
 )
 from .fk_zd import fk_det_zd
 from .laurent import GroupRingMatrix, LaurentPolynomial, matrix_to_json
-from .mahler import _thread_count
 from .values import FKValue
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -320,7 +318,6 @@ def det_sequence(
     tolerance: float = 1e-6,
     measure_method: str = "auto",
     max_stage_order: int = 20000,
-    threads: int | None = None,
 ) -> DetSequence:
     """Determinants of the reductions of ``a`` along a chain of quotients.
 
@@ -339,15 +336,7 @@ def det_sequence(
                 f"{max_stage_order}"
             )
 
-    def stage(mods: tuple) -> FKValue:
-        return fk_det_finite(reduce_mod(a, mods))
-
-    workers = _thread_count(threads)
-    if workers > 1 and len(chain.moduli) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = tuple(pool.map(stage, chain.moduli))
-    else:
-        values = tuple(stage(mods) for mods in chain.moduli)
+    values = tuple(fk_det_finite(reduce_mod(a, mods)) for mods in chain.moduli)
 
     reference = fk_det_zd(a, measure_method).value
     combined = tolerance + reference.error_estimate + max(

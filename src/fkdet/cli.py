@@ -57,17 +57,9 @@ from .lehmer_scan import (
     survey_to_csv,
     torsion_bound_check,
 )
-from .mahler import (
-    _thread_count,
-    default_bl_schedule,
-    log_mahler_quadrature,
-    mahler_boyd_lawton,
-    mahler_jensen,
-)
+from .mahler import MEASURE_METHODS, mahler_measure
 
 SCHEMA_VERSION = 1
-
-MEASURE_CHOICES = ("auto", "jensen", "quadrature", "boyd_lawton")
 
 
 class ConfigError(Exception):
@@ -217,15 +209,7 @@ def _group_json(group: FiniteGroup) -> dict:
 
 def _run_mahler(args):
     p = _poly_input(args)
-    resolved = args.method
-    if resolved == "auto":
-        resolved = "jensen" if p.rank == 1 else "boyd_lawton"
-    if resolved == "jensen":
-        out = mahler_jensen(p)
-    elif resolved == "quadrature":
-        out = log_mahler_quadrature(p, args.grid, threads=args.threads)
-    else:
-        out = mahler_boyd_lawton(p, default_bl_schedule(p, args.bl_steps, args.bl_base))
+    out = mahler_measure(p, args.method, grid_size=args.grid)
     config = {
         "subcommand": "mahler",
         "poly": args.poly,
@@ -233,14 +217,11 @@ def _run_mahler(args):
         "rank": args.rank,
         "method": args.method,
         "grid_size": args.grid,
-        "bl_steps": args.bl_steps,
-        "bl_base": args.bl_base,
-        "threads": _thread_count(args.threads),
     }
     payload = {
         "polynomial": format_polynomial(p),
         "rank": p.rank,
-        "resolved_method": resolved,
+        "resolved_method": out.method,
         "measure": out.as_json(),
     }
     text = "M = %r  (log M = %r, method %s, error <= %r)" % (
@@ -258,7 +239,6 @@ def _run_fkdet_zd(args):
         a,
         args.method,
         grid_size=args.grid,
-        threads=args.threads,
         kernel_variant=args.kernel_variant,
     )
     config = {
@@ -269,7 +249,6 @@ def _run_fkdet_zd(args):
         "method": args.method,
         "grid_size": args.grid,
         "kernel_variant": args.kernel_variant,
-        "threads": _thread_count(args.threads),
     }
     if args.trace:
         payload = trace.as_json()
@@ -362,7 +341,6 @@ def _run_scan(args):
         one_threshold=args.one_threshold,
         grid_size=args.grid,
         survey=args.survey,
-        threads=args.threads,
     )
     config = {
         "subcommand": "lehmer-scan",
@@ -378,7 +356,6 @@ def _run_scan(args):
         "one_threshold": args.one_threshold,
         "grid_size": args.grid,
         "survey": args.survey,
-        "threads": _thread_count(args.threads),
     }
     payload = report.as_json()
     lines = ["variant %s, examined %d" % (report.variant, report.count_examined)]
@@ -408,7 +385,6 @@ def _run_chain(args):
         tolerance=args.tolerance,
         measure_method=args.method,
         max_stage_order=args.max_stage_order,
-        threads=args.threads,
     )
     config = {
         "subcommand": "approx-chain",
@@ -421,7 +397,6 @@ def _run_chain(args):
         "tolerance": args.tolerance,
         "method": args.method,
         "max_stage_order": args.max_stage_order,
-        "threads": _thread_count(args.threads),
     }
     payload = seq.as_json()
     lines = []
@@ -515,9 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", metavar="PATH", help="write the report here, not stdout")
-        p.add_argument(
-            "--threads", type=int, help="worker threads (default FKDET_THREADS, else 1)"
-        )
         return p
 
     p = add("mahler", "Mahler measure of a Laurent polynomial", _run_mahler)
@@ -525,14 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--poly", metavar="TEXT", help="inline polynomial")
     src.add_argument("--poly-file", metavar="PATH", help="file with one polynomial")
     p.add_argument("--rank", type=int, help="variable count when the text leaves it open")
-    p.add_argument("--method", choices=MEASURE_CHOICES, default="auto")
+    p.add_argument("--method", choices=MEASURE_METHODS, default="auto")
     p.add_argument("--grid", type=int, default=256, help="quadrature points per axis")
-    p.add_argument("--bl-steps", type=int, default=4, help="specialization ramp length")
-    p.add_argument("--bl-base", type=int, default=25, help="specialization ramp base")
 
     p = add("fkdet-zd", "Fuglede-Kadison determinant over Z^d", _run_fkdet_zd)
     _add_zd_input(p)
-    p.add_argument("--method", choices=MEASURE_CHOICES, default="auto")
+    p.add_argument("--method", choices=MEASURE_METHODS, default="auto")
     p.add_argument("--grid", type=int, default=256, help="quadrature points per axis")
     p.add_argument(
         "--kernel-variant",
@@ -583,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--doubling", metavar="START:STEPS", help="doubling chain")
     chain.add_argument("--primes", type=int, metavar="COUNT", help="first prime moduli")
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--method", choices=MEASURE_CHOICES, default="auto")
+    p.add_argument("--method", choices=MEASURE_METHODS, default="auto")
     p.add_argument("--max-stage-order", type=int, default=20000)
 
     p = add("exact-constants", "known Lehmer constants of a finite group", _run_constants)

@@ -11,13 +11,6 @@ where M is the Mahler measure of a Laurent polynomial.  One variable uses
 exact roots and Jensen's formula; more variables use torus quadrature or the
 iterated one-variable specialization limit, selected per call.  Injective A
 has an empty kernel and the D2 factor degenerates to the empty determinant 1.
-
-The specialization route sends z_i to powers of a single variable.  Writing
-b_i for the largest exponent magnitude on axis i over det D1 and det D2
-together and c_i = 2*(b_1 + ... + b_i), any exponent tuple (k_2, ..., k_d)
-with k_2 > c_1, k_3 > c_2*k_2, ... keeps the specialized determinants nonzero
-and commutes with taking determinants, so the one-variable values converge to
-the multivariate one.
 """
 
 from __future__ import annotations
@@ -31,15 +24,8 @@ from .laurent import (
     format_polynomial,
     matrix_to_json,
 )
-from .mahler import (
-    MahlerValue,
-    log_mahler_quadrature,
-    mahler_boyd_lawton,
-    mahler_jensen,
-)
+from .mahler import MahlerValue, mahler_measure, resolve_method
 from .values import FKValue
-
-MEASURE_METHODS = ("auto", "jensen", "quadrature", "boyd_lawton")
 
 
 class PipelineError(RuntimeError):
@@ -84,55 +70,11 @@ class PipelineTrace:
         }
 
 
-@dataclass(frozen=True)
-class SpecSchedule:
-    """Certified exponent tuples for the specialization to one variable.
-
-    ``b`` holds the d per-axis support bounds of det D1 and det D2 combined,
-    ``c`` the d-1 doubled partial sums c_i = 2*(b_1 + ... + b_i); every tuple
-    in ``tuples`` satisfies the chain k_2 > c_1, k_3 > c_2*k_2, ...
-    """
-
-    b: tuple
-    c: tuple
-    tuples: tuple
-
-    def as_json(self) -> dict:
-        return {
-            "b": list(self.b),
-            "c": list(self.c),
-            "tuples": [list(t) for t in self.tuples],
-        }
-
-
 def vn_dim_kernel_zd(a: GroupRingMatrix) -> int:
     """Kernel dimension of right multiplication: rows - rank over the
     fraction field.  Over Z^d this integer is the von Neumann dimension."""
     q, _ = a.kernel_basis()
     return q
-
-
-def _resolve_method(rank: int, measure_method: str) -> str:
-    if measure_method not in MEASURE_METHODS:
-        raise ValueError(
-            f"unknown measure method {measure_method!r}; pick one of {MEASURE_METHODS}"
-        )
-    if rank == 1:
-        # exact roots beat any grid; the flag only selects multivariate schemes
-        return "jensen"
-    if measure_method in ("auto", "boyd_lawton"):
-        return "boyd_lawton"
-    if measure_method == "jensen":
-        raise ValueError("jensen needs one variable; pick quadrature or boyd_lawton")
-    return "quadrature"
-
-
-def _measure(p, method, grid_size, schedule, threads) -> MahlerValue:
-    if p.rank == 1:
-        return mahler_jensen(p)
-    if method == "quadrature":
-        return log_mahler_quadrature(p, grid_size, threads)
-    return mahler_boyd_lawton(p, schedule)
 
 
 def fk_det_zd(
@@ -141,7 +83,6 @@ def fk_det_zd(
     *,
     grid_size: int = 256,
     schedule=None,
-    threads: int | None = None,
     kernel_variant: str = "canonical",
 ) -> PipelineTrace:
     """Determinant of right multiplication by a matrix over Q[Z^d].
@@ -149,9 +90,13 @@ def fk_det_zd(
     Returns the full trace; the number itself is ``trace.value``.  The zero
     matrix gives 1 (its kernel basis is the identity, so D1 = D2).  The
     ``schedule`` argument overrides the default specialization ramp when the
-    boyd_lawton measure is in play; ``grid_size`` feeds quadrature.
+    boyd_lawton measure is in play; ``grid_size`` feeds quadrature.  One
+    variable always takes exact roots; the method only selects among the
+    multivariate schemes.
     """
-    method = _resolve_method(a.rank, measure_method)
+    method = resolve_method(a.rank, measure_method)
+    if a.rank == 1:
+        method = "jensen"
     q, b = a.kernel_basis(kernel_variant)
     d1 = b.adjoint() @ b + a @ a.adjoint()
     d2 = b @ b.adjoint()
@@ -171,12 +116,12 @@ def fk_det_zd(
                 "detD2": format_polynomial(det_d2),
             },
         )
-    m1 = _measure(det_d1, method, grid_size, schedule, threads)
+    m1 = mahler_measure(det_d1, method, grid_size=grid_size, schedule=schedule)
     if q == 0:
         # empty determinant: M(det of the 0x0 matrix) is exactly 1
         m2 = MahlerValue(1.0, 0.0, m1.method, 0.0)
     else:
-        m2 = _measure(det_d2, method, grid_size, schedule, threads)
+        m2 = mahler_measure(det_d2, method, grid_size=grid_size, schedule=schedule)
     value = math.sqrt(m1.value / m2.value)
     error = 0.5 * value * (
         m1.error_estimate / m1.value + m2.error_estimate / m2.value
@@ -193,67 +138,3 @@ def fk_det_zd(
         detD2_measure=m2,
         value=FKValue(value, m1.method, error),
     )
-
-
-def _certify_tuple(ks, c) -> tuple:
-    """Check one exponent tuple against the c-chain; return it normalized."""
-    ks = tuple(int(k) for k in ks)
-    if len(ks) != len(c):
-        raise ValueError(
-            f"expected {len(c)} specialization exponents, got {len(ks)}"
-        )
-    if any(k < 1 for k in ks):
-        raise ValueError(f"specialization exponents must be positive: {ks}")
-    if ks[0] <= c[0]:
-        raise ValueError(f"inadmissible tuple {ks}: k_2 = {ks[0]} <= c_1 = {c[0]}")
-    for i in range(1, len(ks)):
-        if ks[i] <= c[i] * ks[i - 1]:
-            raise ValueError(
-                f"inadmissible tuple {ks}: k_{i + 2} = {ks[i]} <= "
-                f"c_{i + 1} * k_{i + 1} = {c[i] * ks[i - 1]}"
-            )
-    return ks
-
-
-def build_schedule(trace: PipelineTrace, count: int = 4) -> SpecSchedule:
-    """Admissible exponent tuples for a completed trace, k_2 doubling from
-    the smallest admissible value and deeper exponents riding the c-chain."""
-    det_d1, det_d2 = trace.detD1, trace.detD2
-    d = det_d1.rank
-    if d < 2:
-        raise ValueError("one variable needs no specialization schedule")
-    if count < 1:
-        raise ValueError("schedule needs at least one tuple")
-    b = tuple(
-        max(det_d1.support_bound(i), det_d2.support_bound(i)) for i in range(1, d + 1)
-    )
-    c = tuple(2 * sum(b[: i + 1]) for i in range(d - 1))
-    tuples = []
-    for j in range(count):
-        ks = [(c[0] + 1) << j]
-        for i in range(1, d - 1):
-            ks.append(c[i] * ks[-1] + 1)
-        tuples.append(_certify_tuple(ks, c))
-    return SpecSchedule(b, c, tuple(tuples))
-
-
-def fk_det_zd_via_specialization(
-    a: GroupRingMatrix, schedule: SpecSchedule
-) -> FKValue:
-    """Determinant through one-variable specializations along a schedule.
-
-    Every tuple is certified against the schedule's own c-chain before use;
-    the result is the last value with the spread of the final three as the
-    error estimate.
-    """
-    if a.rank < 2:
-        raise ValueError("specialization needs at least two variables")
-    if not schedule.tuples:
-        raise ValueError("empty specialization schedule")
-    values = []
-    for ks in schedule.tuples:
-        ks = _certify_tuple(ks, schedule.c)
-        trace = fk_det_zd(a.specialize(ks))
-        values.append(trace.value.value)
-    tail = values[-3:]
-    return FKValue(values[-1], "specialization", max(tail) - min(tail))

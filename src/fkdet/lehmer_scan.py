@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from .laurent import (
     matrix_to_json,
     parse_polynomial,
 )
-from .mahler import UNIT_BAND, _thread_count, log_mahler_quadrature, roots_one_var
+from .mahler import jensen_from_roots, log_mahler_quadrature, roots_one_var
 from .values import FKValue, Radical
 
 VARIANTS = ("lambda", "lambda_1", "lambda_w", "lambda_w_1")
@@ -277,7 +276,7 @@ class _FiniteSpace:
     def injective(self, m: FiniteGroupRingMatrix) -> bool:
         return vn_dim_kernel_finite(m) == 0
 
-    def evaluate(self, m, one_threshold, grid_size, threads):
+    def evaluate(self, m, one_threshold, grid_size):
         v = fk_det_finite(m)
         return v, v.value < 1.0 + one_threshold
 
@@ -381,10 +380,10 @@ class _LaurentSpace:
             return not m.entries[0][0].is_zero()
         return vn_dim_kernel_zd(m) == 0
 
-    def evaluate(self, m, one_threshold, grid_size, threads):
+    def evaluate(self, m, one_threshold, grid_size):
         if self.space.shape == (1, 1):
-            return _poly_det(m.entries[0][0], one_threshold, grid_size, threads)
-        v = fk_det_zd(m, "auto", grid_size=grid_size, threads=threads).value
+            return _poly_det(m.entries[0][0], one_threshold, grid_size)
+        v = fk_det_zd(m, "auto", grid_size=grid_size).value
         return v, v.value < 1.0 + one_threshold
 
     def entry_texts(self, m) -> list:
@@ -422,7 +421,7 @@ def _collinear_image(p: LaurentPolynomial) -> LaurentPolynomial | None:
     return LaurentPolynomial(1, {(t,): p.terms[e] for t, e in zip(ts, pts)})
 
 
-def _poly_det(p, one_threshold, grid_size, threads):
+def _poly_det(p, one_threshold, grid_size):
     """Determinant of one nonzero element of Q[Z^d] plus its classification."""
     if len(p.terms) == 1:
         c = abs(next(iter(p.terms.values())))
@@ -430,23 +429,17 @@ def _poly_det(p, one_threshold, grid_size, threads):
         v = FKValue(float(c), "jensen", 0.0, exact)
         return v, v.value < 1.0 + one_threshold
     line = _collinear_image(p)
+    cyclotomic = False
     if line is not None:
         data = roots_one_var(line)
-        log_m = math.log(data.lead_abs)
-        for a in data.roots:
-            m = abs(a)
-            if m > 1.0 + UNIT_BAND:
-                log_m += math.log(m)
-        value = math.exp(log_m)
-        error = value * (data.residual * max(1, len(data.roots)) + 1e-15)
+        mv = jensen_from_roots(data)
         cyclotomic = data.lead_abs == 1.0 and all(
             abs(a) <= 1.0 + CYCLOTOMIC_ROOT_BAND for a in data.roots
         )
-        v = FKValue(value, "jensen", error)
-        return v, cyclotomic or value < 1.0 + one_threshold
-    mv = log_mahler_quadrature(p, grid_size, threads)
+    else:
+        mv = log_mahler_quadrature(p, grid_size)
     v = FKValue(mv.value, mv.method, mv.error_estimate)
-    return v, mv.value < 1.0 + one_threshold
+    return v, cyclotomic or mv.value < 1.0 + one_threshold
 
 
 def _context(space: SearchSpace):
@@ -467,7 +460,6 @@ def scan(
     one_threshold: float = DEFAULT_ONE_THRESHOLD,
     grid_size: int = 256,
     survey: bool = False,
-    threads: int | None = None,
 ) -> ScanReport:
     """Exhaust the space and report the least determinant above 1.
 
@@ -498,8 +490,6 @@ def scan(
         )
 
     ctx = _context(space)
-    workers = _thread_count(threads)
-    inner_threads = 1 if workers > 1 else threads
 
     examined = 0
     evaluated = 0
@@ -508,20 +498,9 @@ def scan(
     best = None  # (value, FKValue, matrix)
     rows: list = []
 
-    def run_batch(batch, pool):
+    def run_batch(batch):
         nonlocal det_one, best
-        if pool is not None:
-            results = list(
-                pool.map(
-                    lambda m: ctx.evaluate(m, one_threshold, grid_size, inner_threads),
-                    batch,
-                )
-            )
-        else:
-            results = [
-                ctx.evaluate(m, one_threshold, grid_size, inner_threads)
-                for m in batch
-            ]
+        results = [ctx.evaluate(m, one_threshold, grid_size) for m in batch]
         for m, (value, is_one) in zip(batch, results):
             if is_one:
                 det_one += 1
@@ -537,28 +516,23 @@ def scan(
             if best is None or value.value < best[0]:
                 best = (value.value, value, m)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        batch: list = []
-        for vec in ctx.stream():
-            m = ctx.build(vec)
-            admit = not weak or ctx.injective(m)
-            if admit and evaluated >= budget:
-                exceeded = True
-                break
-            examined += 1
-            if not admit:
-                continue
-            evaluated += 1
-            batch.append(m)
-            if len(batch) >= _BATCH:
-                run_batch(batch, pool)
-                batch = []
-        if batch:
-            run_batch(batch, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    batch: list = []
+    for vec in ctx.stream():
+        m = ctx.build(vec)
+        admit = not weak or ctx.injective(m)
+        if admit and evaluated >= budget:
+            exceeded = True
+            break
+        examined += 1
+        if not admit:
+            continue
+        evaluated += 1
+        batch.append(m)
+        if len(batch) >= _BATCH:
+            run_batch(batch)
+            batch = []
+    if batch:
+        run_batch(batch)
 
     return ScanReport(
         space=space,
@@ -580,7 +554,6 @@ def witness_value(
     *,
     one_threshold: float = DEFAULT_ONE_THRESHOLD,
     grid_size: int = 256,
-    threads: int | None = None,
 ) -> FKValue:
     """Re-evaluate a reported witness through the same determinant path."""
     if space.group is not None:
@@ -606,10 +579,10 @@ def witness_value(
         return fk_det_finite(m)
     if witness["kind"] == "element":
         p = parse_polynomial(witness["text"], rank=space.rank)
-        value, _ = _poly_det(p, one_threshold, grid_size, threads)
+        value, _ = _poly_det(p, one_threshold, grid_size)
         return value
     m = matrix_from_json(witness)
-    return fk_det_zd(m, "auto", grid_size=grid_size, threads=threads).value
+    return fk_det_zd(m, "auto", grid_size=grid_size).value
 
 
 # ---------------------------------------------------------------------------

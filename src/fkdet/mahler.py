@@ -8,6 +8,9 @@ roots of each square-free factor are then polished with Newton steps
 against the exact coefficients.  The torus grid and the specialization
 ramp are the two multivariate routes.  Both are empirical and their
 error estimates are observed differences, not proved bounds.
+
+One table names the methods and one rule resolves "auto": exact Jensen
+roots in one variable, the Boyd-Lawton specialization limit in several.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ UNIT_BAND = 1e-12
 # grid samples with |p| below this are treated as exact zeros and excluded
 ZERO_FLOOR = 1e-300
 
-_COMPANION_LIMIT = 30
+# largest specialized degree the Boyd-Lawton ramp root-finds; the ramp
+# refuses above it rather than run for minutes
+BL_MAX_DEGREE = 1024
+
+MEASURE_METHODS = ("auto", "jensen", "quadrature", "boyd_lawton")
 
 
 # ---------------------------------------------------------------------------
@@ -162,61 +169,19 @@ def squarefree_decomposition(coeffs: list) -> list:
 # floating root finding
 
 
-def _horner_pair(desc: np.ndarray, dd: np.ndarray, x: np.ndarray):
-    return np.polyval(desc, x), np.polyval(dd, x)
-
-
-def _aberth(coeffs: list) -> np.ndarray | None:
-    """Simultaneous root iteration for a square-free polynomial.
-
-    coeffs ascending; returns None if the iteration fails to converge,
-    in which case the caller falls back to companion eigenvalues.
-    """
-    c = np.array([float(x) for x in coeffs], dtype=np.complex128)
-    n = len(c) - 1
-    lead = c[-1]
-    radius = 1.0 + float(np.max(np.abs(c[:-1] / lead)))
-    k = np.arange(n)
-    roots = 0.9 * radius * np.exp(2j * np.pi * (k + 0.35) / n)
-    desc = c[::-1]
-    dd = np.polyder(desc)
-    for _ in range(400):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals, dvals = _horner_pair(desc, dd, roots)
-            dvals = np.where(dvals == 0, 1e-300, dvals)
-            w = vals / dvals
-            diff = roots[:, None] - roots[None, :]
-            np.fill_diagonal(diff, 1.0)
-            s = np.sum(1.0 / diff, axis=1) - 1.0
-            denom = 1.0 - w * s
-            denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-            corr = w / denom
-            roots = roots - corr
-        if not np.all(np.isfinite(roots)):
-            return None
-        if np.max(np.abs(corr)) <= 1e-14 * (1.0 + np.max(np.abs(roots))):
-            return roots
-    return None
-
-
 def _roots_squarefree(coeffs: list) -> tuple[np.ndarray, float]:
     """All roots of a square-free integer polynomial plus a residual estimate."""
     deg = len(coeffs) - 1
     if deg == 0:
         return np.array([], dtype=np.complex128), 0.0
     desc = np.array([float(x) for x in coeffs[::-1]], dtype=np.complex128)
-    if deg <= _COMPANION_LIMIT:
-        roots = np.roots(desc)
-    else:
-        roots = _aberth(coeffs)
-        if roots is None:
-            roots = np.roots(desc)
+    roots = np.roots(desc)
     # Newton polish against the exact coefficients; square-free input
     # keeps the derivative well away from zero at the roots
     dd = np.polyder(desc)
     step = np.zeros_like(roots)
     for _ in range(3):
-        vals, dvals = _horner_pair(desc, dd, roots)
+        vals, dvals = np.polyval(desc, roots), np.polyval(dd, roots)
         dvals = np.where(dvals == 0, 1e-300, dvals)
         step = vals / dvals
         roots = roots - step
@@ -274,9 +239,8 @@ def roots_one_var(p: LaurentPolynomial) -> RootList:
 # measures
 
 
-def mahler_jensen(p: LaurentPolynomial) -> MahlerValue:
-    """Mahler measure of a rank-1 polynomial via the Jensen product."""
-    data = roots_one_var(p)
+def jensen_from_roots(data: RootList) -> MahlerValue:
+    """Jensen product |c| * prod max(1, |root|) over the roots in ``data``."""
     log_m = math.log(data.lead_abs)
     for a in data.roots:
         m = abs(a)
@@ -287,17 +251,12 @@ def mahler_jensen(p: LaurentPolynomial) -> MahlerValue:
     return MahlerValue(value, log_m, "jensen", error)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("FKDET_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def mahler_jensen(p: LaurentPolynomial) -> MahlerValue:
+    """Mahler measure of a rank-1 polynomial via the Jensen product."""
+    return jensen_from_roots(roots_one_var(p))
 
 
-def _grid_log_mean(p: LaurentPolynomial, n: int, threads: int) -> float:
+def _grid_log_mean(p: LaurentPolynomial, n: int) -> float:
     """Mean of ln|p| over the uniform n**d torus grid, zero samples excluded."""
     d = p.rank
     terms = sorted((exps, float(c)) for exps, c in p.terms.items())
@@ -329,47 +288,57 @@ def _grid_log_mean(p: LaurentPolynomial, n: int, threads: int) -> float:
         good = mags >= ZERO_FLOOR
         return float(np.sum(np.log(mags[good])))
 
-    # fixed chunking and ordered reduction keep the result independent of
-    # the worker count
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # numpy releases the interpreter lock on these arrays, so chunks overlap
+    # on several cores; fixed chunking and the ordered fsum keep the result
+    # independent of the worker count
+    workers = min(os.cpu_count() or 1, len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(eval_chunk, chunks))
     else:
         partials = [eval_chunk(ch) for ch in chunks]
     return math.fsum(partials) / float(n) ** d
 
 
-def log_mahler_quadrature(
-    p: LaurentPolynomial, n: int, threads: int | None = None
-) -> MahlerValue:
-    """Mahler measure from the grid average of ln|p| on the torus."""
+def log_mahler_quadrature(p: LaurentPolynomial, n: int) -> MahlerValue:
+    """Mahler measure from the grid average of ln|p| on the torus.
+
+    The error estimate is the gap to the n/2 grid plus the same rounding
+    floor as the Jensen route.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if n < 2:
         raise ValueError("grid size must be at least 2")
-    workers = _thread_count(threads)
-    log_m = _grid_log_mean(p, n, workers)
+    log_m = _grid_log_mean(p, n)
     coarse = max(2, n // 2)
-    log_coarse = _grid_log_mean(p, coarse, workers) if coarse < n else log_m
+    log_coarse = _grid_log_mean(p, coarse) if coarse < n else log_m
     value = math.exp(log_m)
-    return MahlerValue(value, log_m, "quadrature", abs(value - math.exp(log_coarse)))
+    error = abs(value - math.exp(log_coarse)) + 1e-15 * value
+    return MahlerValue(value, log_m, "quadrature", error)
 
 
 def default_bl_schedule(p: LaurentPolynomial, steps: int = 4, base: int = 25) -> list:
-    """Geometric specialization ramp for a rank d >= 2 polynomial.
+    """Certified geometric specialization ramp for a rank d >= 2 polynomial.
 
-    k_2 doubles from `base`; each deeper k is pushed past the support-bound
-    chain of p itself so the inner limits stay ahead of the outer ones.
+    Specialization sends z_i to powers of a single variable.  Writing b_i
+    for the largest exponent magnitude of p on axis i and
+    c_i = 2*(b_1 + ... + b_i), any exponent tuple (k_2, ..., k_d) with
+    k_2 > c_1, k_3 > c_2*k_2, ... keeps the specialization nonzero and
+    commutes with products, so the one-variable measures converge to the
+    multivariate one.  Here k_2 doubles from max(base, c_1 + 1) and each
+    deeper k_{i+1} = c_i*k_i + 1 rides the chain.
     """
     if p.rank < 2:
         raise ValueError("schedule needs rank at least 2")
     bounds = [p.support_bound(i) for i in range(1, p.rank + 1)]
-    partial = [2 * sum(bounds[:i]) for i in range(1, p.rank)]
+    c = [2 * sum(bounds[:i]) for i in range(1, p.rank)]
+    start = max(base, c[0] + 1)
     tuples = []
     for j in range(steps):
-        ks = [base * 2 ** j]
+        ks = [start * 2 ** j]
         for i in range(1, p.rank - 1):
-            ks.append(partial[i] * ks[-1] + 1)
+            ks.append(c[i] * ks[-1] + 1)
         tuples.append(tuple(ks))
     return tuples
 
@@ -380,7 +349,9 @@ def mahler_boyd_lawton(
     """Mahler measure as the limit of one-variable specializations.
 
     The value is the Jensen measure at the last schedule tuple; the error
-    estimate is the spread over the final three tuples.
+    estimate is the spread over the final three tuples.  A schedule whose
+    specializations exceed degree BL_MAX_DEGREE is refused before any root
+    finding.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -390,9 +361,15 @@ def mahler_boyd_lawton(
         schedule = default_bl_schedule(p)
     if not schedule:
         raise ValueError("empty specialization schedule")
+    specs = [p.specialize(ks) for ks in schedule]
+    degree = max(q.max_exponents()[0] - q.min_exponents()[0] for q in specs)
+    if degree > BL_MAX_DEGREE:
+        raise ValueError(
+            f"boyd_lawton specialization reaches degree {degree}, over the "
+            f"budget {BL_MAX_DEGREE}; use --method quadrature"
+        )
     values = []
-    for ks in schedule:
-        q = p.specialize(ks)
+    for ks, q in zip(schedule, specs):
         if q.is_zero():
             raise ValueError("specialization collapsed to zero at %r" % (tuple(ks),))
         values.append(mahler_jensen(q).value)
@@ -400,3 +377,34 @@ def mahler_boyd_lawton(
     spread = max(tail) - min(tail)
     value = values[-1]
     return MahlerValue(value, math.log(value), "boyd_lawton", spread)
+
+
+def resolve_method(rank: int, method: str) -> str:
+    """The measure a method name selects at this rank; "auto" is Jensen in
+    one variable and Boyd-Lawton in several."""
+    if method not in MEASURE_METHODS:
+        raise ValueError(
+            f"unknown measure method {method!r}; pick one of {MEASURE_METHODS}"
+        )
+    if method == "auto":
+        return "jensen" if rank == 1 else "boyd_lawton"
+    if method == "jensen" and rank != 1:
+        raise ValueError("jensen needs one variable; pick quadrature or boyd_lawton")
+    return method
+
+
+def mahler_measure(
+    p: LaurentPolynomial,
+    method: str = "auto",
+    *,
+    grid_size: int = 256,
+    schedule: list | None = None,
+) -> MahlerValue:
+    """Mahler measure by a method from MEASURE_METHODS; ``grid_size`` feeds
+    quadrature and ``schedule`` overrides the Boyd-Lawton default."""
+    method = resolve_method(p.rank, method)
+    if method == "jensen":
+        return mahler_jensen(p)
+    if method == "quadrature":
+        return log_mahler_quadrature(p, grid_size)
+    return mahler_boyd_lawton(p, schedule)

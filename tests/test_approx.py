@@ -335,15 +335,6 @@ def test_det_sequence_two_variables():
     assert seq.limit_reference.value == pytest.approx(1.3813564445, abs=0.05)
 
 
-def test_det_sequence_thread_determinism():
-    a = mat([["z - 2"]])
-    chain = chain_range(1, 2, 6)
-    lone = det_sequence(a, chain, threads=1)
-    pooled = det_sequence(a, chain, threads=3)
-    assert [v.exact for v in lone.values] == [v.exact for v in pooled.values]
-    assert lone.limsup_ok == pooled.limsup_ok
-
-
 def test_det_sequence_validation():
     with pytest.raises(ValueError, match="rank"):
         det_sequence(mat([["z1"]], rank=2), chain_range(1, 2, 4))

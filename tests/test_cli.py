@@ -220,14 +220,6 @@ def test_scan_box_golden_ratio(capsys):
     assert blob["result"]["witness"]["text"] == "1 + z - z^2"
 
 
-def test_scan_threads_do_not_change_bytes(capsys):
-    argv = ("lehmer-scan", "--box", "4", "--variant", "lambda_1")
-    _, lone, _ = run_cli(capsys, *argv, "--threads", "1")
-    _, pooled, _ = run_cli(capsys, *argv, "--threads", "3")
-    lone, pooled = json.loads(lone), json.loads(pooled)
-    assert lone["result"] == pooled["result"]
-
-
 def test_scan_survey_csv(capsys):
     code, out, _ = run_cli(
         capsys, "lehmer-scan", "--cyclic", "3", "--coeff-bound", "2",
@@ -340,6 +332,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     # jensen demanded for a two variable polynomial
     code, err = error_of(capsys, "mahler", "--poly", "z1 + z2", "--method", "jensen")
     assert code == 1
+    # the Boyd-Lawton ramp refuses past its degree budget
+    code, err = error_of(capsys, "fkdet-zd", "--poly", "1 + z1 + z2 + z3")
+    assert code == 1
+    assert "budget" in err["message"] and "--method quadrature" in err["message"]
     # moduli arity mismatch
     code, err = error_of(capsys, "trace-check", "--poly", "z", "--degree", "1",
                          "--moduli", "2,3")
@@ -374,6 +370,19 @@ def test_argparse_failures_exit_2(capsys):
     assert code == 2
     code, err = error_of(capsys)
     assert code == 2
+
+
+def test_no_subcommand_accepts_threads(capsys):
+    for name in (
+        "mahler", "fkdet-zd", "fkdet-finite", "lehmer-scan", "approx-chain",
+        "exact-constants", "trace-check",
+    ):
+        code, out, _ = run_cli(capsys, name, "--help")
+        assert code == 0
+        assert "--threads" not in out and "--bl-" not in out, name
+    code, err = error_of(capsys, "mahler", "--poly", "z", "--threads", "2")
+    assert code == 2
+    assert "--threads" in err["message"]
 
 
 def run_console_script(name, *argv):

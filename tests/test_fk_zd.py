@@ -2,17 +2,11 @@
 
 import math
 import random
+import time
 
 import pytest
 
-from fkdet.fk_zd import (
-    PipelineError,
-    SpecSchedule,
-    build_schedule,
-    fk_det_zd,
-    fk_det_zd_via_specialization,
-    vn_dim_kernel_zd,
-)
+from fkdet.fk_zd import PipelineError, fk_det_zd, vn_dim_kernel_zd
 from fkdet.laurent import (
     GroupRingMatrix,
     LaurentPolynomial,
@@ -20,7 +14,12 @@ from fkdet.laurent import (
     matrix_to_json,
     parse_polynomial,
 )
-from fkdet.mahler import log_mahler_quadrature, mahler_jensen
+from fkdet.mahler import (
+    default_bl_schedule,
+    log_mahler_quadrature,
+    mahler_boyd_lawton,
+    mahler_jensen,
+)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 TWO_VAR_MEASURE = 1.3813564445  # M(1 + z1 + z2)
@@ -238,68 +237,41 @@ def test_pipeline_error_carries_details():
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# schedules: the certified c-chain of each measured determinant
 
 
 def test_schedule_for_constant_determinants():
     trace = fk_det_zd(GroupRingMatrix.zero(1, 1, 2))
-    sched = build_schedule(trace, 4)
-    assert sched.b == (0, 0)
-    assert sched.c == (0,)
-    assert sched.tuples == ((1,), (2,), (4,), (8,))
+    assert trace.detD1.is_one()
+    assert default_bl_schedule(trace.detD1) == [(25,), (50,), (100,), (200,)]
+    assert default_bl_schedule(trace.detD1, steps=4, base=1) == [(1,), (2,), (4,), (8,)]
+    assert trace.value.value == 1.0
+    assert trace.value.method == "boyd_lawton"
 
 
 def test_schedule_bounds_follow_the_support():
-    base = fk_det_zd(GroupRingMatrix.zero(1, 1, 2))
-    trace = base.__class__(
-        matrix=base.matrix,
-        q=base.q,
-        B=base.B,
-        D1=base.D1,
-        D2=base.D2,
-        detD1=parse_polynomial("z1^2*z2^3 + z1^-2*z2^-3 + 1", rank=2),
-        detD2=LaurentPolynomial.one(2),
-        detD1_measure=base.detD1_measure,
-        detD2_measure=base.detD2_measure,
-        value=base.value,
-    )
-    sched = build_schedule(trace, 3)
-    assert sched.b == (2, 3)
-    assert sched.c == (4,)
-    assert sched.tuples == ((5,), (10,), (20,))
+    # b = (2, 3), so c_1 = 4 and the smallest admissible k_2 is 5
+    p = parse_polynomial("z1^2*z2^3 + z1^-2*z2^-3 + 1", rank=2)
+    assert default_bl_schedule(p, steps=3, base=1) == [(5,), (10,), (20,)]
+    assert default_bl_schedule(p, steps=3) == [(25,), (50,), (100,)]
 
 
 def test_schedule_depth_three_chain():
-    base = fk_det_zd(GroupRingMatrix.zero(1, 1, 3))
-    trace = base.__class__(
-        matrix=base.matrix,
-        q=base.q,
-        B=base.B,
-        D1=base.D1,
-        D2=base.D2,
-        detD1=parse_polynomial("z1 + z2^2 + z3", rank=3),
-        detD2=parse_polynomial("z1^-1 + z2^-1", rank=3),
-        detD1_measure=base.detD1_measure,
-        detD2_measure=base.detD2_measure,
-        value=base.value,
-    )
-    sched = build_schedule(trace, 4)
-    assert sched.b == (1, 2, 1)
-    assert sched.c == (2, 6)
-    for k2, k3 in sched.tuples:
+    p = parse_polynomial("z1 + z2^2 + z3 + z1^-1 + z2^-1", rank=3)
+    sched = default_bl_schedule(p, steps=4, base=1)
+    # b = (1, 2, 1), so c = (2, 6)
+    for k2, k3 in sched:
         assert k2 > 2
-        assert k3 > 6 * k2
-    k2s = [t[0] for t in sched.tuples]
-    assert k2s == [3, 6, 12, 24]
+        assert k3 == 6 * k2 + 1
+    assert [t[0] for t in sched] == [3, 6, 12, 24]
 
 
 def test_schedule_rejects_rank_one_and_empty():
-    trace = fk_det_zd(mat([["z - 2"]]))
     with pytest.raises(ValueError, match="schedule"):
-        build_schedule(trace, 3)
-    two = fk_det_zd(GroupRingMatrix.zero(1, 1, 2))
-    with pytest.raises(ValueError, match="at least one"):
-        build_schedule(two, 0)
+        default_bl_schedule(parse_polynomial("z - 2"))
+    p = parse_polynomial("1 + z1 + z2")
+    with pytest.raises(ValueError, match="empty"):
+        mahler_boyd_lawton(p, default_bl_schedule(p, steps=0))
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +279,19 @@ def test_schedule_rejects_rank_one_and_empty():
 
 
 def test_specialization_on_monomial_and_missing_variable():
-    mono = mat([["z1*z2"]], rank=2)
-    sched = build_schedule(fk_det_zd(mono), 3)
-    got = fk_det_zd_via_specialization(mono, sched)
+    got = fk_det_zd(mat([["z1*z2"]], rank=2), "boyd_lawton").value
     assert math.isclose(got.value, 1.0, rel_tol=1e-12)
-    assert got.method == "specialization"
+    assert got.method == "boyd_lawton"
 
-    flat = mat([["z1 - 2"]], rank=2)
-    sched = build_schedule(fk_det_zd(flat), 3)
-    got = fk_det_zd_via_specialization(flat, sched)
+    got = fk_det_zd(mat([["z1 - 2"]], rank=2), "boyd_lawton").value
     assert math.isclose(got.value, 2.0, rel_tol=1e-9)
     assert got.error_estimate < 1e-9
 
 
 def test_specialization_approaches_the_quadrature_value():
     a = mat([["1 + z1 + z2"]], rank=2)
-    sched = SpecSchedule(b=(1, 1), c=(2,), tuples=((25,), (50,), (100,)))
-    got = fk_det_zd_via_specialization(a, sched)
+    got = fk_det_zd(a).value
+    assert got.method == "boyd_lawton"
     oracle = math.exp(log_mahler_quadrature(parse_polynomial("1 + z1 + z2"), 512).log_value)
     assert math.isclose(got.value, oracle, rel_tol=2e-2)
 
@@ -331,13 +299,19 @@ def test_specialization_approaches_the_quadrature_value():
 def test_specialization_rejects_bad_schedules():
     a = mat([["1 + z1 + z2"]], rank=2)
     with pytest.raises(ValueError, match="empty"):
-        fk_det_zd_via_specialization(a, SpecSchedule((1, 1), (2,), ()))
-    with pytest.raises(ValueError, match="inadmissible"):
-        fk_det_zd_via_specialization(a, SpecSchedule((1, 1), (2,), ((2,),)))
-    with pytest.raises(ValueError, match="exponents must be positive"):
-        fk_det_zd_via_specialization(a, SpecSchedule((1, 1), (2,), ((0,),)))
-    with pytest.raises(ValueError, match="two variables"):
-        fk_det_zd_via_specialization(mat([["z"]]), SpecSchedule((1,), (), ((3,),)))
-    wrong_arity = SpecSchedule((1, 1), (2,), ((3, 5),))
+        fk_det_zd(a, "boyd_lawton", schedule=[])
+    with pytest.raises(ValueError, match="must be positive"):
+        fk_det_zd(a, "boyd_lawton", schedule=[(0,)])
     with pytest.raises(ValueError, match="expected 1"):
-        fk_det_zd_via_specialization(a, wrong_arity)
+        fk_det_zd(a, "boyd_lawton", schedule=[(3, 5)])
+    # det D1 = 2 - z1/z2 - z2/z1 collapses under z2 -> z1
+    with pytest.raises(ValueError, match="collapsed"):
+        fk_det_zd(mat([["z1 - z2"]], rank=2), "boyd_lawton", schedule=[(1,)])
+
+
+def test_boyd_lawton_refuses_over_the_degree_budget():
+    # det D1 of 1 + z1 + z2 + z3 specializes to degree 1602 at the last tuple
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree 1602.*budget 1024.*quadrature"):
+        fk_det_zd(mat([["1 + z1 + z2 + z3"]], rank=3))
+    assert time.perf_counter() - start < 1.0

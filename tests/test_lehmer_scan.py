@@ -234,13 +234,11 @@ def test_budget_exceeded_partial_report():
     assert report.infimum_found.exact == Radical(3, Fraction(1, 2))
 
 
-def test_scan_determinism_and_threads():
+def test_scan_determinism():
     space = SearchSpace(group=make_cyclic(2), coeff_bound=2)
-    lone = scan(space, "lambda_1", threads=1).as_json()
-    pooled = scan(space, "lambda_1", threads=3).as_json()
-    assert lone == pooled
+    assert scan(space, "lambda_1").as_json() == scan(space, "lambda_1").as_json()
     zspace = zd_space((4,), coeff_bound=1)
-    assert scan(zspace, "lambda_1", threads=2).as_json() == scan(zspace, "lambda_1").as_json()
+    assert scan(zspace, "lambda_1").as_json() == scan(zspace, "lambda_1").as_json()
 
 
 def test_survey_rows_and_csv():

@@ -3,11 +3,14 @@
 import cmath
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import fkdet.mahler
 from fkdet.laurent import LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
+    BL_MAX_DEGREE,
     default_bl_schedule,
     log_mahler_quadrature,
     mahler_boyd_lawton,
@@ -18,6 +21,8 @@ from fkdet.mahler import (
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
+TWO_VAR_LOG = 0.3230659472194505  # log M(1 + z1 + z2), Smyth
+THREE_VAR_LOG = 7 * 1.2020569031595943 / (2 * math.pi**2)  # 7 zeta(3) / (2 pi^2)
 
 
 def _conv(a, b):
@@ -154,12 +159,21 @@ def test_roots_product_reconstruction():
             assert math.isclose(direct, recon, rel_tol=1e-8, abs_tol=1e-8)
 
 
-def test_roots_high_degree_uses_simultaneous_iteration():
+def test_roots_high_degree_exact_values():
     p = LaurentPolynomial(1, {(0,): -1, (40,): 1})  # z^40 - 1
     data = roots_one_var(p)
     assert len(data.roots) == 40
     assert all(abs(abs(r) - 1) < 1e-10 for r in data.roots)
     assert mahler_jensen(p).value == pytest.approx(1.0, abs=1e-9)
+    # high-degree companion roots give integer measures to rounding
+    phi37 = LaurentPolynomial(1, {(i,): 1 for i in range(37)})
+    for poly, exact in (
+        (parse_polynomial("z^64 - 2"), 2.0),
+        (parse_polynomial("z - 3") * phi37, 3.0),
+    ):
+        got = mahler_jensen(poly)
+        assert got.value == pytest.approx(exact, rel=1e-13)
+        assert abs(got.value - exact) <= got.error_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +261,41 @@ def test_quadrature_handles_vanishing_samples():
     assert got.value == pytest.approx(1.0, abs=3e-2)
 
 
-def test_quadrature_thread_count_invariant():
-    p = parse_polynomial("1 + z1 + z2")
-    a = log_mahler_quadrature(p, 128, threads=1)
-    b = log_mahler_quadrature(p, 128, threads=4)
-    assert a.value == b.value
-    assert a.log_value == b.log_value
+def test_quadrature_thread_count_invariant(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(fkdet.mahler, "ThreadPoolExecutor", RecordingPool)
+    # n = 128 in three variables splits into two chunks
+    p = parse_polynomial("1 + z1 + z2 + z3")
+    means = {}
+    for cores in (1, 4):
+        monkeypatch.setattr(fkdet.mahler.os, "cpu_count", lambda: cores)
+        means[cores] = fkdet.mahler._grid_log_mean(p, 128)
+    assert means[1] == means[4]
+    assert pools == [2]
+    # a single chunk starts no pool
+    fkdet.mahler._grid_log_mean(parse_polynomial("1 + z1 + z2"), 256)
+    assert pools == [2]
+
+
+@pytest.mark.parametrize(
+    "text, log_m, sizes",
+    [
+        ("1 + z1 + z2", TWO_VAR_LOG, (16, 32, 64, 128, 256, 512)),
+        ("3 + z1 + z2", math.log(3), (16, 32, 64, 128, 256, 512)),
+        ("1 + z1 + z2 + z3", THREE_VAR_LOG, (16, 32, 64, 128)),
+    ],
+)
+def test_quadrature_error_estimate_covers_closed_forms(text, log_m, sizes):
+    p = parse_polynomial(text)
+    for n in sizes:
+        got = log_mahler_quadrature(p, n)
+        assert got.error_estimate >= abs(got.value - math.exp(log_m)), n
 
 
 def test_quadrature_rejects_bad_input():
@@ -290,6 +333,23 @@ def test_boyd_lawton_default_schedule_matches_quadrature():
     ref = log_mahler_quadrature(p, 512)
     assert got.value == pytest.approx(ref.value, abs=1e-2)
     assert got.error_estimate < 1e-2
+
+
+def test_boyd_lawton_default_schedule_is_certified():
+    # b_1 = 20 puts c_1 = 40 above the base 25, so k_2 starts at 41
+    p = parse_polynomial("z1^20 + z2 + 1")
+    sched = default_bl_schedule(p)
+    assert sched == [(41,), (82,), (164,), (328,)]
+    for ks in sched:
+        assert len(p.specialize(ks).terms) == len(p.terms)
+
+
+def test_boyd_lawton_refuses_over_the_degree_budget():
+    p = parse_polynomial("1 + z1 + z2")
+    with pytest.raises(ValueError, match="degree %d, over the budget %d" % (
+        BL_MAX_DEGREE + 1, BL_MAX_DEGREE
+    )):
+        mahler_boyd_lawton(p, [(25,), (BL_MAX_DEGREE + 1,)])
 
 
 def test_boyd_lawton_rank3_schedule_chain():
