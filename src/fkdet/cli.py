@@ -101,9 +101,16 @@ def _pair(text: str, flag: str) -> tuple:
     return tuple(items)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(_read_text(path))
 
 
 def _coeff_json(c):
@@ -136,8 +143,7 @@ def _load_group(args) -> FiniteGroup:
 def _poly_input(args):
     if args.poly is not None:
         return parse_polynomial(args.poly, rank=args.rank)
-    with open(args.poly_file, "r", encoding="utf-8") as fh:
-        return parse_polynomial(fh.read(), rank=args.rank)
+    return parse_polynomial(_read_text(args.poly_file), rank=args.rank)
 
 
 def _zd_matrix(args) -> GroupRingMatrix:
@@ -590,14 +596,17 @@ def main(argv=None) -> int:
         else:
             body = text + "\n"
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(body)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         else:
             sys.stdout.write(body)
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
-    except (ValueError, ArithmeticError, OSError, PipelineError) as exc:
+    except (ValueError, ArithmeticError, PipelineError) as exc:
         _emit_error("domain", exc)
         return 1
     return 0

@@ -36,7 +36,12 @@ from .laurent import (
     matrix_to_json,
     parse_polynomial,
 )
-from .mahler import jensen_from_roots, log_mahler_quadrature, roots_one_var
+from .mahler import (
+    is_cyclotomic_product,
+    log_mahler_quadrature,
+    mahler_jensen,
+    measure_lower_bound,
+)
 from .values import FKValue, Radical
 
 VARIANTS = ("lambda", "lambda_1", "lambda_w", "lambda_w_1")
@@ -45,18 +50,16 @@ VARIANTS = ("lambda", "lambda_1", "lambda_w", "lambda_w_1")
 # excluded from the infimum; every report carries the threshold it used
 DEFAULT_ONE_THRESHOLD = 1e-9
 
-# one-variable candidates with unit leading coefficient and all root moduli
-# below 1 + this band are classified as determinant one exactly (they are
-# monomial multiples of products of cyclotomic polynomials)
-CYCLOTOMIC_ROOT_BAND = 1e-10
-
 DEFAULT_BUDGET_ELEMENTS = 10**7
 DEFAULT_BUDGET_MATRICES = 10**5
 
 # refuse spaces whose raw enumeration cannot finish at desk scale
 RAW_ENUMERATION_CAP = 5 * 10**7
 
-_BATCH = 1024
+# exact measure lower bounds are scaled by this before they rule a candidate
+# out, so a candidate whose measure equals the bound (z^3 - z - 1 attains
+# Smyth's constant) is still evaluated and the tie rule sees it
+_BOUND_SLACK = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -273,6 +276,10 @@ class _FiniteSpace:
             rows.append(row)
         return FiniteGroupRingMatrix(self.group, rows)
 
+    def screen(self, vec: tuple) -> None:
+        """No exact screen over a finite group: every candidate is evaluated."""
+        return None
+
     def injective(self, m: FiniteGroupRingMatrix) -> bool:
         return vn_dim_kernel_finite(m) == 0
 
@@ -375,6 +382,25 @@ class _LaurentSpace:
             rows.append(row)
         return GroupRingMatrix(rows, rank=self.rank)
 
+    def screen(self, vec: tuple) -> tuple | None:
+        """(determinant one, measure lower bound) of an element with
+        collinear support, from its integer coefficients alone; None for
+        matrices and for elements that need quadrature.  Such an element is
+        nonzero, hence injective."""
+        if self.space.shape != (1, 1):
+            return None
+        if self.rank == 1:
+            # the shift-down anchor puts a term at z^0: vec is the line
+            line = vec
+        else:
+            line = _line_coeffs({self.exps[i]: c for i, c in enumerate(vec) if c})
+            if line is None:
+                return None
+        bound = measure_lower_bound(line)
+        if bound == 1.0 and is_cyclotomic_product(line):
+            return True, 1.0
+        return False, bound * _BOUND_SLACK
+
     def injective(self, m: GroupRingMatrix) -> bool:
         if self.space.shape == (1, 1):
             return not m.entries[0][0].is_zero()
@@ -399,12 +425,16 @@ class _LaurentSpace:
         return {"kind": "matrix", **matrix_to_json(m)}
 
 
-def _collinear_image(p: LaurentPolynomial) -> LaurentPolynomial | None:
-    """One-variable polynomial with the same measure, if the support is
-    collinear; the substitution z -> z^v along a primitive direction and a
-    monomial shift both leave the Mahler measure unchanged."""
-    pts = sorted(p.terms)
+def _line_coeffs(terms: dict) -> list | None:
+    """Ascending coefficients of a one-variable polynomial with the same
+    measure, if the support is collinear; the substitution z -> z^v along a
+    primitive direction and a monomial shift both leave the Mahler measure
+    unchanged.  The least support point becomes the constant term, so the
+    constant term is nonzero."""
+    pts = sorted(terms)
     base = pts[0]
+    if len(pts) == 1:
+        return [terms[base]]
     diffs = [tuple(x - y for x, y in zip(e, base)) for e in pts[1:]]
     v = diffs[0]
     g = 0
@@ -418,28 +448,30 @@ def _collinear_image(p: LaurentPolynomial) -> LaurentPolynomial | None:
         if tuple(t * x for x in v) != d:
             return None
         ts.append(t)
-    return LaurentPolynomial(1, {(t,): p.terms[e] for t, e in zip(ts, pts)})
+    out = [0] * (ts[-1] + 1)
+    for t, e in zip(ts, pts):
+        out[t] = terms[e]
+    return out
 
 
 def _poly_det(p, one_threshold, grid_size):
-    """Determinant of one nonzero element of Q[Z^d] plus its classification."""
+    """Determinant of one nonzero element of Q[Z^d] plus its float
+    classification; the scan has already counted the elements that
+    ``_LaurentSpace.screen`` proves to have determinant one."""
     if len(p.terms) == 1:
         c = abs(next(iter(p.terms.values())))
         exact = Radical(c.numerator) if c.denominator == 1 and c >= 1 else None
         v = FKValue(float(c), "jensen", 0.0, exact)
         return v, v.value < 1.0 + one_threshold
-    line = _collinear_image(p)
-    cyclotomic = False
+    line = _line_coeffs(p.terms)
     if line is not None:
-        data = roots_one_var(line)
-        mv = jensen_from_roots(data)
-        cyclotomic = data.lead_abs == 1.0 and all(
-            abs(a) <= 1.0 + CYCLOTOMIC_ROOT_BAND for a in data.roots
+        mv = mahler_jensen(
+            LaurentPolynomial(1, {(t,): c for t, c in enumerate(line) if c})
         )
     else:
         mv = log_mahler_quadrature(p, grid_size)
     v = FKValue(mv.value, mv.method, mv.error_estimate)
-    return v, cyclotomic or mv.value < 1.0 + one_threshold
+    return v, mv.value < 1.0 + one_threshold
 
 
 def _context(space: SearchSpace):
@@ -497,29 +529,18 @@ def scan(
     exceeded = False
     best = None  # (value, FKValue, matrix)
     rows: list = []
+    # a candidate whose measure lower bound exceeds this cutoff can be
+    # neither determinant one, the infimum, nor a survey row
+    floor = max(1.0 + one_threshold, 1.5 if survey else 0.0)
+    cutoff = math.inf
 
-    def run_batch(batch):
-        nonlocal det_one, best
-        results = [ctx.evaluate(m, one_threshold, grid_size) for m in batch]
-        for m, (value, is_one) in zip(batch, results):
-            if is_one:
-                det_one += 1
-                continue
-            if survey and value.value <= 1.5:
-                texts = ctx.entry_texts(m)
-                text = (
-                    texts[0]
-                    if space.shape == (1, 1)
-                    else _matrix_text(texts, *space.shape)
-                )
-                rows.append((text, value.value))
-            if best is None or value.value < best[0]:
-                best = (value.value, value, m)
-
-    batch: list = []
     for vec in ctx.stream():
-        m = ctx.build(vec)
-        admit = not weak or ctx.injective(m)
+        screen = ctx.screen(vec)
+        m = None
+        admit = True
+        if weak and screen is None:
+            m = ctx.build(vec)
+            admit = ctx.injective(m)
         if admit and evaluated >= budget:
             exceeded = True
             break
@@ -527,12 +548,30 @@ def scan(
         if not admit:
             continue
         evaluated += 1
-        batch.append(m)
-        if len(batch) >= _BATCH:
-            run_batch(batch)
-            batch = []
-    if batch:
-        run_batch(batch)
+        if screen is not None:
+            exact_one, bound = screen
+            if exact_one:
+                det_one += 1
+                continue
+            if bound > cutoff:
+                continue
+        if m is None:
+            m = ctx.build(vec)
+        value, is_one = ctx.evaluate(m, one_threshold, grid_size)
+        if is_one:
+            det_one += 1
+            continue
+        if survey and value.value <= 1.5:
+            texts = ctx.entry_texts(m)
+            text = (
+                texts[0]
+                if space.shape == (1, 1)
+                else _matrix_text(texts, *space.shape)
+            )
+            rows.append((text, value.value))
+        if best is None or value.value < best[0]:
+            best = (value.value, value, m)
+            cutoff = max(best[0], floor)
 
     return ScanReport(
         space=space,

@@ -15,6 +15,7 @@ roots in one variable, the Boyd-Lawton specialization limit in several.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,10 @@ ZERO_FLOOR = 1e-300
 BL_MAX_DEGREE = 1024
 
 MEASURE_METHODS = ("auto", "jensen", "quadrature", "boyd_lawton")
+
+# Smyth's constant: the real root of z**3 - z - 1, the least Mahler measure
+# of a non-reciprocal integer polynomial with p(0) != 0
+SMYTH_THETA0 = 1.324717957244746
 
 
 # ---------------------------------------------------------------------------
@@ -102,33 +107,106 @@ def _gcd_poly(a: list, b: list) -> list:
 
 
 def _div_exact(a: list, b: list) -> list:
-    """Exact quotient a / b for integer polynomials with b | a."""
+    """Exact quotient a / b of integer polynomials; ValueError unless b
+    divides a over the integers."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = _trim(list(a))
-    if not a:
+    r = _trim(list(a))
+    if not r:
         return []
-    r = [Fraction(x) for x in a]
     db = len(b) - 1
     lb = b[-1]
-    width = len(a) - len(b) + 1
+    width = len(r) - db
     if width <= 0:
         raise ValueError("quotient would be zero, division not exact")
-    q = [Fraction(0)] * width
+    q = [0] * width
     for k in range(width - 1, -1, -1):
-        c = r[db + k] / lb
+        c, rem = divmod(r[db + k], lb)
+        if rem:
+            raise ValueError("polynomial division not exact over the integers")
         q[k] = c
         if c:
             for i in range(db + 1):
                 r[k + i] -= c * b[i]
     if any(r):
         raise ValueError("polynomial division not exact")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ValueError("polynomial division not exact over the integers")
-        out.append(int(c))
+    return q
+
+
+@functools.cache
+def _cyclotomic(n: int) -> tuple:
+    """Phi_n, built by dividing z**n - 1 by Phi_d for every proper divisor d."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            p = _div_exact(p, _cyclotomic(d))
+    return tuple(p)
+
+
+def _totient(n: int) -> int:
+    out, m, f = n, n, 2
+    while f * f <= m:
+        if m % f == 0:
+            out -= out // f
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out -= out // m
     return out
+
+
+@functools.cache
+def _cyclotomic_orders(degree: int) -> tuple:
+    """Every n with phi(n) <= degree; phi(n) >= sqrt(n/2) bounds the search."""
+    return tuple(n for n in range(1, 2 * degree * degree + 3) if _totient(n) <= degree)
+
+
+def _strip_monomial(coeffs: list) -> list:
+    """Drop the z**k factor and trailing zeros of an ascending list."""
+    c = _trim(list(coeffs))
+    k = 0
+    while k < len(c) and c[k] == 0:
+        k += 1
+    return c[k:]
+
+
+def _is_reciprocal(c: list) -> bool:
+    """c_i = e * c_(deg - i) for one sign e."""
+    rev = c[::-1]
+    return c == rev or c == [-x for x in rev]
+
+
+def is_cyclotomic_product(coeffs: list) -> bool:
+    """True iff the integer polynomial is +-z**k times a product of
+    cyclotomic polynomials, which by Kronecker's theorem is exactly when its
+    Mahler measure is 1.  Decided by trial division by every Phi_n with
+    phi(n) <= degree, in integer arithmetic."""
+    c = _strip_monomial(coeffs)
+    if not c or abs(c[0]) != 1 or abs(c[-1]) != 1 or not _is_reciprocal(c):
+        return False
+    for n in _cyclotomic_orders(len(c) - 1):
+        phi = _cyclotomic(n)
+        while len(phi) <= len(c):
+            try:
+                c = _div_exact(c, phi)
+            except ValueError:
+                break
+    return len(c) == 1
+
+
+def measure_lower_bound(coeffs: list) -> float:
+    """A lower bound for the Mahler measure of a nonzero integer polynomial.
+
+    M(p) >= |lead| and M(p) >= |p(0)| once the z**k factor is dropped; by
+    Smyth (1971) M(p) >= SMYTH_THETA0 when p is not reciprocal up to sign.
+    The constant is a float, so the bound holds up to one rounding.
+    """
+    c = _strip_monomial(coeffs)
+    bound = max(abs(c[0]), abs(c[-1]))
+    if not _is_reciprocal(c):
+        bound = max(bound, SMYTH_THETA0)
+    return float(bound)
 
 
 def squarefree_decomposition(coeffs: list) -> list:
@@ -239,8 +317,10 @@ def roots_one_var(p: LaurentPolynomial) -> RootList:
 # measures
 
 
-def jensen_from_roots(data: RootList) -> MahlerValue:
-    """Jensen product |c| * prod max(1, |root|) over the roots in ``data``."""
+def mahler_jensen(p: LaurentPolynomial) -> MahlerValue:
+    """Mahler measure of a rank-1 polynomial via the Jensen product
+    |c| * prod max(1, |root|)."""
+    data = roots_one_var(p)
     log_m = math.log(data.lead_abs)
     for a in data.roots:
         m = abs(a)
@@ -249,11 +329,6 @@ def jensen_from_roots(data: RootList) -> MahlerValue:
     value = math.exp(log_m)
     error = value * (data.residual * max(1, len(data.roots)) + 1e-15)
     return MahlerValue(value, log_m, "jensen", error)
-
-
-def mahler_jensen(p: LaurentPolynomial) -> MahlerValue:
-    """Mahler measure of a rank-1 polynomial via the Jensen product."""
-    return jensen_from_roots(roots_one_var(p))
 
 
 def _grid_log_mean(p: LaurentPolynomial, n: int) -> float:
@@ -349,7 +424,8 @@ def mahler_boyd_lawton(
     """Mahler measure as the limit of one-variable specializations.
 
     The value is the Jensen measure at the last schedule tuple; the error
-    estimate is the spread over the final three tuples.  A schedule whose
+    estimate is the spread over the final three tuples plus the same
+    rounding floor as the Jensen route.  A schedule whose
     specializations exceed degree BL_MAX_DEGREE is refused before any root
     finding.
     """
@@ -376,7 +452,7 @@ def mahler_boyd_lawton(
     tail = values[-3:]
     spread = max(tail) - min(tail)
     value = values[-1]
-    return MahlerValue(value, math.log(value), "boyd_lawton", spread)
+    return MahlerValue(value, math.log(value), "boyd_lawton", spread + 1e-15 * value)
 
 
 def resolve_method(rank: int, method: str) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fkdet.cli
 from fkdet.cli import main
 from fkdet.laurent import GroupRingMatrix, matrix_to_json, parse_polynomial
 from fkdet.lehmer_scan import DEFAULT_ONE_THRESHOLD
@@ -313,9 +314,16 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, err = error_of(capsys, "mahler", "--poly", "0")
     assert code == 1
     assert err["kind"] == "domain"
-    # unreadable input file
-    code, err = error_of(capsys, "fkdet-zd", "--matrix-file", str(tmp_path / "no.json"))
+    # unreadable input file and unwritable output path, each named
+    missing = str(tmp_path / "no.json")
+    code, err = error_of(capsys, "fkdet-zd", "--matrix-file", missing)
     assert code == 1
+    assert err["kind"] == "domain"
+    assert missing in err["message"]
+    code, err = error_of(capsys, "mahler", "--poly", "z - 2", "--out", str(tmp_path))
+    assert code == 1
+    assert err["kind"] == "domain"
+    assert str(tmp_path) in err["message"]
     # bad group table
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"table": [[0, 1], [0, 1]], "identity": 0}))
@@ -344,6 +352,16 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, err = error_of(capsys, "exact-constants", "--cyclic", "2",
                          "--torsion-order", "2")
     assert code == 1
+
+
+def test_timeout_inside_a_command_propagates(monkeypatch):
+    # a deadline raised while a command runs is not an input error
+    def slow(args):
+        raise TimeoutError("deadline")
+
+    monkeypatch.setattr(fkdet.cli, "_run_mahler", slow)
+    with pytest.raises(TimeoutError, match="deadline"):
+        main(["mahler", "--poly", "z - 2"])
 
 
 def test_config_errors_exit_2(capsys):

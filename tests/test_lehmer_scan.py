@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from fkdet.fk_finite import FiniteGroup, make_cyclic
-from fkdet.laurent import parse_polynomial
+from fkdet.laurent import format_polynomial, parse_polynomial
 from fkdet.lehmer_scan import (
     SearchSpace,
+    _LaurentSpace,
     exact_constants,
     scan,
     survey_to_csv,
     torsion_bound_check,
     witness_value,
 )
+from fkdet.mahler import SMYTH_THETA0, log_mahler_quadrature, mahler_jensen
 from fkdet.values import Radical
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
@@ -159,10 +161,85 @@ def test_z_scan_finds_lehmer_polynomial():
     report = scan(zd_space((10,), coeff_bound=1), "lambda_1")
     assert report.infimum_found.value == pytest.approx(LEHMER_MEASURE, abs=1e-9)
     assert parse_polynomial(report.witness["text"]) == parse_polynomial(LEHMER)
-    assert report.count_examined > 20000
+    assert report.count_examined == 29888
+    assert report.count_det_one == 301
     assert report.budget_exceeded is False
     again = witness_value(report.space, report.witness)
     assert abs(again.value - report.infimum_found.value) <= 1e-9
+
+
+def test_z_scan_keeps_the_smyth_tie():
+    # z^3 - z - 1 and its relatives attain Smyth's constant exactly; the
+    # lower bound must not rule them out, so the earliest one stays witness
+    space = zd_space((3,), coeff_bound=1)
+    report = scan(space, "lambda_1")
+    assert report.witness["text"] == "1 - z^2 + z^3"
+    assert report.infimum_found.value == pytest.approx(SMYTH_THETA0, rel=1e-15)
+    # the float bound of a tie candidate stays below its computed measure
+    exact_one, bound = _LaurentSpace(space).screen((-1, -1, 0, 1))
+    assert not exact_one
+    assert bound < report.infimum_found.value
+
+
+def _brute_force(space, survey=False):
+    """Every candidate through the float measure and the float rule."""
+    ctx = _LaurentSpace(space)
+    examined = det_one = 0
+    best = None
+    rows = []
+    for vec in ctx.stream():
+        p = ctx.build(vec).entries[0][0]
+        examined += 1
+        if p.rank == 1:
+            value = mahler_jensen(p).value
+        else:
+            pts = sorted(p.terms)
+            collinear = all(
+                (b[0] - pts[0][0]) * (c[1] - pts[0][1])
+                == (b[1] - pts[0][1]) * (c[0] - pts[0][0])
+                for b in pts
+                for c in pts
+            )
+            if collinear:
+                # M(q(z^m)) = M(q) for m != 0
+                value = mahler_jensen(p.specialize((7,))).value
+            else:
+                value = log_mahler_quadrature(p, 256).value
+        if value < 1 + 1e-9:
+            det_one += 1
+            continue
+        text = format_polynomial(p)
+        if survey and value <= 1.5:
+            rows.append((text, value))
+        if best is None or value < best[0]:
+            best = (value, text)
+    return examined, det_one, best, rows
+
+
+@pytest.mark.parametrize(
+    "space, survey",
+    [(zd_space((b,), coeff_bound=1), False) for b in range(8)]
+    + [
+        (zd_space((3,), coeff_bound=2), False),
+        (zd_space((2, 2), coeff_bound=1, support=3), False),
+        (zd_space((6,), coeff_bound=1), True),
+        # the infimum drops below Smyth's constant while non-reciprocal
+        # candidates still make survey rows
+        (zd_space((8,), coeff_bound=1, support=5), True),
+    ],
+)
+def test_scan_matches_brute_force(space, survey):
+    report = scan(space, "lambda_1", survey=survey)
+    examined, det_one, best, rows = _brute_force(space, survey)
+    assert report.count_examined == examined
+    assert report.count_det_one == det_one
+    if best is None:
+        assert report.infimum_found is None
+    else:
+        assert report.infimum_found.value == best[0]
+        assert report.witness["text"] == best[1]
+    if survey:
+        assert list(report.survey) == rows
 
 
 def test_z_scan_degree_two_golden_ratio():

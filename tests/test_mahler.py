@@ -11,10 +11,13 @@ import fkdet.mahler
 from fkdet.laurent import LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
     BL_MAX_DEGREE,
+    SMYTH_THETA0,
     default_bl_schedule,
+    is_cyclotomic_product,
     log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
+    measure_lower_bound,
     roots_one_var,
     squarefree_decomposition,
 )
@@ -177,6 +180,80 @@ def test_roots_high_degree_exact_values():
 
 
 # ---------------------------------------------------------------------------
+# exact cyclotomic test and measure lower bound
+
+
+def _cyclotomic_from_roots(n):
+    # independent of the code under test: expand prod (z - zeta) over the
+    # primitive n-th roots of unity and round
+    zetas = [cmath.exp(2j * math.pi * k / n) for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    desc = [1]
+    for w in zetas:
+        desc = [a - w * b for a, b in zip(desc + [0], [0] + desc)]
+    return [round(c.real) for c in reversed(desc)]
+
+
+def _products_up_to(factors, max_degree):
+    # every product of the factors (with repetition) of degree <= max_degree
+    out = [[1]]
+    frontier = [([1], 0)]
+    while frontier:
+        nxt = []
+        for poly, start in frontier:
+            for i in range(start, len(factors)):
+                if len(poly) + len(factors[i]) - 2 <= max_degree:
+                    q = _conv(poly, factors[i])
+                    out.append(q)
+                    nxt.append((q, i))
+        frontier = nxt
+    return out
+
+
+def test_cyclotomic_products_are_recognized():
+    factors = [_cyclotomic_from_roots(n) for n in range(1, 43)]
+    factors = [f for f in factors if len(f) - 1 <= 12]
+    assert len(factors) == 26
+    products = _products_up_to(factors, 12)
+    assert len(products) > 1000
+    for p in products:
+        assert is_cyclotomic_product(p), p
+        assert is_cyclotomic_product([-c for c in p]), p
+        assert is_cyclotomic_product([0, 0] + p), p
+    assert is_cyclotomic_product([1, -1, -1, 1])  # (z - 1)^2 (z + 1)
+    assert is_cyclotomic_product([1, -1])  # -Phi_1
+
+
+def test_non_cyclotomic_polynomials_are_rejected():
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    for p in (lehmer, [-1, -1, 0, 1], [-2, 0, 1], [2, 2, 2], [2, 0, 1, 0, 1], [2], [0]):
+        assert not is_cyclotomic_product(p), p
+
+
+def test_measure_lower_bound():
+    assert measure_lower_bound([-1, -1, 0, 1]) == SMYTH_THETA0  # z^3 - z - 1
+    assert measure_lower_bound([0, 0, 1, 1, 0]) == 1.0  # z^2 (1 + z)
+    assert measure_lower_bound([1, 0, 0, 3]) == 3.0
+    assert measure_lower_bound([2, 1, 2]) == 2.0
+    # Smyth's constant is the measure of z^3 - z - 1 to the last digit
+    theta = mahler_jensen(parse_polynomial("z^3 - z - 1")).value
+    assert theta == pytest.approx(SMYTH_THETA0, rel=1e-15)
+
+
+def test_exact_screen_agrees_with_jensen():
+    # Kronecker against the float route, and the bound below every measure
+    rng = random.Random(37)
+    for _ in range(400):
+        deg = rng.randrange(0, 9)
+        coeffs = [rng.randrange(-2, 3) for _ in range(deg)] + [rng.choice([-2, -1, 1, 2])]
+        coeffs[0] = coeffs[0] or 1
+        value = mahler_jensen(
+            LaurentPolynomial(1, {(e,): c for e, c in enumerate(coeffs) if c})
+        ).value
+        assert is_cyclotomic_product(coeffs) == (value < 1 + 1e-9), coeffs
+        assert value >= measure_lower_bound(coeffs) * (1 - 1e-12), coeffs
+
+
+# ---------------------------------------------------------------------------
 # Jensen
 
 
@@ -298,6 +375,13 @@ def test_quadrature_error_estimate_covers_closed_forms(text, log_m, sizes):
         assert got.error_estimate >= abs(got.value - math.exp(log_m)), n
 
 
+@pytest.mark.parametrize("text, log_m", [("1 + z1 + z2", TWO_VAR_LOG), ("3 + z1 + z2", math.log(3))])
+def test_boyd_lawton_error_estimate_covers_closed_forms(text, log_m):
+    got = mahler_boyd_lawton(parse_polynomial(text))
+    assert got.error_estimate >= abs(got.value - math.exp(log_m))
+    assert got.error_estimate >= 1e-15 * got.value
+
+
 def test_quadrature_rejects_bad_input():
     with pytest.raises(ValueError):
         log_mahler_quadrature(LaurentPolynomial.zero(2), 64)
@@ -314,6 +398,8 @@ def test_boyd_lawton_monomial():
     got = mahler_boyd_lawton(p, [(3,), (7,), (11,)])
     assert got.value == pytest.approx(1.0, abs=1e-12)
     assert got.method == "boyd_lawton"
+    # the spread is zero here; the rounding floor keeps the estimate positive
+    assert got.error_estimate >= 1e-15 * got.value
 
 
 def test_boyd_lawton_missing_variable():
