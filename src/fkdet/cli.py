@@ -131,13 +131,7 @@ def _load_group(args) -> FiniteGroup:
         if len(mods) == 1:
             return make_cyclic(mods[0])
         return make_cyclic_product(mods)
-    blob = _load_json(args.group_file)
-    try:
-        table = blob["table"]
-        identity = int(blob["identity"])
-    except (KeyError, TypeError):
-        raise ValueError("group json needs a multiplication table and an identity")
-    return FiniteGroup(table, identity, blob.get("names"), blob.get("kind", "table"))
+    return FiniteGroup.from_json(_load_json(args.group_file))
 
 
 def _poly_input(args):

@@ -2,10 +2,10 @@
 
 Matrices are lists of rows holding int or Fraction entries; the sizes
 here come from regular representations of modest finite groups, so
-clarity wins over asymptotics.  Determinants use Bareiss fraction-free
-elimination (intermediate values stay integral), characteristic
-polynomials use the division-free Berkowitz scheme, and ranks come from
-Gaussian elimination over the rationals.
+clarity wins over asymptotics.  Ranks and determinants come from one
+fraction-free (Bareiss) elimination on the matrix with its rows scaled
+to integers, so no rational arithmetic occurs; characteristic
+polynomials use the division-free Berkowitz scheme.
 """
 
 from __future__ import annotations
@@ -43,31 +43,39 @@ def _clear_denominators(rows: Matrix) -> tuple[Matrix, int]:
     return out, total
 
 
-def _bareiss_det(a: Matrix) -> int:
-    """Exact determinant of a square integer matrix, fraction-free."""
-    n = len(a)
+def _eliminate(a: Matrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns the rank and the signed last pivot.  A column without a pivot
+    is skipped, so every entry produced is a minor of the input and each
+    division by the previous pivot is exact (Sylvester's identity).  For
+    a square matrix of full rank the signed last pivot is the determinant.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank = 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+    for col in range(n):
+        if rank == m:
+            break
+        pivot_row = next((i for i in range(rank, m) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
+            sign = -sign
+        row_k = a[rank]
+        pivot = row_k[col]
+        for i in range(rank + 1, m):
             row_i = a[i]
-            row_k = a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                # exact by the Bareiss identity: prev divides the 2x2 minor
+            lead = row_i[col]
+            for j in range(col + 1, n):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
+            row_i[col] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        rank += 1
+    return rank, sign * prev
 
 
 def det_exact(rows: Matrix):
@@ -75,43 +83,18 @@ def det_exact(rows: Matrix):
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
     ints, scale = _clear_denominators(rows)
-    d = _bareiss_det(ints)
+    rank, last = _eliminate(ints)
+    if rank < n:
+        return 0
     if scale == 1:
-        return d
-    return Fraction(d, scale)
+        return last
+    return Fraction(last, scale)
 
 
 def rank_exact(rows: Matrix) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    if not rows:
-        return 0
-    work = [[Fraction(x) for x in row] for row in rows]
-    m, n = len(work), len(work[0])
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, m):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for i in range(rank + 1, m):
-            factor = work[i][col] / pivot
-            if factor:
-                row_i = work[i]
-                row_r = work[rank]
-                for j in range(col, n):
-                    row_i[j] -= factor * row_r[j]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Rank over the rationals, by fraction-free elimination."""
+    return _eliminate(_clear_denominators(rows)[0])[0]
 
 
 def charpoly_berkowitz(rows: Matrix) -> list:

@@ -103,19 +103,31 @@ class FiniteGroup:
             "order": self.order,
             "identity": self.identity,
             "table": [list(row) for row in self.table],
+            "names": list(self.names),
+            "kind": self.kind,
         }
 
     @classmethod
     def from_json(cls, blob: dict) -> "FiniteGroup":
+        """Read the JSON form: identity and table, optional order, names, kind."""
         try:
             table = blob["table"]
             identity = blob["identity"]
-            order = blob["order"]
         except (KeyError, TypeError):
-            raise ValueError("group json needs order, identity, table")
-        if len(table) != order:
+            raise ValueError("group json needs identity and table")
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            for row in table
+        ):
+            raise ValueError("group json table must be a list of integer rows")
+        if not isinstance(identity, int):
+            raise ValueError("group json identity must be an integer")
+        if "order" in blob and blob["order"] != len(table):
             raise ValueError("declared order does not match the table")
-        return cls(table, identity)
+        names = blob.get("names")
+        if names is not None and not isinstance(names, list):
+            raise ValueError("group json names must be a list")
+        return cls(table, identity, names, str(blob.get("kind", "table")))
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -328,12 +340,6 @@ class FiniteGroupRingMatrix:
         return cls(group, [[z] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, group: FiniteGroup, n: int):
-        z = FiniteGroupRingElement.zero(group)
-        e = FiniteGroupRingElement.unit(group)
-        return cls(group, [[e if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_element(cls, x: FiniteGroupRingElement):
         return cls(x.group, [[x]])
 
@@ -469,7 +475,7 @@ def fk_det_finite(a) -> FKValue:
     n = mat.group.order
     rep = regular_rep(mat)
     if mat.rows == mat.cols and mat.rows > 0:
-        d = det_exact([row[:] for row in rep])
+        d = det_exact(rep)
         if d != 0:
             exact = _as_int(d)
             if exact is not None:

@@ -112,11 +112,6 @@ class LaurentPolynomial:
         exps = tuple(1 if j == i - 1 else 0 for j in range(rank))
         return cls(rank, {exps: Fraction(1)})
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence, min_exp: int = 0) -> "LaurentPolynomial":
-        """Rank-1 polynomial from a dense ascending coefficient list."""
-        return cls(1, {(min_exp + i,): _as_fraction(c) for i, c in enumerate(coeffs) if c})
-
     # ------------------------------------------------------------------
     # basic predicates and accessors
 
@@ -125,9 +120,6 @@ class LaurentPolynomial:
 
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.rank: Fraction(1)}
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -579,9 +571,6 @@ class GroupRingMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
@@ -664,9 +653,6 @@ class GroupRingMatrix:
         return GroupRingMatrix(
             [[p.specialize(ks) for p in row] for row in self.entries], rank=1
         )
-
-    def map_entries(self, f) -> "GroupRingMatrix":
-        return GroupRingMatrix([[f(p) for p in row] for row in self.entries])
 
     # ------------------------------------------------------------------
     # determinant

@@ -331,6 +331,13 @@ def test_domain_errors_exit_1(capsys, tmp_path):
                          "--coeffs", "1,1")
     assert code == 1
     assert "permutation" in err["message"]
+    # a table that is not a list of integer rows
+    path.write_text(json.dumps({"table": 5, "identity": 0}))
+    code, err = error_of(capsys, "fkdet-finite", "--group-file", str(path),
+                         "--coeffs", "1")
+    assert code == 1
+    assert err["kind"] == "domain"
+    assert "integer rows" in err["message"]
     # element text over a non-cyclic table group
     path2 = tmp_path / "z2table.json"
     path2.write_text(json.dumps({"table": [[0, 1], [1, 0]], "identity": 0}))

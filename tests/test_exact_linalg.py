@@ -1,5 +1,6 @@
 """Exact determinants, ranks, and division-free characteristic polynomials."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -102,6 +103,53 @@ def test_rank_bounded_by_transpose():
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         mat = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
         assert rank_exact(mat) == rank_exact(mat_transpose(mat))
+
+
+def _brute_rank(rows):
+    # the largest k with a nonzero k x k minor
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rs in itertools.combinations(range(m), k):
+            for cs in itertools.combinations(range(n), k):
+                if _cofactor_det([[rows[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def _skipping_matrix(rng, m, n, fractions):
+    # random entries, then a zero column and a dependent column inside the
+    # matrix, so the elimination meets columns without a pivot mid-way
+    def entry():
+        x = rng.randrange(-2, 3)
+        return Fraction(x, rng.randrange(1, 4)) if fractions else x
+
+    mat = [[entry() for _ in range(n)] for _ in range(m)]
+    if n >= 3 and rng.random() < 0.5:
+        z = rng.randrange(1, n - 1)
+        for row in mat:
+            row[z] = 0
+    if n >= 3 and rng.random() < 0.7:
+        d = rng.randrange(1, n)
+        a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+        for row in mat:
+            row[d] = a * row[0] + b * row[d - 1]
+    if m >= 2 and rng.random() < 0.3:
+        mat[rng.randrange(1, m)] = [2 * x for x in mat[0]]
+    return mat
+
+
+def test_shared_elimination_matches_minors():
+    rng = random.Random(47)
+    for trial in range(400):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        if trial % 3 == 0:
+            n = m
+        mat = _skipping_matrix(rng, m, n, fractions=trial % 2 == 1)
+        before = [row[:] for row in mat]
+        assert rank_exact(mat) == _brute_rank(mat)
+        if m == n:
+            assert det_exact(mat) == _cofactor_det(mat)
+        assert mat == before
 
 
 def test_charpoly_small_cases():

@@ -115,10 +115,20 @@ def test_group_json_round_trip():
     back = FiniteGroup.from_json(blob)
     assert back.table == g.table
     assert back.identity == g.identity
+    assert (back.names, back.kind) == (g.names, "cyclic")
     with pytest.raises(ValueError):
         FiniteGroup.from_json({"order": 2, "identity": 0, "table": [[0, 1]]})
     with pytest.raises(ValueError):
         FiniteGroup.from_json({"table": [[0]]})
+    # order, names and kind are optional
+    back = FiniteGroup.from_json({"identity": 0, "table": [[0, 1], [1, 0]]})
+    assert back == make_cyclic(2)
+    assert (back.names, back.kind) == (("g0", "g1"), "table")
+    with pytest.raises(ValueError, match="names"):
+        FiniteGroup.from_json({"identity": 0, "table": [[0]], "names": 5})
+    for table in (5, [5, 6], ["01", "10"], [[0, 1], [1, 0.0]]):
+        with pytest.raises(ValueError, match="integer rows"):
+            FiniteGroup.from_json({"identity": 0, "table": table})
 
 
 # ---------------------------------------------------------------------------

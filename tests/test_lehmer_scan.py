@@ -282,6 +282,31 @@ def test_zd_matrix_scan():
     assert report.count_examined > report.count_det_one
 
 
+@pytest.mark.parametrize(
+    "order, shape, support, examined, det_one, base, exponent, entries",
+    [
+        (3, (2, 2), 4, 879, 244, 2, Fraction(1, 3), ["t + 1", "0", "0", "1"]),
+        # wide 3x6 regular representations go through the rank gate
+        (3, (1, 2), None, 124, 2, 2, Fraction(1, 3), ["t + 1", "0"]),
+        (2, (2, 2), None, 952, 192, 3, Fraction(1, 2), ["t + 1", "1", "1", "t + 1"]),
+    ],
+    ids=["Z3-2x2-support4", "Z3-1x2", "Z2-2x2"],
+)
+def test_weak_finite_matrix_scans(
+    order, shape, support, examined, det_one, base, exponent, entries
+):
+    space = SearchSpace(
+        group=make_cyclic(order), shape=shape, coeff_bound=1, support=support
+    )
+    report = scan(space, "lambda_w")
+    assert report.count_examined == examined
+    assert report.count_det_one == det_one
+    assert report.infimum_found.exact == Radical(base, exponent)
+    assert report.witness["kind"] == "matrix"
+    assert report.witness["entries"] == entries
+    assert report.budget_exceeded is False
+
+
 def test_report_invariants_across_spaces():
     cases = [
         (SearchSpace(group=make_cyclic(2), coeff_bound=2), "lambda"),
