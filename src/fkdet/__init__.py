@@ -28,9 +28,10 @@ from .fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
+    cyclic_norm,
     direct_product,
-    fk_det_2x2_trivial,
     fk_det_finite,
+    fk_det_kernel_finite,
     format_element,
     induce,
     make_cyclic,
@@ -97,12 +98,13 @@ __all__ = [
     "chain_primes",
     "chain_range",
     "constants_to_json",
+    "cyclic_norm",
     "det_sequence",
     "det_sequence_to_csv",
     "direct_product",
     "exact_constants",
-    "fk_det_2x2_trivial",
     "fk_det_finite",
+    "fk_det_kernel_finite",
     "fk_det_zd",
     "format_element",
     "format_polynomial",

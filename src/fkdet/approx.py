@@ -23,6 +23,7 @@ from .fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
+    cyclic_stages,
     fk_det_finite,
     make_cyclic_product,
 )
@@ -322,6 +323,9 @@ def det_sequence(
     """Determinants of the reductions of ``a`` along a chain of quotients.
 
     Every stage is exact (finite groups); the reference is the Z^d value.
+    On a rank-1 chain a matrix with one row or one column is measured by
+    cyclic_norm straight from its Laurent entries, with no reduction and no
+    group table.
     Stages exceeding ``max_stage_order`` group elements are refused rather
     than silently taking hours.
     """
@@ -336,7 +340,13 @@ def det_sequence(
                 f"{max_stage_order}"
             )
 
-    values = tuple(fk_det_finite(reduce_mod(a, mods)) for mods in chain.moduli)
+    if chain.rank == 1 and min(a.rows, a.cols) == 1:
+        # one row or column over Z/n: the stages are norms of one element
+        entries = [{e: c for (e,), c in p.terms.items()} for row in a.entries for p in row]
+        stages = cyclic_stages(entries, a.rows, (n for (n,) in chain.moduli))
+        values = tuple(value for value, _ in stages)
+    else:
+        values = tuple(fk_det_finite(reduce_mod(a, mods)) for mods in chain.moduli)
 
     reference = fk_det_zd(a, measure_method).value
     combined = tolerance + reference.error_estimate + max(

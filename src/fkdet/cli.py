@@ -32,12 +32,11 @@ from .fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
-    fk_det_finite,
+    fk_det_kernel_finite,
     format_element,
     make_cyclic,
     make_cyclic_product,
     parse_element,
-    vn_dim_kernel_finite,
 )
 from .fk_zd import PipelineError, fk_det_zd
 from .laurent import (
@@ -268,8 +267,7 @@ def _run_fkdet_zd(args):
 def _run_fkdet_finite(args):
     group = _load_group(args)
     x = _finite_input(args, group)
-    value = fk_det_finite(x)
-    dim = vn_dim_kernel_finite(x)
+    value, dim = fk_det_kernel_finite(x)
     if isinstance(x, FiniteGroupRingElement):
         described = {
             "kind": "element",

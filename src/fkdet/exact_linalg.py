@@ -78,23 +78,30 @@ def _eliminate(a: Matrix) -> tuple[int, int]:
     return rank, sign * prev
 
 
+def rank_det_exact(rows: Matrix) -> tuple:
+    """Rank over the rationals and the determinant, from one elimination.
+
+    The determinant is 0 for a singular or non-square matrix, an int when
+    the entries are integers, else a Fraction.
+    """
+    ints, scale = _clear_denominators(rows)
+    rank, last = _eliminate(ints)
+    if rank < len(rows) or (rows and len(rows[0]) != len(rows)):
+        return rank, 0
+    return rank, last if scale == 1 else Fraction(last, scale)
+
+
 def det_exact(rows: Matrix):
     """Exact determinant of a square int/Fraction matrix (int when possible)."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    ints, scale = _clear_denominators(rows)
-    rank, last = _eliminate(ints)
-    if rank < n:
-        return 0
-    if scale == 1:
-        return last
-    return Fraction(last, scale)
+    return rank_det_exact(rows)[1]
 
 
 def rank_exact(rows: Matrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    return _eliminate(_clear_denominators(rows)[0])[0]
+    return rank_det_exact(rows)[0]
 
 
 def charpoly_berkowitz(rows: Matrix) -> list:

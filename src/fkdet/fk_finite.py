@@ -6,8 +6,11 @@ determinant of a matrix over such a group ring goes through the regular
 representation: an invertible square representation contributes
 |det|**(1/n) directly, everything else goes through the division-free
 characteristic polynomial of the Gram matrix, whose lowest nonzero
-coefficient is the product of the nonzero eigenvalues.  Both routes give
-exact radical values for integer inputs.
+coefficient is the product of the nonzero eigenvalues.  Over a cyclic
+group a matrix with one row or one column skips the n x n representation:
+its determinant is a norm, a product over the characters, which
+cyclic_norm computes from a resultant.  All routes give exact radical
+values for integer inputs.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from .exact_linalg import (
     det_exact,
     mat_mul_exact,
     mat_transpose,
-    rank_exact,
+    rank_det_exact,
 )
 from .laurent import parse_polynomial
+from .mahler import _cyclotomic, _div_exact, _totient, _trim
 from .values import FKValue, Radical, fk_exact
 
 
@@ -441,81 +445,199 @@ def regular_rep(a) -> list:
     return out
 
 
-def vn_dim_kernel_finite(a) -> Fraction:
-    """Kernel dimension of right multiplication, normalized by the group order."""
-    mat = _as_matrix(a)
-    n = mat.group.order
-    rep = regular_rep(mat)
-    return Fraction(mat.rows * n - rank_exact(rep), n)
+def _radical_value(q, root: int, method: str) -> FKValue:
+    """|q|**(1/root) for a nonzero rational q: exact when q is an integer."""
+    q = abs(Fraction(q))
+    if q.denominator == 1:
+        return fk_exact(Radical(q.numerator, Fraction(1, root)), method)
+    value = math.exp((math.log(q.numerator) - math.log(q.denominator)) / root)
+    return FKValue(value, method, 1e-14 * value)
 
 
-def _log_abs_fraction(q) -> float:
-    num = abs(q.numerator) if isinstance(q, Fraction) else abs(q)
-    den = q.denominator if isinstance(q, Fraction) else 1
-    return math.log(num) - math.log(den)
+# ---------------------------------------------------------------------------
+# cyclic groups: norms from a resultant instead of the regular representation
 
 
-def _as_int(q):
-    if isinstance(q, int):
-        return q
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return q.numerator
-    return None
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def fk_det_finite(a) -> FKValue:
-    """Determinant of right multiplication by a matrix over a finite group ring.
+def _poly_divmod(a: list, b: list) -> tuple:
+    """Quotient and remainder over Q of ascending lists; b has a nonzero
+    integer leading coefficient."""
+    db = len(b) - 1
+    inv = b[-1] if b[-1] in (1, -1) else Fraction(1, b[-1])
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db] * inv
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return q, _trim(r[:db])
 
-    Exact radicals are returned whenever the input has integer
-    coefficients; the zero operator has determinant 1 by convention (it
-    falls out of the pseudo characteristic polynomial, whose lowest
-    nonzero coefficient is then the leading 1).
+
+def _t_power_mod(n: int, mod: list) -> list:
+    """t**n modulo mod, by repeated squaring."""
+    out = [1]
+    for bit in bin(n)[2:]:
+        out = _poly_mul(out, out)
+        if bit == "1":
+            out = [0] + out
+        out = _poly_divmod(out, mod)[1]
+    return out
+
+
+def cyclic_norm(coeffs, n: int) -> tuple:
+    """|prod p(zeta)| over the n-th roots of unity with p(zeta) != 0, and
+    the number of roots with p(zeta) = 0, without an n x n matrix.
+
+    ``coeffs`` maps integer exponents (any sign, read mod n) to rational
+    coefficients.  With the monomial factor stripped, p has degree m < n.
+    g is the product of the Phi_d, d | n, that divide p, so the zero roots
+    number deg g.  For h = (t^n - 1)/g, prod_{h(zeta)=0} p(zeta) is
+    +-lc(p)^deg h times prod_{p(a)=0} h(a), the determinant of
+    multiplication by h on Q[t]/p: an m x m matrix.  h mod p is
+    ((t^n - 1) mod p*g)/g.  The norm is exact, an int or a Fraction.
+    """
+    if n < 1:
+        raise ValueError("group order must be positive")
+    terms = {}
+    for e, c in coeffs.items():
+        if c:
+            terms[e % n] = terms.get(e % n, 0) + c
+    exps = sorted(e for e, c in terms.items() if c)
+    if not exps:
+        return 1, n
+    # start after the widest cyclic gap between exponents: least degree
+    gaps = [(exps[0] + n - exps[-1], exps[0])]
+    gaps += [(b - a, b) for a, b in zip(exps, exps[1:])]
+    low = max(gaps)[1]
+    den = 1
+    for e in exps:
+        if isinstance(terms[e], Fraction):
+            den = math.lcm(den, terms[e].denominator)
+    m = max((e - low) % n for e in exps)
+    p = [0] * (m + 1)
+    for e in exps:
+        p[(e - low) % n] = int(terms[e] * den)
+    zeros = 0
+    if m == 0:
+        norm = abs(p[0]) ** n
+    else:
+        g = [1]
+        for d in range(1, n + 1):
+            if n % d or _totient(d) > m:
+                continue
+            phi = list(_cyclotomic(d))
+            try:
+                _div_exact(p, phi)
+            except ValueError:
+                continue
+            g = _poly_mul(g, phi)
+        zeros = len(g) - 1
+        r = _t_power_mod(n, _poly_mul(p, g))
+        r[0] -= 1
+        h, rest = _poly_divmod(r, g)
+        assert not rest, "g divides t^n - 1"
+        columns = []
+        for _ in range(m):
+            columns.append(h + [0] * (m - len(h)))
+            h = _poly_divmod([0] + h, p)[1]
+        norm = abs(p[-1]) ** (n - zeros) * abs(det_exact(columns))
+    norm = Fraction(norm, den ** (n - zeros))
+    return (norm.numerator if norm.denominator == 1 else norm), zeros
+
+
+def cyclic_stages(entries, rows: int, orders) -> list:
+    """(determinant, kernel dimension) over Z/n for each n in ``orders`` of
+    a 1x1, 1xk or kx1 matrix, given its entries as exponent -> coefficient
+    maps, with one cyclic_norm call per order.
+
+    A single entry p is measured itself; a vector x through the element
+    f = sum x_i x_i*, whose nonzero eigenvalues are those of the Gram
+    matrix of regular_rep, so its determinant is the 2n-th root of the
+    norm.  A singular single entry is measured through p p* as the Gram
+    route of regular_rep does, so even float values agree bit for bit.
+    """
+    gram = len(entries) > 1
+    f = {} if gram else entries[0]
+    if gram:
+        for x in entries:
+            items = [(e, c) for e, c in x.items() if c]
+            for e1, c1 in items:
+                for e2, c2 in items:
+                    f[e1 - e2] = f.get(e1 - e2, 0) + c1 * c2
+    out = []
+    for n in orders:
+        norm, zeros = cyclic_norm(f, n)
+        root = 2 * n if gram else n
+        if zeros and not gram:
+            norm, root = norm * norm, 2 * n
+        kernel = Fraction(rows * n - (n - zeros), n)
+        out.append((_radical_value(norm, root, "cyclic_norm"), kernel))
+    return out
+
+
+def _is_cyclic_table(group: FiniteGroup) -> bool:
+    """Whether the table is Z/n with element k = t^k: identity 0 and row 1
+    the shift b -> b + 1 mod n, from which t^a * t^b = t^(a+b) follows."""
+    n = group.order
+    if group.identity != 0:
+        return False
+    return n == 1 or all(x == (b + 1) % n for b, x in enumerate(group.table[1]))
+
+
+def fk_det_kernel_finite(a, want_det: bool = True) -> tuple:
+    """Determinant and normalized kernel dimension of right multiplication.
+
+    Over a cyclic group a 1x1, 1xk or kx1 matrix goes through cyclic_norm
+    (method tag "cyclic_norm"); everything else through regular_rep, where
+    one elimination gives the rank and, for an invertible square matrix,
+    the determinant.  Exact radicals are returned whenever the input has
+    integer coefficients; the zero operator has determinant 1.  With
+    ``want_det`` false the regular_rep route skips the determinant and
+    returns None for it.
     """
     mat = _as_matrix(a)
-    n = mat.group.order
+    group = mat.group
+    n = group.order
+    if min(mat.rows, mat.cols) == 1 and _is_cyclic_table(group):
+        entries = [dict(enumerate(x.coeffs)) for row in mat.entries for x in row]
+        return cyclic_stages(entries, mat.rows, (n,))[0]
     rep = regular_rep(mat)
-    if mat.rows == mat.cols and mat.rows > 0:
-        d = det_exact(rep)
-        if d != 0:
-            exact = _as_int(d)
-            if exact is not None:
-                return fk_exact(Radical(abs(exact), Fraction(1, n)), "regular_rep")
-            value = math.exp(_log_abs_fraction(d) / n)
-            return FKValue(value, "regular_rep", 1e-14 * value)
+    rank, d = rank_det_exact(rep)
+    kernel = Fraction(mat.rows * n - rank, n)
+    if not want_det:
+        return None, kernel
+    if d:
+        return _radical_value(d, n, "regular_rep"), kernel
     if mat.rows == 0 or mat.cols == 0:
-        return fk_exact(Radical(1), "regular_rep")
+        return fk_exact(Radical(1), "regular_rep"), kernel
     # Gram route: the lowest nonzero characteristic coefficient is the
     # product of the nonzero eigenvalues; take the smaller Gram matrix
     if mat.rows <= mat.cols:
         gram = mat_mul_exact(rep, mat_transpose(rep))
     else:
         gram = mat_mul_exact(mat_transpose(rep), rep)
-    coeffs = charpoly_berkowitz(gram)
-    low = next(i for i, c in enumerate(coeffs) if c != 0)
-    q0 = coeffs[low]
-    exact = _as_int(q0)
-    if exact is not None:
-        return fk_exact(Radical(abs(exact), Fraction(1, 2 * n)), "regular_rep")
-    value = math.exp(_log_abs_fraction(q0) / (2 * n))
-    return FKValue(value, "regular_rep", 1e-14 * value)
+    q0 = next(c for c in charpoly_berkowitz(gram) if c != 0)
+    return _radical_value(q0, 2 * n, "regular_rep"), kernel
 
 
-def fk_det_2x2_trivial(rows) -> FKValue:
-    """Closed form over the trivial group: |det|, else sqrt(tr(A A*)), else 1."""
-    ((a, b), (c, d)) = rows
-    det = a * d - b * c
-    if det != 0:
-        exact = _as_int(det)
-        if exact is not None:
-            return fk_exact(Radical(abs(exact)), "trivial_2x2")
-        return FKValue(math.exp(_log_abs_fraction(det)), "trivial_2x2", 0.0)
-    if any((a, b, c, d)):
-        tr = a * a + b * b + c * c + d * d
-        exact = _as_int(tr)
-        if exact is not None:
-            return fk_exact(Radical(exact, Fraction(1, 2)), "trivial_2x2")
-        return FKValue(math.exp(_log_abs_fraction(tr) / 2), "trivial_2x2", 0.0)
-    return fk_exact(Radical(1), "trivial_2x2")
+def fk_det_finite(a) -> FKValue:
+    """Determinant of right multiplication by a matrix over a finite group ring."""
+    return fk_det_kernel_finite(a)[0]
+
+
+def vn_dim_kernel_finite(a) -> Fraction:
+    """Kernel dimension of right multiplication, normalized by the group order."""
+    return fk_det_kernel_finite(a, want_det=False)[1]
 
 
 def _check_embedding(small: FiniteGroup, big: FiniteGroup, images) -> tuple:

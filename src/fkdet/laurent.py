@@ -561,12 +561,6 @@ class GroupRingMatrix:
         z = LaurentPolynomial.zero(rank)
         return cls([[one if i == j else z for j in range(n)] for i in range(n)], rank=rank)
 
-    @classmethod
-    def from_texts(cls, entries: Sequence[Sequence[str]], rank: int) -> "GroupRingMatrix":
-        return cls(
-            [[parse_polynomial(t, rank=rank) for t in row] for row in entries], rank=rank
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -729,10 +723,6 @@ class GroupRingMatrix:
         if variant == "canonical":
             kernel_rows = [_normalize_row(row) for row in kernel_rows]
         return q, GroupRingMatrix(kernel_rows, rank=rank)
-
-    def rank_fraction_field(self) -> int:
-        q, _ = self.kernel_basis()
-        return self.rows - q
 
 
 def _normalize_row(row: Sequence[LaurentPolynomial]) -> list:

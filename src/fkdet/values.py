@@ -10,6 +10,7 @@ results carry a method tag and an error estimate instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +25,13 @@ def integer_nth_root(n: int, k: int) -> int:
     if k == 1 or n < 2:
         return n
     # integer Newton iteration, seeded just above the true root so the
-    # sequence descends monotonically and stops at the floor
-    x = 1 << -(-n.bit_length() // k)
+    # sequence descends monotonically and stops at the floor; a float seed
+    # saves the ~k*ln(2) slow steps down from a power of two
+    bits = n.bit_length()
+    if bits <= 1000 * k:
+        x = int(2.0 ** (math.log2(n) / k) * (1 + 1e-6)) + 1
+    else:
+        x = 1 << -(-bits // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -33,19 +39,42 @@ def integer_nth_root(n: int, k: int) -> int:
         x = y
 
 
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+
+@functools.cache
+def _residue_moduli(p: int) -> tuple:
+    """Two primes q = 1 mod p."""
+    out, q = [], 1
+    while len(out) < 2:
+        q += 2 * p
+        if _is_prime(q):
+            out.append(q)
+    return tuple(out)
+
+
 def perfect_power(n: int) -> tuple[int, int]:
     """Write n >= 1 as m**k with k maximal; (n, 1) when n is not a power."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return 1, 1
-    # base >= 2 forces k <= bit_length - 1; the first hit from above is
-    # maximal and its base is automatically not a proper power itself
-    for k in range(n.bit_length() - 1, 1, -1):
-        m = integer_nth_root(n, k)
-        if m ** k == n:
-            return m, k
-    return n, 1
+    # n = m**k is a j-th power exactly when j divides k, so taking prime
+    # roots one at a time reaches k; base >= 2 bounds each prime by the
+    # bit length.  A p-th power is a p-th power residue mod every prime
+    # q = 1 mod p, which rules out almost every p before any root is taken
+    k, p = 1, 2
+    while p < n.bit_length():
+        if all(
+            n % q == 0 or pow(n % q, (q - 1) // p, q) == 1 for q in _residue_moduli(p)
+        ):
+            m = integer_nth_root(n, p)
+            if m ** p == n:
+                n, k = m, k * p
+                continue
+        p += 1
+        while not _is_prime(p):
+            p += 1
+    return n, k
 
 
 class Radical:

@@ -32,9 +32,7 @@ from fkdet.fk_finite import (
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 from fkdet.values import Radical
 
-
-def mat(texts, rank=1):
-    return GroupRingMatrix.from_texts(texts, rank)
+from helpers import mat
 
 
 def rand_poly(rng, rank, spread=1, bound=2):

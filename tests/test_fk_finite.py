@@ -12,7 +12,6 @@ from fkdet.fk_finite import (
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
     direct_product,
-    fk_det_2x2_trivial,
     fk_det_finite,
     format_element,
     induce,
@@ -395,12 +394,22 @@ def test_det_conjecture_lower_bound_samples():
 # trivial-group 2x2 closed form
 
 
+def trivial_2x2(rows):
+    """|det|, else sqrt(tr(A A*)), else 1: the determinant over the trivial group."""
+    ((a, b), (c, d)) = rows
+    det = a * d - b * c
+    if det:
+        return abs(det)
+    return math.sqrt(a * a + b * b + c * c + d * d) if any((a, b, c, d)) else 1
+
+
 def test_2x2_trivial_three_cases():
-    got = fk_det_2x2_trivial([[1, 1], [0, 0]])
+    triv = make_cyclic(1)
+    got = fk_det_finite(scalar_matrix(triv, [[1, 1], [0, 0]]))
     assert got.exact == Radical(2, Fraction(1, 2))
-    assert fk_det_2x2_trivial([[2, 0], [0, 3]]).exact == Radical(6)
-    assert fk_det_2x2_trivial([[0, 0], [0, 0]]).exact == Radical(1)
-    frac = fk_det_2x2_trivial([[Fraction(1, 2), 0], [0, 1]])
+    assert fk_det_finite(scalar_matrix(triv, [[2, 0], [0, 3]])).exact == Radical(6)
+    assert fk_det_finite(scalar_matrix(triv, [[0, 0], [0, 0]])).exact == Radical(1)
+    frac = fk_det_finite(scalar_matrix(triv, [[Fraction(1, 2), 0], [0, 1]]))
     assert frac.exact is None
     assert math.isclose(frac.value, 0.5)
 
@@ -410,10 +419,9 @@ def test_2x2_trivial_matches_regular_rep():
     triv = make_cyclic(1)
     for _ in range(80):
         rows = [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(2)]
-        lhs = fk_det_2x2_trivial(rows)
-        rhs = fk_det_finite(scalar_matrix(triv, rows))
-        assert lhs.exact == rhs.exact
-        assert math.isclose(lhs.value, rhs.value, rel_tol=1e-12)
+        got = fk_det_finite(scalar_matrix(triv, rows))
+        assert got.method == "regular_rep"
+        assert math.isclose(got.value, trivial_2x2(rows), rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

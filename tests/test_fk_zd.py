@@ -21,13 +21,11 @@ from fkdet.mahler import (
     mahler_jensen,
 )
 
+from helpers import mat
+
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 TWO_VAR_MEASURE = 1.3813564445  # M(1 + z1 + z2)
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
-
-
-def mat(texts, rank=1):
-    return GroupRingMatrix.from_texts(texts, rank)
 
 
 def rand_poly(rng, rank, spread=1, bound=2):
