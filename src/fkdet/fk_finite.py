@@ -28,7 +28,7 @@ from .exact_linalg import (
     rank_det_exact,
 )
 from .laurent import parse_polynomial
-from .mahler import _cyclotomic, _div_exact, _totient, _trim
+from .mahler import _cyclotomic, _div_exact, _totient
 from .values import FKValue, Radical, fk_exact
 
 
@@ -467,31 +467,44 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _poly_divmod(a: list, b: list) -> tuple:
-    """Quotient and remainder over Q of ascending lists; b has a nonzero
-    integer leading coefficient."""
-    db = len(b) - 1
-    inv = b[-1] if b[-1] in (1, -1) else Fraction(1, b[-1])
-    r = list(a)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r[k + db] * inv
-        if c:
-            q[k] = c
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    return q, _trim(r[:db])
+def _reduce(num: list, den: int, mod: list) -> tuple:
+    """num/den modulo mod, as a numerator list and a positive denominator
+    in lowest terms.
+
+    Pseudo-division: where a division by the leading coefficient lc of mod
+    would be due, the rest of the numerator and the denominator are
+    multiplied by lc instead, so only integers occur and the cost hardly
+    depends on lc."""
+    dm = len(mod) - 1
+    lc = mod[-1]
+    r = list(num)
+    for k in range(len(r) - 1, dm - 1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        if lc in (1, -1):
+            c *= lc
+        else:
+            r = [x * lc for x in r]
+            den *= lc
+        for i in range(dm):
+            r[k - dm + i] -= c * mod[i]
+    g = math.gcd(den, *r)
+    if den < 0:
+        g = -g
+    return [x // g for x in r], den // g
 
 
-def _t_power_mod(n: int, mod: list) -> list:
-    """t**n modulo mod, by repeated squaring."""
-    out = [1]
+def _t_power_mod(n: int, mod: list) -> tuple:
+    """t**n modulo mod as (numerator list, denominator), by repeated
+    squaring."""
+    num, den = [1], 1
     for bit in bin(n)[2:]:
-        out = _poly_mul(out, out)
+        num, den = _poly_mul(num, num), den * den
         if bit == "1":
-            out = [0] + out
-        out = _poly_divmod(out, mod)[1]
-    return out
+            num = [0] + num
+        num, den = _reduce(num, den, mod)
+    return num, den
 
 
 def cyclic_norm(coeffs, n: int) -> tuple:
@@ -504,7 +517,9 @@ def cyclic_norm(coeffs, n: int) -> tuple:
     number deg g.  For h = (t^n - 1)/g, prod_{h(zeta)=0} p(zeta) is
     +-lc(p)^deg h times prod_{p(a)=0} h(a), the determinant of
     multiplication by h on Q[t]/p: an m x m matrix.  h mod p is
-    ((t^n - 1) mod p*g)/g.  The norm is exact, an int or a Fraction.
+    ((t^n - 1) mod p*g)/g, kept as an integer numerator over one
+    denominator, so no Fraction arithmetic runs whatever lc(p) is.  The
+    norm is exact, an int or a Fraction.
     """
     if n < 1:
         raise ValueError("group order must be positive")
@@ -519,14 +534,14 @@ def cyclic_norm(coeffs, n: int) -> tuple:
     gaps = [(exps[0] + n - exps[-1], exps[0])]
     gaps += [(b - a, b) for a, b in zip(exps, exps[1:])]
     low = max(gaps)[1]
-    den = 1
+    scale = 1
     for e in exps:
         if isinstance(terms[e], Fraction):
-            den = math.lcm(den, terms[e].denominator)
+            scale = math.lcm(scale, terms[e].denominator)
     m = max((e - low) % n for e in exps)
     p = [0] * (m + 1)
     for e in exps:
-        p[(e - low) % n] = int(terms[e] * den)
+        p[(e - low) % n] = int(terms[e] * scale)
     zeros = 0
     if m == 0:
         norm = abs(p[0]) ** n
@@ -542,16 +557,17 @@ def cyclic_norm(coeffs, n: int) -> tuple:
                 continue
             g = _poly_mul(g, phi)
         zeros = len(g) - 1
-        r = _t_power_mod(n, _poly_mul(p, g))
-        r[0] -= 1
-        h, rest = _poly_divmod(r, g)
-        assert not rest, "g divides t^n - 1"
-        columns = []
+        # h = num/den; g is monic, so it divides the integer numerator
+        num, den = _t_power_mod(n, _poly_mul(p, g))
+        num[0] -= den
+        num = _div_exact(num, g)
+        columns, dens = [], 1
         for _ in range(m):
-            columns.append(h + [0] * (m - len(h)))
-            h = _poly_divmod([0] + h, p)[1]
-        norm = abs(p[-1]) ** (n - zeros) * abs(det_exact(columns))
-    norm = Fraction(norm, den ** (n - zeros))
+            columns.append(num + [0] * (m - len(num)))
+            dens *= den
+            num, den = _reduce([0] + num, den, p)
+        norm = Fraction(abs(p[-1]) ** (n - zeros) * abs(det_exact(columns)), dens)
+    norm = Fraction(norm, scale ** (n - zeros))
     return (norm.numerator if norm.denominator == 1 else norm), zeros
 
 
