@@ -618,8 +618,8 @@ def fk_det_kernel_finite(a, want_det: bool = True) -> tuple:
     one elimination gives the rank and, for an invertible square matrix,
     the determinant.  Exact radicals are returned whenever the input has
     integer coefficients; the zero operator has determinant 1.  With
-    ``want_det`` false the regular_rep route skips the determinant and
-    returns None for it.
+    ``want_det`` false the regular_rep route returns the determinant only
+    when that elimination holds it, and None otherwise.
     """
     mat = _as_matrix(a)
     group = mat.group
@@ -630,10 +630,10 @@ def fk_det_kernel_finite(a, want_det: bool = True) -> tuple:
     rep = regular_rep(mat)
     rank, d = rank_det_exact(rep)
     kernel = Fraction(mat.rows * n - rank, n)
-    if not want_det:
-        return None, kernel
     if d:
         return _radical_value(d, n, "regular_rep"), kernel
+    if not want_det:
+        return None, kernel
     if mat.rows == 0 or mat.cols == 0:
         return fk_exact(Radical(1), "regular_rep"), kernel
     # Gram route: the lowest nonzero characteristic coefficient is the

@@ -8,8 +8,9 @@ determinants, and
     det(A) = sqrt( M(det D1) / M(det D2) )
 
 where M is the Mahler measure of a Laurent polynomial.  One variable uses
-exact roots and Jensen's formula; more variables use torus quadrature or the
-iterated one-variable specialization limit, selected per call.  Injective A
+exact roots and Jensen's formula.  More variables use Jensen's formula
+fibrewise over a torus grid by default, or torus quadrature or the iterated
+one-variable specialization limit when the call asks for them.  Injective A
 has an empty kernel and the D2 factor degenerates to the empty determinant 1.
 """
 
@@ -94,7 +95,7 @@ def fk_det_zd(
     variable always takes exact roots; the method only selects among the
     multivariate schemes.
     """
-    method = resolve_method(a.rank, measure_method)
+    method = resolve_method(measure_method)
     if a.rank == 1:
         method = "jensen"
     q, b = a.kernel_basis(kernel_variant)

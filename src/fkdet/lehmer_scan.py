@@ -24,8 +24,8 @@ from .fk_finite import (
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
     fk_det_finite,
+    fk_det_kernel_finite,
     format_element,
-    vn_dim_kernel_finite,
 )
 from .fk_zd import fk_det_zd, vn_dim_kernel_zd
 from .laurent import (
@@ -38,6 +38,7 @@ from .laurent import (
 )
 from .mahler import (
     is_cyclotomic_product,
+    line_coeffs,
     log_mahler_quadrature,
     mahler_jensen,
     measure_lower_bound,
@@ -220,6 +221,7 @@ class _FiniteSpace:
         self.rows, self.cols = space.shape
         n = self.group.order
         self.n = n
+        self.carried = (None, None)  # (matrix, determinant) from injective
         p = space.positions()
         # left translation by g permutes each entry's coefficients
         self.translations = []
@@ -281,10 +283,16 @@ class _FiniteSpace:
         return None
 
     def injective(self, m: FiniteGroupRingMatrix) -> bool:
-        return vn_dim_kernel_finite(m) == 0
+        # the elimination that finds the kernel of a square matrix holds its
+        # determinant too; evaluate takes it from here
+        det, kernel = fk_det_kernel_finite(m, want_det=False)
+        self.carried = (m, det)
+        return kernel == 0
 
     def evaluate(self, m, one_threshold, grid_size):
-        v = fk_det_finite(m)
+        carried, v = self.carried
+        if carried is not m or v is None:
+            v = fk_det_finite(m)
         return v, v.value < 1.0 + one_threshold
 
     def entry_texts(self, m) -> list:
@@ -393,7 +401,7 @@ class _LaurentSpace:
             # the shift-down anchor puts a term at z^0: vec is the line
             line = vec
         else:
-            line = _line_coeffs({self.exps[i]: c for i, c in enumerate(vec) if c})
+            line = line_coeffs({self.exps[i]: c for i, c in enumerate(vec) if c})
             if line is None:
                 return None
         bound = measure_lower_bound(line)
@@ -425,35 +433,6 @@ class _LaurentSpace:
         return {"kind": "matrix", **matrix_to_json(m)}
 
 
-def _line_coeffs(terms: dict) -> list | None:
-    """Ascending coefficients of a one-variable polynomial with the same
-    measure, if the support is collinear; the substitution z -> z^v along a
-    primitive direction and a monomial shift both leave the Mahler measure
-    unchanged.  The least support point becomes the constant term, so the
-    constant term is nonzero."""
-    pts = sorted(terms)
-    base = pts[0]
-    if len(pts) == 1:
-        return [terms[base]]
-    diffs = [tuple(x - y for x, y in zip(e, base)) for e in pts[1:]]
-    v = diffs[0]
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    v = tuple(x // g for x in v)
-    j0 = next(i for i, x in enumerate(v) if x)
-    ts = [0]
-    for d in diffs:
-        t = d[j0] // v[j0]
-        if tuple(t * x for x in v) != d:
-            return None
-        ts.append(t)
-    out = [0] * (ts[-1] + 1)
-    for t, e in zip(ts, pts):
-        out[t] = terms[e]
-    return out
-
-
 def _poly_det(p, one_threshold, grid_size):
     """Determinant of one nonzero element of Q[Z^d] plus its float
     classification; the scan has already counted the elements that
@@ -463,7 +442,7 @@ def _poly_det(p, one_threshold, grid_size):
         exact = Radical(c.numerator) if c.denominator == 1 and c >= 1 else None
         v = FKValue(float(c), "jensen", 0.0, exact)
         return v, v.value < 1.0 + one_threshold
-    line = _line_coeffs(p.terms)
+    line = line_coeffs(p.terms)
     if line is not None:
         mv = mahler_jensen(
             LaurentPolynomial(1, {(t,): c for t, c in enumerate(line) if c})

@@ -5,12 +5,17 @@ The one-variable path is the accurate one.  Polynomials are made
 square-free exactly (Yun decomposition over the integers) before any
 floating-point root finding, so repeated roots cost no precision; the
 roots of each square-free factor are then polished with Newton steps
-against the exact coefficients.  The torus grid and the specialization
-ramp are the two multivariate routes.  Both are empirical and their
-error estimates are observed differences, not proved bounds.
+against the exact coefficients.
 
-One table names the methods and one rule resolves "auto": exact Jensen
-roots in one variable, the Boyd-Lawton specialization limit in several.
+In several variables Jensen's formula runs fibrewise (Boyd 1981; Smyth
+1981): log M(p) is the integral over the outer torus of the one-variable
+log measure of p(x, .) in one inner variable, taken on a midpoint grid with
+one stacked companion eigenvalue call for all fibres.  The torus grid and
+the specialization ramp are the other two multivariate routes.  All three
+are empirical and their error estimates are observed differences, not
+proved bounds.
+
+One table names the methods and "auto" is Jensen at every rank.
 """
 
 from __future__ import annotations
@@ -38,6 +43,22 @@ ZERO_FLOOR = 1e-300
 # largest specialized degree the Boyd-Lawton ramp root-finds; the ramp
 # refuses above it rather than run for minutes
 BL_MAX_DEGREE = 1024
+
+# fibrewise Jensen, by the number of outer axes: midpoint grid points per
+# axis, and the largest inner degree it root-finds (each budget keeps one
+# measure to a few seconds; it refuses above it)
+FIBRE_GRID = {1: 1024, 2: 128, 3: 32}
+FIBRE_MAX_DEGREE = {1: 64, 2: 24, 3: 12}
+
+# fibre coefficients below this fraction of the fibre's largest are zeros
+FIBRE_TRIM = 1e-12
+
+# fibre roots with modulus in (1, 1 + FIBRE_UNIT_BAND] count as lying on the
+# unit circle: a double root there comes out up to about 1e-6 off it
+FIBRE_UNIT_BAND = 1e-5
+
+# fibres are stacked so that one chunk holds about this many matrix entries
+FIBRE_CHUNK = 1 << 16
 
 MEASURE_METHODS = ("auto", "jensen", "quadrature", "boyd_lawton")
 
@@ -209,6 +230,35 @@ def measure_lower_bound(coeffs: list) -> float:
     return float(bound)
 
 
+def line_coeffs(terms: dict) -> list | None:
+    """Ascending coefficients of a one-variable polynomial with the same
+    measure, if the support is collinear; the substitution z -> z^v along a
+    primitive direction and a monomial shift both leave the Mahler measure
+    unchanged.  The least support point becomes the constant term, so the
+    constant term is nonzero."""
+    pts = sorted(terms)
+    base = pts[0]
+    if len(pts) == 1:
+        return [terms[base]]
+    diffs = [tuple(x - y for x, y in zip(e, base)) for e in pts[1:]]
+    v = diffs[0]
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
+    v = tuple(x // g for x in v)
+    j0 = next(i for i, x in enumerate(v) if x)
+    ts = [0]
+    for d in diffs:
+        t = d[j0] // v[j0]
+        if tuple(t * x for x in v) != d:
+            return None
+        ts.append(t)
+    out = [0] * (ts[-1] + 1)
+    for t, e in zip(ts, pts):
+        out[t] = terms[e]
+    return out
+
+
 def squarefree_decomposition(coeffs: list) -> list:
     """Yun decomposition of a primitive integer polynomial.
 
@@ -331,11 +381,168 @@ def mahler_jensen(p: LaurentPolynomial) -> MahlerValue:
     return MahlerValue(value, log_m, "jensen", error)
 
 
-def _grid_log_mean(p: LaurentPolynomial, n: int) -> float:
-    """Mean of ln|p| over the uniform n**d torus grid, zero samples excluded."""
+def _span(p: LaurentPolynomial, axis: int) -> int:
+    return p.max_exponents()[axis] - p.min_exponents()[axis]
+
+
+def _one_variable(coeffs: list) -> LaurentPolynomial:
+    return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs) if c})
+
+
+def _axis_content(p: LaurentPolynomial, axis: int, other: int) -> list:
+    """Primitive integer gcd, z**k factor dropped, of the coefficients of p
+    as polynomials in ``axis``, grouped by the exponent of ``other``; p
+    depends on no third axis."""
+    low = p.min_exponents()[axis]
+    groups: dict = {}
+    for e, c in p.terms.items():
+        groups.setdefault(e[other], {})[e[axis] - low] = c
+    g: list = []
+    for coeffs in groups.values():
+        dense = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
+        den = math.lcm(*(Fraction(c).denominator for c in dense))
+        g = _strip_monomial(_gcd_poly(g, [int(c * den) for c in dense]))
+        if len(g) == 1:
+            break
+    return g
+
+
+def _fibre_log_mean(p: LaurentPolynomial, inner: int, outer: list, n: int) -> tuple:
+    """Mean of log M(p(x, .)) in the inner variable over the midpoint grid
+    of n points per outer axis, and the mean of what FIBRE_UNIT_BAND left
+    out of it plus the fibre roots' Newton steps.
+
+    Each fibre contributes log|lead(x)| + sum log max(1, |root|), the roots
+    from stacked companion matrices; leading coefficients that vanish at a
+    sample are trimmed.  A multiple root on the unit circle comes out of
+    the eigenvalue solver up to about 1e-6 off it, so roots within
+    FIBRE_UNIT_BAND above the circle count as on it.  Real coefficients
+    give the fibres at x and at conj(x) conjugate roots, and the midpoint
+    grid is closed under conjugation, so only the half with the first outer
+    angle below pi is computed.
+    """
+    lo = p.min_exponents()[inner]
+    degree = _span(p, inner)
+    items = sorted(p.terms.items())
+    # row j of place collects the coefficients of the terms at inner^(lo + j)
+    place = np.zeros((degree + 1, len(items)))
+    exps = np.zeros((len(items), len(outer)))
+    for t, (e, c) in enumerate(items):
+        place[e[inner] - lo, t] = float(c)
+        exps[t] = [e[a] for a in outer]
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    shape = (n // 2,) + (n,) * (len(outer) - 1)
+    count = n ** len(outer) // 2
+    chunk = max(1, FIBRE_CHUNK // max(degree * degree, len(items)))
+    band = math.log1p(FIBRE_UNIT_BAND)
+    total, slack = [], []
+    for start in range(0, count, chunk):
+        digits = np.unravel_index(np.arange(start, min(start + chunk, count)), shape)
+        angles = exps @ theta[np.stack(digits)]
+        coeffs = (place @ np.exp(1j * angles)).T
+        mags = np.abs(coeffs)
+        scale = mags.max(axis=1)
+        # a fibre that vanishes identically is a zero sample: excluded
+        live = scale >= ZERO_FLOOR
+        kept = mags > FIBRE_TRIM * scale[:, None]
+        degs = degree - np.argmax(kept[:, ::-1], axis=1)
+        for d in np.unique(degs[live]):
+            c = coeffs[live & (degs == d), : d + 1]
+            lead = c[:, d]
+            total.append(float(np.sum(np.log(np.abs(lead)))))
+            if d == 0:
+                continue
+            comp = np.zeros((len(c), d, d), dtype=np.complex128)
+            comp[:, 0, :] = -c[:, d - 1 :: -1] / lead[:, None]
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            roots = np.linalg.eigvals(comp)
+            # a Newton step against the fibre's coefficients is about the
+            # error of a simple root and about a cluster's spread over its
+            # size, so the steps' sum is what the roots may be off
+            f = np.zeros_like(roots)
+            df = np.zeros_like(roots)
+            for j in range(d, -1, -1):
+                df = df * roots + f
+                f = f * roots + c[:, j : j + 1]
+            steps = np.abs(f) / np.maximum(np.abs(df), ZERO_FLOOR)
+            mods = np.abs(roots)
+            logs = np.log(mods[mods > 1.0])
+            total.append(float(np.sum(logs[logs > band])))
+            slack.append(float(np.sum(logs[logs <= band])) + float(np.sum(steps)))
+    return math.fsum(total) / count, math.fsum(slack) / count
+
+
+def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
+    """Mahler measure of a polynomial of any rank by Jensen's formula.
+
+    Rank 1 is mahler_jensen.  Exact shortcuts: a monomial measures |c|; a
+    polynomial with collinear support, such as one that depends on a single
+    axis, is a monomial times a one-variable polynomial in a monomial and
+    goes to mahler_jensen; with two live axes (axes of nonzero span), a
+    factor in one of them splits off as an exact gcd and goes the same way.
+    Otherwise the inner variable is the live axis of least span and the
+    outer integral a midpoint grid of FIBRE_GRID points per axis.  The
+    error estimate is the gap to the grid of half as many points per axis,
+    plus what the unit band left out and the roots' Newton steps, plus the
+    rounding floor.  An inner degree over FIBRE_MAX_DEGREE is refused
+    before any root finding.
+    """
+    if p.rank == 1:
+        return mahler_jensen(p)
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    line = line_coeffs(p.terms)
+    if line is not None:
+        if len(line) == 1:
+            c = float(abs(line[0]))
+            return MahlerValue(c, math.log(c), "jensen", 1e-15 * c)
+        return mahler_jensen(_one_variable(line))
+    live = [axis for axis in range(p.rank) if _span(p, axis) > 0]
+    if len(live) == 2:
+        for axis, other in (live, live[::-1]):
+            g = _axis_content(p, axis, other)
+            if len(g) > 1:
+                factor = LaurentPolynomial(
+                    p.rank,
+                    {tuple(i if a == axis else 0 for a in range(p.rank)): c
+                     for i, c in enumerate(g) if c},
+                )
+                head = mahler_jensen(_one_variable(g))
+                rest = mahler_fibrewise(p.divide_exact(factor))
+                return MahlerValue(
+                    head.value * rest.value,
+                    head.log_value + rest.log_value,
+                    "jensen",
+                    head.error_estimate * rest.value + rest.error_estimate * head.value,
+                )
+    inner = min(live, key=lambda axis: _span(p, axis))
+    outer = [axis for axis in live if axis != inner]
+    if len(outer) not in FIBRE_GRID:
+        raise ValueError(
+            f"jensen integrates over at most {max(FIBRE_GRID)} outer variables, "
+            f"got {len(outer)}; use --method quadrature"
+        )
+    degree = _span(p, inner)
+    budget = FIBRE_MAX_DEGREE[len(outer)]
+    if degree > budget:
+        raise ValueError(
+            f"jensen fibres have inner degree {degree}, over the budget "
+            f"{budget}; use --method quadrature"
+        )
+    n = FIBRE_GRID[len(outer)]
+    log_m, slack = _fibre_log_mean(p, inner, outer, n)
+    log_coarse, _ = _fibre_log_mean(p, inner, outer, n // 2)
+    value = math.exp(log_m)
+    error = abs(value - math.exp(log_coarse)) + value * (math.expm1(slack) + 1e-15)
+    return MahlerValue(value, log_m, "jensen", error)
+
+
+def _grid_log_mean(p: LaurentPolynomial, n: int, shift: float = 0.0) -> float:
+    """Mean of ln|p| over the uniform n**d torus grid, moved by ``shift``
+    cells along every axis, zero samples excluded."""
     d = p.rank
     terms = sorted((exps, float(c)) for exps, c in p.terms.items())
-    theta = 2.0 * np.pi * np.arange(n) / n
+    theta = 2.0 * np.pi * (np.arange(n) + shift) / n
     axis_pows: list = []
     for axis in range(d):
         cache: dict = {}
@@ -378,8 +585,11 @@ def _grid_log_mean(p: LaurentPolynomial, n: int) -> float:
 def log_mahler_quadrature(p: LaurentPolynomial, n: int) -> MahlerValue:
     """Mahler measure from the grid average of ln|p| on the torus.
 
-    The error estimate is the gap to the n/2 grid plus the same rounding
-    floor as the Jensen route.
+    The error estimate is the gap to the n/2 grid, plus the gap to the n
+    grid shifted by half a cell, plus the same rounding floor as the Jensen
+    route.  The n/2 grid is a subset of the n grid, so a zero of p on a grid
+    point spoils both alike and their gap misses it; the shifted grid does
+    not hit that zero.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -388,8 +598,13 @@ def log_mahler_quadrature(p: LaurentPolynomial, n: int) -> MahlerValue:
     log_m = _grid_log_mean(p, n)
     coarse = max(2, n // 2)
     log_coarse = _grid_log_mean(p, coarse) if coarse < n else log_m
+    log_shifted = _grid_log_mean(p, n, 0.5)
     value = math.exp(log_m)
-    error = abs(value - math.exp(log_coarse)) + 1e-15 * value
+    error = (
+        abs(value - math.exp(log_coarse))
+        + abs(value - math.exp(log_shifted))
+        + 1e-15 * value
+    )
     return MahlerValue(value, log_m, "quadrature", error)
 
 
@@ -455,18 +670,13 @@ def mahler_boyd_lawton(
     return MahlerValue(value, math.log(value), "boyd_lawton", spread + 1e-15 * value)
 
 
-def resolve_method(rank: int, method: str) -> str:
-    """The measure a method name selects at this rank; "auto" is Jensen in
-    one variable and Boyd-Lawton in several."""
+def resolve_method(method: str) -> str:
+    """The measure a method name selects; "auto" is Jensen at every rank."""
     if method not in MEASURE_METHODS:
         raise ValueError(
             f"unknown measure method {method!r}; pick one of {MEASURE_METHODS}"
         )
-    if method == "auto":
-        return "jensen" if rank == 1 else "boyd_lawton"
-    if method == "jensen" and rank != 1:
-        raise ValueError("jensen needs one variable; pick quadrature or boyd_lawton")
-    return method
+    return "jensen" if method == "auto" else method
 
 
 def mahler_measure(
@@ -478,9 +688,9 @@ def mahler_measure(
 ) -> MahlerValue:
     """Mahler measure by a method from MEASURE_METHODS; ``grid_size`` feeds
     quadrature and ``schedule`` overrides the Boyd-Lawton default."""
-    method = resolve_method(p.rank, method)
+    method = resolve_method(method)
     if method == "jensen":
-        return mahler_jensen(p)
+        return mahler_fibrewise(p)
     if method == "quadrature":
         return log_mahler_quadrature(p, grid_size)
     return mahler_boyd_lawton(p, schedule)

@@ -1,6 +1,6 @@
 """Shared builders for the test modules."""
 
-from fkdet.laurent import GroupRingMatrix, parse_polynomial
+from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 
 
 def mat(texts, rank=1):
@@ -8,3 +8,13 @@ def mat(texts, rank=1):
     return GroupRingMatrix(
         [[parse_polynomial(t, rank=rank) for t in row] for row in texts], rank=rank
     )
+
+
+def rand_poly(rng, rank=1, bound=2, max_exp=3):
+    """One to three terms with exponents in 0..max_exp and coefficients in
+    -bound..bound: the generator of acceptance criterion 8."""
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        e = tuple(rng.randrange(0, max_exp + 1) for _ in range(rank))
+        terms[e] = terms.get(e, 0) + rng.randrange(-bound, bound + 1)
+    return LaurentPolynomial(rank, terms)

@@ -26,10 +26,12 @@ from fkdet.fk_finite import (
     vn_dim_kernel_finite,
 )
 from fkdet.fk_zd import fk_det_zd
-from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
+from fkdet.laurent import GroupRingMatrix, parse_polynomial
 from fkdet.lehmer_scan import SearchSpace, scan
 from fkdet.mahler import log_mahler_quadrature, mahler_boyd_lawton, mahler_jensen
 from fkdet.values import Radical
+
+from helpers import rand_poly
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
@@ -58,14 +60,6 @@ def rand_finite_matrix(rng, group, r, s, bound=2):
     return FiniteGroupRingMatrix(
         group, [[rand_element(rng, group, bound) for _ in range(s)] for _ in range(r)]
     )
-
-
-def rand_poly(rng, rank=1, bound=2, max_exp=3):
-    terms = {}
-    for _ in range(rng.randrange(1, 4)):
-        e = tuple(rng.randrange(0, max_exp + 1) for _ in range(rank))
-        terms[e] = terms.get(e, 0) + rng.randrange(-bound, bound + 1)
-    return LaurentPolynomial(rank, terms)
 
 
 def rand_zd_matrix(rng, r, s, rank=1, bound=2, max_exp=3):

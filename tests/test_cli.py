@@ -105,8 +105,12 @@ def test_mahler_poly_file(capsys, tmp_path):
 
 def test_mahler_multivariate_methods(capsys):
     auto = run_json(capsys, "mahler", "--poly", "z1 + z2 + 1")
-    assert auto["result"]["resolved_method"] == "boyd_lawton"
-    assert auto["result"]["measure"]["value"] == pytest.approx(1.3813564445, abs=1e-2)
+    assert auto["result"]["resolved_method"] == "jensen"
+    assert auto["result"]["measure"]["value"] == pytest.approx(1.3813564445, abs=1e-6)
+    # jensen on two variables: a one-variable polynomial in z1/z2
+    jensen = run_json(capsys, "mahler", "--poly", "z1 + z2", "--method", "jensen")
+    assert jensen["result"]["measure"]["method"] == "jensen"
+    assert jensen["result"]["measure"]["value"] == 1.0
     quad = run_json(
         capsys, "mahler", "--poly", "z1 + z2 + 1", "--method", "quadrature",
         "--grid", "64",
@@ -130,6 +134,15 @@ def test_fkdet_zd_inline(capsys):
     assert blob["result"]["q"] == 0
     assert blob["result"]["value"]["value"] == pytest.approx(2.0, abs=1e-12)
     assert "D1" not in blob["result"]
+
+
+def test_fkdet_zd_three_variables(capsys):
+    # the rank-3 golden log M = 7 zeta(3) / (2 pi^2)
+    blob = run_json(capsys, "fkdet-zd", "--poly", "1 + z1 + z2 + z3")
+    value = blob["result"]["value"]
+    assert value["method"] == "jensen"
+    closed = math.exp(7 * 1.2020569031595943 / (2 * math.pi**2))
+    assert abs(value["value"] - closed) <= 1e-8
 
 
 def test_fkdet_zd_trace_and_kernel_variant(capsys, tmp_path):
@@ -344,13 +357,15 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, err = error_of(capsys, "fkdet-finite", "--group-file", str(path2),
                          "--elem", "t+1")
     assert code == 1
-    # jensen demanded for a two variable polynomial
-    code, err = error_of(capsys, "mahler", "--poly", "z1 + z2", "--method", "jensen")
-    assert code == 1
     # the Boyd-Lawton ramp refuses past its degree budget
-    code, err = error_of(capsys, "fkdet-zd", "--poly", "1 + z1 + z2 + z3")
+    code, err = error_of(capsys, "fkdet-zd", "--poly", "1 + z1 + z2 + z3",
+                         "--method", "boyd_lawton")
     assert code == 1
     assert "budget" in err["message"] and "--method quadrature" in err["message"]
+    # fibrewise Jensen refuses past its inner-degree budget
+    code, err = error_of(capsys, "mahler", "--poly", "1 + z1^65 + z2^65")
+    assert code == 1
+    assert "inner degree 65" in err["message"] and "--method quadrature" in err["message"]
     # moduli arity mismatch
     code, err = error_of(capsys, "trace-check", "--poly", "z", "--degree", "1",
                          "--moduli", "2,3")

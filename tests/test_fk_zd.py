@@ -208,8 +208,10 @@ def test_matrix_json_round_trip_and_errors():
 def test_method_selection_and_validation():
     with pytest.raises(ValueError, match="unknown measure method"):
         fk_det_zd(mat([["z"]]), "newton")
-    with pytest.raises(ValueError, match="one variable"):
-        fk_det_zd(mat([["z1 + z2"]], rank=2), "jensen")
+    # jensen holds at every rank; det D1 = 2 + z1/z2 + z2/z1 is collinear
+    got = fk_det_zd(mat([["z1 + z2"]], rank=2), "jensen").value
+    assert got.method == "jensen"
+    assert got.value == 1.0
     trace = fk_det_zd(mat([["z - 2"]]), "quadrature")
     assert trace.value.method == "jensen"
 
@@ -239,7 +241,7 @@ def test_pipeline_error_carries_details():
 
 
 def test_schedule_for_constant_determinants():
-    trace = fk_det_zd(GroupRingMatrix.zero(1, 1, 2))
+    trace = fk_det_zd(GroupRingMatrix.zero(1, 1, 2), "boyd_lawton")
     assert trace.detD1.is_one()
     assert default_bl_schedule(trace.detD1) == [(25,), (50,), (100,), (200,)]
     assert default_bl_schedule(trace.detD1, steps=4, base=1) == [(1,), (2,), (4,), (8,)]
@@ -288,7 +290,7 @@ def test_specialization_on_monomial_and_missing_variable():
 
 def test_specialization_approaches_the_quadrature_value():
     a = mat([["1 + z1 + z2"]], rank=2)
-    got = fk_det_zd(a).value
+    got = fk_det_zd(a, "boyd_lawton").value
     assert got.method == "boyd_lawton"
     oracle = math.exp(log_mahler_quadrature(parse_polynomial("1 + z1 + z2"), 512).log_value)
     assert math.isclose(got.value, oracle, rel_tol=2e-2)
@@ -311,5 +313,36 @@ def test_boyd_lawton_refuses_over_the_degree_budget():
     # det D1 of 1 + z1 + z2 + z3 specializes to degree 1602 at the last tuple
     start = time.perf_counter()
     with pytest.raises(ValueError, match="degree 1602.*budget 1024.*quadrature"):
-        fk_det_zd(mat([["1 + z1 + z2 + z3"]], rank=3))
+        fk_det_zd(mat([["1 + z1 + z2 + z3"]], rank=3), "boyd_lawton")
     assert time.perf_counter() - start < 1.0
+
+
+def test_auto_is_fibrewise_jensen_in_several_variables():
+    trace = fk_det_zd(mat([["1 + z1 + z2 + z3"]], rank=3))
+    assert trace.value.method == "jensen"
+    assert trace.detD1_measure.method == "jensen"
+    closed = math.exp(7 * 1.2020569031595943 / (2 * math.pi**2))
+    assert abs(trace.value.value - closed) <= trace.value.error_estimate
+
+
+def test_determinant_one_stays_exact_in_several_variables():
+    # cyclotomic factors give det D1 double roots on the unit circle in
+    # every fibre; the collinear route, the gcd split and (for the last,
+    # whose det D1 has neither) the unit band keep the value at 1
+    for rows in (
+        [["1 - z1*z2"]],
+        [["1 - z2", "z1"], ["0", "1 - z1*z2"]],
+        [["1 - z1*z2", "z1"], ["0", "1 - z1*z2^2"]],
+    ):
+        got = fk_det_zd(mat(rows, rank=2)).value
+        assert got.method == "jensen"
+        assert abs(got.value - 1.0) < 1e-12, rows
+
+
+def test_estimate_covers_roots_clustering_on_the_circle():
+    # det D1 = |p|^2 has a double root on the unit circle in every fibre,
+    # and near z2 = -1 two more roots join it; M(p) = M(2 + z1 + z2) = 2
+    p = parse_polynomial("1 - z1*z2", rank=2) * parse_polynomial("2 + z1 + z2")
+    got = fk_det_zd(GroupRingMatrix([[p]], rank=2)).value
+    assert got.method == "jensen"
+    assert abs(got.value - 2.0) <= got.error_estimate

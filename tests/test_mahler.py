@@ -3,7 +3,9 @@
 import cmath
 import math
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -11,16 +13,21 @@ import fkdet.mahler
 from fkdet.laurent import LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
     BL_MAX_DEGREE,
+    FIBRE_MAX_DEGREE,
     SMYTH_THETA0,
     default_bl_schedule,
     is_cyclotomic_product,
+    line_coeffs,
     log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
+    mahler_measure,
     measure_lower_bound,
     roots_one_var,
     squarefree_decomposition,
 )
+
+from helpers import rand_poly
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
@@ -366,6 +373,8 @@ def test_quadrature_thread_count_invariant(monkeypatch):
         ("1 + z1 + z2", TWO_VAR_LOG, (16, 32, 64, 128, 256, 512)),
         ("3 + z1 + z2", math.log(3), (16, 32, 64, 128, 256, 512)),
         ("1 + z1 + z2 + z3", THREE_VAR_LOG, (16, 32, 64, 128)),
+        # a zero at (1, 1), on every grid
+        ("z1 + z1*z2 - 2", math.log(2), (16, 32, 64, 128, 256, 512)),
     ],
 )
 def test_quadrature_error_estimate_covers_closed_forms(text, log_m, sizes):
@@ -387,6 +396,96 @@ def test_quadrature_rejects_bad_input():
         log_mahler_quadrature(LaurentPolynomial.zero(2), 64)
     with pytest.raises(ValueError):
         log_mahler_quadrature(parse_polynomial("z - 2"), 1)
+
+
+# ---------------------------------------------------------------------------
+# fibrewise Jensen
+
+
+@pytest.mark.parametrize(
+    "text, log_m",
+    [
+        ("1 + z1 + z2", TWO_VAR_LOG),
+        ("3 + z1 + z2", math.log(3)),
+        ("1 + z1 + z2 + z3", THREE_VAR_LOG),
+    ],
+)
+def test_fibrewise_error_estimate_covers_closed_forms(text, log_m):
+    p = parse_polynomial(text)
+    start = time.perf_counter()
+    got = mahler_measure(p)
+    elapsed = time.perf_counter() - start
+    assert got.method == "jensen"
+    assert got.error_estimate >= abs(got.value - math.exp(log_m))
+    assert got.error_estimate >= 1e-15 * got.value
+    assert elapsed < 0.2
+
+
+def test_fibrewise_agrees_with_quadrature_and_boyd_lawton():
+    # inputs of the criterion-8 generator that take the grid route; a
+    # collinear support is measured exactly in one variable (pinned below),
+    # and its torus zeros fill a line through the quadrature grid points,
+    # which no quadrature grid gap sees
+    rng = random.Random(8)
+    done = 0
+    while done < 30:
+        p = rand_poly(rng, 2, max_exp=1)
+        if p.is_zero() or line_coeffs(p.terms) is not None:
+            continue
+        done += 1
+        got = mahler_measure(p, "jensen")
+        for ref in (log_mahler_quadrature(p, 512), mahler_boyd_lawton(p)):
+            gap = abs(got.value - ref.value)
+            assert gap <= got.error_estimate + ref.error_estimate, (str(p), ref.method)
+
+
+def test_fibrewise_exact_routes():
+    # inner degree 0 along z2: the grid would be 6.8e-4 off here
+    assert mahler_measure(parse_polynomial("z1 - z1*z2")).value == 1.0
+    one = mahler_jensen(parse_polynomial("2*z - 1"))
+    for lead, const in (((1, 0), (0, 0)), ((0, 1), (0, 0)), ((4, 3), (3, 3))):
+        p = LaurentPolynomial(2, {lead: 2, const: -1})
+        assert mahler_measure(p) == one
+    got = mahler_measure(LaurentPolynomial(3, {(3, -2, 1): Fraction(-5, 3)}))
+    assert got.value == 5 / 3
+    assert got.method == "jensen"
+    # a factor in one variable splits off: M(3 + z1) = 3
+    p = parse_polynomial("3 + z1", rank=2) * parse_polynomial("1 + z1 + z2")
+    got = mahler_measure(p)
+    alone = mahler_measure(parse_polynomial("1 + z1 + z2"))
+    assert got.value == pytest.approx(3 * alone.value, rel=1e-14)
+    assert abs(got.value - 3 * math.exp(TWO_VAR_LOG)) <= got.error_estimate
+
+
+def test_fibrewise_trims_a_vanishing_leading_coefficient():
+    # the lead 1 + z1^1024 vanishes at every point of the 1024 midpoint
+    # grid; |1 + z1^1024| <= 2 < 3 gives M = 3
+    p = LaurentPolynomial(2, {(1024, 1): 1, (0, 1): 1, (0, 0): 3})
+    got = mahler_measure(p)
+    ref = log_mahler_quadrature(p, 256)
+    assert math.isfinite(got.value)
+    assert abs(got.value - 3) <= got.error_estimate
+    assert abs(got.value - ref.value) <= got.error_estimate + ref.error_estimate
+
+
+def test_fibrewise_rational_coefficients():
+    half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+    scaled = LaurentPolynomial(2, {(0, 0): half, (1, 0): third, (0, 1): fifth})
+    whole = LaurentPolynomial(2, {(0, 0): 15, (1, 0): 10, (0, 1): 6})
+    got = 30 * mahler_measure(scaled).value
+    assert got == pytest.approx(mahler_measure(whole).value, rel=1e-13)
+
+
+def test_fibrewise_refuses_over_its_budgets():
+    budget = FIBRE_MAX_DEGREE[1]
+    p = parse_polynomial("1 + z1^%d + z2^%d" % (budget + 1, budget + 1))
+    start = time.perf_counter()
+    message = "inner degree %d, over the budget %d" % (budget + 1, budget)
+    with pytest.raises(ValueError, match=message):
+        mahler_measure(p)
+    with pytest.raises(ValueError, match="at most 3 outer variables"):
+        mahler_measure(parse_polynomial("1 + z1 + z2 + z3 + z4 + z5"))
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
