@@ -610,7 +610,7 @@ def _is_cyclic_table(group: FiniteGroup) -> bool:
     return n == 1 or all(x == (b + 1) % n for b, x in enumerate(group.table[1]))
 
 
-def fk_det_kernel_finite(a, want_det: bool = True) -> tuple:
+def fk_det_kernel_finite(a, singular_det: bool = True) -> tuple:
     """Determinant and normalized kernel dimension of right multiplication.
 
     Over a cyclic group a 1x1, 1xk or kx1 matrix goes through cyclic_norm
@@ -618,8 +618,9 @@ def fk_det_kernel_finite(a, want_det: bool = True) -> tuple:
     one elimination gives the rank and, for an invertible square matrix,
     the determinant.  Exact radicals are returned whenever the input has
     integer coefficients; the zero operator has determinant 1.  With
-    ``want_det`` false the regular_rep route returns the determinant only
-    when that elimination holds it, and None otherwise.
+    ``singular_det`` false the regular_rep route skips the Gram
+    elimination: a matrix other than an invertible square one gets None
+    for its determinant.
     """
     mat = _as_matrix(a)
     group = mat.group
@@ -632,7 +633,7 @@ def fk_det_kernel_finite(a, want_det: bool = True) -> tuple:
     kernel = Fraction(mat.rows * n - rank, n)
     if d:
         return _radical_value(d, n, "regular_rep"), kernel
-    if not want_det:
+    if not singular_det:
         return None, kernel
     if mat.rows == 0 or mat.cols == 0:
         return fk_exact(Radical(1), "regular_rep"), kernel
@@ -653,7 +654,7 @@ def fk_det_finite(a) -> FKValue:
 
 def vn_dim_kernel_finite(a) -> Fraction:
     """Kernel dimension of right multiplication, normalized by the group order."""
-    return fk_det_kernel_finite(a, want_det=False)[1]
+    return fk_det_kernel_finite(a, singular_det=False)[1]
 
 
 def _check_embedding(small: FiniteGroup, big: FiniteGroup, images) -> tuple:

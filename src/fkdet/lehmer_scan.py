@@ -285,7 +285,7 @@ class _FiniteSpace:
     def injective(self, m: FiniteGroupRingMatrix) -> bool:
         # the elimination that finds the kernel of a square matrix holds its
         # determinant too; evaluate takes it from here
-        det, kernel = fk_det_kernel_finite(m, want_det=False)
+        det, kernel = fk_det_kernel_finite(m, singular_det=False)
         self.carried = (m, det)
         return kernel == 0
 

@@ -389,14 +389,14 @@ def _one_variable(coeffs: list) -> LaurentPolynomial:
     return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
-def _axis_content(p: LaurentPolynomial, axis: int, other: int) -> list:
+def _axis_content(p: LaurentPolynomial, axis: int) -> list:
     """Primitive integer gcd, z**k factor dropped, of the coefficients of p
-    as polynomials in ``axis``, grouped by the exponent of ``other``; p
-    depends on no third axis."""
+    as polynomials in ``axis`` over the other axes: the factor of p that
+    depends on ``axis`` alone."""
     low = p.min_exponents()[axis]
     groups: dict = {}
     for e, c in p.terms.items():
-        groups.setdefault(e[other], {})[e[axis] - low] = c
+        groups.setdefault(e[:axis] + e[axis + 1 :], {})[e[axis] - low] = c
     g: list = []
     for coeffs in groups.values():
         dense = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
@@ -478,14 +478,14 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
     Rank 1 is mahler_jensen.  Exact shortcuts: a monomial measures |c|; a
     polynomial with collinear support, such as one that depends on a single
     axis, is a monomial times a one-variable polynomial in a monomial and
-    goes to mahler_jensen; with two live axes (axes of nonzero span), a
-    factor in one of them splits off as an exact gcd and goes the same way.
-    Otherwise the inner variable is the live axis of least span and the
-    outer integral a midpoint grid of FIBRE_GRID points per axis.  The
-    error estimate is the gap to the grid of half as many points per axis,
-    plus what the unit band left out and the roots' Newton steps, plus the
-    rounding floor.  An inner degree over FIBRE_MAX_DEGREE is refused
-    before any root finding.
+    goes to mahler_jensen; a factor that depends on one axis alone splits
+    off as an exact gcd and goes the same way.  Otherwise the inner
+    variable is the live axis (of nonzero span) of least span and the outer
+    integral a midpoint grid of FIBRE_GRID points per axis.  The error
+    estimate is the gap to the grid of half as many points per axis, plus
+    what the unit band left out and the roots' Newton steps, plus the
+    rounding floor.  An inner degree over FIBRE_MAX_DEGREE, or an outer span
+    over a quarter of the grid, is refused before any root finding.
     """
     if p.rank == 1:
         return mahler_jensen(p)
@@ -498,23 +498,22 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
             return MahlerValue(c, math.log(c), "jensen", 1e-15 * c)
         return mahler_jensen(_one_variable(line))
     live = [axis for axis in range(p.rank) if _span(p, axis) > 0]
-    if len(live) == 2:
-        for axis, other in (live, live[::-1]):
-            g = _axis_content(p, axis, other)
-            if len(g) > 1:
-                factor = LaurentPolynomial(
-                    p.rank,
-                    {tuple(i if a == axis else 0 for a in range(p.rank)): c
-                     for i, c in enumerate(g) if c},
-                )
-                head = mahler_jensen(_one_variable(g))
-                rest = mahler_fibrewise(p.divide_exact(factor))
-                return MahlerValue(
-                    head.value * rest.value,
-                    head.log_value + rest.log_value,
-                    "jensen",
-                    head.error_estimate * rest.value + rest.error_estimate * head.value,
-                )
+    for axis in live:
+        g = _axis_content(p, axis)
+        if len(g) > 1:
+            factor = LaurentPolynomial(
+                p.rank,
+                {tuple(i if a == axis else 0 for a in range(p.rank)): c
+                 for i, c in enumerate(g) if c},
+            )
+            head = mahler_jensen(_one_variable(g))
+            rest = mahler_fibrewise(p.divide_exact(factor))
+            return MahlerValue(
+                head.value * rest.value,
+                head.log_value + rest.log_value,
+                "jensen",
+                head.error_estimate * rest.value + rest.error_estimate * head.value,
+            )
     inner = min(live, key=lambda axis: _span(p, axis))
     outer = [axis for axis in live if axis != inner]
     if len(outer) not in FIBRE_GRID:
@@ -530,6 +529,15 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
             f"{budget}; use --method quadrature"
         )
     n = FIBRE_GRID[len(outer)]
+    # z**(k + m) = -z**k at every point of the midpoint grid of m points, so
+    # that grid cannot tell apart outer exponents m apart; spans up to n/4
+    # keep the coarse grid of m = n/2 points clear of it with room to spare
+    reach = max(_span(p, axis) for axis in outer)
+    if reach > n // 4:
+        raise ValueError(
+            f"jensen outer exponents span {reach}, over the budget {n // 4} "
+            f"of its {n}-point grid; use --method quadrature"
+        )
     log_m, slack = _fibre_log_mean(p, inner, outer, n)
     log_coarse, _ = _fibre_log_mean(p, inner, outer, n // 2)
     value = math.exp(log_m)
@@ -537,12 +545,11 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
     return MahlerValue(value, log_m, "jensen", error)
 
 
-def _grid_log_mean(p: LaurentPolynomial, n: int, shift: float = 0.0) -> float:
-    """Mean of ln|p| over the uniform n**d torus grid, moved by ``shift``
-    cells along every axis, zero samples excluded."""
+def _grid_log_mean(p: LaurentPolynomial, n: int) -> float:
+    """Mean of ln|p| over the uniform n**d torus grid, zero samples excluded."""
     d = p.rank
     terms = sorted((exps, float(c)) for exps, c in p.terms.items())
-    theta = 2.0 * np.pi * (np.arange(n) + shift) / n
+    theta = 2.0 * np.pi * np.arange(n) / n
     axis_pows: list = []
     for axis in range(d):
         cache: dict = {}
@@ -585,11 +592,8 @@ def _grid_log_mean(p: LaurentPolynomial, n: int, shift: float = 0.0) -> float:
 def log_mahler_quadrature(p: LaurentPolynomial, n: int) -> MahlerValue:
     """Mahler measure from the grid average of ln|p| on the torus.
 
-    The error estimate is the gap to the n/2 grid, plus the gap to the n
-    grid shifted by half a cell, plus the same rounding floor as the Jensen
-    route.  The n/2 grid is a subset of the n grid, so a zero of p on a grid
-    point spoils both alike and their gap misses it; the shifted grid does
-    not hit that zero.
+    The error estimate is the gap to the n/2 grid plus the same rounding
+    floor as the Jensen route.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -598,13 +602,8 @@ def log_mahler_quadrature(p: LaurentPolynomial, n: int) -> MahlerValue:
     log_m = _grid_log_mean(p, n)
     coarse = max(2, n // 2)
     log_coarse = _grid_log_mean(p, coarse) if coarse < n else log_m
-    log_shifted = _grid_log_mean(p, n, 0.5)
     value = math.exp(log_m)
-    error = (
-        abs(value - math.exp(log_coarse))
-        + abs(value - math.exp(log_shifted))
-        + 1e-15 * value
-    )
+    error = abs(value - math.exp(log_coarse)) + 1e-15 * value
     return MahlerValue(value, log_m, "quadrature", error)
 
 

@@ -366,6 +366,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, err = error_of(capsys, "mahler", "--poly", "1 + z1^65 + z2^65")
     assert code == 1
     assert "inner degree 65" in err["message"] and "--method quadrature" in err["message"]
+    # and past the outer span its grid resolves: z1^2048 is 1 at every point
+    code, err = error_of(capsys, "mahler", "--poly", "2 + z2 + z1^2048")
+    assert code == 1
+    assert "span 2048" in err["message"] and "--method quadrature" in err["message"]
     # moduli arity mismatch
     code, err = error_of(capsys, "trace-check", "--poly", "z", "--degree", "1",
                          "--moduli", "2,3")
