@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,8 +209,12 @@ def _vectors(positions: int, bound: int, support: int | None):
                 yield tuple(v)
 
 
-def _neg(vec: tuple) -> tuple:
-    return tuple(-x for x in vec)
+def _picker(idx: list):
+    """The entries of a vector at ``idx``, as a tuple even for one index."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda vec: (vec[i],)
+    return operator.itemgetter(*idx)
 
 
 class _FiniteSpace:
@@ -223,26 +228,32 @@ class _FiniteSpace:
         self.n = n
         self.carried = (None, None)  # (matrix, determinant) from injective
         p = space.positions()
-        # left translation by g permutes each entry's coefficients
-        self.translations = []
-        for g in range(n):
-            row = self.group.table[g]
-            dest = [0] * p
-            for idx in range(p):
-                e, h = divmod(idx, n)
-                dest[idx] = e * n + row[h]
-            self.translations.append(tuple(dest))
-        self.adjoint_src: tuple | None = None
+        self.zero = (0,) * p
+        # every image of a vector under a left translation g and, for a
+        # square shape, under the adjoint of that translation, each read off
+        # the vector by one fixed position table; the identity translation
+        # is left out, since the sign test in _is_canonical covers it
+        adjoint = None
         if self.rows == self.cols:
             inv = self.group.inverses
-            src = [0] * p
+            adjoint = [0] * p
             for i in range(self.rows):
                 for j in range(self.cols):
                     for h in range(n):
-                        src[(i * self.cols + j) * n + h] = (
+                        adjoint[(i * self.cols + j) * n + h] = (
                             j * self.cols + i
                         ) * n + inv[h]
-            self.adjoint_src = tuple(src)
+        self.images = []
+        for g in range(n):
+            row = self.group.table[g]
+            src = [0] * p
+            for idx in range(p):
+                e, h = divmod(idx, n)
+                src[e * n + row[h]] = idx
+            if g != self.group.identity:
+                self.images.append(_picker(src))
+            if adjoint is not None:
+                self.images.append(_picker([src[a] for a in adjoint]))
 
     def stream(self):
         space = self.space
@@ -251,18 +262,15 @@ class _FiniteSpace:
                 yield vec
 
     def _is_canonical(self, vec: tuple) -> bool:
-        p = len(vec)
-        for dest in self.translations:
-            t = [0] * p
-            for idx in range(p):
-                t[dest[idx]] = vec[idx]
-            t = tuple(t)
-            if t > vec or _neg(t) > vec:
+        # the greatest member of the orbit has a positive first nonzero
+        # coefficient; -image > vec is image < -vec
+        if vec < self.zero:
+            return False
+        neg_vec = tuple(map(operator.neg, vec))
+        for image in self.images:
+            t = image(vec)
+            if t > vec or t < neg_vec:
                 return False
-            if self.adjoint_src is not None:
-                a = tuple(t[s] for s in self.adjoint_src)
-                if a > vec or _neg(a) > vec:
-                    return False
         return True
 
     def build(self, vec: tuple) -> FiniteGroupRingMatrix:
@@ -317,6 +325,28 @@ class _FiniteSpace:
         }
 
 
+def _line_representatives(vectors, positions: int):
+    """Orbit representatives of one-variable elements: the shift-down anchor
+    and the sign make vec[0] > 0, and the adjoint reverses the coefficients
+    up to the last nonzero one, d.  reversals[d] reads that reversal with
+    the trailing zeros kept, so every tuple built has the vector's length."""
+    reversals = [
+        _picker(list(range(d, -1, -1)) + list(range(d + 1, positions)))
+        for d in range(positions)
+    ]
+    for vec in vectors:
+        if vec[0] <= 0:
+            continue
+        d = positions - 1
+        while not vec[d]:
+            d -= 1
+        rev = reversals[d](vec)
+        if rev[0] < 0:
+            rev = tuple(map(operator.neg, rev))
+        if rev <= vec:
+            yield vec
+
+
 class _LaurentSpace:
     """Enumeration context for matrices over Q[Z^d] with a degree box."""
 
@@ -326,54 +356,73 @@ class _LaurentSpace:
         self.rows, self.cols = space.shape
         self.exps = list(itertools.product(*[range(b + 1) for b in space.box]))
         self.block = len(self.exps)
-        self.strides = [0] * self.rank
-        acc = 1
-        for a in range(self.rank - 1, -1, -1):
-            self.strides[a] = acc
-            acc *= space.box[a] + 1
+        p = space.positions()
+        self.zero = (0,) * p
+        # faces[a][l] reads the coefficients, across every entry, whose
+        # exponent on axis a is l
+        faces = [
+            [
+                _picker([i for i in range(p) if self.exps[i % self.block][a] == l])
+                for l in range(b + 1)
+            ]
+            for a, b in enumerate(space.box)
+        ]
+        # a vector is shifted down when each axis has a term at exponent 0
+        self.anchors = [axis[0] for axis in faces]
+        # the adjoint of a square matrix transposes it and sends z^e to
+        # z^-e; read as the flat reversal e -> box - e plus a transpose of
+        # the entries, then shifted down by one flat offset, which is
+        # (box - top) . strides for the per-axis top exponent of the vector
+        self.adjoint = None
+        if self.rows == self.cols:
+            n, block = self.rows, self.block
+            self.adjoint = _picker(
+                [
+                    ((k % n) * n + k // n) * block + block - 1 - t
+                    for k in range(n * n)
+                    for t in range(block)
+                ]
+            )
+            self.top_shifts = [
+                [
+                    ((b - l) * math.prod(c + 1 for c in space.box[a + 1 :]), axis[l])
+                    for l in range(b, -1, -1)
+                ]
+                for a, (b, axis) in enumerate(zip(space.box, faces))
+            ]
 
     def stream(self):
+        """The raw vectors that are the greatest member of their orbit under
+        sign, monomial shifts and (square shapes) the adjoint, in
+        enumeration order."""
         space = self.space
-        for vec in _vectors(space.positions(), space.coeff_bound, space.support):
-            support = [i for i, x in enumerate(vec) if x]
-            if not self._is_shifted_down(support):
+        vectors = _vectors(space.positions(), space.coeff_bound, space.support)
+        if self.rank == 1 and space.shape == (1, 1):
+            return _line_representatives(vectors, space.positions())
+        return self._representatives(vectors)
+
+    def _representatives(self, vectors):
+        zero = self.zero
+        for vec in vectors:
+            if vec < zero or not all(any(face(vec)) for face in self.anchors):
                 continue
-            if self._is_canonical(vec, support):
-                yield vec
+            if self.adjoint is not None:
+                rev = self._adjoint_image(vec)
+                if rev < zero:
+                    rev = tuple(map(operator.neg, rev))
+                if rev > vec:
+                    continue
+            yield vec
 
-    def _is_shifted_down(self, support: list) -> bool:
-        # monomial shifts are quotiented by anchoring the combined support
-        # to exponent 0 on every axis
-        for a in range(self.rank):
-            if min(self.exps[i % self.block][a] for i in support) != 0:
-                return False
-        return True
-
-    def _reverse(self, vec: tuple, support: list) -> tuple | None:
-        if self.rows != self.cols:
-            return None
-        top = [
-            max(self.exps[i % self.block][a] for i in support)
-            for a in range(self.rank)
-        ]
-        out = [0] * len(vec)
-        for i in support:
-            entry, t = divmod(i, self.block)
-            ei, ej = divmod(entry, self.cols)
-            e = self.exps[t]
-            dest_t = sum(
-                (top[a] - e[a]) * self.strides[a] for a in range(self.rank)
-            )
-            out[(ej * self.cols + ei) * self.block + dest_t] = vec[i]
-        return tuple(out)
-
-    def _is_canonical(self, vec: tuple, support: list) -> bool:
-        if _neg(vec) > vec:
-            return False
-        rev = self._reverse(vec, support)
-        if rev is not None and (rev > vec or _neg(rev) > vec):
-            return False
-        return True
+    def _adjoint_image(self, vec: tuple) -> tuple:
+        """The adjoint of a shifted-down vector, shifted down."""
+        off = 0
+        for levels in self.top_shifts:
+            for shift, face in levels:
+                if any(face(vec)):
+                    off += shift
+                    break
+        return self.adjoint(vec)[off:] + self.zero[:off]
 
     def build(self, vec: tuple) -> GroupRingMatrix:
         rows = []

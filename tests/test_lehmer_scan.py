@@ -1,15 +1,19 @@
 """Exhaustive Lehmer-constant scans and the exact-value table."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from fkdet import lehmer_scan
 from fkdet.fk_finite import FiniteGroup, make_cyclic
 from fkdet.laurent import format_polynomial, parse_polynomial
 from fkdet.lehmer_scan import (
     SearchSpace,
+    _FiniteSpace,
     _LaurentSpace,
+    _vectors,
     exact_constants,
     scan,
     survey_to_csv,
@@ -181,13 +185,79 @@ def test_z_scan_keeps_the_smyth_tie():
     assert bound < report.infimum_found.value
 
 
+def _orbit_representatives(space):
+    """The vectors of a Z^d space that are the greatest member of their
+    orbit, found from every image under sign, monomial shifts and (square
+    shapes) the adjoint that stays in the box; in the scan's enumeration
+    order: descending, or graded by support under a support cap."""
+    rank, box = space.rank, space.box
+    rows, cols = space.shape
+    exps = list(itertools.product(*[range(b + 1) for b in box]))
+    block = len(exps)
+    index = {e: t for t, e in enumerate(exps)}
+    p, c = space.positions(), space.coeff_bound
+    graded = space.support is not None and space.support < p
+    if graded:
+        candidates = []
+        for j in range(1, space.support + 1):
+            for where in itertools.combinations(range(p), j):
+                for values in itertools.product(range(-c, c + 1), repeat=j):
+                    if all(values):
+                        vec = [0] * p
+                        for i, x in zip(where, values):
+                            vec[i] = x
+                        candidates.append(tuple(vec))
+    else:
+        candidates = itertools.product(range(c, -c - 1, -1), repeat=p)
+    reps = []
+    for vec in candidates:
+        support = [i for i, x in enumerate(vec) if x]
+        if not support:
+            continue
+        terms = {
+            (i // block // cols, i // block % cols, exps[i % block]): vec[i]
+            for i in support
+        }
+        forms = [terms]
+        if rows == cols:
+            forms.append(
+                {(j, i, tuple(-x for x in e)): v for (i, j, e), v in terms.items()}
+            )
+        orbit = []
+        for form in forms:
+            lo = [min(e[a] for _, _, e in form) for a in range(rank)]
+            hi = [max(e[a] for _, _, e in form) for a in range(rank)]
+            for shift in itertools.product(
+                *[range(-lo[a], box[a] - hi[a] + 1) for a in range(rank)]
+            ):
+                image = [0] * p
+                for (i, j, e), v in form.items():
+                    t = index[tuple(x + y for x, y in zip(e, shift))]
+                    image[(i * cols + j) * block + t] = v
+                orbit += [tuple(image), tuple(-x for x in image)]
+        if vec == max(orbit):
+            reps.append(vec)
+    if graded:
+        values = list(range(c, 0, -1)) + list(range(-1, -c - 1, -1))
+        rank_of = {v: k for k, v in enumerate(values)}
+        reps.sort(
+            key=lambda v: (
+                sum(1 for x in v if x),
+                tuple(i for i, x in enumerate(v) if x),
+                tuple(rank_of[x] for x in v if x),
+            )
+        )
+    return reps
+
+
 def _brute_force(space, survey=False):
-    """Every candidate through the float measure and the float rule."""
+    """Every orbit representative through the float measure and the float
+    rule."""
     ctx = _LaurentSpace(space)
     examined = det_one = 0
     best = None
     rows = []
-    for vec in ctx.stream():
+    for vec in _orbit_representatives(space):
         p = ctx.build(vec).entries[0][0]
         examined += 1
         if p.rank == 1:
@@ -240,6 +310,217 @@ def test_scan_matches_brute_force(space, survey):
         assert report.witness["text"] == best[1]
     if survey:
         assert list(report.survey) == rows
+
+
+class _ReferenceLaurentFilter:
+    """The original Z^d canonicality tests, kept as the reference for the
+    stream's sequence: a per-axis minimum over the support, an entry-by-entry
+    reversal and negated tuples."""
+
+    def __init__(self, space):
+        self.space = space
+        self.rank = space.rank
+        self.rows, self.cols = space.shape
+        self.exps = list(itertools.product(*[range(b + 1) for b in space.box]))
+        self.block = len(self.exps)
+        self.strides = [0] * self.rank
+        acc = 1
+        for a in range(self.rank - 1, -1, -1):
+            self.strides[a] = acc
+            acc *= space.box[a] + 1
+
+    def stream(self):
+        space = self.space
+        for vec in _vectors(space.positions(), space.coeff_bound, space.support):
+            support = [i for i, x in enumerate(vec) if x]
+            if not self._is_shifted_down(support):
+                continue
+            if self._is_canonical(vec, support):
+                yield vec
+
+    def _is_shifted_down(self, support):
+        for a in range(self.rank):
+            if min(self.exps[i % self.block][a] for i in support) != 0:
+                return False
+        return True
+
+    def _reverse(self, vec, support):
+        if self.rows != self.cols:
+            return None
+        top = [
+            max(self.exps[i % self.block][a] for i in support)
+            for a in range(self.rank)
+        ]
+        out = [0] * len(vec)
+        for i in support:
+            entry, t = divmod(i, self.block)
+            ei, ej = divmod(entry, self.cols)
+            e = self.exps[t]
+            dest_t = sum(
+                (top[a] - e[a]) * self.strides[a] for a in range(self.rank)
+            )
+            out[(ej * self.cols + ei) * self.block + dest_t] = vec[i]
+        return tuple(out)
+
+    def _is_canonical(self, vec, support):
+        if _neg(vec) > vec:
+            return False
+        rev = self._reverse(vec, support)
+        if rev is not None and (rev > vec or _neg(rev) > vec):
+            return False
+        return True
+
+
+class _ReferenceFiniteFilter:
+    """The original finite-group canonicality test: every left translation,
+    the identity included, and its adjoint, built entry by entry."""
+
+    def __init__(self, space):
+        self.space = space
+        group, n = space.group, space.group.order
+        rows, cols = space.shape
+        p = space.positions()
+        self.translations = []
+        for g in range(n):
+            dest = [0] * p
+            for idx in range(p):
+                e, h = divmod(idx, n)
+                dest[idx] = e * n + group.table[g][h]
+            self.translations.append(tuple(dest))
+        self.adjoint_src = None
+        if rows == cols:
+            src = [0] * p
+            for i in range(rows):
+                for j in range(cols):
+                    for h in range(n):
+                        src[(i * cols + j) * n + h] = (
+                            j * cols + i
+                        ) * n + group.inverses[h]
+            self.adjoint_src = tuple(src)
+
+    def stream(self):
+        space = self.space
+        for vec in _vectors(space.positions(), space.coeff_bound, space.support):
+            if self._is_canonical(vec):
+                yield vec
+
+    def _is_canonical(self, vec):
+        p = len(vec)
+        for dest in self.translations:
+            t = [0] * p
+            for idx in range(p):
+                t[dest[idx]] = vec[idx]
+            t = tuple(t)
+            if t > vec or _neg(t) > vec:
+                return False
+            if self.adjoint_src is not None:
+                a = tuple(t[s] for s in self.adjoint_src)
+                if a > vec or _neg(a) > vec:
+                    return False
+        return True
+
+
+def _neg(vec):
+    return tuple(-x for x in vec)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [zd_space((b,), coeff_bound=1) for b in range(9)]
+    + [zd_space((b,), coeff_bound=2) for b in (1, 3, 5)]
+    + [zd_space((b,), coeff_bound=3) for b in (2, 3)]
+    + [
+        zd_space((8,), coeff_bound=1, support=2),
+        zd_space((8,), coeff_bound=1, support=3),
+        zd_space((5,), coeff_bound=2, support=3),
+        zd_space((2, 2), coeff_bound=1),
+        zd_space((1, 3), coeff_bound=1),
+        zd_space((3, 1), coeff_bound=1),
+        zd_space((2, 0), coeff_bound=2),
+        zd_space((2, 1, 1), coeff_bound=1, support=3),
+        zd_space((1, 1, 1), coeff_bound=1),
+        zd_space((1,), shape=(2, 2), coeff_bound=1),
+        zd_space((2,), shape=(1, 2), coeff_bound=1),
+        zd_space((2,), shape=(2, 1), coeff_bound=1),
+        zd_space((1, 1), shape=(2, 2), coeff_bound=1, support=3),
+        zd_space((2, 1), shape=(1, 2), coeff_bound=1, support=3),
+        zd_space((1, 2), shape=(2, 1), coeff_bound=1, support=3),
+        zd_space((1,), shape=(3, 3), coeff_bound=1, support=2),
+    ],
+    ids=lambda s: "box%s-%dx%d-c%d-s%s" % (
+        ",".join(map(str, s.box)), *s.shape, s.coeff_bound, s.support
+    ),
+)
+def test_laurent_stream_matches_reference_filter(space):
+    # same vectors in the same order, so counts and tie-broken witnesses
+    # cannot move
+    assert list(_LaurentSpace(space).stream()) == list(
+        _ReferenceLaurentFilter(space).stream()
+    )
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        SearchSpace(group=make_cyclic(1), coeff_bound=3),
+        SearchSpace(group=make_cyclic(2), coeff_bound=2),
+        SearchSpace(group=make_cyclic(4), coeff_bound=2),
+        SearchSpace(group=KLEIN, coeff_bound=2),
+        SearchSpace(group=make_cyclic(3), shape=(1, 2), coeff_bound=1),
+        SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1),
+        SearchSpace(group=KLEIN, shape=(2, 2), coeff_bound=1, support=3),
+        SearchSpace(group=make_cyclic(3), shape=(2, 1), coeff_bound=2, support=2),
+    ],
+    ids=lambda s: "order%d-%dx%d-c%d-s%s" % (
+        s.group.order, *s.shape, s.coeff_bound, s.support
+    ),
+)
+def test_finite_stream_matches_reference_filter(space):
+    assert list(_FiniteSpace(space).stream()) == list(
+        _ReferenceFiniteFilter(space).stream()
+    )
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        zd_space((1,), shape=(2, 2), coeff_bound=1),
+        zd_space((1, 1), shape=(2, 2), coeff_bound=1, support=3),
+        zd_space((1, 1), shape=(1, 2), coeff_bound=1, support=3),
+        zd_space((2, 1), coeff_bound=1),
+    ],
+)
+def test_matrix_stream_is_orbit_greatest(space):
+    assert list(_LaurentSpace(space).stream()) == _orbit_representatives(space)
+
+
+@pytest.mark.parametrize(
+    "space, variant, raw",
+    [
+        (zd_space((10,), coeff_bound=1), "lambda_1", 177146),
+        (
+            SearchSpace(
+                group=make_cyclic(3), shape=(2, 2), coeff_bound=1, support=6
+            ),
+            "lambda_w",
+            94448,
+        ),
+    ],
+    ids=["box10", "Z3-2x2-support6"],
+)
+def test_scan_draws_every_raw_vector_once(monkeypatch, space, variant, raw):
+    drawn = 0
+    enumerate_raw = lehmer_scan._vectors
+
+    def counted(*args):
+        nonlocal drawn
+        for vec in enumerate_raw(*args):
+            drawn += 1
+            yield vec
+
+    monkeypatch.setattr(lehmer_scan, "_vectors", counted)
+    scan(space, variant)
+    assert drawn == space.raw_count() == raw
 
 
 def test_z_scan_degree_two_golden_ratio():
