@@ -325,28 +325,6 @@ class _FiniteSpace:
         }
 
 
-def _line_representatives(vectors, positions: int):
-    """Orbit representatives of one-variable elements: the shift-down anchor
-    and the sign make vec[0] > 0, and the adjoint reverses the coefficients
-    up to the last nonzero one, d.  reversals[d] reads that reversal with
-    the trailing zeros kept, so every tuple built has the vector's length."""
-    reversals = [
-        _picker(list(range(d, -1, -1)) + list(range(d + 1, positions)))
-        for d in range(positions)
-    ]
-    for vec in vectors:
-        if vec[0] <= 0:
-            continue
-        d = positions - 1
-        while not vec[d]:
-            d -= 1
-        rev = reversals[d](vec)
-        if rev[0] < 0:
-            rev = tuple(map(operator.neg, rev))
-        if rev <= vec:
-            yield vec
-
-
 class _LaurentSpace:
     """Enumeration context for matrices over Q[Z^d] with a degree box."""
 
@@ -358,71 +336,86 @@ class _LaurentSpace:
         self.block = len(self.exps)
         p = space.positions()
         self.zero = (0,) * p
-        # faces[a][l] reads the coefficients, across every entry, whose
-        # exponent on axis a is l
-        faces = [
-            [
-                _picker([i for i in range(p) if self.exps[i % self.block][a] == l])
-                for l in range(b + 1)
-            ]
-            for a, b in enumerate(space.box)
-        ]
-        # a vector is shifted down when each axis has a term at exponent 0
-        self.anchors = [axis[0] for axis in faces]
-        # the adjoint of a square matrix transposes it and sends z^e to
-        # z^-e; read as the flat reversal e -> box - e plus a transpose of
-        # the entries, then shifted down by one flat offset, which is
-        # (box - top) . strides for the per-axis top exponent of the vector
-        self.adjoint = None
-        if self.rows == self.cols:
-            n, block = self.rows, self.block
-            self.adjoint = _picker(
-                [
-                    ((k % n) * n + k // n) * block + block - 1 - t
-                    for k in range(n * n)
-                    for t in range(block)
-                ]
+
+        def face(a: int, l: int):
+            # the coefficients, across every entry, whose exponent on axis a
+            # is l, and what they read on the zero vector
+            get = operator.itemgetter(
+                *[i for i in range(p) if self.exps[i % self.block][a] == l]
             )
-            self.top_shifts = [
-                [
-                    ((b - l) * math.prod(c + 1 for c in space.box[a + 1 :]), axis[l])
-                    for l in range(b, -1, -1)
-                ]
-                for a, (b, axis) in enumerate(zip(space.box, faces))
-            ]
+            return get, get(self.zero)
+
+        # a vector is shifted down when each axis has a term at exponent 0
+        self.anchors = [face(a, 0) for a in range(self.rank)]
+        self.adjoint_at = self.tops = None
+        if self.rows == self.cols:
+            self._build_adjoint(face)
+
+    def _build_adjoint(self, face) -> None:
+        """Tables for the shifted-down adjoint of a square matrix.
+
+        The adjoint transposes the matrix and sends z^e to z^-e; shifted
+        down, entry k's coefficient at e is entry k^T's at top - e, where
+        top is the vector's per-axis top exponent, and 0 where e exceeds
+        top on some axis.  adjoint_at[off] reads that image for every top
+        with flat offset off = (box - top) . strides; a 0 is read from a
+        position whose exponent is box on an axis where top < box, which
+        holds no term."""
+        box, n, block, exps = self.space.box, self.rows, self.block, self.exps
+        flat = {e: t for t, e in enumerate(exps)}
+        strides = [math.prod(c + 1 for c in box[a + 1 :]) for a in range(len(box))]
+        self.adjoint_at = [None] * block
+        for top in exps:
+            short = [a for a in range(len(box)) if top[a] < box[a]]
+            blank = None
+            if short:
+                corner = [0] * len(box)
+                corner[short[0]] = box[short[0]]
+                blank = flat[tuple(corner)]
+            src = []
+            for k in range(n * n):
+                base = ((k % n) * n + k // n) * block
+                for e in exps:
+                    if all(x <= y for x, y in zip(e, top)):
+                        src.append(base + flat[tuple(y - x for x, y in zip(e, top))])
+                    else:
+                        src.append(blank)
+            off = sum((b - y) * s for b, y, s in zip(box, top, strides))
+            self.adjoint_at[off] = _picker(src)
+        # tops[a] finds the top exponent on axis a from the highest face
+        # down, as its share of the flat offset
+        self.tops = [
+            [((b - l) * strides[a], *face(a, l)) for l in range(b, -1, -1)]
+            for a, b in enumerate(box)
+        ]
 
     def stream(self):
         """The raw vectors that are the greatest member of their orbit under
         sign, monomial shifts and (square shapes) the adjoint, in
         enumeration order."""
         space = self.space
-        vectors = _vectors(space.positions(), space.coeff_bound, space.support)
-        if self.rank == 1 and space.shape == (1, 1):
-            return _line_representatives(vectors, space.positions())
-        return self._representatives(vectors)
-
-    def _representatives(self, vectors):
-        zero = self.zero
-        for vec in vectors:
-            if vec < zero or not all(any(face(vec)) for face in self.anchors):
+        zero, anchors = self.zero, self.anchors
+        adjoint_at, tops = self.adjoint_at, self.tops
+        for vec in _vectors(space.positions(), space.coeff_bound, space.support):
+            if vec < zero:
                 continue
-            if self.adjoint is not None:
-                rev = self._adjoint_image(vec)
-                if rev < zero:
-                    rev = tuple(map(operator.neg, rev))
-                if rev > vec:
-                    continue
-            yield vec
-
-    def _adjoint_image(self, vec: tuple) -> tuple:
-        """The adjoint of a shifted-down vector, shifted down."""
-        off = 0
-        for levels in self.top_shifts:
-            for shift, face in levels:
-                if any(face(vec)):
-                    off += shift
+            for get, blank in anchors:
+                if get(vec) == blank:
                     break
-        return self.adjoint(vec)[off:] + self.zero[:off]
+            else:
+                if adjoint_at is not None:
+                    off = 0
+                    for levels in tops:
+                        for shift, get, blank in levels:
+                            if get(vec) != blank:
+                                off += shift
+                                break
+                    rev = adjoint_at[off](vec)
+                    if rev < zero:
+                        rev = tuple(map(operator.neg, rev))
+                    if rev > vec:
+                        continue
+                yield vec
 
     def build(self, vec: tuple) -> GroupRingMatrix:
         rows = []

@@ -443,6 +443,7 @@ def _neg(vec):
         zd_space((2,), shape=(1, 2), coeff_bound=1),
         zd_space((2,), shape=(2, 1), coeff_bound=1),
         zd_space((1, 1), shape=(2, 2), coeff_bound=1, support=3),
+        zd_space((2, 1), shape=(2, 2), coeff_bound=1, support=3),
         zd_space((2, 1), shape=(1, 2), coeff_bound=1, support=3),
         zd_space((1, 2), shape=(2, 1), coeff_bound=1, support=3),
         zd_space((1,), shape=(3, 3), coeff_bound=1, support=2),
@@ -486,6 +487,7 @@ def test_finite_stream_matches_reference_filter(space):
     [
         zd_space((1,), shape=(2, 2), coeff_bound=1),
         zd_space((1, 1), shape=(2, 2), coeff_bound=1, support=3),
+        zd_space((2, 1), shape=(2, 2), coeff_bound=1, support=2),
         zd_space((1, 1), shape=(1, 2), coeff_bound=1, support=3),
         zd_space((2, 1), coeff_bound=1),
     ],
