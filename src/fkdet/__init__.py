@@ -1,7 +1,8 @@
 """Mahler measures and Fuglede-Kadison determinants over group rings.
 
 The package computes Mahler measures of Laurent polynomials (exact roots
-in one variable, torus quadrature and iterated specialization in several),
+in one variable, Jensen's formula fibrewise over a torus grid in several,
+with torus quadrature and iterated specialization on request),
 Fuglede-Kadison determinants of group ring matrices over Z^d and over
 finite groups, runs exhaustive searches for the generalized Lehmer
 constants, and tests determinant approximation along chains of finite

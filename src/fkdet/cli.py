@@ -337,7 +337,6 @@ def _run_scan(args):
         args.variant,
         budget=args.budget,
         one_threshold=args.one_threshold,
-        grid_size=args.grid,
         survey=args.survey,
     )
     config = {
@@ -352,7 +351,6 @@ def _run_scan(args):
         "support": args.support,
         "budget": args.budget,
         "one_threshold": args.one_threshold,
-        "grid_size": args.grid,
         "survey": args.survey,
     }
     payload = report.as_json()
@@ -536,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=int, help="max nonzero coefficient count")
     p.add_argument("--budget", type=int, help="determinant evaluation budget")
     p.add_argument("--one-threshold", type=float, default=DEFAULT_ONE_THRESHOLD)
-    p.add_argument("--grid", type=int, default=256, help="quadrature points per axis")
     p.add_argument("--survey", action="store_true", help="collect values in (1, 1.5]")
 
     p = add(

@@ -83,17 +83,14 @@ def fk_det_zd(
     measure_method: str = "auto",
     *,
     grid_size: int = 256,
-    schedule=None,
     kernel_variant: str = "canonical",
 ) -> PipelineTrace:
     """Determinant of right multiplication by a matrix over Q[Z^d].
 
     Returns the full trace; the number itself is ``trace.value``.  The zero
-    matrix gives 1 (its kernel basis is the identity, so D1 = D2).  The
-    ``schedule`` argument overrides the default specialization ramp when the
-    boyd_lawton measure is in play; ``grid_size`` feeds quadrature.  One
-    variable always takes exact roots; the method only selects among the
-    multivariate schemes.
+    matrix gives 1 (its kernel basis is the identity, so D1 = D2).
+    ``grid_size`` feeds quadrature.  One variable always takes exact roots;
+    the method only selects among the multivariate schemes.
     """
     method = resolve_method(measure_method)
     if a.rank == 1:
@@ -117,12 +114,12 @@ def fk_det_zd(
                 "detD2": format_polynomial(det_d2),
             },
         )
-    m1 = mahler_measure(det_d1, method, grid_size=grid_size, schedule=schedule)
+    m1 = mahler_measure(det_d1, method, grid_size=grid_size)
     if q == 0:
         # empty determinant: M(det of the 0x0 matrix) is exactly 1
         m2 = MahlerValue(1.0, 0.0, m1.method, 0.0)
     else:
-        m2 = mahler_measure(det_d2, method, grid_size=grid_size, schedule=schedule)
+        m2 = mahler_measure(det_d2, method, grid_size=grid_size)
     value = math.sqrt(m1.value / m2.value)
     error = 0.5 * value * (
         m1.error_estimate / m1.value + m2.error_estimate / m2.value

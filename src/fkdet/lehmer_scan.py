@@ -40,8 +40,7 @@ from .laurent import (
 from .mahler import (
     is_cyclotomic_product,
     line_coeffs,
-    log_mahler_quadrature,
-    mahler_jensen,
+    mahler_measure,
     measure_lower_bound,
 )
 from .values import FKValue, Radical
@@ -297,7 +296,7 @@ class _FiniteSpace:
         self.carried = (m, det)
         return kernel == 0
 
-    def evaluate(self, m, one_threshold, grid_size):
+    def evaluate(self, m, one_threshold):
         carried, v = self.carried
         if carried is not m or v is None:
             v = fk_det_finite(m)
@@ -435,8 +434,9 @@ class _LaurentSpace:
     def screen(self, vec: tuple) -> tuple | None:
         """(determinant one, measure lower bound) of an element with
         collinear support, from its integer coefficients alone; None for
-        matrices and for elements that need quadrature.  Such an element is
-        nonzero, hence injective."""
+        matrices and for elements with non-collinear support, which
+        ``evaluate`` measures.  Such an element is nonzero, hence
+        injective."""
         if self.space.shape != (1, 1):
             return None
         if self.rank == 1:
@@ -456,10 +456,10 @@ class _LaurentSpace:
             return not m.entries[0][0].is_zero()
         return vn_dim_kernel_zd(m) == 0
 
-    def evaluate(self, m, one_threshold, grid_size):
+    def evaluate(self, m, one_threshold):
         if self.space.shape == (1, 1):
-            return _poly_det(m.entries[0][0], one_threshold, grid_size)
-        v = fk_det_zd(m, "auto", grid_size=grid_size).value
+            return _poly_det(m.entries[0][0], one_threshold)
+        v = fk_det_zd(m).value
         return v, v.value < 1.0 + one_threshold
 
     def entry_texts(self, m) -> list:
@@ -475,22 +475,17 @@ class _LaurentSpace:
         return {"kind": "matrix", **matrix_to_json(m)}
 
 
-def _poly_det(p, one_threshold, grid_size):
-    """Determinant of one nonzero element of Q[Z^d] plus its float
-    classification; the scan has already counted the elements that
+def _poly_det(p, one_threshold):
+    """Determinant of one nonzero element of Q[Z^d], its Mahler measure by
+    the ``auto`` method, plus its float classification; a monomial carries
+    its exact radical.  The scan has already counted the elements that
     ``_LaurentSpace.screen`` proves to have determinant one."""
     if len(p.terms) == 1:
         c = abs(next(iter(p.terms.values())))
         exact = Radical(c.numerator) if c.denominator == 1 and c >= 1 else None
         v = FKValue(float(c), "jensen", 0.0, exact)
         return v, v.value < 1.0 + one_threshold
-    line = line_coeffs(p.terms)
-    if line is not None:
-        mv = mahler_jensen(
-            LaurentPolynomial(1, {(t,): c for t, c in enumerate(line) if c})
-        )
-    else:
-        mv = log_mahler_quadrature(p, grid_size)
+    mv = mahler_measure(p)
     v = FKValue(mv.value, mv.method, mv.error_estimate)
     return v, mv.value < 1.0 + one_threshold
 
@@ -511,7 +506,6 @@ def scan(
     *,
     budget: int | None = None,
     one_threshold: float = DEFAULT_ONE_THRESHOLD,
-    grid_size: int = 256,
     survey: bool = False,
 ) -> ScanReport:
     """Exhaust the space and report the least determinant above 1.
@@ -521,6 +515,8 @@ def scan(
     scan that hits it stops and returns a partial report flagged
     ``budget_exceeded``.  Ties in the infimum keep the earliest candidate
     in enumeration order, so reports are deterministic for a fixed space.
+    Over Z^d every determinant is measured by the ``auto`` method, fibrewise
+    Jensen; a candidate it refuses ends the scan with its ValueError.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -578,7 +574,7 @@ def scan(
                 continue
         if m is None:
             m = ctx.build(vec)
-        value, is_one = ctx.evaluate(m, one_threshold, grid_size)
+        value, is_one = ctx.evaluate(m, one_threshold)
         if is_one:
             det_one += 1
             continue
@@ -613,7 +609,6 @@ def witness_value(
     witness: dict,
     *,
     one_threshold: float = DEFAULT_ONE_THRESHOLD,
-    grid_size: int = 256,
 ) -> FKValue:
     """Re-evaluate a reported witness through the same determinant path."""
     if space.group is not None:
@@ -639,10 +634,10 @@ def witness_value(
         return fk_det_finite(m)
     if witness["kind"] == "element":
         p = parse_polynomial(witness["text"], rank=space.rank)
-        value, _ = _poly_det(p, one_threshold, grid_size)
+        value, _ = _poly_det(p, one_threshold)
         return value
     m = matrix_from_json(witness)
-    return fk_det_zd(m, "auto", grid_size=grid_size).value
+    return fk_det_zd(m).value
 
 
 # ---------------------------------------------------------------------------

@@ -683,13 +683,12 @@ def mahler_measure(
     method: str = "auto",
     *,
     grid_size: int = 256,
-    schedule: list | None = None,
 ) -> MahlerValue:
     """Mahler measure by a method from MEASURE_METHODS; ``grid_size`` feeds
-    quadrature and ``schedule`` overrides the Boyd-Lawton default."""
+    quadrature."""
     method = resolve_method(method)
     if method == "jensen":
         return mahler_fibrewise(p)
     if method == "quadrature":
         return log_mahler_quadrature(p, grid_size)
-    return mahler_boyd_lawton(p, schedule)
+    return mahler_boyd_lawton(p)

@@ -234,6 +234,20 @@ def test_scan_box_golden_ratio(capsys):
     assert blob["result"]["witness"]["text"] == "1 + z - z^2"
 
 
+def test_scan_box_two_variables(capsys):
+    blob = run_json(capsys, "lehmer-scan", "--box", "2,1", "--variant", "lambda_1")
+    assert "grid_size" not in blob["config"]
+    result = blob["result"]
+    assert result["witness"]["text"] == "1 + z2 + z1^2"
+    assert result["infimum_found"]["method"] == "jensen"
+    assert result["count_det_one"] == 37
+    code, err = error_of(
+        capsys, "lehmer-scan", "--grid", "64", "--box", "2,1", "--variant", "lambda_1"
+    )
+    assert code == 2
+    assert "--grid" in err["message"]
+
+
 def test_scan_survey_csv(capsys):
     code, out, _ = run_cli(
         capsys, "lehmer-scan", "--cyclic", "3", "--coeff-bound", "2",

@@ -225,7 +225,7 @@ def test_quadrature_method_on_two_variables():
 
 def test_boyd_lawton_method_on_two_variables():
     a = mat([["1 + z1 + z2"]], rank=2)
-    trace = fk_det_zd(a, "boyd_lawton", schedule=[(25,), (50,), (100,)])
+    trace = fk_det_zd(a, "boyd_lawton")
     assert trace.value.method == "boyd_lawton"
     assert math.isclose(trace.value.value, TWO_VAR_MEASURE, rel_tol=2e-2)
 
@@ -297,16 +297,17 @@ def test_specialization_approaches_the_quadrature_value():
 
 
 def test_specialization_rejects_bad_schedules():
-    a = mat([["1 + z1 + z2"]], rank=2)
+    det_d1 = fk_det_zd(mat([["1 + z1 + z2"]], rank=2)).detD1
     with pytest.raises(ValueError, match="empty"):
-        fk_det_zd(a, "boyd_lawton", schedule=[])
+        mahler_boyd_lawton(det_d1, [])
     with pytest.raises(ValueError, match="must be positive"):
-        fk_det_zd(a, "boyd_lawton", schedule=[(0,)])
+        mahler_boyd_lawton(det_d1, [(0,)])
     with pytest.raises(ValueError, match="expected 1"):
-        fk_det_zd(a, "boyd_lawton", schedule=[(3, 5)])
+        mahler_boyd_lawton(det_d1, [(3, 5)])
     # det D1 = 2 - z1/z2 - z2/z1 collapses under z2 -> z1
+    collapsing = fk_det_zd(mat([["z1 - z2"]], rank=2)).detD1
     with pytest.raises(ValueError, match="collapsed"):
-        fk_det_zd(mat([["z1 - z2"]], rank=2), "boyd_lawton", schedule=[(1,)])
+        mahler_boyd_lawton(collapsing, [(1,)])
 
 
 def test_boyd_lawton_refuses_over_the_degree_budget():

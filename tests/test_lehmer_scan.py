@@ -20,12 +20,18 @@ from fkdet.lehmer_scan import (
     torsion_bound_check,
     witness_value,
 )
-from fkdet.mahler import SMYTH_THETA0, log_mahler_quadrature, mahler_jensen
+from fkdet.mahler import (
+    SMYTH_THETA0,
+    is_cyclotomic_product,
+    mahler_jensen,
+    mahler_measure,
+)
 from fkdet.values import Radical
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+SMYTH_TWO_VAR = 1.3813564445184977  # M(1 + z1 + z2)
 
 KLEIN = FiniteGroup(
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], 0
@@ -274,7 +280,7 @@ def _brute_force(space, survey=False):
                 # M(q(z^m)) = M(q) for m != 0
                 value = mahler_jensen(p.specialize((7,))).value
             else:
-                value = log_mahler_quadrature(p, 256).value
+                value = mahler_measure(p).value
         if value < 1 + 1e-9:
             det_one += 1
             continue
@@ -545,13 +551,90 @@ def test_element_scans_agree_over_zd():
 def test_z2_scan_and_subgroup_monotonicity():
     two = scan(zd_space((2, 2), coeff_bound=1, support=3), "lambda_1")
     one = scan(zd_space((2,), coeff_bound=1, support=3), "lambda_1")
-    assert two.infimum_found.value == pytest.approx(1.3813564445, abs=0.01)
+    assert two.infimum_found.value == pytest.approx(
+        SMYTH_TWO_VAR, abs=two.infimum_found.error_estimate
+    )
     assert one.infimum_found.value == pytest.approx(GOLDEN_RATIO, abs=1e-9)
     # a bigger group admits every candidate of its subgroup's scan
     assert two.infimum_found.value <= one.infimum_found.value + 1e-9
     # the two-variable witness is a genuinely non-collinear three-term sum
     w = parse_polynomial(two.witness["text"], rank=2)
     assert len(w.terms) == 3
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ("1 + z1 + z1^2", "1 - z2"),
+        ("1 + z1", "1 - z2"),
+        ("1 - z1*z2", "1 + z1"),
+        ("1 + z1 + z1^2", "1 + z2"),
+        ("1 - z1*z2^2", "1 - z1"),
+        ("1 + z1*z2", "1 - z1*z2^-1"),
+    ],
+)
+def test_generalized_cyclotomic_products_have_determinant_one(factors):
+    # by Kronecker's theorem in several variables (Boyd 1981) a product of
+    # cyclotomic polynomials in monomials has Mahler measure exactly 1
+    a, b = (parse_polynomial(f, rank=2) for f in factors)
+    text = format_polynomial(a * b)
+    value = witness_value(
+        zd_space((4, 4)), {"kind": "element", "rank": 2, "text": text}
+    )
+    assert value.value == 1.0
+
+
+def _specializes_to_cyclotomic(vec, ctx):
+    """Whether z2 -> z^25 and z2 -> z^50 both give +-z^k times cyclotomic
+    polynomials: a reference for determinant one that computes no Mahler
+    measure, where the scan measures every non-collinear candidate."""
+    p = ctx.build(vec).entries[0][0]
+    for k in (25, 50):
+        terms = p.specialize((k,)).terms
+        low = min(e for (e,) in terms)
+        coeffs = [0] * (max(e for (e,) in terms) - low + 1)
+        for (e,), c in terms.items():
+            coeffs[e - low] = int(c)
+        if not is_cyclotomic_product(coeffs):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "space, examined, det_one",
+    [(zd_space((2, 1)), 178, 37), (zd_space((2, 2), support=3), 125, 33)],
+    ids=["box2,1", "box2,2-s3"],
+)
+def test_z2_scan_counts_every_generalized_cyclotomic(space, examined, det_one):
+    report = scan(space, "lambda_1")
+    ctx = _LaurentSpace(space)
+    reps = _orbit_representatives(space)
+    reference = sum(_specializes_to_cyclotomic(vec, ctx) for vec in reps)
+    assert (report.count_examined, report.count_det_one) == (examined, det_one)
+    assert (len(reps), reference) == (examined, det_one)
+    assert report.witness["text"] == "1 + z2 + z1^2"
+    assert report.infimum_found.method == "jensen"
+    assert report.infimum_found.value == pytest.approx(
+        SMYTH_TWO_VAR, abs=report.infimum_found.error_estimate
+    )
+
+
+def test_z3_element_scan_measures_by_fibrewise_jensen():
+    report = scan(zd_space((1, 1, 1), support=3), "lambda_1")
+    assert report.infimum_found.method == "jensen"
+    assert report.infimum_found.value == pytest.approx(
+        SMYTH_TWO_VAR, abs=report.infimum_found.error_estimate
+    )
+    assert len(parse_polynomial(report.witness["text"], rank=3).terms) == 3
+
+
+def test_zd_element_path_raises_the_jensen_refusal():
+    # four outer variables: fibrewise Jensen refuses rather than integrate
+    # over a grid it was not sized for, and the scan's element path passes
+    # the refusal on
+    witness = {"kind": "element", "rank": 5, "text": "1 + z1*z2*z3 + z4*z5"}
+    with pytest.raises(ValueError, match="at most 3 outer variables"):
+        witness_value(zd_space((1, 1, 1, 1, 1)), witness)
 
 
 def test_zd_matrix_scan():
