@@ -13,6 +13,7 @@ failures) from bad flags (2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -56,7 +57,7 @@ from .lehmer_scan import (
     survey_to_csv,
     torsion_bound_check,
 )
-from .mahler import MEASURE_METHODS, mahler_measure
+from .mahler import MEASURE_METHODS, JensenRefusal, mahler_measure
 
 SCHEMA_VERSION = 1
 
@@ -483,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, handler, formats=("json", "text")):
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(handler=handler)
+        # by name: main looks the handler up when it runs, so a parser built
+        # once still calls the module's current function
+        p.set_defaults(handler=handler.__name__)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", metavar="PATH", help="write the report here, not stdout")
         return p
@@ -504,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-variant",
         choices=("canonical", "reversed"),
         default="canonical",
-        help="kernel basis construction; the value must not depend on it",
+        help="kernel basis construction, used only on rank-deficient input; "
+        "the value must not depend on it",
     )
     p.add_argument(
         "--trace", action="store_true", help="include every pipeline intermediate"
@@ -568,10 +572,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call shares.  parse_args leaves a parser as it
+    was, so building it once per process (about 2 ms) loses nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        config, payload, text, csv = args.handler(args)
+        config, payload, text, csv = globals()[args.handler](args)
         if args.format == "json":
             report = {
                 "schema_version": SCHEMA_VERSION,
@@ -595,6 +606,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
+    except JensenRefusal as exc:
+        # only the subcommands with a --method option can take the advice
+        hint = "; use --method quadrature" if "method" in vars(args) else ""
+        _emit_error("domain", f"{exc}{hint}")
+        return 1
     except (ValueError, ArithmeticError, PipelineError) as exc:
         _emit_error("domain", exc)
         return 1

@@ -62,6 +62,15 @@ FIBRE_CHUNK = 1 << 16
 
 MEASURE_METHODS = ("auto", "jensen", "quadrature", "boyd_lawton")
 
+
+class JensenRefusal(ValueError):
+    """Fibrewise Jensen declines an input outside the budgets of its grid.
+
+    The message names the budget only; a front end that offers another
+    measure method adds the advice to pick it.
+    """
+
+
 # Smyth's constant: the real root of z**3 - z - 1, the least Mahler measure
 # of a non-reciprocal integer polynomial with p(0) != 0
 SMYTH_THETA0 = 1.324717957244746
@@ -485,7 +494,8 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
     estimate is the gap to the grid of half as many points per axis, plus
     what the unit band left out and the roots' Newton steps, plus the
     rounding floor.  An inner degree over FIBRE_MAX_DEGREE, or an outer span
-    over a quarter of the grid, is refused before any root finding.
+    over a quarter of the grid, is refused (JensenRefusal) before any root
+    finding.
     """
     if p.rank == 1:
         return mahler_jensen(p)
@@ -517,16 +527,15 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
     inner = min(live, key=lambda axis: _span(p, axis))
     outer = [axis for axis in live if axis != inner]
     if len(outer) not in FIBRE_GRID:
-        raise ValueError(
+        raise JensenRefusal(
             f"jensen integrates over at most {max(FIBRE_GRID)} outer variables, "
-            f"got {len(outer)}; use --method quadrature"
+            f"got {len(outer)}"
         )
     degree = _span(p, inner)
     budget = FIBRE_MAX_DEGREE[len(outer)]
     if degree > budget:
-        raise ValueError(
-            f"jensen fibres have inner degree {degree}, over the budget "
-            f"{budget}; use --method quadrature"
+        raise JensenRefusal(
+            f"jensen fibres have inner degree {degree}, over the budget {budget}"
         )
     n = FIBRE_GRID[len(outer)]
     # z**(k + m) = -z**k at every point of the midpoint grid of m points, so
@@ -534,9 +543,9 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
     # keep the coarse grid of m = n/2 points clear of it with room to spare
     reach = max(_span(p, axis) for axis in outer)
     if reach > n // 4:
-        raise ValueError(
+        raise JensenRefusal(
             f"jensen outer exponents span {reach}, over the budget {n // 4} "
-            f"of its {n}-point grid; use --method quadrature"
+            f"of its {n}-point grid"
         )
     log_m, slack = _fibre_log_mean(p, inner, outer, n)
     log_coarse, _ = _fibre_log_mean(p, inner, outer, n // 2)

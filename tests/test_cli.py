@@ -14,6 +14,8 @@ from fkdet.cli import main
 from fkdet.laurent import GroupRingMatrix, matrix_to_json, parse_polynomial
 from fkdet.lehmer_scan import DEFAULT_ONE_THRESHOLD
 
+from helpers import mat
+
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 
 
@@ -168,6 +170,41 @@ def test_fkdet_zd_trace_and_kernel_variant(capsys, tmp_path):
 # fkdet-finite
 
 
+def test_successive_calls_share_no_option_values(capsys):
+    # main reuses one parser; options and defaults of one call must not
+    # reach the next, whether the subcommand changes or not
+    first = run_json(
+        capsys, "fkdet-zd", "--poly", "z - 2", "--method", "quadrature",
+        "--grid", "64", "--kernel-variant", "reversed", "--trace",
+    )
+    assert first["config"]["grid_size"] == 64
+    assert "route" in first["result"]
+    second = run_json(capsys, "mahler", "--poly", "1 + z1 + z2")
+    assert second["config"] == {
+        "subcommand": "mahler",
+        "poly": "1 + z1 + z2",
+        "poly_file": None,
+        "rank": None,
+        "method": "auto",
+        "grid_size": 256,
+    }
+    assert second["result"]["resolved_method"] == "jensen"
+    third = run_json(capsys, "fkdet-zd", "--poly", "z - 3", "--format", "json")
+    assert third["config"] == {
+        "subcommand": "fkdet-zd",
+        "poly": "z - 3",
+        "matrix_file": None,
+        "rank": None,
+        "method": "auto",
+        "grid_size": 256,
+        "kernel_variant": "canonical",
+    }
+    assert set(third["result"]) == {"matrix", "q", "value"}
+    code, out, _ = run_cli(capsys, "mahler", "--poly", "z - 2", "--format", "text")
+    assert code == 0 and out.startswith("M = 2.0")
+    assert run_json(capsys, "mahler", "--poly", "z - 5")["config"]["poly"] == "z - 5"
+
+
 def test_fkdet_finite_element(capsys):
     blob = run_json(capsys, "fkdet-finite", "--cyclic", "2", "--elem", "t+2")
     assert blob["result"]["group"] == {"kind": "cyclic", "order": 2}
@@ -246,6 +283,26 @@ def test_scan_box_two_variables(capsys):
     )
     assert code == 2
     assert "--grid" in err["message"]
+
+
+def test_scan_refusal_gives_no_method_hint(capsys):
+    # lehmer-scan has no --method option, so the refusal must not advise one
+    code, err = error_of(
+        capsys, "lehmer-scan", "--box", "1,1,1,1,1", "--support", "3",
+        "--variant", "lambda_1",
+    )
+    assert code == 1
+    assert "at most 3 outer variables, got 4" in err["message"]
+    assert "--method" not in err["message"]
+    # the front ends that do take --method add the advice
+    for argv in (
+        ("fkdet-zd", "--poly", "1 + z1^65 + z2^65"),
+        ("approx-chain", "--poly", "1 + z1^65 + z2^65", "--chain", "2..3"),
+    ):
+        code, err = error_of(capsys, *argv)
+        assert code == 1
+        assert "inner degree 65" in err["message"]
+        assert err["message"].endswith("; use --method quadrature")
 
 
 def test_scan_survey_csv(capsys):
@@ -371,8 +428,12 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, err = error_of(capsys, "fkdet-finite", "--group-file", str(path2),
                          "--elem", "t+1")
     assert code == 1
-    # the Boyd-Lawton ramp refuses past its degree budget
-    code, err = error_of(capsys, "fkdet-zd", "--poly", "1 + z1 + z2 + z3",
+    # the Boyd-Lawton ramp refuses past its degree budget: the column
+    # [1 + z1 + z2 + z3; 1] measures a Gram determinant of degree 1602
+    column = mat([["1 + z1 + z2 + z3"], ["1"]], rank=3)
+    path3 = tmp_path / "column.json"
+    path3.write_text(json.dumps(matrix_to_json(column)))
+    code, err = error_of(capsys, "fkdet-zd", "--matrix-file", str(path3),
                          "--method", "boyd_lawton")
     assert code == 1
     assert "budget" in err["message"] and "--method quadrature" in err["message"]

@@ -19,6 +19,7 @@ from fkdet.mahler import (
     log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
+    mahler_measure,
 )
 
 from helpers import mat
@@ -74,9 +75,10 @@ def test_weak_isomorphism_criterion():
 
 def test_injective_one_by_one():
     trace = fk_det_zd(mat([["z - 2"]]))
+    assert (trace.side, trace.route) == ("matrix", "det")
     assert trace.q == 0
     assert trace.B.rows == 0
-    assert trace.detD1 == parse_polynomial("5 - 2*z - 2*z^-1")
+    assert trace.detD1 == parse_polynomial("z - 2")
     assert trace.detD2.is_one()
     assert trace.value.method == "jensen"
     assert math.isclose(trace.value.value, 2.0, rel_tol=1e-12)
@@ -176,20 +178,88 @@ def test_one_variable_embedded_on_an_axis_keeps_its_value():
 
 def test_trace_invariants_and_serialization():
     rng = random.Random(127)
-    for _ in range(6):
-        a = rand_matrix(rng, 3, 2)
+    p = rand_poly(rng, 1)
+    q = rand_poly(rng, 1)
+    deficient = GroupRingMatrix([[p, q], [p, q], [p * 2, q * 2]], rank=1)
+    inputs = [rand_matrix(rng, 3, 2) for _ in range(6)] + [
+        rand_matrix(rng, 2, 2),
+        rand_matrix(rng, 1, 3),
+        deficient,
+        deficient.adjoint(),
+    ]
+    routes = set()
+    for a in inputs:
         trace = fk_det_zd(a)
-        assert trace.B.rows == trace.q
-        assert (trace.B @ a).is_zero()
-        assert trace.D1 == trace.B.adjoint() @ trace.B + a @ a.adjoint()
+        assert trace.side == ("matrix" if a.rows <= a.cols else "adjoint")
+        s = a if trace.side == "matrix" else a.adjoint()
+        assert trace.q == vn_dim_kernel_zd(a)
+        assert (trace.B @ s).is_zero()
+        if trace.route == "det":
+            assert trace.D1 == s
+        elif trace.route == "gram":
+            assert trace.D1 == s @ s.adjoint()
+        else:
+            assert trace.route == "kernel"
+            assert trace.B.rows == trace.q - (a.rows - s.rows) > 0
+            assert trace.D1 == trace.B.adjoint() @ trace.B + s @ s.adjoint()
         assert trace.D2 == trace.B @ trace.B.adjoint()
         assert trace.detD1 == trace.D1.det()
         assert trace.detD2 == trace.D2.det()
+        routes.add((trace.side, trace.route))
         blob = trace.as_json()
         assert matrix_from_json(blob["matrix"]) == a
         assert matrix_from_json(blob["B"]) == trace.B
+        assert (blob["side"], blob["route"]) == (trace.side, trace.route)
         assert blob["q"] == trace.q
         assert blob["value"]["value"] == trace.value.value
+    assert {("adjoint", "gram"), ("matrix", "det"), ("matrix", "gram")} <= routes
+    assert {("matrix", "kernel"), ("adjoint", "kernel")} <= routes
+
+
+def kernel_reduction_on_a(a, variant="canonical"):
+    """(value, error estimate) of the kernel reduction on A itself:
+    sqrt(M(det D1) / M(det D2)) with D1 = B*B + AA* and D2 = BB*."""
+    q, b = a.kernel_basis(variant)
+    m1 = mahler_measure((b.adjoint() @ b + a @ a.adjoint()).det())
+    m2 = mahler_measure((b @ b.adjoint()).det())
+    value = math.sqrt(m1.value / m2.value)
+    rel = m1.error_estimate / m1.value + m2.error_estimate / m2.value
+    return value, 0.5 * value * rel
+
+
+def test_short_side_reduction_matches_the_kernel_reduction_on_a():
+    rng = random.Random(131)
+    shapes = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+    inputs = [
+        rand_matrix(rng, r, c, rank)
+        for rank in (1, 2)
+        for r, c in shapes
+        for _ in range(2)
+    ]
+    deficient = []
+    for rank in (1, 2):
+        row = [rand_poly(rng, rank) for _ in range(3)]
+        other = [rand_poly(rng, rank) for _ in range(3)]
+        deficient.append(GroupRingMatrix([row, other, row], rank=rank))
+        zero = LaurentPolynomial.zero(rank)
+        deficient.append(GroupRingMatrix([[p, zero] for p in row], rank=rank))
+    assert all(vn_dim_kernel_zd(a) > 0 for a in deficient)
+    for a in inputs + deficient:
+        trace = fk_det_zd(a)
+        got = trace.value
+        assert trace.q == vn_dim_kernel_zd(a)
+        want, want_error = kernel_reduction_on_a(a)
+        assert abs(got.value - want) <= got.error_estimate + want_error, a
+        if a.rows == a.cols and trace.q == 0:
+            det = a.det()
+            assert (a @ a.adjoint()).det() == det * det.adjoint()
+            assert trace.route == "det" and trace.detD1 == det
+    for a in deficient:
+        assert fk_det_zd(a).route == "kernel"
+        canonical = fk_det_zd(a, kernel_variant="canonical").value
+        reversed_ = fk_det_zd(a, kernel_variant="reversed").value
+        bound = canonical.error_estimate + reversed_.error_estimate
+        assert abs(canonical.value - reversed_.value) <= bound
 
 
 def test_matrix_json_round_trip_and_errors():
@@ -304,17 +374,18 @@ def test_specialization_rejects_bad_schedules():
         mahler_boyd_lawton(det_d1, [(0,)])
     with pytest.raises(ValueError, match="expected 1"):
         mahler_boyd_lawton(det_d1, [(3, 5)])
-    # det D1 = 2 - z1/z2 - z2/z1 collapses under z2 -> z1
+    # det D1 = z1 - z2 collapses under z2 -> z1
     collapsing = fk_det_zd(mat([["z1 - z2"]], rank=2)).detD1
     with pytest.raises(ValueError, match="collapsed"):
         mahler_boyd_lawton(collapsing, [(1,)])
 
 
 def test_boyd_lawton_refuses_over_the_degree_budget():
-    # det D1 of 1 + z1 + z2 + z3 specializes to degree 1602 at the last tuple
+    # the column [p; 1] with p = 1 + z1 + z2 + z3 has det D1 = pp* + 1, which
+    # specializes to degree 1602 at the last tuple
     start = time.perf_counter()
     with pytest.raises(ValueError, match="degree 1602.*budget 1024.*quadrature"):
-        fk_det_zd(mat([["1 + z1 + z2 + z3"]], rank=3), "boyd_lawton")
+        fk_det_zd(mat([["1 + z1 + z2 + z3"], ["1"]], rank=3), "boyd_lawton")
     assert time.perf_counter() - start < 1.0
 
 
@@ -327,8 +398,8 @@ def test_auto_is_fibrewise_jensen_in_several_variables():
 
 
 def test_determinant_one_stays_exact_in_several_variables():
-    # cyclotomic factors give det D1 double roots on the unit circle in
-    # every fibre; the collinear route, the gcd split and (for the last,
+    # cyclotomic factors give det D1 roots on the unit circle in every
+    # fibre; the collinear route, the gcd split and (for the last,
     # whose det D1 has neither) the unit band keep the value at 1
     for rows in (
         [["1 - z1*z2"]],
@@ -341,8 +412,8 @@ def test_determinant_one_stays_exact_in_several_variables():
 
 
 def test_estimate_covers_roots_clustering_on_the_circle():
-    # det D1 = |p|^2 has a double root on the unit circle in every fibre,
-    # and near z2 = -1 two more roots join it; M(p) = M(2 + z1 + z2) = 2
+    # det D1 = p has a root on the unit circle in every fibre, and near
+    # z2 = -1 another root joins it; M(p) = M(2 + z1 + z2) = 2
     p = parse_polynomial("1 - z1*z2", rank=2) * parse_polynomial("2 + z1 + z2")
     got = fk_det_zd(GroupRingMatrix([[p]], rank=2)).value
     assert got.method == "jensen"
