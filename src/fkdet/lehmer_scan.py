@@ -38,6 +38,7 @@ from .laurent import (
     parse_polynomial,
 )
 from .mahler import (
+    face_lower_bound,
     is_cyclotomic_product,
     line_coeffs,
     mahler_measure,
@@ -61,6 +62,12 @@ RAW_ENUMERATION_CAP = 5 * 10**7
 # out, so a candidate whose measure equals the bound (z^3 - z - 1 attains
 # Smyth's constant) is still evaluated and the tie rule sees it
 _BOUND_SLACK = 1.0 - 1e-9
+
+# a face bound rules out an element that fibrewise Jensen would measure, to
+# within estimates of up to 2.1e-4 relative on box 2,2; it is scaled by this,
+# so an element whose measure equals its face bound (2 - z2 + z2*z3 measures
+# exactly 2 and reads 4.6e-9 low) is still measured
+_FACE_SLACK = 1.0 - 1e-3
 
 
 @dataclass(frozen=True)
@@ -432,20 +439,22 @@ class _LaurentSpace:
         return GroupRingMatrix(rows, rank=self.rank)
 
     def screen(self, vec: tuple) -> tuple | None:
-        """(determinant one, measure lower bound) of an element with
-        collinear support, from its integer coefficients alone; None for
-        matrices and for elements with non-collinear support, which
-        ``evaluate`` measures.  Such an element is nonzero, hence
-        injective."""
+        """(proven determinant one, measure lower bound) of an element, from
+        its integer coefficients alone; None for matrices, which
+        ``evaluate`` measures.  Determinant one is proven only for collinear
+        support; a non-collinear element gets the bound of its faces, and
+        ``evaluate`` decides whether its measure is one.  An element is
+        nonzero, hence injective."""
         if self.space.shape != (1, 1):
             return None
         if self.rank == 1:
             # the shift-down anchor puts a term at z^0: vec is the line
             line = vec
         else:
-            line = line_coeffs({self.exps[i]: c for i, c in enumerate(vec) if c})
+            terms = {self.exps[i]: c for i, c in enumerate(vec) if c}
+            line = line_coeffs(terms)
             if line is None:
-                return None
+                return False, face_lower_bound(terms) * _FACE_SLACK
         bound = measure_lower_bound(line)
         if bound == 1.0 and is_cyclotomic_product(line):
             return True, 1.0
@@ -454,6 +463,8 @@ class _LaurentSpace:
     def injective(self, m: GroupRingMatrix) -> bool:
         if self.space.shape == (1, 1):
             return not m.entries[0][0].is_zero()
+        if self.rows == self.cols:
+            return not m.det().is_zero()
         return vn_dim_kernel_zd(m) == 0
 
     def evaluate(self, m, one_threshold):
@@ -513,8 +524,11 @@ def scan(
     The weak variants discard candidates that are not injective before any
     determinant is computed.  ``budget`` caps determinant evaluations; a
     scan that hits it stops and returns a partial report flagged
-    ``budget_exceeded``.  Ties in the infimum keep the earliest candidate
-    in enumeration order, so reports are deterministic for a fixed space.
+    ``budget_exceeded``.  A candidate whose exact measure lower bound lies
+    above the floor (``1 + one_threshold``, or 1.5 for a survey) is held
+    and measured after the stream, and only if its bound is at most the
+    least value found by then.  Ties in the infimum keep the earliest candidate in
+    enumeration order, so reports are deterministic for a fixed space.
     Over Z^d every determinant is measured by the ``auto`` method, fibrewise
     Jensen; a candidate it refuses ends the scan with its ValueError.
     """
@@ -544,12 +558,35 @@ def scan(
     evaluated = 0
     det_one = 0
     exceeded = False
-    best = None  # (value, FKValue, matrix)
+    best = None  # (value, enumeration index, FKValue, matrix)
     rows: list = []
-    # a candidate whose measure lower bound exceeds this cutoff can be
-    # neither determinant one, the infimum, nor a survey row
+    # a candidate whose measure lower bound exceeds the floor can be neither
+    # determinant one nor a survey row, and one whose bound exceeds the
+    # cutoff cannot be the infimum either; the first kind is held back and
+    # measured after the stream only if the cutoff has not fallen below it
     floor = max(1.0 + one_threshold, 1.5 if survey else 0.0)
     cutoff = math.inf
+    held: list = []  # (enumeration index, bound, vec) with floor < bound <= cutoff
+
+    def measure(index, m):
+        nonlocal det_one, best, cutoff, held
+        value, is_one = ctx.evaluate(m, one_threshold)
+        if is_one:
+            det_one += 1
+            return
+        if survey and value.value <= 1.5:
+            texts = ctx.entry_texts(m)
+            text = (
+                texts[0]
+                if space.shape == (1, 1)
+                else _matrix_text(texts, *space.shape)
+            )
+            rows.append((text, value.value))
+        # ties keep the earliest candidate in enumeration order
+        if best is None or (value.value, index) < best[:2]:
+            best = (value.value, index, value, m)
+            cutoff = max(best[0], floor)
+            held = [h for h in held if h[1] <= cutoff]
 
     for vec in ctx.stream():
         screen = ctx.screen(vec)
@@ -572,29 +609,22 @@ def scan(
                 continue
             if bound > cutoff:
                 continue
-        if m is None:
-            m = ctx.build(vec)
-        value, is_one = ctx.evaluate(m, one_threshold)
-        if is_one:
-            det_one += 1
-            continue
-        if survey and value.value <= 1.5:
-            texts = ctx.entry_texts(m)
-            text = (
-                texts[0]
-                if space.shape == (1, 1)
-                else _matrix_text(texts, *space.shape)
-            )
-            rows.append((text, value.value))
-        if best is None or value.value < best[0]:
-            best = (value.value, value, m)
-            cutoff = max(best[0], floor)
+            if bound > floor:
+                held.append((examined, bound, vec))
+                continue
+        measure(examined, m if m is not None else ctx.build(vec))
+
+    # measure rebinds held when the cutoff falls; this walks the list as it
+    # stood when the stream ended and rechecks each bound instead
+    for index, bound, vec in held:
+        if bound <= cutoff:
+            measure(index, ctx.build(vec))
 
     return ScanReport(
         space=space,
         variant=variant,
-        infimum_found=None if best is None else best[1],
-        witness=None if best is None else ctx.witness_json(best[2]),
+        infimum_found=None if best is None else best[2],
+        witness=None if best is None else ctx.witness_json(best[3]),
         count_examined=examined,
         count_det_one=det_one,
         one_threshold=one_threshold,

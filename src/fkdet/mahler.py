@@ -268,6 +268,28 @@ def line_coeffs(terms: dict) -> list | None:
     return out
 
 
+def face_lower_bound(terms: dict) -> float:
+    """A lower bound for the Mahler measure of a nonzero integer Laurent
+    polynomial in any number of variables, given as {exponents: coeff}.
+
+    By Jensen's formula along one axis, M(p) >= M(c) for c the coefficient
+    of the highest or of the lowest power of that axis, itself a polynomial
+    in the other axes.  Faces are taken recursively until the support is
+    collinear, where ``measure_lower_bound`` applies.
+    """
+    line = line_coeffs(terms)
+    if line is not None:
+        return measure_lower_bound(line)
+    bound = 1.0
+    for a in range(len(next(iter(terms)))):
+        levels = {e[a] for e in terms}
+        if len(levels) > 1:
+            for level in (min(levels), max(levels)):
+                face = {e: c for e, c in terms.items() if e[a] == level}
+                bound = max(bound, face_lower_bound(face))
+    return bound
+
+
 def squarefree_decomposition(coeffs: list) -> list:
     """Yun decomposition of a primitive integer polynomial.
 

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from fkdet import lehmer_scan
 from fkdet.fk_finite import FiniteGroup, make_cyclic
+from fkdet.fk_zd import vn_dim_kernel_zd
 from fkdet.laurent import format_polynomial, parse_polynomial
 from fkdet.lehmer_scan import (
+    DEFAULT_ONE_THRESHOLD,
     SearchSpace,
     _FiniteSpace,
     _LaurentSpace,
@@ -23,13 +26,20 @@ from fkdet.lehmer_scan import (
 from fkdet.mahler import (
     SMYTH_THETA0,
     is_cyclotomic_product,
+    line_coeffs,
     mahler_jensen,
     mahler_measure,
 )
-from fkdet.values import Radical
+from fkdet.values import FKValue, Radical
+
+from helpers import rand_poly
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
+# Lehmer's measure truncated: by Boyd-Lawton every measure above 1 over Z^d
+# is a limit of one-variable ones, so no Z^d element scan may go below it
+# unless Lehmer's conjecture fails
+LEHMER_FLOOR = 1.1762808182599
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 SMYTH_TWO_VAR = 1.3813564445184977  # M(1 + z1 + z2)
 
@@ -167,9 +177,23 @@ def test_scan_bounded_by_exact_table():
 # golden scans over Z^d
 
 
-def test_z_scan_finds_lehmer_polynomial():
+def test_z_scan_finds_lehmer_polynomial(monkeypatch):
+    calls = 0
+    evaluate = _LaurentSpace.evaluate
+
+    def counted(self, m, one_threshold):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, m, one_threshold)
+
+    monkeypatch.setattr(_LaurentSpace, "evaluate", counted)
     report = scan(zd_space((10,), coeff_bound=1), "lambda_1")
+    # candidates bounded above the floor wait for the stream's final cutoff:
+    # Smyth's constant bounds the 795 non-reciprocal ones above the
+    # infimum, so none of them is measured (1 221 measures without holding)
+    assert calls == 426
     assert report.infimum_found.value == pytest.approx(LEHMER_MEASURE, abs=1e-9)
+    assert report.infimum_found.value >= LEHMER_FLOOR
     assert parse_polynomial(report.witness["text"]) == parse_polynomial(LEHMER)
     assert report.count_examined == 29888
     assert report.count_det_one == 301
@@ -256,14 +280,14 @@ def _orbit_representatives(space):
     return reps
 
 
-def _brute_force(space, survey=False):
-    """Every orbit representative through the float measure and the float
-    rule."""
+def _brute_force(space, survey=False, limit=None):
+    """Every orbit representative, or the first ``limit`` of them, through
+    the float measure and the float rule."""
     ctx = _LaurentSpace(space)
     examined = det_one = 0
     best = None
     rows = []
-    for vec in _orbit_representatives(space):
+    for vec in _orbit_representatives(space)[:limit]:
         p = ctx.build(vec).entries[0][0]
         examined += 1
         if p.rank == 1:
@@ -294,8 +318,11 @@ def _brute_force(space, survey=False):
 
 @pytest.mark.parametrize(
     "space, survey",
-    [(zd_space((b,), coeff_bound=1), False) for b in range(8)]
+    [(zd_space((b,), coeff_bound=1), False) for b in range(9)]
     + [
+        # held candidates are ruled out once the stream has lowered the
+        # cutoff below their bounds
+        (zd_space((8,), coeff_bound=1, support=5), False),
         (zd_space((3,), coeff_bound=2), False),
         (zd_space((2, 2), coeff_bound=1, support=3), False),
         (zd_space((6,), coeff_bound=1), True),
@@ -316,6 +343,35 @@ def test_scan_matches_brute_force(space, survey):
         assert report.witness["text"] == best[1]
     if survey:
         assert list(report.survey) == rows
+
+
+def test_budget_drains_held_candidates():
+    # the partial report still measures the held candidates whose bound is
+    # under the cutoff the first 1 000 representatives reached
+    space = zd_space((8,), coeff_bound=1)
+    report = scan(space, "lambda_1", budget=1000)
+    examined, det_one, best, _ = _brute_force(space, limit=1000)
+    assert report.budget_exceeded is True
+    assert (report.count_examined, report.count_det_one) == (examined, det_one)
+    assert report.infimum_found.value == best[0]
+    assert report.witness["text"] == best[1]
+
+
+def test_held_candidate_keeps_the_tie(monkeypatch):
+    # every candidate measures 2 and only the first is held back: measured
+    # last, it still wins the tie as the earliest in enumeration order
+    space = zd_space((2,), coeff_bound=1)
+    ctx = _LaurentSpace(space)
+    first = next(ctx.stream())
+    monkeypatch.setattr(
+        _LaurentSpace, "screen", lambda self, vec: (False, 2.0 if vec == first else 1.0)
+    )
+    monkeypatch.setattr(
+        _LaurentSpace, "evaluate", lambda self, m, t: (FKValue(2.0, "jensen", 0.0), False)
+    )
+    report = scan(space, "lambda_1")
+    assert report.count_examined > 1
+    assert report.witness["text"] == format_polynomial(ctx.build(first).entries[0][0])
 
 
 class _ReferenceLaurentFilter:
@@ -617,6 +673,44 @@ def test_z2_scan_counts_every_generalized_cyclotomic(space, examined, det_one):
     assert report.infimum_found.value == pytest.approx(
         SMYTH_TWO_VAR, abs=report.infimum_found.error_estimate
     )
+    assert report.infimum_found.value >= LEHMER_FLOOR
+
+
+@pytest.mark.parametrize(
+    "space", [zd_space((2, 1)), zd_space((2, 2), support=3)], ids=["box2,1", "box2,2-s3"]
+)
+def test_screen_bound_stays_under_the_measure(space):
+    ctx = _LaurentSpace(space)
+    faces = 0
+    for vec in ctx.stream():
+        exact_one, bound = ctx.screen(vec)
+        if exact_one:
+            continue
+        m = ctx.build(vec)
+        value, _ = ctx.evaluate(m, DEFAULT_ONE_THRESHOLD)
+        assert bound <= value.value - value.error_estimate
+        faces += line_coeffs(m.entries[0][0].terms) is None
+    assert faces > 0
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_face_bound_stays_under_the_measure(rank):
+    # the generator of acceptance criterion 8, through the scan's screen
+    ctx = _LaurentSpace(zd_space((1,) * rank, coeff_bound=2))
+    rng = random.Random(80 + rank)
+    seen = faces = 0
+    while seen < 100:
+        p = rand_poly(rng, rank, max_exp=1)
+        if p.is_zero():
+            continue
+        seen += 1
+        exact_one, bound = ctx.screen(tuple(int(p.coefficient(e)) for e in ctx.exps))
+        if exact_one:
+            continue
+        value = mahler_measure(p)
+        assert bound <= value.value - value.error_estimate
+        faces += line_coeffs(p.terms) is None
+    assert faces > 0
 
 
 def test_z3_element_scan_measures_by_fibrewise_jensen():
@@ -625,6 +719,7 @@ def test_z3_element_scan_measures_by_fibrewise_jensen():
     assert report.infimum_found.value == pytest.approx(
         SMYTH_TWO_VAR, abs=report.infimum_found.error_estimate
     )
+    assert report.infimum_found.value >= LEHMER_FLOOR
     assert len(parse_polynomial(report.witness["text"], rank=3).terms) == 3
 
 
@@ -635,6 +730,21 @@ def test_zd_element_path_raises_the_jensen_refusal():
     witness = {"kind": "element", "rank": 5, "text": "1 + z1*z2*z3 + z4*z5"}
     with pytest.raises(ValueError, match="at most 3 outer variables"):
         witness_value(zd_space((1, 1, 1, 1, 1)), witness)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        zd_space((1,), shape=(2, 2), coeff_bound=1),
+        zd_space((1, 1), shape=(2, 2), coeff_bound=1, support=3),
+    ],
+)
+def test_square_injectivity_agrees_with_the_kernel(space):
+    # a square candidate is injective exactly when its determinant is nonzero
+    ctx = _LaurentSpace(space)
+    for vec in ctx.stream():
+        m = ctx.build(vec)
+        assert ctx.injective(m) == (vn_dim_kernel_zd(m) == 0)
 
 
 def test_zd_matrix_scan():

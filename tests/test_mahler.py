@@ -18,6 +18,7 @@ from fkdet.mahler import (
     FIBRE_MAX_DEGREE,
     SMYTH_THETA0,
     default_bl_schedule,
+    face_lower_bound,
     is_cyclotomic_product,
     line_coeffs,
     log_mahler_quadrature,
@@ -246,6 +247,23 @@ def test_measure_lower_bound():
     # Smyth's constant is the measure of z^3 - z - 1 to the last digit
     theta = mahler_jensen(parse_polynomial("z^3 - z - 1")).value
     assert theta == pytest.approx(SMYTH_THETA0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        ("1 + z1 + z2", 1.0),
+        ("2 + z1 + z2", 2.0),  # the face 2 + z2 at the lowest power of z1
+        ("z2^3 - z2 - 1 + z1", SMYTH_THETA0),
+        # the face 5 + z1 + z2 at the top power of z3 is not collinear
+        ("1 + z1 + z1*z2 + 5*z3 + z1*z3 + z2*z3", 5.0),
+    ],
+)
+def test_face_lower_bound(text, bound):
+    p = parse_polynomial(text, rank=3)
+    assert face_lower_bound({e: int(c) for e, c in p.terms.items()}) == bound
+    value = mahler_measure(p)
+    assert value.value + value.error_estimate >= bound
 
 
 def test_exact_screen_agrees_with_jensen():
