@@ -536,7 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", default="1,1", metavar="R,C", help="matrix shape")
     p.add_argument("--coeff-bound", type=int, default=1, help="max |coefficient|")
     p.add_argument("--support", type=int, help="max nonzero coefficient count")
-    p.add_argument("--budget", type=int, help="determinant evaluation budget")
+    p.add_argument(
+        "--budget",
+        type=int,
+        help="most candidates admitted (examined, and injective for the weak "
+        "variants) before the scan stops",
+    )
     p.add_argument("--one-threshold", type=float, default=DEFAULT_ONE_THRESHOLD)
     p.add_argument("--survey", action="store_true", help="collect values in (1, 1.5]")
 

@@ -82,9 +82,13 @@ def rank_det_exact(rows: Matrix) -> tuple:
     """Rank over the rationals and the determinant, from one elimination.
 
     The determinant is 0 for a singular or non-square matrix, an int when
-    the entries are integers, else a Fraction.
+    the entries are integers, else a Fraction.  The input is not modified;
+    rows of plain ints are copied as they are, others scaled to integers.
     """
-    ints, scale = _clear_denominators(rows)
+    if all(type(x) is int for row in rows for x in row):
+        ints, scale = [list(row) for row in rows], 1
+    else:
+        ints, scale = _clear_denominators(rows)
     rank, last = _eliminate(ints)
     if rank < len(rows) or (rows and len(rows[0]) != len(rows)):
         return rank, 0

@@ -10,13 +10,18 @@ coefficient is the product of the nonzero eigenvalues.  Over a cyclic
 group a matrix with one row or one column skips the n x n representation:
 its determinant is a norm, a product over the characters, which
 cyclic_norm computes from a resultant.  All routes give exact radical
-values for integer inputs.
+values for integer inputs.  The regular representation is picked straight
+out of the matrix's flat coefficient vector by rep_getters, so a caller with
+many matrices of one shape, such as the Lehmer scan, hands those vectors to
+fk_det_kernel_flat and builds no group ring objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -421,6 +426,41 @@ def _as_matrix(a) -> FiniteGroupRingMatrix:
     raise ValueError("expected a group ring element or matrix")
 
 
+def _picker(idx: list):
+    """The entries of a vector at ``idx``, as a tuple even for one index or
+    none."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda vec: (vec[i],)
+    if not idx:
+        return lambda vec: ()
+    return operator.itemgetter(*idx)
+
+
+def rep_getters(group: FiniteGroup, rows: int, cols: int) -> tuple:
+    """One getter per row of regular_rep of a rows x cols matrix, which
+    picks that row out of the matrix's flat, entry-major coefficient vector.
+
+    Entry (i, j) starts at (i*cols + j)*n, and block [u][v] picks the
+    coefficient of table[inv v][u] = inv(v)*u.
+    """
+    n = group.order
+    # column v of every block reads along row inv(v) of the table
+    lines = [group.table[group.inverses[v]] for v in range(n)]
+    return tuple(
+        _picker([(i * cols + j) * n + line[u] for j in range(cols) for line in lines])
+        for i in range(rows)
+        for u in range(n)
+    )
+
+
+def _flatten(mat: FiniteGroupRingMatrix) -> tuple:
+    """The entry-major coefficient vector of a matrix."""
+    return tuple(
+        itertools.chain.from_iterable(x.coeffs for row in mat.entries for x in row)
+    )
+
+
 def regular_rep(a) -> list:
     """The rational matrix of right multiplication on the group basis.
 
@@ -429,20 +469,8 @@ def regular_rep(a) -> list:
     is the coefficient of inv(v)*u.
     """
     mat = _as_matrix(a)
-    g = mat.group
-    n = g.order
-    out = [[0] * (mat.cols * n) for _ in range(mat.rows * n)]
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            coeffs = mat.entries[i][j].coeffs
-            for v in range(n):
-                iv = g.inv(v)
-                row_iv = g.table[iv]
-                for u in range(n):
-                    c = coeffs[row_iv[u]]
-                    if c:
-                        out[i * n + u][j * n + v] = c
-    return out
+    vec = _flatten(mat)
+    return [list(get(vec)) for get in rep_getters(mat.group, mat.rows, mat.cols)]
 
 
 def _radical_value(q, root: int, method: str) -> FKValue:
@@ -623,28 +651,59 @@ def fk_det_kernel_finite(a, singular_det: bool = True) -> tuple:
     for its determinant.
     """
     mat = _as_matrix(a)
-    group = mat.group
+    return fk_det_kernel_flat(
+        _flatten(mat), mat.group, (mat.rows, mat.cols), singular_det=singular_det
+    )
+
+
+def fk_det_kernel_flat(
+    vec, group: FiniteGroup, shape, getters=None, singular_det=True, radicals=None
+) -> tuple:
+    """fk_det_kernel_finite of the matrix of the given shape whose
+    entry-major coefficient vector is ``vec``: entry (i, j) holds
+    vec[(i*cols + j)*n : (i*cols + j + 1)*n].
+
+    ``getters`` is rep_getters(group, *shape), built here when not given.
+    ``radicals`` is a dict that keeps each regular_rep value by its
+    determinant and root, so a caller evaluating many matrices over one
+    group builds each radical once.
+    """
+    rows, cols = shape
     n = group.order
-    if min(mat.rows, mat.cols) == 1 and _is_cyclic_table(group):
-        entries = [dict(enumerate(x.coeffs)) for row in mat.entries for x in row]
-        return cyclic_stages(entries, mat.rows, (n,))[0]
-    rep = regular_rep(mat)
+    if min(rows, cols) == 1 and _is_cyclic_table(group):
+        entries = [dict(enumerate(vec[k : k + n])) for k in range(0, len(vec), n)]
+        return cyclic_stages(entries, rows, (n,))[0]
+    if getters is None:
+        getters = rep_getters(group, rows, cols)
+    rep = [get(vec) for get in getters]
     rank, d = rank_det_exact(rep)
-    kernel = Fraction(mat.rows * n - rank, n)
+    kernel = Fraction(rows * n - rank, n)
     if d:
-        return _radical_value(d, n, "regular_rep"), kernel
+        return _rep_value(d, n, radicals), kernel
     if not singular_det:
         return None, kernel
-    if mat.rows == 0 or mat.cols == 0:
+    if rows == 0 or cols == 0:
         return fk_exact(Radical(1), "regular_rep"), kernel
     # Gram route: the lowest nonzero characteristic coefficient is the
     # product of the nonzero eigenvalues; take the smaller Gram matrix
-    if mat.rows <= mat.cols:
+    if rows <= cols:
         gram = mat_mul_exact(rep, mat_transpose(rep))
     else:
         gram = mat_mul_exact(mat_transpose(rep), rep)
     q0 = next(c for c in charpoly_berkowitz(gram) if c != 0)
-    return _radical_value(q0, 2 * n, "regular_rep"), kernel
+    return _rep_value(q0, 2 * n, radicals), kernel
+
+
+def _rep_value(q, root: int, radicals) -> FKValue:
+    """_radical_value of the regular_rep route, looked up in ``radicals``
+    (a dict, or None for no memo) before it is built."""
+    if radicals is None:
+        return _radical_value(q, root, "regular_rep")
+    key = (abs(q), root)
+    value = radicals.get(key)
+    if value is None:
+        value = radicals[key] = _radical_value(q, root, "regular_rep")
+    return value
 
 
 def fk_det_finite(a) -> FKValue:

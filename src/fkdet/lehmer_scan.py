@@ -24,9 +24,11 @@ from .fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
+    _picker,
     fk_det_finite,
-    fk_det_kernel_finite,
+    fk_det_kernel_flat,
     format_element,
+    rep_getters,
 )
 from .fk_zd import fk_det_zd, vn_dim_kernel_zd
 from .laurent import (
@@ -215,14 +217,6 @@ def _vectors(positions: int, bound: int, support: int | None):
                 yield tuple(v)
 
 
-def _picker(idx: list):
-    """The entries of a vector at ``idx``, as a tuple even for one index."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda vec: (vec[i],)
-    return operator.itemgetter(*idx)
-
-
 class _FiniteSpace:
     """Enumeration context for matrices over a finite group ring."""
 
@@ -232,7 +226,10 @@ class _FiniteSpace:
         self.rows, self.cols = space.shape
         n = self.group.order
         self.n = n
-        self.carried = (None, None)  # (matrix, determinant) from injective
+        self.carried = (None, None)  # (vector, determinant) from injective
+        # candidates are evaluated straight from their coefficient vectors
+        self.getters = rep_getters(self.group, self.rows, self.cols)
+        self.radicals: dict = {}
         p = space.positions()
         self.zero = (0,) * p
         # every image of a vector under a left translation g and, for a
@@ -279,7 +276,12 @@ class _FiniteSpace:
                 return False
         return True
 
-    def build(self, vec: tuple) -> FiniteGroupRingMatrix:
+    def build(self, vec: tuple) -> tuple:
+        """A candidate is its own coefficient vector; ``matrix`` makes the
+        group ring matrix for survey rows and the witness."""
+        return vec
+
+    def matrix(self, vec: tuple) -> FiniteGroupRingMatrix:
         n = self.n
         rows = []
         for i in range(self.rows):
@@ -296,23 +298,29 @@ class _FiniteSpace:
         """No exact screen over a finite group: every candidate is evaluated."""
         return None
 
-    def injective(self, m: FiniteGroupRingMatrix) -> bool:
+    def _det_kernel(self, vec: tuple, singular_det: bool) -> tuple:
+        return fk_det_kernel_flat(
+            vec, self.group, self.space.shape, self.getters, singular_det, self.radicals
+        )
+
+    def injective(self, vec: tuple) -> bool:
         # the elimination that finds the kernel of a square matrix holds its
         # determinant too; evaluate takes it from here
-        det, kernel = fk_det_kernel_finite(m, singular_det=False)
-        self.carried = (m, det)
+        det, kernel = self._det_kernel(vec, False)
+        self.carried = (vec, det)
         return kernel == 0
 
-    def evaluate(self, m, one_threshold):
+    def evaluate(self, vec, one_threshold):
         carried, v = self.carried
-        if carried is not m or v is None:
-            v = fk_det_finite(m)
+        if carried is not vec or v is None:
+            v = self._det_kernel(vec, True)[0]
         return v, v.value < 1.0 + one_threshold
 
-    def entry_texts(self, m) -> list:
-        return [format_element(x) for row in m.entries for x in row]
+    def entry_texts(self, vec) -> list:
+        return [format_element(x) for row in self.matrix(vec).entries for x in row]
 
-    def witness_json(self, m) -> dict:
+    def witness_json(self, vec) -> dict:
+        m = self.matrix(vec)
         if self.space.shape == (1, 1):
             x = m.entries[0][0]
             return {
@@ -324,7 +332,7 @@ class _FiniteSpace:
             "kind": "matrix",
             "rows": self.rows,
             "cols": self.cols,
-            "entries": self.entry_texts(m),
+            "entries": self.entry_texts(vec),
             "coeffs": [
                 [int(c) for c in x.coeffs] for row in m.entries for x in row
             ],
@@ -522,8 +530,11 @@ def scan(
     """Exhaust the space and report the least determinant above 1.
 
     The weak variants discard candidates that are not injective before any
-    determinant is computed.  ``budget`` caps determinant evaluations; a
-    scan that hits it stops and returns a partial report flagged
+    determinant is computed.  ``budget`` caps the admitted candidates:
+    every candidate of a plain variant, the injective ones of a weak
+    variant, whether the exact screen decides it, holds it, skips it or
+    it is measured.  A scan whose next admitted candidate would exceed the
+    budget stops and returns a partial report flagged
     ``budget_exceeded``.  A candidate whose exact measure lower bound lies
     above the floor (``1 + one_threshold``, or 1.5 for a survey) is held
     and measured after the stream, and only if its bound is at most the

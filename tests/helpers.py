@@ -1,5 +1,8 @@
 """Shared builders for the test modules."""
 
+import itertools
+
+from fkdet.fk_finite import FiniteGroup
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 
 
@@ -18,3 +21,14 @@ def rand_poly(rng, rank=1, bound=2, max_exp=3):
         e = tuple(rng.randrange(0, max_exp + 1) for _ in range(rank))
         terms[e] = terms.get(e, 0) + rng.randrange(-bound, bound + 1)
     return LaurentPolynomial(rank, terms)
+
+
+def symmetric_group_3() -> FiniteGroup:
+    """S3 on the permutations of 0, 1, 2 in lexicographic order; (a*b)(i)
+    is a(b(i)), and the group is not abelian."""
+    perms = list(itertools.permutations(range(3)))
+    table = [
+        [perms.index(tuple(a[b[i]] for i in range(3))) for b in perms]
+        for a in perms
+    ]
+    return FiniteGroup(table, 0)

@@ -13,6 +13,8 @@ from fkdet.fk_finite import (
     FiniteGroupRingMatrix,
     direct_product,
     fk_det_finite,
+    fk_det_kernel_finite,
+    fk_det_kernel_flat,
     format_element,
     induce,
     make_cyclic,
@@ -20,10 +22,13 @@ from fkdet.fk_finite import (
     norm_element,
     parse_element,
     regular_rep,
+    rep_getters,
     restrict,
     vn_dim_kernel_finite,
 )
 from fkdet.values import Radical
+
+from helpers import symmetric_group_3
 
 # a Latin square with two-sided identity 0 that is not a group
 NON_ASSOCIATIVE_LOOP = [
@@ -251,6 +256,79 @@ def test_regular_rep_matrix_blocks():
     rep = regular_rep(a)
     assert len(rep) == 2 and len(rep[0]) == 4
     assert rep == [[1, 1, 1, 0], [1, 1, 0, 1]]
+
+
+def regular_rep_by_definition(mat):
+    """regular_rep written out from its definition: block [u][v] of entry
+    (i, j) is the coefficient of inv(v)*u."""
+    g, n = mat.group, mat.group.order
+    return [
+        [
+            mat.entries[i][j].coeffs[g.mul(g.inv(v), u)]
+            for j in range(mat.cols)
+            for v in range(n)
+        ]
+        for i in range(mat.rows)
+        for u in range(n)
+    ]
+
+
+def rand_coeff(rng):
+    if rng.random() < 0.3:
+        return Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    return rng.randrange(-2, 3)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [make_cyclic(4), direct_product(make_cyclic(2), make_cyclic(2)), symmetric_group_3()],
+    ids=["Z4", "klein", "S3"],
+)
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2)], ids=["1x1", "2x3", "3x2"])
+def test_regular_rep_layout_matches_definition(group, shape):
+    rng = random.Random("%d:%s" % (group.order, shape))
+    rows, cols = shape
+    getters = rep_getters(group, rows, cols)
+    for _ in range(8):
+        mat = FiniteGroupRingMatrix(
+            group,
+            [
+                [
+                    FiniteGroupRingElement(
+                        group, [rand_coeff(rng) for _ in range(group.order)]
+                    )
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ],
+        )
+        want = regular_rep_by_definition(mat)
+        assert regular_rep(mat) == want
+        assert all(type(row) is list for row in regular_rep(mat))
+        vec = tuple(c for row in mat.entries for x in row for c in x.coeffs)
+        assert [list(get(vec)) for get in getters] == want
+        # the flat entry point is the route of fk_det_kernel_finite, which
+        # builds its own getters
+        assert fk_det_kernel_flat(vec, group, shape, getters) == (
+            fk_det_kernel_finite(mat)
+        )
+        assert fk_det_kernel_flat(vec, group, shape, getters, False) == (
+            fk_det_kernel_finite(mat, singular_det=False)
+        )
+
+
+def test_radical_memo_keeps_values():
+    # a memo shared across matrices hands back the value built for the
+    # first determinant of each size, identical to a fresh one
+    group = make_cyclic_product((2, 2))
+    rng = random.Random(5)
+    radicals = {}
+    for _ in range(40):
+        mat = rand_matrix(rng, group, 2, 2, bound=1)
+        vec = tuple(c for row in mat.entries for x in row for c in x.coeffs)
+        got = fk_det_kernel_flat(vec, group, (2, 2), None, True, radicals)
+        assert got == fk_det_kernel_finite(mat)
+    assert radicals
 
 
 # ---------------------------------------------------------------------------

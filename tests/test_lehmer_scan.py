@@ -1,5 +1,6 @@
 """Exhaustive Lehmer-constant scans and the exact-value table."""
 
+import functools
 import itertools
 import math
 import random
@@ -8,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 from fkdet import lehmer_scan
-from fkdet.fk_finite import FiniteGroup, make_cyclic
+from fkdet.fk_finite import (
+    FiniteGroup,
+    FiniteGroupRingElement,
+    FiniteGroupRingMatrix,
+    fk_det_kernel_finite,
+    format_element,
+    make_cyclic,
+)
 from fkdet.fk_zd import vn_dim_kernel_zd
 from fkdet.laurent import format_polynomial, parse_polynomial
 from fkdet.lehmer_scan import (
@@ -32,7 +40,7 @@ from fkdet.mahler import (
 )
 from fkdet.values import FKValue, Radical
 
-from helpers import rand_poly
+from helpers import rand_poly, symmetric_group_3
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
@@ -46,6 +54,7 @@ SMYTH_TWO_VAR = 1.3813564445184977  # M(1 + z1 + z2)
 KLEIN = FiniteGroup(
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], 0
 )
+S3 = symmetric_group_3()
 
 
 def zd_space(box, **kw):
@@ -220,6 +229,13 @@ def _orbit_representatives(space):
     orbit, found from every image under sign, monomial shifts and (square
     shapes) the adjoint that stays in the box; in the scan's enumeration
     order: descending, or graded by support under a support cap."""
+    return list(_orbit_tuple(space))
+
+
+@functools.cache
+def _orbit_tuple(space):
+    """_orbit_representatives, enumerated once per space: box 8 takes about
+    0.6 s and several tests ask for it."""
     rank, box = space.rank, space.box
     rows, cols = space.shape
     exps = list(itertools.product(*[range(b + 1) for b in box]))
@@ -277,7 +293,7 @@ def _orbit_representatives(space):
                 tuple(rank_of[x] for x in v if x),
             )
         )
-    return reps
+    return tuple(reps)
 
 
 def _brute_force(space, survey=False, limit=None):
@@ -731,6 +747,98 @@ def test_zd_element_path_raises_the_jensen_refusal():
     witness = {"kind": "element", "rank": 5, "text": "1 + z1*z2*z3 + z4*z5"}
     with pytest.raises(ValueError, match="at most 3 outer variables"):
         witness_value(zd_space((1, 1, 1, 1, 1)), witness)
+
+
+def _finite_brute_force(space, variant, survey=False):
+    """Every orbit representative of the reference filter, built as a group
+    ring matrix and measured by fk_det_kernel_finite under the scan's rules:
+    the weak variants drop non-injective candidates, a value under
+    1 + DEFAULT_ONE_THRESHOLD is determinant one, ties keep the first."""
+    group, n = space.group, space.group.order
+    rows, cols = space.shape
+    examined = det_one = 0
+    best = None
+    survey_rows = []
+    for vec in _ReferenceFiniteFilter(space).stream():
+        m = FiniteGroupRingMatrix(
+            group,
+            [
+                [
+                    FiniteGroupRingElement(
+                        group, vec[(i * cols + j) * n : (i * cols + j + 1) * n]
+                    )
+                    for j in range(cols)
+                ]
+                for i in range(rows)
+            ],
+        )
+        examined += 1
+        value, kernel = fk_det_kernel_finite(m)
+        if variant in ("lambda_w", "lambda_w_1") and kernel != 0:
+            continue
+        if value.value < 1 + DEFAULT_ONE_THRESHOLD:
+            det_one += 1
+            continue
+        texts = [format_element(x) for row in m.entries for x in row]
+        if survey and value.value <= 1.5:
+            text = texts[0] if (rows, cols) == (1, 1) else "[%s]" % "; ".join(
+                ", ".join(texts[i * cols : (i + 1) * cols]) for i in range(rows)
+            )
+            survey_rows.append((text, value.value))
+        if best is None or value.value < best[0].value:
+            coeffs = [list(x.coeffs) for row in m.entries for x in row]
+            best = (value, texts, coeffs)
+    return examined, det_one, best, survey_rows
+
+
+@pytest.mark.parametrize(
+    "space, variant, survey",
+    [
+        (
+            SearchSpace(group=make_cyclic(3), shape=(2, 2), coeff_bound=1, support=4),
+            "lambda_w",
+            False,
+        ),
+        # singular candidates measured through the Gram route
+        (SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1), "lambda", True),
+        (SearchSpace(group=KLEIN, shape=(2, 2), coeff_bound=1, support=3), "lambda", True),
+        # every injective candidate here is a unit: no infimum
+        (SearchSpace(group=KLEIN, shape=(2, 2), coeff_bound=1, support=3), "lambda_w", False),
+        # one row over a cyclic group: the cyclic_norm route
+        (SearchSpace(group=make_cyclic(3), shape=(1, 2), coeff_bound=1), "lambda_w", False),
+        (SearchSpace(group=make_cyclic(3), shape=(1, 2), coeff_bound=1), "lambda", True),
+        (SearchSpace(group=S3, coeff_bound=1), "lambda", True),
+        (SearchSpace(group=S3, coeff_bound=2, support=3), "lambda_w_1", True),
+    ],
+    ids=[
+        "Z3-2x2-s4-w",
+        "Z2-2x2",
+        "klein-2x2-s3",
+        "klein-2x2-s3-w",
+        "Z3-1x2-w",
+        "Z3-1x2",
+        "S3-elements",
+        "S3-elements-c2-s3-w",
+    ],
+)
+def test_finite_scan_matches_brute_force(space, variant, survey):
+    report = scan(space, variant, survey=survey)
+    examined, det_one, best, rows = _finite_brute_force(space, variant, survey)
+    assert (report.count_examined, report.count_det_one) == (examined, det_one)
+    if best is None:
+        assert (report.infimum_found, report.witness) == (None, None)
+        return
+    value, texts, coeffs = best
+    assert report.infimum_found == value
+    if space.shape == (1, 1):
+        assert report.witness["text"] == texts[0]
+        assert report.witness["coeffs"] == coeffs[0]
+    else:
+        assert report.witness["entries"] == texts
+        assert report.witness["coeffs"] == coeffs
+    if survey:
+        assert list(report.survey) == rows
+        assert rows
 
 
 @pytest.mark.parametrize(
