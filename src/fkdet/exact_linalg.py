@@ -6,6 +6,11 @@ clarity wins over asymptotics.  Ranks and determinants come from one
 fraction-free (Bareiss) elimination on the matrix with its rows scaled
 to integers, so no rational arithmetic occurs; characteristic
 polynomials use the division-free Berkowitz scheme.
+
+The elimination itself, ``eliminate``, works over any integral domain
+whose elements support ``*``, ``-``, truth testing and exact division by
+``//``: the Laurent ring of ``laurent`` takes its determinants, ranks and
+kernel bases from the same loop.
 """
 
 from __future__ import annotations
@@ -43,20 +48,25 @@ def _clear_denominators(rows: Matrix) -> tuple[Matrix, int]:
     return out, total
 
 
-def _eliminate(a: Matrix) -> tuple[int, int]:
-    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+def eliminate(a: Matrix, width: int | None = None) -> tuple:
+    """Fraction-free (Bareiss) elimination over an integral domain, in place.
 
-    Returns the rank and the signed last pivot.  A column without a pivot
-    is skipped, so every entry produced is a minor of the input and each
-    division by the previous pivot is exact (Sylvester's identity).  For
-    a square matrix of full rank the signed last pivot is the determinant.
+    Pivots are taken in the first ``width`` columns (all of them by
+    default), each the first nonzero entry of its column, and every column
+    is updated.  Returns the rank of those columns and the signed last
+    pivot.  A column without a pivot is skipped, so every entry produced
+    is a minor of the input and each division by the previous pivot is
+    exact (Sylvester's identity).  For a square matrix of full rank the
+    signed last pivot is the determinant.  Eliminating ``[A | I]`` with
+    ``width`` the column count of ``A`` leaves, in each row from the rank
+    on, an identity part that annihilates ``A``.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     rank = 0
     sign = 1
     prev = 1
-    for col in range(n):
+    for col in range(n if width is None else width):
         if rank == m:
             break
         pivot_row = next((i for i in range(rank, m) if a[i][col]), None)
@@ -89,7 +99,7 @@ def rank_det_exact(rows: Matrix) -> tuple:
         ints, scale = [list(row) for row in rows], 1
     else:
         ints, scale = _clear_denominators(rows)
-    rank, last = _eliminate(ints)
+    rank, last = eliminate(ints)
     if rank < len(rows) or (rows and len(rows[0]) != len(rows)):
         return rank, 0
     return rank, last if scale == 1 else Fraction(last, scale)

@@ -36,6 +36,12 @@ from .laurent import parse_polynomial
 from .mahler import _cyclotomic, _div_exact, _totient
 from .values import FKValue, Radical, fk_exact
 
+# Largest regular representation, max(rows, cols) * order, that
+# fk_det_kernel_flat eliminates.  Exact elimination grows fast with the
+# dimension: over Z/12 x Z/12 (dimension 144) 1 + z1 + z2 takes 13 s, over
+# Z/15 x Z/15 63 s and over Z/18 x Z/18 268 s on a 2-core Xeon.
+REP_MAX_DIM = 100
+
 
 class FiniteGroup:
     """A finite group as an element list 0..n-1 with a multiplication table."""
@@ -666,13 +672,20 @@ def fk_det_kernel_flat(
     ``getters`` is rep_getters(group, *shape), built here when not given.
     ``radicals`` is a dict that keeps each regular_rep value by its
     determinant and root, so a caller evaluating many matrices over one
-    group builds each radical once.
+    group builds each radical once.  A regular representation of dimension
+    over REP_MAX_DIM is refused with a ValueError.
     """
     rows, cols = shape
     n = group.order
     if min(rows, cols) == 1 and _is_cyclic_table(group):
         entries = [dict(enumerate(vec[k : k + n])) for k in range(0, len(vec), n)]
         return cyclic_stages(entries, rows, (n,))[0]
+    dim = max(rows, cols) * n
+    if dim > REP_MAX_DIM:
+        raise ValueError(
+            f"regular representation of dimension {dim} is over the budget "
+            f"REP_MAX_DIM = {REP_MAX_DIM}"
+        )
     if getters is None:
         getters = rep_getters(group, rows, cols)
     rep = [get(vec) for get in getters]

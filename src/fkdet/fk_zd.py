@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
+from .exact_linalg import eliminate
 from .laurent import (
     GroupRingMatrix,
     LaurentPolynomial,
@@ -92,9 +93,10 @@ class PipelineTrace:
 
 def vn_dim_kernel_zd(a: GroupRingMatrix) -> int:
     """Kernel dimension of right multiplication: rows - rank over the
-    fraction field.  Over Z^d this integer is the von Neumann dimension."""
-    q, _ = a.kernel_basis()
-    return q
+    fraction field, from one elimination that builds no basis.  Over Z^d
+    this integer is the von Neumann dimension."""
+    rank, _ = eliminate([list(row) for row in a.entries])
+    return a.rows - rank
 
 
 def fk_det_zd(

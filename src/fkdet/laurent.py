@@ -11,9 +11,10 @@ coefficients.  Matrices follow the row-vector convention: a matrix ``A`` with
 so kernels are LEFT kernels, spanned by rows ``b`` with ``b A = 0``.
 
 Determinants of square matrices are computed fraction-free (cofactor expansion
-up to size 4, Bareiss elimination above), so no fraction-field value ever
-appears.  Kernel bases come from cross-multiplication elimination on ``[A | I]``
-and are normalized to content 1 with per-axis minimal exponents 0.
+up to size 4, above that the Bareiss elimination ``exact_linalg.eliminate``,
+which divides exactly through ``//``), so no fraction-field value ever appears.
+Kernel bases come from the same elimination on ``[A | I]``, and the canonical
+ones are normalized to content 1 with per-axis minimal exponents 0.
 
 The text grammar (shared with the CLI): terms joined by ``+`` and ``-``; a term
 is an optional integer (or ``p/q`` rational) coefficient, an optional ``*``, and
@@ -28,6 +29,8 @@ import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
+
+from .exact_linalg import eliminate
 
 
 class ExactDivisionError(ArithmeticError):
@@ -299,7 +302,7 @@ class LaurentPolynomial:
         return LaurentPolynomial(rank, out)
 
     # ------------------------------------------------------------------
-    # exact division (used by the fraction-free determinant)
+    # exact division (used by the fraction-free elimination)
 
     def divide_exact(self, g: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact quotient ``self / g``; raises ExactDivisionError otherwise.
@@ -337,6 +340,12 @@ class LaurentPolynomial:
                     rem.pop(t, None)
         shift = tuple(a - b for a, b in zip(mp, mg))
         return LaurentPolynomial(self.rank, quot).shifted(shift)
+
+    def __floordiv__(self, g):
+        """Exact quotient (``divide_exact``); ``// 1`` by the int 1 is ``self``."""
+        if type(g) is int and g == 1:
+            return self
+        return self.divide_exact(g)
 
     # ------------------------------------------------------------------
     # rank-1 helpers
@@ -654,8 +663,9 @@ class GroupRingMatrix:
     def det(self) -> LaurentPolynomial:
         """Exact determinant over the commutative Laurent ring.
 
-        Cofactor expansion up to size 4, Bareiss fraction-free elimination
-        above; the empty 0x0 determinant is 1.
+        Cofactor expansion up to size 4, where it is faster, and the shared
+        fraction-free elimination ``eliminate`` above; the empty 0x0
+        determinant is 1.
         """
         if self.rows != self.cols:
             raise ValueError(f"determinant of a {self.rows}x{self.cols} matrix")
@@ -664,7 +674,8 @@ class GroupRingMatrix:
             return LaurentPolynomial.one(self.rank)
         if n <= 4:
             return _det_cofactor([list(row) for row in self.entries], self.rank)
-        return _det_bareiss([list(row) for row in self.entries], self.rank)
+        rank, last = eliminate([list(row) for row in self.entries])
+        return last if rank == n else LaurentPolynomial.zero(self.rank)
 
     # ------------------------------------------------------------------
     # kernel
@@ -677,46 +688,21 @@ class GroupRingMatrix:
         "canonical" (rows top-down, content and minimal exponents normalized)
         or "reversed" (rows bottom-up, raw elimination output).  Both return
         honest bases; the pipeline value must not depend on the choice.
+        ``[A | I]`` is eliminated by ``eliminate`` with pivots in ``A``'s
+        columns, each the first nonzero entry of its column; the identity
+        parts of the rows past the rank form the basis.
         """
         if variant not in ("canonical", "reversed"):
             raise ValueError(f"unknown kernel variant {variant!r}")
         r, s, rank = self.rows, self.cols, self.rank
-        order = list(range(r)) if variant == "canonical" else list(range(r - 1, -1, -1))
-        # work rows: [A-row | unit row], eliminated by cross-multiplication
-        work = []
-        for i in order:
-            unit = [LaurentPolynomial.zero(rank)] * r
-            unit[i] = LaurentPolynomial.one(rank)
-            work.append([list(self.entries[i]), unit])
-        used = [False] * r
-        for col in range(s):
-            pivot = None
-            for t in range(r):
-                if not used[t] and work[t][0][col].terms:
-                    if pivot is None:
-                        pivot = t
-                    elif len(work[t][0][col].terms) < len(work[pivot][0][col].terms):
-                        # prefer the sparsest pivot to slow coefficient growth
-                        pivot = t
-            if pivot is None:
-                continue
-            used[pivot] = True
-            pv = work[pivot][0][col]
-            for t in range(r):
-                if t == pivot or used[t]:
-                    continue
-                ct = work[t][0][col]
-                if not ct.terms:
-                    continue
-                for part in (0, 1):
-                    work[t][part] = [
-                        pv * x - ct * y for x, y in zip(work[t][part], work[pivot][part])
-                    ]
-        kernel_rows = []
-        for t in range(r):
-            if not used[t]:
-                assert all(not p.terms for p in work[t][0]), "elimination left a nonzero row"
-                kernel_rows.append(work[t][1])
+        order = range(r) if variant == "canonical" else range(r - 1, -1, -1)
+        zero, one = LaurentPolynomial.zero(rank), LaurentPolynomial.one(rank)
+        work = [
+            list(self.entries[i]) + [one if k == i else zero for k in range(r)]
+            for i in order
+        ]
+        pivots, _ = eliminate(work, s)
+        kernel_rows = [row[s:] for row in work[pivots:]]
         q = len(kernel_rows)
         if q == 0:
             return 0, GroupRingMatrix.zero(0, r, rank)
@@ -727,10 +713,16 @@ class GroupRingMatrix:
 
 def _normalize_row(row: Sequence[LaurentPolynomial]) -> list:
     """Divide by the row content, shift per-axis minimal exponents to zero,
-    and make the lex-leading coefficient of the first nonzero entry positive."""
+    and make the lex-leading coefficient of the first nonzero entry positive.
+    A row with one nonzero entry becomes a unit vector."""
     nonzero = [p for p in row if p.terms]
     if not nonzero:
         return list(row)
+    if len(nonzero) == 1:
+        # the kernel row of a zero row of A, which the elimination leaves
+        # scaled by the last pivot
+        one = LaurentPolynomial.one(nonzero[0].rank)
+        return [one if p.terms else p for p in row]
     rank = nonzero[0].rank
     num = 0
     den = 1
@@ -761,29 +753,6 @@ def _det_cofactor(m: list, rank: int) -> LaurentPolynomial:
         term = m[0][j] * _det_cofactor(minor, rank)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
-
-
-def _det_bareiss(m: list, rank: int) -> LaurentPolynomial:
-    """Fraction-free Bareiss elimination; every division is exact."""
-    n = len(m)
-    sign = 1
-    prev = LaurentPolynomial.one(rank)
-    for k in range(n - 1):
-        if not m[k][k].terms:
-            swap = next((i for i in range(k + 1, n) if m[i][k].terms), None)
-            if swap is None:
-                return LaurentPolynomial.zero(rank)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = piv * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.divide_exact(prev)
-            m[i][k] = LaurentPolynomial.zero(rank)
-        prev = piv
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
 
 
 # ----------------------------------------------------------------------

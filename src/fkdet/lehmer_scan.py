@@ -471,8 +471,6 @@ class _LaurentSpace:
     def injective(self, m: GroupRingMatrix) -> bool:
         if self.space.shape == (1, 1):
             return not m.entries[0][0].is_zero()
-        if self.rows == self.cols:
-            return not m.det().is_zero()
         return vn_dim_kernel_zd(m) == 0
 
     def evaluate(self, m, one_threshold):

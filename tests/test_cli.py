@@ -368,6 +368,16 @@ def test_chain_default_is_doubling(capsys):
 # exact-constants and trace-check
 
 
+def test_chain_refuses_a_stage_over_the_representation_budget(capsys):
+    # Z/12 x Z/12 needs a 144-dimensional regular representation
+    code, err = error_of(
+        capsys, "approx-chain", "--poly", "1 + z1 + z2", "--chain", "12..12"
+    )
+    assert code == 1
+    assert err["kind"] == "domain"
+    assert "dimension 144" in err["message"] and "REP_MAX_DIM = 100" in err["message"]
+
+
 def test_exact_constants_json(capsys):
     blob = run_json(capsys, "exact-constants", "--cyclic", "2", "--torsion-order", "3")
     constants = blob["result"]["constants"]

@@ -9,6 +9,7 @@ import pytest
 from fkdet.exact_linalg import (
     charpoly_berkowitz,
     det_exact,
+    eliminate,
     mat_mul_exact,
     mat_transpose,
     rank_exact,
@@ -150,6 +151,23 @@ def test_shared_elimination_matches_minors():
         if m == n:
             assert det_exact(mat) == _cofactor_det(mat)
         assert mat == before
+
+
+def test_eliminate_with_width_gives_the_left_kernel():
+    # [A | I] pivoted in A's columns: the identity part of every row past
+    # the rank annihilates A, and those parts are independent
+    rng = random.Random(53)
+    for trial in range(200):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        a = _skipping_matrix(rng, m, n, fractions=False)
+        work = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+        rank, _ = eliminate(work, n)
+        assert rank == _brute_rank(a)
+        kernel = [row[n:] for row in work[rank:]]
+        assert all(x == 0 for row in work[rank:] for x in row[:n])
+        assert all(x == 0 for row in mat_mul_exact(kernel, a) for x in row)
+        if kernel:
+            assert rank_exact(kernel) == m - rank
 
 
 def test_charpoly_small_cases():

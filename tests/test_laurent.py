@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from fkdet.fk_zd import vn_dim_kernel_zd
 from fkdet.laurent import (
     ExactDivisionError,
     GroupRingMatrix,
@@ -262,9 +264,8 @@ def test_det_bareiss_agrees_with_cofactor_at_size_5():
     rng = random.Random(41)
     for _ in range(5):
         A = rand_matrix(rng, 5, 5, deg=1, coeff=2)
-        B = GroupRingMatrix([[A[i, j] for j in range(4)] for i in range(4)], rank=1)
-        # size-4 minor via both routes: public det (cofactor) vs Bareiss on the 5x5
-        # checked indirectly by expanding the 5x5 along its last column
+        # the 5x5 determinant (elimination) against its expansion along the
+        # last column, whose 4x4 minors take cofactor expansion
         expansion = LP.zero(1)
         for i in range(5):
             minor = GroupRingMatrix(
@@ -273,6 +274,84 @@ def test_det_bareiss_agrees_with_cofactor_at_size_5():
             term = A[i, 4] * minor.det()
             expansion = expansion + (term if (i + 4) % 2 == 0 else -term)
         assert A.det() == expansion
+
+
+def leibniz_det(A):
+    """Sum over permutations of the signed products of entries."""
+    total = LP.zero(A.rank)
+    for perm in itertools.permutations(range(A.rows)):
+        term = LP.one(A.rank)
+        for i, j in enumerate(perm):
+            term = term * A[i, j]
+            if term.is_zero():
+                break
+        else:
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def sparse_matrix(rng, rows, cols, rank, terms=2):
+    return GroupRingMatrix(
+        [[rand_poly(rng, rank, deg=1, coeff=2, terms=terms) for _ in range(cols)] for _ in range(rows)],
+        rank=rank,
+    )
+
+
+def test_det_matches_leibniz_through_both_routes():
+    # cofactor expansion up to size 4, the shared elimination at 5 and 6
+    rng = random.Random(53)
+    for rank in (1, 2):
+        for n in range(1, 7):
+            generic = sparse_matrix(rng, n, n, rank)
+            # singular for n > 1; monomial factors keep Leibniz affordable
+            inner = rng.randrange(1, min(n, 4)) if n > 1 else 1
+            low = sparse_matrix(rng, n, inner, rank, 1) @ sparse_matrix(rng, inner, n, rank, 1)
+            # a zero (0, 0) entry makes the elimination swap rows
+            swapped = GroupRingMatrix(
+                [[LP.zero(rank) if (i, j) == (0, 0) else generic[i, j] for j in range(n)]
+                 for i in range(n)],
+                rank=rank,
+            )
+            for A in (generic, low, swapped):
+                assert A.det() == leibniz_det(A)
+            if n > 1:
+                assert low.det().is_zero()
+
+
+def rank_k_product(rng, rows, cols, k, rank):
+    """A rows x cols matrix of rank exactly k over the fraction field: L @ R
+    with a nonzero diagonal k x k block on top of L and left of R, then its
+    rows and columns shuffled."""
+    def factor(r, c):
+        m = [[rand_poly(rng, rank, deg=1, coeff=2, terms=2) for _ in range(c)] for _ in range(r)]
+        for i in range(k):
+            for j in range(k):
+                m[i][j] = LP.zero(rank)
+            while m[i][i].is_zero():
+                m[i][i] = rand_poly(rng, rank, deg=1, coeff=2, terms=2)
+        return m
+    left = factor(rows, k)
+    right = [list(col) for col in zip(*factor(cols, k))]
+    A = GroupRingMatrix(left, rank=rank) @ GroupRingMatrix(right, rank=rank)
+    row_order = rng.sample(range(rows), rows)
+    col_order = rng.sample(range(cols), cols)
+    return GroupRingMatrix([[A[i, j] for j in col_order] for i in row_order], rank=rank)
+
+
+def test_kernel_basis_of_rank_k_products():
+    rng = random.Random(59)
+    cases = [(r, c, k) for r in range(1, 5) for c in range(1, 5) for k in range(1, min(r, c) + 1)]
+    for rows, cols, k in cases:
+        rank = 2 if rows * cols <= 9 else 1
+        A = rank_k_product(rng, rows, cols, k, rank)
+        assert vn_dim_kernel_zd(A) == rows - k
+        for variant in ("canonical", "reversed"):
+            q, B = A.kernel_basis(variant)
+            assert q == rows - k and (B.rows, B.cols) == (q, rows)
+            assert (B @ A).is_zero()
+            if q:
+                assert vn_dim_kernel_zd(B) == 0
 
 
 def test_kernel_explicit_2x1():
@@ -328,6 +407,9 @@ def test_kernel_canonical_normalization():
     nz = [p for p in row if not p.is_zero()]
     assert nz[0].content() == 1
     assert all(m == 0 for p in nz for m in p.min_exponents())
+    # a zero row of A has a unit kernel row, whatever the pivot
+    A = mat([["0", "0"], ["0", "z^3 - 2"]])
+    assert A.kernel_basis() == (1, mat([["1", "0"]]))
 
 
 def test_kernel_variant_reversed_differs_but_annihilates():
