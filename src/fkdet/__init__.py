@@ -44,7 +44,6 @@ from .fk_finite import (
     vn_dim_kernel_finite,
 )
 from .fk_zd import (
-    PipelineError,
     PipelineTrace,
     fk_det_zd,
     vn_dim_kernel_zd,
@@ -87,7 +86,6 @@ __all__ = [
     "GroupRingMatrix",
     "LaurentPolynomial",
     "MahlerValue",
-    "PipelineError",
     "PipelineTrace",
     "QuotientChain",
     "Radical",

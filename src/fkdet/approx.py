@@ -26,6 +26,7 @@ from .fk_finite import (
     cyclic_stages,
     fk_det_finite,
     make_cyclic_product,
+    takes_cyclic_norm,
 )
 from .fk_zd import fk_det_zd
 from .laurent import GroupRingMatrix, LaurentPolynomial, matrix_to_json
@@ -326,19 +327,27 @@ def det_sequence(
     On a rank-1 chain a matrix with one row or one column is measured by
     cyclic_norm straight from its Laurent entries, with no reduction and no
     group table.
-    Stages exceeding ``max_stage_order`` group elements are refused rather
-    than silently taking hours.
+    Stages exceeding ``max_stage_order`` group elements, or whose regular
+    representation is over REP_MAX_DIM (see takes_cyclic_norm), are
+    refused before any stage runs rather than silently taking hours.  A
+    ``tolerance`` that is negative or not finite is refused too.
     """
     if a.rank != chain.rank:
         raise ValueError(f"rank {a.rank} matrix with a rank {chain.rank} chain")
     if not chain.moduli:
         raise ValueError("empty quotient chain")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    shape = (a.rows, a.cols)
     for mods, order in zip(chain.moduli, chain.orders()):
         if order > max_stage_order:
             raise ValueError(
                 f"stage {mods} has group order {order}, over the budget "
                 f"{max_stage_order}"
             )
+        # a product with one modulus above 1 reduces to Z/n in the order of
+        # make_cyclic; any other stage needs the regular representation
+        takes_cyclic_norm(shape, order, lambda: sum(n > 1 for n in mods) <= 1)
 
     if chain.rank == 1 and min(a.rows, a.cols) == 1:
         # one row or column over Z/n: the stages are norms of one element

@@ -39,7 +39,7 @@ from .fk_finite import (
     make_cyclic_product,
     parse_element,
 )
-from .fk_zd import PipelineError, fk_det_zd
+from .fk_zd import fk_det_zd
 from .laurent import (
     GroupRingMatrix,
     format_polynomial,
@@ -235,12 +235,7 @@ def _run_mahler(args):
 
 def _run_fkdet_zd(args):
     a = _zd_matrix(args)
-    trace = fk_det_zd(
-        a,
-        args.method,
-        grid_size=args.grid,
-        kernel_variant=args.kernel_variant,
-    )
+    trace = fk_det_zd(a, args.method, grid_size=args.grid)
     config = {
         "subcommand": "fkdet-zd",
         "poly": args.poly,
@@ -248,7 +243,6 @@ def _run_fkdet_zd(args):
         "rank": args.rank,
         "method": args.method,
         "grid_size": args.grid,
-        "kernel_variant": args.kernel_variant,
     }
     if args.trace:
         payload = trace.as_json()
@@ -504,13 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=MEASURE_METHODS, default="auto")
     p.add_argument("--grid", type=int, default=256, help="quadrature points per axis")
     p.add_argument(
-        "--kernel-variant",
-        choices=("canonical", "reversed"),
-        default="canonical",
-        help="kernel basis construction, used only on rank-deficient input; "
-        "the value must not depend on it",
-    )
-    p.add_argument(
         "--trace", action="store_true", help="include every pipeline intermediate"
     )
 
@@ -616,7 +603,7 @@ def main(argv=None) -> int:
         hint = "; use --method quadrature" if "method" in vars(args) else ""
         _emit_error("domain", f"{exc}{hint}")
         return 1
-    except (ValueError, ArithmeticError, PipelineError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _emit_error("domain", exc)
         return 1
     return 0

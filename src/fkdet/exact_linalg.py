@@ -7,10 +7,13 @@ fraction-free (Bareiss) elimination on the matrix with its rows scaled
 to integers, so no rational arithmetic occurs; characteristic
 polynomials use the division-free Berkowitz scheme.
 
-The elimination itself, ``eliminate``, works over any integral domain
-whose elements support ``*``, ``-``, truth testing and exact division by
-``//``: the Laurent ring of ``laurent`` takes its determinants, ranks and
-kernel bases from the same loop.
+Both loops are generic.  The elimination, ``eliminate``, works over any
+integral domain whose elements support ``*``, ``-``, truth testing and
+exact division by ``//``: the Laurent ring of ``laurent`` takes its
+determinants, ranks and kernel bases from the same loop.  The Berkowitz
+scheme needs no division at all, so ``fk_finite`` (over the integers) and
+``fk_zd`` (over the Laurent ring) share it for the product of the nonzero
+eigenvalues of a singular Gram matrix.
 """
 
 from __future__ import annotations
@@ -121,9 +124,12 @@ def rank_exact(rows: Matrix) -> int:
 def charpoly_berkowitz(rows: Matrix) -> list:
     """Coefficients of det(t*I - M), ascending in t, computed division-free.
 
-    The result is monic (last coefficient 1) and exact: only additions and
-    multiplications of the input entries occur, so integer matrices give
-    integer coefficients.
+    The result is monic (last coefficient the int 1) and exact: only
+    additions, subtractions and multiplications of the input entries occur,
+    so it holds over any commutative ring whose elements mix with the ints
+    0 and 1.  Integer matrices give integer coefficients, and Laurent
+    matrices Laurent polynomials (``fk_zd`` measures the lowest nonzero
+    one of a singular SS*).
     """
     n = len(rows)
     if any(len(row) != n for row in rows):

@@ -644,6 +644,26 @@ def _is_cyclic_table(group: FiniteGroup) -> bool:
     return n == 1 or all(x == (b + 1) % n for b, x in enumerate(group.table[1]))
 
 
+def takes_cyclic_norm(shape, n: int, cyclic) -> bool:
+    """Whether fk_det_kernel_flat measures a matrix of ``shape`` over a
+    group of order ``n`` by cyclic_norm: one row or one column, and
+    ``cyclic()`` true (the group is Z/n in the order of make_cyclic; asked
+    only for such a shape).  A matrix for the regular_rep route whose
+    representation, of dimension max(shape) * n, is over REP_MAX_DIM is
+    refused with a ValueError.
+    """
+    rows, cols = shape
+    if min(rows, cols) == 1 and cyclic():
+        return True
+    dim = max(rows, cols) * n
+    if dim > REP_MAX_DIM:
+        raise ValueError(
+            f"regular representation of dimension {dim} is over the budget "
+            f"REP_MAX_DIM = {REP_MAX_DIM}"
+        )
+    return False
+
+
 def fk_det_kernel_finite(a, singular_det: bool = True) -> tuple:
     """Determinant and normalized kernel dimension of right multiplication.
 
@@ -672,20 +692,14 @@ def fk_det_kernel_flat(
     ``getters`` is rep_getters(group, *shape), built here when not given.
     ``radicals`` is a dict that keeps each regular_rep value by its
     determinant and root, so a caller evaluating many matrices over one
-    group builds each radical once.  A regular representation of dimension
-    over REP_MAX_DIM is refused with a ValueError.
+    group builds each radical once.  takes_cyclic_norm picks the route and
+    refuses a regular representation over REP_MAX_DIM.
     """
     rows, cols = shape
     n = group.order
-    if min(rows, cols) == 1 and _is_cyclic_table(group):
+    if takes_cyclic_norm(shape, n, lambda: _is_cyclic_table(group)):
         entries = [dict(enumerate(vec[k : k + n])) for k in range(0, len(vec), n)]
         return cyclic_stages(entries, rows, (n,))[0]
-    dim = max(rows, cols) * n
-    if dim > REP_MAX_DIM:
-        raise ValueError(
-            f"regular representation of dimension {dim} is over the budget "
-            f"REP_MAX_DIM = {REP_MAX_DIM}"
-        )
     if getters is None:
         getters = rep_getters(group, rows, cols)
     rep = [get(vec) for get in getters]

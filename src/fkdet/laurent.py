@@ -649,6 +649,7 @@ class GroupRingMatrix:
         return GroupRingMatrix(
             [[self.entries[j][i].adjoint() for j in range(self.rows)] for i in range(self.cols)],
             rank=self.rank,
+            cols=self.rows,
         )
 
     def specialize(self, ks: Sequence[int]) -> "GroupRingMatrix":

@@ -25,7 +25,6 @@ from .fk_finite import (
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
     _picker,
-    fk_det_finite,
     fk_det_kernel_flat,
     format_element,
     rep_getters,
@@ -539,7 +538,8 @@ def scan(
     least value found by then.  Ties in the infimum keep the earliest candidate in
     enumeration order, so reports are deterministic for a fixed space.
     Over Z^d every determinant is measured by the ``auto`` method, fibrewise
-    Jensen; a candidate it refuses ends the scan with its ValueError.
+    Jensen; a candidate it refuses ends the scan with its ValueError.  A
+    ``one_threshold`` that is negative or not finite is refused.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -554,6 +554,10 @@ def scan(
         )
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if not (math.isfinite(one_threshold) and one_threshold >= 0):
+        raise ValueError(
+            f"one_threshold must be finite and nonnegative, got {one_threshold}"
+        )
     raw = space.raw_count()
     if raw > RAW_ENUMERATION_CAP:
         raise ValueError(
@@ -651,26 +655,10 @@ def witness_value(
 ) -> FKValue:
     """Re-evaluate a reported witness through the same determinant path."""
     if space.group is not None:
-        if witness["kind"] == "element":
-            m = FiniteGroupRingMatrix.from_element(
-                FiniteGroupRingElement(space.group, witness["coeffs"])
-            )
-        else:
-            rows, cols = witness["rows"], witness["cols"]
-            coeffs = witness["coeffs"]
-            m = FiniteGroupRingMatrix(
-                space.group,
-                [
-                    [
-                        FiniteGroupRingElement(
-                            space.group, coeffs[i * cols + j]
-                        )
-                        for j in range(cols)
-                    ]
-                    for i in range(rows)
-                ],
-            )
-        return fk_det_finite(m)
+        coeffs = witness["coeffs"]
+        if witness["kind"] == "matrix":
+            coeffs = itertools.chain.from_iterable(coeffs)
+        return fk_det_kernel_flat(tuple(coeffs), space.group, space.shape)[0]
     if witness["kind"] == "element":
         p = parse_polynomial(witness["text"], rank=space.rank)
         value, _ = _poly_det(p, one_threshold)

@@ -1,9 +1,11 @@
 """Shared builders for the test modules."""
 
 import itertools
+import math
 
 from fkdet.fk_finite import FiniteGroup
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
+from fkdet.mahler import mahler_measure
 
 
 def mat(texts, rank=1):
@@ -32,3 +34,15 @@ def symmetric_group_3() -> FiniteGroup:
         for a in perms
     ]
     return FiniteGroup(table, 0)
+
+
+def kernel_reduction_on_a(a, variant="canonical"):
+    """(value, error estimate) of Lück's kernel reduction on A itself:
+    sqrt(M(det D1) / M(det D2)) with D1 = B*B + AA* and D2 = BB*, where
+    the rows of B are a basis of the left kernel of A."""
+    q, b = a.kernel_basis(variant)
+    m1 = mahler_measure((b.adjoint() @ b + a @ a.adjoint()).det())
+    m2 = mahler_measure((b @ b.adjoint()).det())
+    value = math.sqrt(m1.value / m2.value)
+    rel = m1.error_estimate / m1.value + m2.error_estimate / m2.value
+    return value, 0.5 * value * rel

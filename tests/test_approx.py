@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fkdet import approx
 from fkdet.approx import (
     DetSequence,
     QuotientChain,
@@ -24,6 +25,7 @@ from fkdet.approx import (
 from fkdet.fk_finite import (
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
+    _is_cyclic_table,
     make_cyclic,
     make_cyclic_product,
     parse_element,
@@ -340,6 +342,42 @@ def test_det_sequence_validation():
         det_sequence(mat([["z"]]), QuotientChain(1, ()))
     with pytest.raises(ValueError, match="budget"):
         det_sequence(mat([["z"]]), chain_range(1, 2, 5), max_stage_order=4)
+
+
+def test_det_sequence_refuses_an_oversized_stage_before_computing_any(monkeypatch):
+    # stages 2..10 fit REP_MAX_DIM = 100; (11, 11) needs dimension 121
+    calls = []
+    monkeypatch.setattr(approx, "fk_det_finite", lambda m: calls.append(m))
+    monkeypatch.setattr(approx, "fk_det_zd", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="dimension 121.*REP_MAX_DIM = 100"):
+        det_sequence(mat([["1 + z1 + z2"]], rank=2), chain_range(2, 2, 11))
+    # a 2x2 never takes the cyclic route, even over Z/n
+    with pytest.raises(ValueError, match="dimension 102"):
+        det_sequence(mat([["z1", "1"], ["0", "z2"]], rank=2), QuotientChain(2, ((1, 51),)))
+    assert calls == []
+
+
+def test_det_sequence_admits_cyclic_stages_over_the_representation_budget():
+    # with one modulus above 1 the quotient is Z/n in make_cyclic's order,
+    # so one row or column takes cyclic_norm at any order
+    for mods in ((1, 1), (1, 4), (4, 1), (1, 2, 1), (2, 2), (2, 3), (3, 1, 2)):
+        cyclic = sum(n > 1 for n in mods) <= 1
+        assert _is_cyclic_table(make_cyclic_product(mods)) == cyclic, mods
+    chain = QuotientChain(2, ((1, 150), (1, 200)), nested=False)
+    seq = det_sequence(mat([["1 + z1 + z2"]], rank=2), chain)
+    # over Z/n the element is 2 + t, whose norm is 2^n - (-1)^n
+    for (_, n), v in zip(chain.moduli, seq.values):
+        assert v.exact == Radical(2**n - (-1) ** n, Fraction(1, n))
+    column = QuotientChain(2, ((150, 1),), nested=False)
+    seq = det_sequence(mat([["z1 - 2"], ["1 + z2"]], rank=2), column)
+    assert seq.values[0].method == "cyclic_norm"
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+def test_det_sequence_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        det_sequence(mat([["z - 2"]]), chain_range(1, 2, 4), tolerance=tolerance)
+    assert det_sequence(mat([["z - 2"]]), chain_range(1, 2, 4), tolerance=0.0).limsup_ok
 
 
 def test_det_sequence_json_and_csv():

@@ -31,3 +31,36 @@ def test_traced_names_resolve():
         # the tracer replaces the method in the class's own namespace
         assert owner is not None and attr in vars(owner), (module, cls, attr)
 
+
+
+def test_traced_run_reports_the_layers(capsys, tmp_path):
+    # the notes read trace attributes (q, detD1) that a name check cannot
+    # see, so run the tracer around a few real commands
+    from fkdet import cli
+
+    tracing = load_tracing()
+    path = tmp_path / "deficient.json"
+    # a repeated row: rank 1, so fk_det_zd takes the charpoly route
+    path.write_text(
+        '{"rank": 1, "rows": 2, "cols": 2, "entries": ["z - 1", "z - 2", "z - 1", "z - 2"]}',
+        encoding="utf-8",
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main(["fkdet-zd", "--matrix-file", str(path)]),
+            cli.main(["approx-chain", "--poly", "z - 2", "--chain", "2..4"]),
+            cli.main(["lehmer-scan", "--cyclic", "2", "--variant", "lambda_w_1"]),
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    metrics = tracing.layer_metrics(tracer, 1, {}, 1.0, 0.0)
+    assert metrics["fk_zd.noninjective"] > 0
+    assert metrics["laurent.detD1_terms_max"] > 0
+    assert metrics["approx.det_sequence.calls"] == 1
+    assert metrics["lehmer_scan.scan.calls"] == 1
+    assert metrics["lehmer_scan.evaluated"] > 0
+    assert "laurent.kernel_basis.calls" not in metrics

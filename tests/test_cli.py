@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import fkdet.cli
 from fkdet.cli import main
 from fkdet.laurent import GroupRingMatrix, matrix_to_json, parse_polynomial
 from fkdet.lehmer_scan import DEFAULT_ONE_THRESHOLD
+from fkdet.mahler import mahler_jensen
 
 from helpers import mat
 
@@ -147,7 +149,7 @@ def test_fkdet_zd_three_variables(capsys):
     assert abs(value["value"] - closed) <= 1e-8
 
 
-def test_fkdet_zd_trace_and_kernel_variant(capsys, tmp_path):
+def test_fkdet_zd_trace(capsys, tmp_path):
     m = GroupRingMatrix(
         [
             [parse_polynomial("z - 2"), parse_polynomial("1")],
@@ -159,11 +161,21 @@ def test_fkdet_zd_trace_and_kernel_variant(capsys, tmp_path):
     blob = run_json(capsys, "fkdet-zd", "--matrix-file", str(path), "--trace")
     assert blob["result"]["q"] == 0
     assert blob["result"]["value"]["value"] == pytest.approx(6.0, abs=1e-9)
-    assert "detD1" in blob["result"] and "D2" in blob["result"]
-    other = run_json(
-        capsys, "fkdet-zd", "--matrix-file", str(path), "--kernel-variant", "reversed"
-    )
-    assert other["result"]["value"]["value"] == pytest.approx(6.0, abs=1e-9)
+    assert set(blob["result"]) == {
+        "matrix", "side", "route", "q", "D1", "detD1", "detD1_measure", "value"
+    }
+    assert (blob["result"]["route"], blob["result"]["detD1"]) == ("det", "6 - 5*z + z^2")
+    # rank-deficient input: the lowest characteristic coefficient of SS*,
+    # here -tr(SS*) = -2 rr* for the repeated row r = (z - 1, z - 2)
+    row = [parse_polynomial("z - 1"), parse_polynomial("z - 2")]
+    path.write_text(json.dumps(matrix_to_json(GroupRingMatrix([row, row]))), encoding="utf-8")
+    blob = run_json(capsys, "fkdet-zd", "--matrix-file", str(path), "--trace")
+    assert (blob["result"]["route"], blob["result"]["q"]) == ("charpoly", 1)
+    assert blob["result"]["detD1"] == "6*z^-1 - 14 + 6*z"
+    want = math.sqrt(mahler_jensen(parse_polynomial("6*z^-1 - 14 + 6*z")).value)
+    assert blob["result"]["value"]["value"] == pytest.approx(want, rel=1e-15)
+    code, _, err = run_cli(capsys, "fkdet-zd", "--poly", "z", "--kernel-variant", "reversed")
+    assert code == 2 and "--kernel-variant" in err
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +187,7 @@ def test_successive_calls_share_no_option_values(capsys):
     # reach the next, whether the subcommand changes or not
     first = run_json(
         capsys, "fkdet-zd", "--poly", "z - 2", "--method", "quadrature",
-        "--grid", "64", "--kernel-variant", "reversed", "--trace",
+        "--grid", "64", "--trace",
     )
     assert first["config"]["grid_size"] == 64
     assert "route" in first["result"]
@@ -197,7 +209,6 @@ def test_successive_calls_share_no_option_values(capsys):
         "rank": None,
         "method": "auto",
         "grid_size": 256,
-        "kernel_variant": "canonical",
     }
     assert set(third["result"]) == {"matrix", "q", "value"}
     code, out, _ = run_cli(capsys, "mahler", "--poly", "z - 2", "--format", "text")
@@ -376,6 +387,33 @@ def test_chain_refuses_a_stage_over_the_representation_budget(capsys):
     assert code == 1
     assert err["kind"] == "domain"
     assert "dimension 144" in err["message"] and "REP_MAX_DIM = 100" in err["message"]
+
+
+def test_chain_refuses_the_oversized_stage_before_the_others_run(capsys):
+    # stages 2..10 fit the budget; none is computed before (11, 11) is refused
+    start = time.perf_counter()
+    code, err = error_of(
+        capsys, "approx-chain", "--poly", "1 + z1 + z2", "--chain", "2..11"
+    )
+    assert code == 1 and "dimension 121" in err["message"]
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lehmer-scan", "--cyclic", "3", "--variant", "lambda_1", "--one-threshold", "nan"),
+        ("lehmer-scan", "--box", "4", "--variant", "lambda_1", "--one-threshold", "inf"),
+        ("lehmer-scan", "--box", "4", "--variant", "lambda_1", "--one-threshold=-1e-9"),
+        ("approx-chain", "--poly", "z - 2", "--tolerance", "nan"),
+        ("approx-chain", "--poly", "z - 2", "--tolerance=-inf"),
+    ],
+)
+def test_thresholds_that_are_not_finite_and_nonnegative_exit_1(capsys, argv):
+    code, err = error_of(capsys, *argv)
+    assert code == 1
+    assert err["kind"] == "domain"
+    assert "must be finite and nonnegative" in err["message"]
 
 
 def test_exact_constants_json(capsys):

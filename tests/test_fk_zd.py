@@ -1,12 +1,14 @@
-"""Kernel-reduction determinants over Q[Z^d]."""
+"""Short-side determinants over Q[Z^d]."""
 
+import itertools
 import math
 import random
 import time
 
 import pytest
 
-from fkdet.fk_zd import PipelineError, fk_det_zd, vn_dim_kernel_zd
+from fkdet.exact_linalg import charpoly_berkowitz
+from fkdet.fk_zd import fk_det_zd, vn_dim_kernel_zd
 from fkdet.laurent import (
     GroupRingMatrix,
     LaurentPolynomial,
@@ -19,10 +21,9 @@ from fkdet.mahler import (
     log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
-    mahler_measure,
 )
 
-from helpers import mat
+from helpers import kernel_reduction_on_a, mat
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 TWO_VAR_MEASURE = 1.3813564445  # M(1 + z1 + z2)
@@ -77,9 +78,7 @@ def test_injective_one_by_one():
     trace = fk_det_zd(mat([["z - 2"]]))
     assert (trace.side, trace.route) == ("matrix", "det")
     assert trace.q == 0
-    assert trace.B.rows == 0
     assert trace.detD1 == parse_polynomial("z - 2")
-    assert trace.detD2.is_one()
     assert trace.value.method == "jensen"
     assert math.isclose(trace.value.value, 2.0, rel_tol=1e-12)
 
@@ -102,9 +101,8 @@ def test_square_matrix_with_golden_ratio_determinant():
 def test_zero_matrix_returns_one():
     for rank in (1, 2):
         trace = fk_det_zd(GroupRingMatrix.zero(2, 3, rank))
-        assert trace.q == 2
+        assert (trace.route, trace.q) == ("charpoly", 2)
         assert trace.detD1.is_one()
-        assert trace.detD2.is_one()
         assert trace.value.value == 1.0
 
 
@@ -132,19 +130,21 @@ def test_pipeline_matches_jensen_on_random_squares():
         done += 1
 
 
-def test_kernel_variant_independence():
+def test_kernel_reduction_on_a_is_independent_of_the_basis():
+    # the oracle of the short-side tests below: both kernel bases give
+    # one value within the summed estimates, and so does fk_det_zd
     rng = random.Random(107)
-    for _ in range(10):
-        a = rand_matrix(rng, 3, 2)
-        v1 = fk_det_zd(a, kernel_variant="canonical").value.value
-        v2 = fk_det_zd(a, kernel_variant="reversed").value.value
-        assert math.isclose(v1, v2, rel_tol=1e-8)
     p = rand_poly(rng, 1)
     q = rand_poly(rng, 1)
-    degenerate = GroupRingMatrix([[p, q], [p, q]], rank=1)
-    v1 = fk_det_zd(degenerate, kernel_variant="canonical").value.value
-    v2 = fk_det_zd(degenerate, kernel_variant="reversed").value.value
-    assert math.isclose(v1, v2, rel_tol=1e-8)
+    inputs = [rand_matrix(rng, 3, 2) for _ in range(10)]
+    inputs += [rand_matrix(rng, 3, 2, rank=2) for _ in range(3)]
+    inputs.append(GroupRingMatrix([[p, q], [p, q]], rank=1))
+    for a in inputs:
+        canonical, canonical_error = kernel_reduction_on_a(a, "canonical")
+        reversed_, reversed_error = kernel_reduction_on_a(a, "reversed")
+        assert abs(canonical - reversed_) <= canonical_error + reversed_error, a
+        got = fk_det_zd(a).value
+        assert abs(got.value - canonical) <= got.error_estimate + canonical_error, a
 
 
 def test_adjoint_symmetry():
@@ -193,38 +193,38 @@ def test_trace_invariants_and_serialization():
         assert trace.side == ("matrix" if a.rows <= a.cols else "adjoint")
         s = a if trace.side == "matrix" else a.adjoint()
         assert trace.q == vn_dim_kernel_zd(a)
-        assert (trace.B @ s).is_zero()
         if trace.route == "det":
             assert trace.D1 == s
+            assert trace.detD1 == trace.D1.det()
         elif trace.route == "gram":
             assert trace.D1 == s @ s.adjoint()
+            assert trace.detD1 == trace.D1.det()
         else:
-            assert trace.route == "kernel"
-            assert trace.B.rows == trace.q - (a.rows - s.rows) > 0
-            assert trace.D1 == trace.B.adjoint() @ trace.B + s @ s.adjoint()
-        assert trace.D2 == trace.B @ trace.B.adjoint()
-        assert trace.detD1 == trace.D1.det()
-        assert trace.detD2 == trace.D2.det()
+            assert trace.route == "charpoly"
+            assert trace.D1 == s @ s.adjoint()
+            assert trace.D1.det().is_zero()
+            # S's kernel dimension indexes the lowest nonzero coefficient
+            low = trace.q - (a.rows - s.rows)
+            assert low > 0
+            assert trace.detD1 == charpoly_berkowitz(trace.D1.entries)[low]
+        assert math.isclose(
+            trace.value.value,
+            math.sqrt(trace.detD1_measure.value) if trace.route != "det"
+            else trace.detD1_measure.value,
+            rel_tol=1e-15,
+        )
         routes.add((trace.side, trace.route))
         blob = trace.as_json()
+        assert set(blob) == {
+            "matrix", "side", "route", "q", "D1", "detD1", "detD1_measure", "value"
+        }
         assert matrix_from_json(blob["matrix"]) == a
-        assert matrix_from_json(blob["B"]) == trace.B
+        assert matrix_from_json(blob["D1"]) == trace.D1
         assert (blob["side"], blob["route"]) == (trace.side, trace.route)
         assert blob["q"] == trace.q
         assert blob["value"]["value"] == trace.value.value
     assert {("adjoint", "gram"), ("matrix", "det"), ("matrix", "gram")} <= routes
-    assert {("matrix", "kernel"), ("adjoint", "kernel")} <= routes
-
-
-def kernel_reduction_on_a(a, variant="canonical"):
-    """(value, error estimate) of the kernel reduction on A itself:
-    sqrt(M(det D1) / M(det D2)) with D1 = B*B + AA* and D2 = BB*."""
-    q, b = a.kernel_basis(variant)
-    m1 = mahler_measure((b.adjoint() @ b + a @ a.adjoint()).det())
-    m2 = mahler_measure((b @ b.adjoint()).det())
-    value = math.sqrt(m1.value / m2.value)
-    rel = m1.error_estimate / m1.value + m2.error_estimate / m2.value
-    return value, 0.5 * value * rel
+    assert {("matrix", "charpoly"), ("adjoint", "charpoly")} <= routes
 
 
 def test_short_side_reduction_matches_the_kernel_reduction_on_a():
@@ -255,11 +255,55 @@ def test_short_side_reduction_matches_the_kernel_reduction_on_a():
             assert (a @ a.adjoint()).det() == det * det.adjoint()
             assert trace.route == "det" and trace.detD1 == det
     for a in deficient:
-        assert fk_det_zd(a).route == "kernel"
-        canonical = fk_det_zd(a, kernel_variant="canonical").value
-        reversed_ = fk_det_zd(a, kernel_variant="reversed").value
-        bound = canonical.error_estimate + reversed_.error_estimate
-        assert abs(canonical.value - reversed_.value) <= bound
+        assert fk_det_zd(a).route == "charpoly"
+
+
+def minor_gram_sum(a, k):
+    """Sum over the k x k minors of a of det a[I,J] * (det a[I,J])*: by
+    Cauchy-Binet the k-th elementary symmetric function of the eigenvalues
+    of aa* (and of a*a)."""
+    total = LaurentPolynomial.zero(a.rank)
+    for rows in itertools.combinations(range(a.rows), k):
+        for cols in itertools.combinations(range(a.cols), k):
+            sub = GroupRingMatrix(
+                [[a.entries[i][j] for j in cols] for i in rows], rank=a.rank, cols=k
+            )
+            det = sub.det()
+            total = total + det * det.adjoint()
+    return total
+
+
+def test_charpoly_route_measures_the_cauchy_binet_sum():
+    rng = random.Random(137)
+    inputs = []
+    for rank in (1, 2):
+        zero = LaurentPolynomial.zero(rank)
+        for r, c in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+            # a product through k < min(r, c) columns has rank at most k
+            for k in range(min(r, c)):
+                left = rand_matrix(rng, r, k, rank) if k else GroupRingMatrix.zero(r, 0, rank)
+                right = rand_matrix(rng, k, c, rank) if k else GroupRingMatrix.zero(0, c, rank)
+                inputs.append(left @ right)
+        row = [rand_poly(rng, rank) for _ in range(3)]
+        inputs.append(GroupRingMatrix([row, [zero] * 3, row], rank=rank))
+        inputs.append(GroupRingMatrix([[zero, p] for p in row], rank=rank))
+        inputs.append(GroupRingMatrix.zero(3, 3, rank))
+    for a in inputs:
+        k = a.rows - vn_dim_kernel_zd(a)
+        assert k < min(a.rows, a.cols), a
+        trace = fk_det_zd(a)
+        assert (trace.route, trace.q) == ("charpoly", a.rows - k), a
+        assert trace.detD1 == minor_gram_sum(a, k) * (-1) ** k, a
+        assert not trace.detD1.is_zero()
+    # no rows or no columns: the empty product of eigenvalues, one empty
+    # minor; a 2x0 matrix reduces its 0x2 adjoint and keeps both rows as
+    # its kernel
+    for rank in (1, 2):
+        for empty in (GroupRingMatrix.zero(0, 2, rank), GroupRingMatrix.zero(2, 0, rank)):
+            trace = fk_det_zd(empty)
+            assert (trace.route, trace.q) == ("gram", empty.rows)
+            assert trace.detD1 == minor_gram_sum(empty, 0) == LaurentPolynomial.one(rank)
+            assert trace.value.value == 1.0
 
 
 def test_matrix_json_round_trip_and_errors():
@@ -298,12 +342,6 @@ def test_boyd_lawton_method_on_two_variables():
     trace = fk_det_zd(a, "boyd_lawton")
     assert trace.value.method == "boyd_lawton"
     assert math.isclose(trace.value.value, TWO_VAR_MEASURE, rel_tol=2e-2)
-
-
-def test_pipeline_error_carries_details():
-    err = PipelineError("det D1 vanished", {"q": 1})
-    assert "vanished" in str(err)
-    assert err.details == {"q": 1}
 
 
 # ---------------------------------------------------------------------------

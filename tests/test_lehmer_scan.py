@@ -119,6 +119,26 @@ def test_scan_validation():
         scan(zd_space((25,), coeff_bound=2), "lambda_1")
 
 
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1e-9])
+def test_scan_refuses_a_one_threshold_that_is_not_finite_and_nonnegative(threshold):
+    # nan compares false with every value, so it used to pass every candidate
+    # as determinant one; inf did the same
+    with pytest.raises(ValueError, match="one_threshold"):
+        scan(SearchSpace(group=make_cyclic(3)), "lambda_1", one_threshold=threshold)
+    with pytest.raises(ValueError, match="one_threshold"):
+        scan(zd_space((4,)), "lambda_1", one_threshold=threshold)
+
+
+def test_scan_accepts_a_zero_one_threshold():
+    # no integral determinant lies below 1, so with a zero threshold none
+    # counts as one and the units give the infimum 1
+    report = scan(SearchSpace(group=make_cyclic(3)), "lambda_1", one_threshold=0.0)
+    assert report.one_threshold == 0.0
+    assert report.count_det_one == 0
+    assert report.infimum_found.exact == Radical(1)
+
+
 # ---------------------------------------------------------------------------
 # golden scans over finite groups
 
@@ -890,6 +910,7 @@ def test_weak_finite_matrix_scans(
     assert report.witness["kind"] == "matrix"
     assert report.witness["entries"] == entries
     assert report.budget_exceeded is False
+    assert witness_value(space, report.witness).exact == report.infimum_found.exact
 
 
 def test_report_invariants_across_spaces():
