@@ -2,11 +2,10 @@
 
 The package computes Mahler measures of Laurent polynomials (exact roots
 in one variable, Jensen's formula fibrewise over a torus grid in several,
-with torus quadrature and iterated specialization on request),
-Fuglede-Kadison determinants of group ring matrices over Z^d and over
-finite groups, runs exhaustive searches for the generalized Lehmer
-constants, and tests determinant approximation along chains of finite
-quotients.  The ``fkdet`` command line tool fronts the same operations.
+with torus quadrature on request), Fuglede-Kadison determinants of group
+ring matrices over Z^d and over finite groups, runs exhaustive searches
+for the generalized Lehmer constants, and tests determinant approximation
+along chains of finite quotients.  The ``fkdet`` command line tool fronts the same operations.
 """
 
 __version__ = "0.1.0"
@@ -68,9 +67,7 @@ from .lehmer_scan import (
     witness_value,
 )
 from .mahler import (
-    default_bl_schedule,
     log_mahler_quadrature,
-    mahler_boyd_lawton,
     mahler_jensen,
     roots_one_var,
     squarefree_decomposition,
@@ -109,7 +106,6 @@ __all__ = [
     "format_polynomial",
     "induce",
     "log_mahler_quadrature",
-    "mahler_boyd_lawton",
     "mahler_jensen",
     "make_cyclic",
     "make_cyclic_product",

@@ -20,10 +20,9 @@ Berkowitz's division-free scheme computes that polynomial over the
 Laurent ring, as fk_finite does over the integers, and the index of
 c_low is the kernel dimension of S.
 
-One variable uses exact roots and Jensen's formula.  More variables use
-Jensen's formula fibrewise over a torus grid by default, or torus
-quadrature or the iterated one-variable specialization limit when the call
-asks for them.
+M is ``mahler.mahler_measure``, which picks the route from the method
+name: exact roots in one variable, and in several Jensen's formula
+fibrewise over a torus grid, or torus quadrature when the call asks for it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .laurent import (
     format_polynomial,
     matrix_to_json,
 )
-from .mahler import MahlerValue, mahler_measure, resolve_method
+from .mahler import MahlerValue, mahler_measure
 from .values import FKValue
 
 
@@ -94,13 +93,9 @@ def fk_det_zd(
 
     Returns the full trace; the number itself is ``trace.value``.  The zero
     matrix gives 1 (every characteristic coefficient of SS* = 0 below the
-    leading 1 vanishes).  ``grid_size`` feeds quadrature.  One variable
-    always takes exact roots; the method only selects among the
-    multivariate schemes.
+    leading 1 vanishes).  ``measure_method`` and ``grid_size`` go to
+    mahler_measure.
     """
-    method = resolve_method(measure_method)
-    if a.rank == 1:
-        method = "jensen"
     side = "matrix" if a.rows <= a.cols else "adjoint"
     s = a if side == "matrix" else a.adjoint()
     # the rows A has over S lie in A's kernel
@@ -122,7 +117,7 @@ def fk_det_zd(
         q += low
         # the leading coefficient is the int 1
         det_d1 = coeffs[low] if low < d1.rows else LaurentPolynomial.one(a.rank)
-    m1 = mahler_measure(det_d1, method, grid_size=grid_size)
+    m1 = mahler_measure(det_d1, measure_method, grid_size=grid_size)
     if route == "det":
         value, error = m1.value, m1.error_estimate
     else:

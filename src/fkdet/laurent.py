@@ -652,12 +652,6 @@ class GroupRingMatrix:
             cols=self.rows,
         )
 
-    def specialize(self, ks: Sequence[int]) -> "GroupRingMatrix":
-        """Entrywise specialization to rank 1 (see LaurentPolynomial.specialize)."""
-        return GroupRingMatrix(
-            [[p.specialize(ks) for p in row] for row in self.entries], rank=1
-        )
-
     # ------------------------------------------------------------------
     # determinant
 

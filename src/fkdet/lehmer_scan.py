@@ -49,9 +49,12 @@ from .values import FKValue, Radical
 
 VARIANTS = ("lambda", "lambda_1", "lambda_w", "lambda_w_1")
 
-# a computed determinant below 1 + this counts as "determinant one" and is
+# over Z^d a determinant below 1 + this counts as "determinant one" and is
 # excluded from the infimum; every report carries the threshold it used
 DEFAULT_ONE_THRESHOLD = 1e-9
+
+# finite-group candidates are integral: determinant one is exactly this
+_ONE = Radical(1)
 
 DEFAULT_BUDGET_ELEMENTS = 10**7
 DEFAULT_BUDGET_MATRICES = 10**5
@@ -313,7 +316,7 @@ class _FiniteSpace:
         carried, v = self.carried
         if carried is not vec or v is None:
             v = self._det_kernel(vec, True)[0]
-        return v, v.value < 1.0 + one_threshold
+        return v, v.exact == _ONE
 
     def entry_texts(self, vec) -> list:
         return [format_element(x) for row in self.matrix(vec).entries for x in row]
@@ -538,7 +541,8 @@ def scan(
     least value found by then.  Ties in the infimum keep the earliest candidate in
     enumeration order, so reports are deterministic for a fixed space.
     Over Z^d every determinant is measured by the ``auto`` method, fibrewise
-    Jensen; a candidate it refuses ends the scan with its ValueError.  A
+    Jensen; a candidate it refuses ends the scan with its ValueError.  Over
+    a finite group the exact radical decides determinant one.  A
     ``one_threshold`` that is negative or not finite is refused.
     """
     if variant not in VARIANTS:

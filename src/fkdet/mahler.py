@@ -1,5 +1,5 @@
 """Mahler measures: Jensen's formula from roots, torus quadrature, and the
-iterated one-variable specialization limit.
+iterated one-variable specialization limit as a reference.
 
 The one-variable path is the accurate one.  Polynomials are made
 square-free exactly (Yun decomposition over the integers) before any
@@ -10,12 +10,12 @@ against the exact coefficients.
 In several variables Jensen's formula runs fibrewise (Boyd 1981; Smyth
 1981): log M(p) is the integral over the outer torus of the one-variable
 log measure of p(x, .) in one inner variable, taken on a midpoint grid with
-one stacked companion eigenvalue call for all fibres.  The torus grid and
-the specialization ramp are the other two multivariate routes.  All three
-are empirical and their error estimates are observed differences, not
-proved bounds.
+one stacked companion eigenvalue call for all fibres.  The torus grid is
+the other route, and the specialization ramp a reference no method
+selects.  All three are empirical and their error estimates are observed
+differences, not proved bounds.
 
-One table names the methods and "auto" is Jensen at every rank.
+One table names the methods and ``mahler_measure`` alone picks a route.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ ZERO_FLOOR = 1e-300
 # refuses above it rather than run for minutes
 BL_MAX_DEGREE = 1024
 
+# most points of one quadrature grid; a chunk of it is then at most 128 MB
+QUADRATURE_MAX_POINTS = 1 << 24
+
 # fibrewise Jensen, by the number of outer axes: midpoint grid points per
 # axis, and the largest inner degree it root-finds (each budget keeps one
 # measure to a few seconds; it refuses above it)
@@ -60,7 +63,7 @@ FIBRE_UNIT_BAND = 1e-5
 # fibres are stacked so that one chunk holds about this many matrix entries
 FIBRE_CHUNK = 1 << 16
 
-MEASURE_METHODS = ("auto", "jensen", "quadrature", "boyd_lawton")
+MEASURE_METHODS = ("auto", "jensen", "quadrature")
 
 
 class JensenRefusal(ValueError):
@@ -416,6 +419,18 @@ def _span(p: LaurentPolynomial, axis: int) -> int:
     return p.max_exponents()[axis] - p.min_exponents()[axis]
 
 
+def _refuse_aliasing(p: LaurentPolynomial, axes, n: int, what: str, refusal) -> None:
+    # z**(k + m) = +-z**k at every point of a uniform or midpoint grid of m
+    # points, so that grid cannot tell apart exponents m apart; spans up to
+    # n/4 keep the coarse grid of m = n/2 points clear of it
+    reach = max(_span(p, axis) for axis in axes)
+    if reach > n // 4:
+        raise refusal(
+            f"{what} exponents span {reach}, over the budget {n // 4} "
+            f"of its {n}-point grid"
+        )
+
+
 def _one_variable(coeffs: list) -> LaurentPolynomial:
     return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs) if c})
 
@@ -560,15 +575,7 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
             f"jensen fibres have inner degree {degree}, over the budget {budget}"
         )
     n = FIBRE_GRID[len(outer)]
-    # z**(k + m) = -z**k at every point of the midpoint grid of m points, so
-    # that grid cannot tell apart outer exponents m apart; spans up to n/4
-    # keep the coarse grid of m = n/2 points clear of it with room to spare
-    reach = max(_span(p, axis) for axis in outer)
-    if reach > n // 4:
-        raise JensenRefusal(
-            f"jensen outer exponents span {reach}, over the budget {n // 4} "
-            f"of its {n}-point grid"
-        )
+    _refuse_aliasing(p, outer, n, "jensen outer", JensenRefusal)
     log_m, slack = _fibre_log_mean(p, inner, outer, n)
     log_coarse, _ = _fibre_log_mean(p, inner, outer, n // 2)
     value = math.exp(log_m)
@@ -624,12 +631,19 @@ def log_mahler_quadrature(p: LaurentPolynomial, n: int) -> MahlerValue:
     """Mahler measure from the grid average of ln|p| on the torus.
 
     The error estimate is the gap to the n/2 grid plus the same rounding
-    floor as the Jensen route.
+    floor as the Jensen route.  A grid over QUADRATURE_MAX_POINTS points,
+    or an axis span over n/4, is refused.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if n < 2:
         raise ValueError("grid size must be at least 2")
+    if n**p.rank > QUADRATURE_MAX_POINTS:
+        raise ValueError(
+            f"quadrature grid of {n}^{p.rank} points, over the budget "
+            f"{QUADRATURE_MAX_POINTS}"
+        )
+    _refuse_aliasing(p, range(p.rank), n, "quadrature", ValueError)
     log_m = _grid_log_mean(p, n)
     coarse = max(2, n // 2)
     log_coarse = _grid_log_mean(p, coarse) if coarse < n else log_m
@@ -666,7 +680,8 @@ def default_bl_schedule(p: LaurentPolynomial, steps: int = 4, base: int = 25) ->
 def mahler_boyd_lawton(
     p: LaurentPolynomial, schedule: list | None = None
 ) -> MahlerValue:
-    """Mahler measure as the limit of one-variable specializations.
+    """Mahler measure as the limit of one-variable specializations, the
+    reference that tests check the measure methods against (Lawton 1983).
 
     The value is the Jensen measure at the last schedule tuple; the error
     estimate is the spread over the final three tuples plus the same
@@ -687,7 +702,7 @@ def mahler_boyd_lawton(
     if degree > BL_MAX_DEGREE:
         raise ValueError(
             f"boyd_lawton specialization reaches degree {degree}, over the "
-            f"budget {BL_MAX_DEGREE}; use --method quadrature"
+            f"budget {BL_MAX_DEGREE}"
         )
     values = []
     for ks, q in zip(schedule, specs):
@@ -700,26 +715,19 @@ def mahler_boyd_lawton(
     return MahlerValue(value, math.log(value), "boyd_lawton", spread + 1e-15 * value)
 
 
-def resolve_method(method: str) -> str:
-    """The measure a method name selects; "auto" is Jensen at every rank."""
-    if method not in MEASURE_METHODS:
-        raise ValueError(
-            f"unknown measure method {method!r}; pick one of {MEASURE_METHODS}"
-        )
-    return "jensen" if method == "auto" else method
-
-
 def mahler_measure(
     p: LaurentPolynomial,
     method: str = "auto",
     *,
     grid_size: int = 256,
 ) -> MahlerValue:
-    """Mahler measure by a method from MEASURE_METHODS; ``grid_size`` feeds
-    quadrature."""
-    method = resolve_method(method)
-    if method == "jensen":
-        return mahler_fibrewise(p)
-    if method == "quadrature":
+    """Mahler measure by a method from MEASURE_METHODS: exact roots in one
+    variable whatever the method; in several, the torus grid of
+    ``grid_size`` points per axis for "quadrature", else fibrewise Jensen."""
+    if method not in MEASURE_METHODS:
+        raise ValueError(
+            f"unknown measure method {method!r}; pick one of {MEASURE_METHODS}"
+        )
+    if method == "quadrature" and p.rank > 1:
         return log_mahler_quadrature(p, grid_size)
-    return mahler_boyd_lawton(p)
+    return mahler_fibrewise(p)

@@ -52,11 +52,13 @@ def test_traced_run_reports_the_layers(capsys, tmp_path):
             cli.main(["fkdet-zd", "--matrix-file", str(path)]),
             cli.main(["approx-chain", "--poly", "z - 2", "--chain", "2..4"]),
             cli.main(["lehmer-scan", "--cyclic", "2", "--variant", "lambda_w_1"]),
+            cli.main(["mahler", "--poly", "1 + z1 + z2", "--method", "quadrature",
+                      "--grid", "64"]),
         ]
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     metrics = tracing.layer_metrics(tracer, 1, {}, 1.0, 0.0)
     assert metrics["fk_zd.noninjective"] > 0
     assert metrics["laurent.detD1_terms_max"] > 0
@@ -64,3 +66,6 @@ def test_traced_run_reports_the_layers(capsys, tmp_path):
     assert metrics["lehmer_scan.scan.calls"] == 1
     assert metrics["lehmer_scan.evaluated"] > 0
     assert "laurent.kernel_basis.calls" not in metrics
+    # the quadrature's guards leave the point counter its (p, n) arguments
+    assert metrics["mahler.quadrature.calls"] == 1
+    assert metrics["mahler.quadrature.points"] == 64**2 + 32**2

@@ -16,8 +16,6 @@ from fkdet.laurent import GroupRingMatrix, matrix_to_json, parse_polynomial
 from fkdet.lehmer_scan import DEFAULT_ONE_THRESHOLD
 from fkdet.mahler import mahler_jensen
 
-from helpers import mat
-
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 
 
@@ -121,6 +119,16 @@ def test_mahler_multivariate_methods(capsys):
     )
     assert quad["result"]["measure"]["method"] == "quadrature"
     assert quad["result"]["measure"]["value"] == pytest.approx(1.3813564445, abs=5e-2)
+    # past the aliasing budget of the default grid, a finer grid measures it
+    quad = run_json(
+        capsys, "mahler", "--poly", "1 + z1^65 + z2^65", "--method", "quadrature",
+        "--grid", "512",
+    )
+    assert quad["result"]["measure"]["value"] == pytest.approx(1.3813564445, abs=1e-4)
+    # one variable takes exact roots whatever the method
+    one = run_json(capsys, "mahler", "--poly", "z - 2", "--method", "quadrature")
+    assert one["result"]["resolved_method"] == "jensen"
+    assert one["result"]["measure"]["value"] == 2.0
 
 
 def test_mahler_text_format(capsys):
@@ -476,15 +484,6 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, err = error_of(capsys, "fkdet-finite", "--group-file", str(path2),
                          "--elem", "t+1")
     assert code == 1
-    # the Boyd-Lawton ramp refuses past its degree budget: the column
-    # [1 + z1 + z2 + z3; 1] measures a Gram determinant of degree 1602
-    column = mat([["1 + z1 + z2 + z3"], ["1"]], rank=3)
-    path3 = tmp_path / "column.json"
-    path3.write_text(json.dumps(matrix_to_json(column)))
-    code, err = error_of(capsys, "fkdet-zd", "--matrix-file", str(path3),
-                         "--method", "boyd_lawton")
-    assert code == 1
-    assert "budget" in err["message"] and "--method quadrature" in err["message"]
     # fibrewise Jensen refuses past its inner-degree budget
     code, err = error_of(capsys, "mahler", "--poly", "1 + z1^65 + z2^65")
     assert code == 1
@@ -493,6 +492,17 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, err = error_of(capsys, "mahler", "--poly", "2 + z2 + z1^2048")
     assert code == 1
     assert "span 2048" in err["message"] and "--method quadrature" in err["message"]
+    # quadrature refuses the same span on its grid, and a grid over its
+    # point budget; neither refusal gives advice
+    code, err = error_of(capsys, "mahler", "--poly", "2 + z2 + z1^2048",
+                         "--method", "quadrature")
+    assert code == 1
+    assert err["message"].endswith("quadrature exponents span 2048, over the budget 64 "
+                                   "of its 256-point grid")
+    code, err = error_of(capsys, "fkdet-zd", "--poly", "1 + z1 + z2 + z3 + z4 + z5",
+                         "--method", "quadrature")
+    assert code == 1
+    assert err["message"].endswith("grid of 256^5 points, over the budget 16777216")
     # moduli arity mismatch
     code, err = error_of(capsys, "trace-check", "--poly", "z", "--degree", "1",
                          "--moduli", "2,3")
@@ -511,6 +521,18 @@ def test_timeout_inside_a_command_propagates(monkeypatch):
     monkeypatch.setattr(fkdet.cli, "_run_mahler", slow)
     with pytest.raises(TimeoutError, match="deadline"):
         main(["mahler", "--poly", "z - 2"])
+
+
+@pytest.mark.parametrize("command", [
+    ("mahler", "--poly", "1 + z1 + z2"),
+    ("fkdet-zd", "--poly", "1 + z1 + z2"),
+    ("approx-chain", "--poly", "1 + z1 + z2", "--chain", "2..3"),
+])
+def test_boyd_lawton_is_no_method(capsys, command):
+    code, err = error_of(capsys, *command, "--method", "boyd_lawton")
+    assert code == 2
+    assert err["kind"] == "config"
+    assert "boyd_lawton" in err["message"]
 
 
 def test_config_errors_exit_2(capsys):

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import time
 
 import pytest
 
@@ -18,7 +17,6 @@ from fkdet.laurent import (
 )
 from fkdet.mahler import (
     default_bl_schedule,
-    log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
 )
@@ -320,8 +318,9 @@ def test_matrix_json_round_trip_and_errors():
 
 
 def test_method_selection_and_validation():
-    with pytest.raises(ValueError, match="unknown measure method"):
-        fk_det_zd(mat([["z"]]), "newton")
+    for method in ("newton", "boyd_lawton"):
+        with pytest.raises(ValueError, match="unknown measure method"):
+            fk_det_zd(mat([["z"]]), method)
     # jensen holds at every rank; det D1 = 2 + z1/z2 + z2/z1 is collinear
     got = fk_det_zd(mat([["z1 + z2"]], rank=2), "jensen").value
     assert got.method == "jensen"
@@ -337,24 +336,8 @@ def test_quadrature_method_on_two_variables():
     assert math.isclose(trace.value.value, TWO_VAR_MEASURE, rel_tol=2e-2)
 
 
-def test_boyd_lawton_method_on_two_variables():
-    a = mat([["1 + z1 + z2"]], rank=2)
-    trace = fk_det_zd(a, "boyd_lawton")
-    assert trace.value.method == "boyd_lawton"
-    assert math.isclose(trace.value.value, TWO_VAR_MEASURE, rel_tol=2e-2)
-
-
 # ---------------------------------------------------------------------------
 # schedules: the certified c-chain of each measured determinant
-
-
-def test_schedule_for_constant_determinants():
-    trace = fk_det_zd(GroupRingMatrix.zero(1, 1, 2), "boyd_lawton")
-    assert trace.detD1.is_one()
-    assert default_bl_schedule(trace.detD1) == [(25,), (50,), (100,), (200,)]
-    assert default_bl_schedule(trace.detD1, steps=4, base=1) == [(1,), (2,), (4,), (8,)]
-    assert trace.value.value == 1.0
-    assert trace.value.method == "boyd_lawton"
 
 
 def test_schedule_bounds_follow_the_support():
@@ -382,28 +365,6 @@ def test_schedule_rejects_rank_one_and_empty():
         mahler_boyd_lawton(p, default_bl_schedule(p, steps=0))
 
 
-# ---------------------------------------------------------------------------
-# determinants via specialization
-
-
-def test_specialization_on_monomial_and_missing_variable():
-    got = fk_det_zd(mat([["z1*z2"]], rank=2), "boyd_lawton").value
-    assert math.isclose(got.value, 1.0, rel_tol=1e-12)
-    assert got.method == "boyd_lawton"
-
-    got = fk_det_zd(mat([["z1 - 2"]], rank=2), "boyd_lawton").value
-    assert math.isclose(got.value, 2.0, rel_tol=1e-9)
-    assert got.error_estimate < 1e-9
-
-
-def test_specialization_approaches_the_quadrature_value():
-    a = mat([["1 + z1 + z2"]], rank=2)
-    got = fk_det_zd(a, "boyd_lawton").value
-    assert got.method == "boyd_lawton"
-    oracle = math.exp(log_mahler_quadrature(parse_polynomial("1 + z1 + z2"), 512).log_value)
-    assert math.isclose(got.value, oracle, rel_tol=2e-2)
-
-
 def test_specialization_rejects_bad_schedules():
     det_d1 = fk_det_zd(mat([["1 + z1 + z2"]], rank=2)).detD1
     with pytest.raises(ValueError, match="empty"):
@@ -416,15 +377,6 @@ def test_specialization_rejects_bad_schedules():
     collapsing = fk_det_zd(mat([["z1 - z2"]], rank=2)).detD1
     with pytest.raises(ValueError, match="collapsed"):
         mahler_boyd_lawton(collapsing, [(1,)])
-
-
-def test_boyd_lawton_refuses_over_the_degree_budget():
-    # the column [p; 1] with p = 1 + z1 + z2 + z3 has det D1 = pp* + 1, which
-    # specializes to degree 1602 at the last tuple
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="degree 1602.*budget 1024.*quadrature"):
-        fk_det_zd(mat([["1 + z1 + z2 + z3"], ["1"]], rank=3), "boyd_lawton")
-    assert time.perf_counter() - start < 1.0
 
 
 def test_auto_is_fibrewise_jensen_in_several_variables():

@@ -131,12 +131,17 @@ def test_scan_refuses_a_one_threshold_that_is_not_finite_and_nonnegative(thresho
 
 
 def test_scan_accepts_a_zero_one_threshold():
-    # no integral determinant lies below 1, so with a zero threshold none
-    # counts as one and the units give the infimum 1
+    # over a finite group the exact radical decides determinant one, so a
+    # zero threshold reports what the default one does
     report = scan(SearchSpace(group=make_cyclic(3)), "lambda_1", one_threshold=0.0)
     assert report.one_threshold == 0.0
-    assert report.count_det_one == 0
-    assert report.infimum_found.exact == Radical(1)
+    assert report.count_det_one == 1
+    assert report.infimum_found.exact == Radical(2, Fraction(1, 3))
+    assert report.witness["text"] == "t + 1"
+    default = scan(SearchSpace(group=make_cyclic(3)), "lambda_1")
+    assert (default.count_det_one, default.infimum_found, default.witness) == (
+        report.count_det_one, report.infimum_found, report.witness
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fkdet.mahler import (
     BL_MAX_DEGREE,
     FIBRE_GRID,
     FIBRE_MAX_DEGREE,
+    QUADRATURE_MAX_POINTS,
     SMYTH_THETA0,
     default_bl_schedule,
     face_lower_bound,
@@ -416,6 +417,24 @@ def test_quadrature_rejects_bad_input():
         log_mahler_quadrature(parse_polynomial("z - 2"), 1)
 
 
+def test_quadrature_refuses_what_its_grid_cannot_resolve():
+    start = time.perf_counter()
+    # z1^2048 is 1 at every point of the 256 and 128 grids, so
+    # 2 + z2 + z1^2048 would read as 3 + z2
+    message = "quadrature exponents span 2048, over the budget 64 of its 256-point grid"
+    with pytest.raises(ValueError, match=message):
+        log_mahler_quadrature(parse_polynomial("2 + z2 + z1^2048"), 256)
+    with pytest.raises(ValueError, match="span 17, over the budget 16"):
+        log_mahler_quadrature(parse_polynomial("1 + z2 + z1^17"), 64)
+    # a 256^5 grid would hold 1.1e12 samples
+    message = r"grid of 256\^5 points, over the budget %d" % QUADRATURE_MAX_POINTS
+    with pytest.raises(ValueError, match=message):
+        log_mahler_quadrature(parse_polynomial("1 + z1 + z2 + z3 + z4 + z5"), 256)
+    assert time.perf_counter() - start < 0.5
+    # a span of n/4 is measured
+    assert log_mahler_quadrature(parse_polynomial("1 + z2 + z1^16"), 64).method == "quadrature"
+
+
 # ---------------------------------------------------------------------------
 # fibrewise Jensen
 
@@ -537,11 +556,16 @@ def test_fibrewise_refuses_over_its_budgets():
 
 def test_boyd_lawton_monomial():
     p = parse_polynomial("z1*z2")
-    got = mahler_boyd_lawton(p, [(3,), (7,), (11,)])
-    assert got.value == pytest.approx(1.0, abs=1e-12)
-    assert got.method == "boyd_lawton"
-    # the spread is zero here; the rounding floor keeps the estimate positive
-    assert got.error_estimate >= 1e-15 * got.value
+    for got in (mahler_boyd_lawton(p, [(3,), (7,), (11,)]), mahler_boyd_lawton(p)):
+        assert got.value == pytest.approx(1.0, abs=1e-12)
+        assert got.method == "boyd_lawton"
+        # the spread is zero here; the rounding floor keeps the estimate positive
+        assert got.error_estimate >= 1e-15 * got.value
+    # a constant bounds no exponent, so its schedule starts at the base
+    one = LaurentPolynomial.one(2)
+    assert default_bl_schedule(one) == [(25,), (50,), (100,), (200,)]
+    assert default_bl_schedule(one, steps=4, base=1) == [(1,), (2,), (4,), (8,)]
+    assert mahler_boyd_lawton(one).value == 1.0
 
 
 def test_boyd_lawton_missing_variable():
@@ -551,6 +575,9 @@ def test_boyd_lawton_missing_variable():
     got = mahler_boyd_lawton(q, [(5,), (9,)])
     assert got.value == pytest.approx(2.0, rel=1e-12)
     assert p.rank == 1
+    got = mahler_boyd_lawton(q)
+    assert got.value == pytest.approx(2.0, rel=1e-9)
+    assert got.error_estimate < 1e-9
 
 
 def test_boyd_lawton_default_schedule_matches_quadrature():
@@ -578,6 +605,13 @@ def test_boyd_lawton_refuses_over_the_degree_budget():
         BL_MAX_DEGREE + 1, BL_MAX_DEGREE
     )):
         mahler_boyd_lawton(p, [(25,), (BL_MAX_DEGREE + 1,)])
+    # the Gram determinant pp* + 1 of the column [p; 1], p = 1 + z1 + z2 + z3,
+    # reaches degree 1602 on its default schedule
+    p = parse_polynomial("1 + z1 + z2 + z3")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree 1602, over the budget 1024"):
+        mahler_boyd_lawton(p * p.adjoint() + LaurentPolynomial.one(3))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_boyd_lawton_rank3_schedule_chain():

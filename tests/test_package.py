@@ -10,6 +10,12 @@ def test_public_names_resolve_once():
 
 
 def test_removed_names_stay_gone():
-    for name in ("SpecSchedule", "build_schedule", "fk_det_zd_via_specialization"):
+    for name in (
+        "SpecSchedule",
+        "build_schedule",
+        "fk_det_zd_via_specialization",
+        "mahler_boyd_lawton",
+        "default_bl_schedule",
+    ):
         assert name not in fkdet.__all__
         assert not hasattr(fkdet, name)
