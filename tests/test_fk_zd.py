@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from fkdet.laurent import (
 )
 from fkdet.mahler import (
     default_bl_schedule,
+    log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
 )
@@ -336,8 +338,28 @@ def test_quadrature_method_on_two_variables():
     assert math.isclose(trace.value.value, TWO_VAR_MEASURE, rel_tol=2e-2)
 
 
+def test_boyd_lawton_method_on_two_variables():
+    # Boyd-Lawton is the reference for the measure routes, not one of them
+    trace = fk_det_zd(mat([["1 + z1 + z2"]], rank=2))
+    reference = mahler_boyd_lawton(trace.detD1)
+    assert reference.method == "boyd_lawton"
+    assert math.isclose(reference.value, TWO_VAR_MEASURE, rel_tol=2e-2)
+    assert math.isclose(trace.value.value, reference.value, rel_tol=2e-2)
+
+
 # ---------------------------------------------------------------------------
 # schedules: the certified c-chain of each measured determinant
+
+
+def test_schedule_for_constant_determinants():
+    trace = fk_det_zd(GroupRingMatrix.zero(1, 1, 2))
+    assert trace.detD1.is_one()
+    assert default_bl_schedule(trace.detD1) == [(25,), (50,), (100,), (200,)]
+    assert default_bl_schedule(trace.detD1, steps=4, base=1) == [(1,), (2,), (4,), (8,)]
+    assert trace.value.value == 1.0
+    reference = mahler_boyd_lawton(trace.detD1)
+    assert reference.value == 1.0
+    assert reference.method == "boyd_lawton"
 
 
 def test_schedule_bounds_follow_the_support():
@@ -365,6 +387,30 @@ def test_schedule_rejects_rank_one_and_empty():
         mahler_boyd_lawton(p, default_bl_schedule(p, steps=0))
 
 
+# ---------------------------------------------------------------------------
+# determinants via specialization
+
+
+def test_specialization_on_monomial_and_missing_variable():
+    det_d1 = fk_det_zd(mat([["z1*z2"]], rank=2)).detD1
+    got = mahler_boyd_lawton(det_d1)
+    assert math.isclose(got.value, 1.0, rel_tol=1e-12)
+    assert got.method == "boyd_lawton"
+
+    det_d1 = fk_det_zd(mat([["z1 - 2"]], rank=2)).detD1
+    got = mahler_boyd_lawton(det_d1)
+    assert math.isclose(got.value, 2.0, rel_tol=1e-9)
+    assert got.error_estimate < 1e-9
+
+
+def test_specialization_approaches_the_quadrature_value():
+    det_d1 = fk_det_zd(mat([["1 + z1 + z2"]], rank=2)).detD1
+    got = mahler_boyd_lawton(det_d1)
+    assert got.method == "boyd_lawton"
+    oracle = math.exp(log_mahler_quadrature(parse_polynomial("1 + z1 + z2"), 512).log_value)
+    assert math.isclose(got.value, oracle, rel_tol=2e-2)
+
+
 def test_specialization_rejects_bad_schedules():
     det_d1 = fk_det_zd(mat([["1 + z1 + z2"]], rank=2)).detD1
     with pytest.raises(ValueError, match="empty"):
@@ -377,6 +423,16 @@ def test_specialization_rejects_bad_schedules():
     collapsing = fk_det_zd(mat([["z1 - z2"]], rank=2)).detD1
     with pytest.raises(ValueError, match="collapsed"):
         mahler_boyd_lawton(collapsing, [(1,)])
+
+
+def test_boyd_lawton_refuses_over_the_degree_budget():
+    # the column [p; 1] with p = 1 + z1 + z2 + z3 has det D1 = pp* + 1, which
+    # specializes to degree 1602 at the last tuple
+    det_d1 = fk_det_zd(mat([["1 + z1 + z2 + z3"], ["1"]], rank=3)).detD1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree 1602.*budget 1024"):
+        mahler_boyd_lawton(det_d1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_auto_is_fibrewise_jensen_in_several_variables():
