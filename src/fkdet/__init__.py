@@ -14,8 +14,6 @@ from .approx import (
     DetSequence,
     QuotientChain,
     TraceCheck,
-    chain_doubling,
-    chain_primes,
     chain_range,
     det_sequence,
     det_sequence_to_csv,
@@ -90,8 +88,6 @@ __all__ = [
     "SearchSpace",
     "TraceCheck",
     "VARIANTS",
-    "chain_doubling",
-    "chain_primes",
     "chain_range",
     "constants_to_json",
     "cyclic_norm",

@@ -32,22 +32,18 @@ from .fk_zd import fk_det_zd
 from .laurent import GroupRingMatrix, LaurentPolynomial, matrix_to_json
 from .values import FKValue
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 @dataclass(frozen=True)
 class QuotientChain:
     """A schedule of moduli tuples, one Z/n_1 x ... x Z/n_d quotient each.
 
-    ``nested`` chains require every tuple to divide the next componentwise,
-    which realizes an inverse system of subgroups with trivial intersection;
-    plain chains (consecutive integers, primes) skip that requirement, which
-    the sub-approximation inequality does not need.
+    Any positive moduli make a chain: the sub-approximation inequality needs
+    no divisibility.  ``nested`` reports whether every tuple divides the next
+    componentwise, which realizes an inverse system of subgroups with
+    trivial intersection; the moduli decide it, not the caller.
     """
 
     rank: int
     moduli: tuple
-    nested: bool = True
 
     def __post_init__(self):
         if self.rank < 1:
@@ -59,12 +55,14 @@ class QuotientChain:
                 raise ValueError(f"moduli tuple {t} does not have rank {self.rank}")
             if any(n < 1 for n in t):
                 raise ValueError(f"moduli must be positive: {t}")
-        if self.nested:
-            for prev, cur in zip(mods, mods[1:]):
-                if any(c % p for p, c in zip(prev, cur)):
-                    raise ValueError(
-                        f"nested chain broken: {prev} does not divide {cur}"
-                    )
+
+    @property
+    def nested(self) -> bool:
+        return not any(
+            c % p
+            for prev, cur in zip(self.moduli, self.moduli[1:])
+            for p, c in zip(prev, cur)
+        )
 
     def orders(self) -> tuple:
         return tuple(math.prod(t) for t in self.moduli)
@@ -77,31 +75,11 @@ class QuotientChain:
         }
 
 
-def chain_doubling(rank: int, start: int = 2, steps: int = 5) -> QuotientChain:
-    """Uniform moduli n, 2n, 4n, ...; nested by construction."""
-    if start < 1 or steps < 1:
-        raise ValueError("need a positive start and step count")
-    return QuotientChain(
-        rank, tuple((start << j,) * rank for j in range(steps)), nested=True
-    )
-
-
-def chain_primes(rank: int, count: int = 5) -> QuotientChain:
-    """Uniform moduli over the first ``count`` primes; not nested."""
-    if not 1 <= count <= len(_PRIMES):
-        raise ValueError(f"prime chains support 1..{len(_PRIMES)} stages")
-    return QuotientChain(
-        rank, tuple((p,) * rank for p in _PRIMES[:count]), nested=False
-    )
-
-
 def chain_range(rank: int, lo: int, hi: int) -> QuotientChain:
-    """Uniform moduli lo, lo+1, ..., hi; not nested."""
+    """Uniform moduli lo, lo+1, ..., hi."""
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    return QuotientChain(
-        rank, tuple((n,) * rank for n in range(lo, hi + 1)), nested=False
-    )
+    return QuotientChain(rank, tuple((n,) * rank for n in range(lo, hi + 1)))
 
 
 def _mixed_radix_index(exps, moduli) -> int:

@@ -2,9 +2,11 @@
 
 One subcommand per computation, one report per successful run.  JSON
 reports are deterministic byte for byte: keys are sorted, floats print
-through repr, and the configuration that produced the run (defaults and
-tolerances included) is embedded next to the result together with the
-schema and tool versions, so accumulated survey records stay comparable.
+through repr, and the configuration that produced the run is embedded
+next to the result together with the schema and tool versions, so
+accumulated survey records stay comparable.  main builds that
+configuration from the parsed arguments in one place: every flag of the
+subcommand, defaults included, except the output-only --format and --out.
 Failures print a structured JSON object on stderr; the exit status
 separates bad mathematics (1: zero polynomial, bad group table, pipeline
 failures) from bad flags (2).
@@ -21,9 +23,6 @@ from fractions import Fraction
 from . import __version__
 from .approx import (
     QuotientChain,
-    chain_doubling,
-    chain_primes,
-    chain_range,
     det_sequence,
     det_sequence_to_csv,
     norm_bound,
@@ -178,29 +177,26 @@ def _finite_input(args, group: FiniteGroup):
 
 
 def _build_chain(args, rank: int) -> QuotientChain:
-    if args.chain is not None:
-        text = args.chain
-        if ".." in text:
-            lo_text, _, hi_text = text.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise ConfigError(f"--chain wants LO..HI or a comma list, got {text!r}")
-            return chain_range(rank, lo, hi)
+    text = args.chain
+    if ".." in text:
+        lo_text, _, hi_text = text.partition("..")
+        try:
+            lo, hi = int(lo_text), int(hi_text)
+        except ValueError:
+            raise ConfigError(f"--chain wants LO..HI or a comma list, got {text!r}")
+        if hi < lo:
+            raise ConfigError(f"--chain wants LO <= HI, got {text!r}")
+        ns = range(lo, hi + 1)
+    else:
         ns = _int_list(text, "--chain")
-        nested = all(b % a == 0 for a, b in zip(ns, ns[1:]))
-        return QuotientChain(rank, tuple((n,) * rank for n in ns), nested=nested)
-    if args.primes is not None:
-        return chain_primes(rank, args.primes)
-    start, _, steps = (args.doubling or "2:5").partition(":")
-    try:
-        return chain_doubling(rank, int(start), int(steps))
-    except ValueError:
-        raise ConfigError(f"--doubling wants START:STEPS, got {args.doubling!r}")
+    if min(ns) < 1:
+        raise ConfigError(f"--chain wants positive moduli, got {text!r}")
+    return QuotientChain(rank, tuple((n,) * rank for n in ns))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (config, payload, text, csv)
+# subcommand handlers; each returns (payload, text, csv), and main records
+# the parsed flags as the report's config
 
 
 def _group_json(group: FiniteGroup) -> dict:
@@ -209,15 +205,7 @@ def _group_json(group: FiniteGroup) -> dict:
 
 def _run_mahler(args):
     p = _poly_input(args)
-    out = mahler_measure(p, args.method, grid_size=args.grid)
-    config = {
-        "subcommand": "mahler",
-        "poly": args.poly,
-        "poly_file": args.poly_file,
-        "rank": args.rank,
-        "method": args.method,
-        "grid_size": args.grid,
-    }
+    out = mahler_measure(p, args.method, grid_size=args.grid_size)
     payload = {
         "polynomial": format_polynomial(p),
         "rank": p.rank,
@@ -230,20 +218,12 @@ def _run_mahler(args):
         out.method,
         out.error_estimate,
     )
-    return config, payload, text, None
+    return payload, text, None
 
 
 def _run_fkdet_zd(args):
     a = _zd_matrix(args)
-    trace = fk_det_zd(a, args.method, grid_size=args.grid)
-    config = {
-        "subcommand": "fkdet-zd",
-        "poly": args.poly,
-        "matrix_file": args.matrix_file,
-        "rank": args.rank,
-        "method": args.method,
-        "grid_size": args.grid,
-    }
+    trace = fk_det_zd(a, args.method, grid_size=args.grid_size)
     if args.trace:
         payload = trace.as_json()
     else:
@@ -256,7 +236,7 @@ def _run_fkdet_zd(args):
     text = "det = %r  (method %s, error <= %r)" % (v.value, v.method, v.error_estimate)
     if v.exact is not None:
         text += "  exact %s" % v.exact
-    return config, payload, text, None
+    return payload, text, None
 
 
 def _run_fkdet_finite(args):
@@ -276,14 +256,6 @@ def _run_fkdet_finite(args):
             "cols": x.cols,
             "entries": [format_element(e) for row in x.entries for e in row],
         }
-    config = {
-        "subcommand": "fkdet-finite",
-        "cyclic": args.cyclic,
-        "group_file": args.group_file,
-        "elem": args.elem,
-        "coeffs": args.coeffs,
-        "matrix_file": args.matrix_file,
-    }
     payload = {
         "group": _group_json(group),
         "input": described,
@@ -297,7 +269,7 @@ def _run_fkdet_finite(args):
     )
     if value.exact is not None:
         text += "  exact %s" % value.exact
-    return config, payload, text, None
+    return payload, text, None
 
 
 def _search_space(args) -> SearchSpace:
@@ -334,20 +306,6 @@ def _run_scan(args):
         one_threshold=args.one_threshold,
         survey=args.survey,
     )
-    config = {
-        "subcommand": "lehmer-scan",
-        "cyclic": args.cyclic,
-        "group_file": args.group_file,
-        "box": args.box,
-        "rank": args.rank,
-        "variant": args.variant,
-        "shape": args.shape,
-        "coeff_bound": args.coeff_bound,
-        "support": args.support,
-        "budget": args.budget,
-        "one_threshold": args.one_threshold,
-        "survey": args.survey,
-    }
     payload = report.as_json()
     lines = ["variant %s, examined %d" % (report.variant, report.count_examined)]
     if report.infimum_found is None:
@@ -364,7 +322,7 @@ def _run_scan(args):
         % (report.count_det_one, report.budget_exceeded)
     )
     csv = survey_to_csv(report) if args.survey else None
-    return config, payload, "\n".join(lines), csv
+    return payload, "\n".join(lines), csv
 
 
 def _run_chain(args):
@@ -377,18 +335,6 @@ def _run_chain(args):
         measure_method=args.method,
         max_stage_order=args.max_stage_order,
     )
-    config = {
-        "subcommand": "approx-chain",
-        "poly": args.poly,
-        "matrix_file": args.matrix_file,
-        "rank": args.rank,
-        "chain": args.chain,
-        "doubling": args.doubling,
-        "primes": args.primes,
-        "tolerance": args.tolerance,
-        "method": args.method,
-        "max_stage_order": args.max_stage_order,
-    }
     payload = seq.as_json()
     lines = []
     for mods, order, value in zip(chain.moduli, chain.orders(), seq.values):
@@ -398,18 +344,12 @@ def _run_chain(args):
     lines.append("limsup_ok = %s" % seq.limsup_ok)
     gap = abs(seq.values[-1].value - ref.value)
     lines.append("approaching = %s  (final gap %r)" % (seq.approaching, gap))
-    return config, payload, "\n".join(lines), det_sequence_to_csv(seq)
+    return payload, "\n".join(lines), det_sequence_to_csv(seq)
 
 
 def _run_constants(args):
     group = _load_group(args)
     table = exact_constants(group)
-    config = {
-        "subcommand": "exact-constants",
-        "cyclic": args.cyclic,
-        "group_file": args.group_file,
-        "torsion_order": args.torsion_order,
-    }
     payload = {"group": _group_json(group), "constants": constants_to_json(table)}
     lines = []
     for variant in sorted(table):
@@ -422,21 +362,13 @@ def _run_constants(args):
         bound = torsion_bound_check(args.torsion_order)
         payload["torsion_bound"] = {"m": args.torsion_order, "value": bound}
         lines.append("torsion bound (m = %d): %r" % (args.torsion_order, bound))
-    return config, payload, "\n".join(lines), None
+    return payload, "\n".join(lines), None
 
 
 def _run_trace_check(args):
     a = _zd_matrix(args)
     moduli = tuple(_int_list(args.moduli, "--moduli"))
     check = trace_match_check(a, args.degree, moduli)
-    config = {
-        "subcommand": "trace-check",
-        "poly": args.poly,
-        "matrix_file": args.matrix_file,
-        "rank": args.rank,
-        "degree": args.degree,
-        "moduli": list(moduli),
-    }
     payload = check.as_json()
     payload["norm_bound"] = norm_bound(a)
     lines = [
@@ -445,7 +377,7 @@ def _run_trace_check(args):
         "least matching multiple = %s" % list(check.least_multiple),
         "norm bound = %r" % payload["norm_bound"],
     ]
-    return config, payload, "\n".join(lines), None
+    return payload, "\n".join(lines), None
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--poly-file", metavar="PATH", help="file with one polynomial")
     p.add_argument("--rank", type=int, help="variable count when the text leaves it open")
     p.add_argument("--method", choices=MEASURE_METHODS, default="auto")
-    p.add_argument("--grid", type=int, default=256, help="quadrature points per axis")
+    p.add_argument(
+        "--grid", type=int, default=256, dest="grid_size",
+        help="quadrature points per axis",
+    )
 
     p = add("fkdet-zd", "Fuglede-Kadison determinant over Z^d", _run_fkdet_zd)
     _add_zd_input(p)
     p.add_argument("--method", choices=MEASURE_METHODS, default="auto")
-    p.add_argument("--grid", type=int, default=256, help="quadrature points per axis")
+    p.add_argument(
+        "--grid", type=int, default=256, dest="grid_size",
+        help="quadrature points per axis",
+    )
     p.add_argument(
         "--trace", action="store_true", help="include every pipeline intermediate"
     )
@@ -539,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         formats=("json", "text", "csv"),
     )
     _add_zd_input(p)
-    chain = p.add_mutually_exclusive_group()
-    chain.add_argument("--chain", metavar="LO..HI", help="moduli range or comma list")
-    chain.add_argument("--doubling", metavar="START:STEPS", help="doubling chain")
-    chain.add_argument("--primes", type=int, metavar="COUNT", help="first prime moduli")
+    p.add_argument(
+        "--chain", default="2,4,8,16,32", metavar="LO..HI",
+        help="moduli range or comma list",
+    )
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--method", choices=MEASURE_METHODS, default="auto")
     p.add_argument("--max-stage-order", type=int, default=20000)
@@ -571,10 +509,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# parsed arguments that are no setting of the run: the dispatch target and
+# how and where the report is written
+_OUTPUT_ONLY = ("handler", "format", "out")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    config = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ONLY}
     try:
-        config, payload, text, csv = globals()[args.handler](args)
+        payload, text, csv = globals()[args.handler](args)
         if args.format == "json":
             report = {
                 "schema_version": SCHEMA_VERSION,

@@ -33,7 +33,7 @@ from .exact_linalg import (
     rank_det_exact,
 )
 from .laurent import parse_polynomial
-from .mahler import _cyclotomic, _div_exact, _totient
+from .mahler import _cyclotomic, _div_exact, _reduce, _totient
 from .values import FKValue, Radical, fk_exact
 
 # Largest regular representation, max(rows, cols) * order, that
@@ -499,34 +499,6 @@ def _poly_mul(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _reduce(num: list, den: int, mod: list) -> tuple:
-    """num/den modulo mod, as a numerator list and a positive denominator
-    in lowest terms.
-
-    Pseudo-division: where a division by the leading coefficient lc of mod
-    would be due, the rest of the numerator and the denominator are
-    multiplied by lc instead, so only integers occur and the cost hardly
-    depends on lc."""
-    dm = len(mod) - 1
-    lc = mod[-1]
-    r = list(num)
-    for k in range(len(r) - 1, dm - 1, -1):
-        c = r.pop()
-        if not c:
-            continue
-        if lc in (1, -1):
-            c *= lc
-        else:
-            r = [x * lc for x in r]
-            den *= lc
-        for i in range(dm):
-            r[k - dm + i] -= c * mod[i]
-    g = math.gcd(den, *r)
-    if den < 0:
-        g = -g
-    return [x // g for x in r], den // g
 
 
 def _t_power_mod(n: int, mod: list) -> tuple:

@@ -63,7 +63,7 @@ FIBRE_UNIT_BAND = 1e-5
 # fibres are stacked so that one chunk holds about this many matrix entries
 FIBRE_CHUNK = 1 << 16
 
-MEASURE_METHODS = ("auto", "jensen", "quadrature")
+MEASURE_METHODS = ("auto", "quadrature")
 
 
 class JensenRefusal(ValueError):
@@ -106,21 +106,32 @@ def _primitive(coeffs: list) -> list:
     return out
 
 
-def _pseudo_rem(a: list, b: list) -> list:
-    """Remainder of a by b up to powers of lc(b); integer arithmetic only."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            return r
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * x for x in r]
-        for i in range(db + 1):
-            r[shift + i] -= lead * b[i]
+def _reduce(num: list, den: int, mod: list) -> tuple:
+    """num/den modulo mod, as a numerator list and a positive denominator
+    in lowest terms.
+
+    Pseudo-division: where a division by the leading coefficient lc of mod
+    would be due, the rest of the numerator and the denominator are
+    multiplied by lc instead, so only integers occur and the cost hardly
+    depends on lc."""
+    dm = len(mod) - 1
+    lc = mod[-1]
+    r = list(num)
+    for k in range(len(r) - 1, dm - 1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        if lc in (1, -1):
+            c *= lc
+        else:
+            r = [x * lc for x in r]
+            den *= lc
+        for i in range(dm):
+            r[k - dm + i] -= c * mod[i]
+    g = math.gcd(den, *r)
+    if den < 0:
+        g = -g
+    return [x // g for x in r], den // g
 
 
 def _gcd_poly(a: list, b: list) -> list:
@@ -134,7 +145,7 @@ def _gcd_poly(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _primitive(_trim(_pseudo_rem(a, b)))
+        r = _primitive(_trim(_reduce(a, 1, b)[0]))
         a, b = b, r
     return a
 
@@ -548,13 +559,9 @@ def mahler_fibrewise(p: LaurentPolynomial) -> MahlerValue:
     for axis in live:
         g = _axis_content(p, axis)
         if len(g) > 1:
-            factor = LaurentPolynomial(
-                p.rank,
-                {tuple(i if a == axis else 0 for a in range(p.rank)): c
-                 for i, c in enumerate(g) if c},
-            )
-            head = mahler_jensen(_one_variable(g))
-            rest = mahler_fibrewise(p.divide_exact(factor))
+            one = _one_variable(g)
+            head = mahler_jensen(one)
+            rest = mahler_fibrewise(p.divide_exact(one.embed(p.rank, axis + 1)))
             return MahlerValue(
                 head.value * rest.value,
                 head.log_value + rest.log_value,

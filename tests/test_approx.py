@@ -12,8 +12,6 @@ from fkdet.approx import (
     DetSequence,
     QuotientChain,
     TraceCheck,
-    chain_doubling,
-    chain_primes,
     chain_range,
     det_sequence,
     det_sequence_to_csv,
@@ -62,10 +60,10 @@ def test_chain_validation():
         QuotientChain(2, ((2,), (4,)))
     with pytest.raises(ValueError, match="positive"):
         QuotientChain(1, ((2,), (0,)))
-    with pytest.raises(ValueError, match="nested"):
-        QuotientChain(1, ((2,), (3,)))
-    # the same tuples pass once the divisibility requirement is dropped
-    QuotientChain(1, ((2,), (3,)), nested=False)
+    # any positive moduli make a chain; divisibility only decides nested
+    assert QuotientChain(1, ((2,), (3,))).nested is False
+    assert QuotientChain(2, ((2, 3), (4, 3))).nested is True
+    assert QuotientChain(2, ((2, 3), (4, 4))).nested is False
 
 
 def test_chain_accessors():
@@ -76,18 +74,12 @@ def test_chain_accessors():
 
 
 def test_chain_builders():
-    assert chain_doubling(1, 2, 3).moduli == ((2,), (4,), (8,))
-    assert chain_doubling(2, 3, 2).moduli == ((3, 3), (6, 6))
-    assert chain_doubling(1).nested is True
-    assert chain_primes(1, 4).moduli == ((2,), (3,), (5,), (7,))
-    assert chain_primes(2, 2).moduli == ((2, 2), (3, 3))
-    assert chain_primes(1, 3).nested is False
     assert chain_range(1, 2, 5).moduli == ((2,), (3,), (4,), (5,))
     assert chain_range(1, 7, 7).moduli == ((7,),)
-    with pytest.raises(ValueError):
-        chain_doubling(1, 0)
-    with pytest.raises(ValueError):
-        chain_primes(1, 99)
+    # consecutive moduli divide each other only from 1 to 2
+    assert chain_range(1, 2, 5).nested is False
+    assert chain_range(1, 7, 7).nested is True
+    assert chain_range(2, 1, 2).nested is True
     with pytest.raises(ValueError):
         chain_range(1, 5, 4)
 
@@ -309,7 +301,7 @@ def test_det_sequence_z_minus_two():
 
 
 def test_det_sequence_unit_matrix():
-    seq = det_sequence(mat([["1"]]), chain_doubling(1, 2, 3))
+    seq = det_sequence(mat([["1"]]), QuotientChain(1, ((2,), (4,), (8,))))
     assert [v.value for v in seq.values] == [1.0, 1.0, 1.0]
     assert seq.limit_reference.value == pytest.approx(1.0)
     assert seq.limsup_ok is True and seq.approaching is True
@@ -318,7 +310,7 @@ def test_det_sequence_unit_matrix():
 def test_det_sequence_cyclotomic_exceeds_its_limit():
     # every stage of z + 1 along odd quotients is 2^(1/n) > M(z + 1) = 1,
     # so the limsup inequality cannot be certified from finitely many stages
-    chain = QuotientChain(1, ((3,), (5,), (7,), (9,)), nested=False)
+    chain = QuotientChain(1, ((3,), (5,), (7,), (9,)))
     seq = det_sequence(mat([["z + 1"]]), chain)
     for n, v in zip((3, 5, 7, 9), seq.values):
         assert v.exact == Radical(2, Fraction(1, n))
@@ -329,7 +321,7 @@ def test_det_sequence_cyclotomic_exceeds_its_limit():
 
 def test_det_sequence_two_variables():
     a = mat([["z1 + z2 + 1"]], rank=2)
-    seq = det_sequence(a, chain_doubling(2, 2, 2), measure_method="quadrature")
+    seq = det_sequence(a, QuotientChain(2, ((2, 2), (4, 4))), measure_method="quadrature")
     assert len(seq.values) == 2
     assert all(v.exact is not None for v in seq.values)
     assert seq.limit_reference.value == pytest.approx(1.3813564445, abs=0.05)
@@ -363,12 +355,12 @@ def test_det_sequence_admits_cyclic_stages_over_the_representation_budget():
     for mods in ((1, 1), (1, 4), (4, 1), (1, 2, 1), (2, 2), (2, 3), (3, 1, 2)):
         cyclic = sum(n > 1 for n in mods) <= 1
         assert _is_cyclic_table(make_cyclic_product(mods)) == cyclic, mods
-    chain = QuotientChain(2, ((1, 150), (1, 200)), nested=False)
+    chain = QuotientChain(2, ((1, 150), (1, 200)))
     seq = det_sequence(mat([["1 + z1 + z2"]], rank=2), chain)
     # over Z/n the element is 2 + t, whose norm is 2^n - (-1)^n
     for (_, n), v in zip(chain.moduli, seq.values):
         assert v.exact == Radical(2**n - (-1) ** n, Fraction(1, n))
-    column = QuotientChain(2, ((150, 1),), nested=False)
+    column = QuotientChain(2, ((150, 1),))
     seq = det_sequence(mat([["z1 - 2"], ["1 + z2"]], rank=2), column)
     assert seq.values[0].method == "cyclic_norm"
 

@@ -1,5 +1,6 @@
 """Command line dispatch, report envelopes, output formats, exit codes."""
 
+import argparse
 import json
 import math
 import shutil
@@ -94,6 +95,30 @@ def test_version_flag(capsys):
 # mahler
 
 
+# one minimal valid command line per subcommand
+MINIMAL_ARGV = {
+    "mahler": ["--poly", "z - 2"],
+    "fkdet-zd": ["--poly", "z - 2"],
+    "fkdet-finite": ["--cyclic", "2", "--elem", "t + 2"],
+    "lehmer-scan": ["--cyclic", "2", "--variant", "lambda_w_1"],
+    "approx-chain": ["--poly", "z - 2", "--chain", "2..3"],
+    "exact-constants": ["--cyclic", "2"],
+    "trace-check": ["--poly", "z", "--degree", "1", "--moduli", "2"],
+}
+
+
+def test_every_flag_is_recorded_in_the_config(capsys):
+    # walk the parser, so a flag added later cannot go unrecorded
+    parser = fkdet.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(MINIMAL_ARGV)
+    for name, subparser in sub.choices.items():
+        dests = {a.dest for a in subparser._actions if a.option_strings}
+        config = run_json(capsys, name, *MINIMAL_ARGV[name])["config"]
+        assert set(config) == (dests - {"help", "format", "out"}) | {"subcommand"}, name
+        assert config["subcommand"] == name
+
+
 def test_mahler_poly_file(capsys, tmp_path):
     path = tmp_path / "lehmer.txt"
     path.write_text(LEHMER, encoding="utf-8")
@@ -110,7 +135,7 @@ def test_mahler_multivariate_methods(capsys):
     assert auto["result"]["resolved_method"] == "jensen"
     assert auto["result"]["measure"]["value"] == pytest.approx(1.3813564445, abs=1e-6)
     # jensen on two variables: a one-variable polynomial in z1/z2
-    jensen = run_json(capsys, "mahler", "--poly", "z1 + z2", "--method", "jensen")
+    jensen = run_json(capsys, "mahler", "--poly", "z1 + z2")
     assert jensen["result"]["measure"]["method"] == "jensen"
     assert jensen["result"]["measure"]["value"] == 1.0
     quad = run_json(
@@ -198,6 +223,7 @@ def test_successive_calls_share_no_option_values(capsys):
         "--grid", "64", "--trace",
     )
     assert first["config"]["grid_size"] == 64
+    assert first["config"]["trace"] is True
     assert "route" in first["result"]
     second = run_json(capsys, "mahler", "--poly", "1 + z1 + z2")
     assert second["config"] == {
@@ -217,6 +243,7 @@ def test_successive_calls_share_no_option_values(capsys):
         "rank": None,
         "method": "auto",
         "grid_size": 256,
+        "trace": False,
     }
     assert set(third["result"]) == {"matrix", "q", "value"}
     code, out, _ = run_cli(capsys, "mahler", "--poly", "z - 2", "--format", "text")
@@ -363,16 +390,36 @@ def test_chain_range_csv(capsys):
 
 
 def test_chain_json_flavors(capsys):
-    blob = run_json(capsys, "approx-chain", "--poly", "z-2", "--doubling", "2:3")
-    assert blob["result"]["chain"]["nested"] is True
-    assert blob["result"]["limsup_ok"] is True
-    assert blob["result"]["limit_reference"]["value"] == pytest.approx(2.0, abs=1e-12)
     listed = run_json(capsys, "approx-chain", "--poly", "z-2", "--chain", "2,4,8")
     assert listed["result"]["chain"]["nested"] is True
+    assert listed["result"]["limsup_ok"] is True
+    assert listed["result"]["limit_reference"]["value"] == pytest.approx(2.0, abs=1e-12)
     ragged = run_json(capsys, "approx-chain", "--poly", "z-2", "--chain", "2,3")
     assert ragged["result"]["chain"]["nested"] is False
-    primed = run_json(capsys, "approx-chain", "--poly", "z-2", "--primes", "3")
-    assert [s["moduli"] for s in primed["result"]["stages"]] == [[2], [3], [5]]
+    # the moduli decide nestedness, ranges included
+    for text, nested in (("5..5", True), ("1..2", True), ("2..4", False)):
+        blob = run_json(capsys, "approx-chain", "--poly", "z-2", "--chain", text)
+        assert blob["result"]["chain"]["nested"] is nested, text
+
+
+@pytest.mark.parametrize("chain, message", [
+    ("0,2", "positive"),
+    ("0..3", "positive"),
+    ("5..4", "LO <= HI"),
+])
+def test_bad_chain_moduli_exit_2(capsys, chain, message):
+    code, err = error_of(capsys, "approx-chain", "--poly", "z-2", "--chain", chain)
+    assert code == 2
+    assert err["kind"] == "config"
+    assert "--chain" in err["message"] and message in err["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--doubling", "2:3"), ("--primes", "3")])
+def test_chain_has_one_spelling(capsys, flag, value):
+    code, err = error_of(capsys, "approx-chain", "--poly", "z-2", flag, value)
+    assert code == 2
+    assert err["kind"] == "config"
+    assert flag in err["message"]
 
 
 def test_chain_default_is_doubling(capsys):
@@ -381,6 +428,8 @@ def test_chain_default_is_doubling(capsys):
         [2], [4], [8], [16], [32],
     ]
     assert blob["config"]["tolerance"] == 1e-6
+    assert blob["config"]["chain"] == "2,4,8,16,32"
+    assert "doubling" not in blob["config"] and "primes" not in blob["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +493,8 @@ def test_trace_check_json(capsys):
     )
     assert bad["result"]["ok"] is False
     assert bad["result"]["least_multiple"] == [4]
+    # flags are recorded as typed, as --chain, --box and --cyclic are
+    assert bad["config"]["moduli"] == "2"
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +584,19 @@ def test_boyd_lawton_is_no_method(capsys, command):
     assert code == 2
     assert err["kind"] == "config"
     assert "boyd_lawton" in err["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ("mahler", "--poly", "1 + z1 + z2"),
+    ("fkdet-zd", "--poly", "1 + z1 + z2"),
+    ("approx-chain", "--poly", "1 + z1 + z2", "--chain", "2..3"),
+])
+def test_jensen_is_spelled_auto(capsys, command):
+    # fibrewise Jensen is what auto runs; a second name for it is refused
+    code, err = error_of(capsys, *command, "--method", "jensen")
+    assert code == 2
+    assert err["kind"] == "config"
+    assert "jensen" in err["message"]
 
 
 def test_config_errors_exit_2(capsys):

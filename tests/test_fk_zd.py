@@ -320,11 +320,11 @@ def test_matrix_json_round_trip_and_errors():
 
 
 def test_method_selection_and_validation():
-    for method in ("newton", "boyd_lawton"):
+    for method in ("newton", "boyd_lawton", "jensen"):
         with pytest.raises(ValueError, match="unknown measure method"):
             fk_det_zd(mat([["z"]]), method)
-    # jensen holds at every rank; det D1 = 2 + z1/z2 + z2/z1 is collinear
-    got = fk_det_zd(mat([["z1 + z2"]], rank=2), "jensen").value
+    # auto is jensen at every rank; det D1 = 2 + z1/z2 + z2/z1 is collinear
+    got = fk_det_zd(mat([["z1 + z2"]], rank=2), "auto").value
     assert got.method == "jensen"
     assert got.value == 1.0
     trace = fk_det_zd(mat([["z - 2"]]), "quadrature")

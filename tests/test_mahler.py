@@ -75,6 +75,15 @@ def test_squarefree_with_multiplicities():
     assert squarefree_decomposition(p) == [([-1, 1], 2), ([2, 1], 3)]
 
 
+def test_squarefree_with_leading_coefficients_other_than_one():
+    # every pseudo-division in the gcds scales by a leading coefficient
+    p = _conv(_conv([1, 2], [1, 2]), _conv(_conv([5, -1, 3], [5, -1, 3]), [5, -1, 3]))
+    assert squarefree_decomposition(p) == [([1, 2], 2), ([5, -1, 3], 3)]
+    # M(2z + 1) = 2 and M(3z^2 - z + 5) = 3 * 5/3, both roots being outside
+    got = mahler_jensen(LaurentPolynomial(1, {(i,): c for i, c in enumerate(p)}))
+    assert got.value == pytest.approx(2**2 * 5**3, rel=1e-12)
+
+
 def test_squarefree_pure_power():
     assert squarefree_decomposition([0, 0, 0, 1]) == [([0, 1], 3)]
 
@@ -478,7 +487,7 @@ def test_fibrewise_agrees_with_quadrature_and_boyd_lawton():
         if p.is_zero() or line_coeffs(p.terms) is not None:
             continue
         done += 1
-        got = mahler_measure(p, "jensen")
+        got = mahler_measure(p, "auto")
         refs = [mahler_boyd_lawton(p)]
         if _grid_min(p, 512) > 1e-6:
             refs.append(log_mahler_quadrature(p, 512))
