@@ -36,6 +36,7 @@ from .fk_finite import (
     make_cyclic_product,
     norm_element,
     parse_element,
+    quotient_norm,
     regular_rep,
     restrict,
     vn_dim_kernel_finite,
@@ -111,6 +112,7 @@ __all__ = [
     "norm_element",
     "parse_element",
     "parse_polynomial",
+    "quotient_norm",
     "reduce_mod",
     "regular_rep",
     "restrict",

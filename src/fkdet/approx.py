@@ -302,9 +302,11 @@ def det_sequence(
     """Determinants of the reductions of ``a`` along a chain of quotients.
 
     Every stage is exact (finite groups); the reference is the Z^d value.
-    On a rank-1 chain a matrix with one row or one column is measured by
-    cyclic_norm straight from its Laurent entries, with no reduction and no
-    group table.
+    A matrix with one row or one column is measured at every rank by
+    cyclic_stages straight from its Laurent entries, as exact integer norms
+    over the characters of each quotient (quotient_norm), with no
+    reduction, no group table and no regular representation; the class
+    products are shared by all stages.  Any other shape takes regular_rep.
     Stages exceeding ``max_stage_order`` group elements, or whose regular
     representation is over REP_MAX_DIM (see takes_cyclic_norm), are
     refused before any stage runs rather than silently taking hours.  A
@@ -323,15 +325,14 @@ def det_sequence(
                 f"stage {mods} has group order {order}, over the budget "
                 f"{max_stage_order}"
             )
-        # a product with one modulus above 1 reduces to Z/n in the order of
-        # make_cyclic; any other stage needs the regular representation
-        takes_cyclic_norm(shape, order, lambda: sum(n > 1 for n in mods) <= 1)
+        # every stage is a product of cyclic groups, whose characters the
+        # norm engine knows
+        norms = takes_cyclic_norm(shape, order, lambda: True)
 
-    if chain.rank == 1 and min(a.rows, a.cols) == 1:
-        # one row or column over Z/n: the stages are norms of one element
-        entries = [{e: c for (e,), c in p.terms.items()} for row in a.entries for p in row]
-        stages = cyclic_stages(entries, a.rows, (n for (n,) in chain.moduli))
-        values = tuple(value for value, _ in stages)
+    if norms:
+        # one row or column: the stages are norms of one element
+        entries = [p.terms for row in a.entries for p in row]
+        values = tuple(v for v, _ in cyclic_stages(entries, a.rows, chain.moduli))
     else:
         values = tuple(fk_det_finite(reduce_mod(a, mods)) for mods in chain.moduli)
 

@@ -368,6 +368,8 @@ def _run_constants(args):
 def _run_trace_check(args):
     a = _zd_matrix(args)
     moduli = tuple(_int_list(args.moduli, "--moduli"))
+    if min(moduli) < 1:
+        raise ConfigError(f"--moduli wants positive moduli, got {args.moduli!r}")
     check = trace_match_check(a, args.degree, moduli)
     payload = check.as_json()
     payload["norm_bound"] = norm_bound(a)

@@ -7,13 +7,15 @@ representation: an invertible square representation contributes
 |det|**(1/n) directly, everything else goes through the division-free
 characteristic polynomial of the Gram matrix, whose lowest nonzero
 coefficient is the product of the nonzero eigenvalues.  Over a cyclic
-group a matrix with one row or one column skips the n x n representation:
-its determinant is a norm, a product over the characters, which
-cyclic_norm computes from a resultant.  All routes give exact radical
-values for integer inputs.  The regular representation is picked straight
-out of the matrix's flat coefficient vector by rep_getters, so a caller with
-many matrices of one shape, such as the Lehmer scan, hands those vectors to
-fk_det_kernel_flat and builds no group ring objects.
+group, and over every quotient Z/n_1 x ... x Z/n_d of a determinant chain,
+a matrix with one row or one column skips the representation: its
+determinant is a norm, a product over the characters, which cyclic_norm
+(one modulus) and quotient_norm (several) compute from integer
+resultants.  All routes give exact radical values for integer inputs.
+The regular representation is picked straight out of the matrix's flat
+coefficient vector by rep_getters, so a caller with many matrices of one
+shape, such as the Lehmer scan, hands those vectors to fk_det_kernel_flat
+and builds no group ring objects.
 """
 
 from __future__ import annotations
@@ -27,19 +29,21 @@ import numpy as np
 
 from .exact_linalg import (
     charpoly_berkowitz,
-    det_exact,
     mat_mul_exact,
     mat_transpose,
     rank_det_exact,
 )
 from .laurent import parse_polynomial
-from .mahler import _cyclotomic, _div_exact, _reduce, _totient
+from .mahler import _cyclotomic, _div_exact, _pseudo_rem, _reduce, _totient, _trim
 from .values import FKValue, Radical, fk_exact
 
 # Largest regular representation, max(rows, cols) * order, that
-# fk_det_kernel_flat eliminates.  Exact elimination grows fast with the
-# dimension: over Z/12 x Z/12 (dimension 144) 1 + z1 + z2 takes 13 s, over
-# Z/15 x Z/15 63 s and over Z/18 x Z/18 268 s on a 2-core Xeon.
+# fk_det_kernel_flat eliminates: it bounds square matrices of side 2 or
+# more, and groups given by a table that is not Z/n.  One row or one column
+# over a cyclic group or a chain's quotient takes the norms instead and has
+# no such bound.  Exact elimination grows fast with the dimension: over
+# Z/12 x Z/12 (dimension 144) 1 + z1 + z2 took 13 s, over Z/15 x Z/15 63 s
+# and over Z/18 x Z/18 268 s on a 2-core Xeon.
 REP_MAX_DIM = 100
 
 
@@ -513,6 +517,37 @@ def _t_power_mod(n: int, mod: list) -> tuple:
     return num, den
 
 
+def _resultant(a: list, b: list) -> int:
+    """|Res(a, b)| of two integer polynomials, ascending with nonzero
+    leading coefficients ([] is the zero polynomial).
+
+    The subresultant remainder sequence (Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 3.3.7): each pseudo-remainder
+    lc(b)^(delta+1) a mod b, from _pseudo_rem, is divided exactly by
+    g h^delta, which keeps the coefficients at the size of minors of the
+    Sylvester matrix, in O(deg a * deg b) integer operations.
+    """
+    if not a or not b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r, den = _pseudo_rem(a, 1, b)
+        scale = b[-1] ** (delta + 1) // den
+        r = _trim([x * scale for x in r])
+        if not r:
+            return 0
+        div = g * h**delta
+        a, b = b, [x // div for x in r]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    degree = len(a) - 1
+    return abs(b[0] ** degree // h ** (degree - 1)) if degree else 1
+
+
 def cyclic_norm(coeffs, n: int) -> tuple:
     """|prod p(zeta)| over the n-th roots of unity with p(zeta) != 0, and
     the number of roots with p(zeta) = 0, without an n x n matrix.
@@ -521,11 +556,10 @@ def cyclic_norm(coeffs, n: int) -> tuple:
     coefficients.  With the monomial factor stripped, p has degree m < n.
     g is the product of the Phi_d, d | n, that divide p, so the zero roots
     number deg g.  For h = (t^n - 1)/g, prod_{h(zeta)=0} p(zeta) is
-    +-lc(p)^deg h times prod_{p(a)=0} h(a), the determinant of
-    multiplication by h on Q[t]/p: an m x m matrix.  h mod p is
-    ((t^n - 1) mod p*g)/g, kept as an integer numerator over one
-    denominator, so no Fraction arithmetic runs whatever lc(p) is.  The
-    norm is exact, an int or a Fraction.
+    +-lc(p)^deg h times prod_{p(a)=0} h(a), a resultant of p with h mod p
+    (_resultant).  h mod p is ((t^n - 1) mod p*g)/g, kept as an integer
+    numerator over one denominator, so no Fraction arithmetic runs whatever
+    lc(p) is.  The norm is exact, an int or a Fraction.
     """
     if n < 1:
         raise ValueError("group order must be positive")
@@ -566,27 +600,165 @@ def cyclic_norm(coeffs, n: int) -> tuple:
         # h = num/den; g is monic, so it divides the integer numerator
         num, den = _t_power_mod(n, _poly_mul(p, g))
         num[0] -= den
-        num = _div_exact(num, g)
-        columns, dens = [], 1
-        for _ in range(m):
-            columns.append(num + [0] * (m - len(num)))
-            dens *= den
-            num, den = _reduce([0] + num, den, p)
-        norm = Fraction(abs(p[-1]) ** (n - zeros) * abs(det_exact(columns)), dens)
+        num = _trim(_div_exact(num, g))
+        # prod h(a) over the roots a of p is Res(p, num) / lc(p)^deg(num)
+        # / den^m, up to sign
+        norm = Fraction(
+            abs(p[-1]) ** (n - zeros) * _resultant(p, num),
+            abs(p[-1]) ** (len(num) - 1) * den**m,
+        )
     norm = Fraction(norm, scale ** (n - zeros))
     return (norm.numerator if norm.denominator == 1 else norm), zeros
 
 
-def cyclic_stages(entries, rows: int, orders) -> list:
-    """(determinant, kernel dimension) over Z/n for each n in ``orders`` of
-    a 1x1, 1xk or kx1 matrix, given its entries as exponent -> coefficient
-    maps, with one cyclic_norm call per order.
+def _divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _eliminate_first(f: dict, d: int) -> dict:
+    """prod f(zeta, x) over the primitive d-th roots of unity zeta, up to
+    sign: Res_t(Phi_d, f) for f an integer polynomial {exponents: coeff}
+    with nonnegative exponents, t its first variable and x the others.
+
+    Kronecker substitution makes it one integer resultant: every
+    coefficient of a product of phi(d) factors f(zeta, x) is at most
+    B = |f|_1^phi(d) in size, so with x_j = (2B + 1)^w_j, the weights w_j
+    outrunning the degrees, the resultant's balanced digits in base 2B + 1
+    are its coefficients.
+    """
+    phi = list(_cyclotomic(d))
+    deg = len(phi) - 1
+    rest = len(next(iter(f))) - 1
+    radices = [deg * max(e[j] for e in f) + 1 for j in range(1, rest + 1)]
+    weights = [math.prod(radices[:j]) for j in range(rest)]
+    bound = sum(abs(c) for c in f.values()) ** deg if rest else 0
+    base = 2 * bound + 1
+    g = [0] * (max(e[0] for e in f) + 1)
+    for e, c in f.items():
+        g[e[0]] += c * base ** sum(w * x for w, x in zip(weights, e[1:]))
+    value = _resultant(phi, g)
+    if not rest:
+        return {(): value} if value else {}
+    out, pos = {}, 0
+    while value:
+        value, digit = divmod(value, base)
+        if digit > bound:
+            digit, value = digit - base, value + 1
+        if digit:
+            out[tuple(pos // w % r for w, r in zip(weights, radices))] = digit
+        pos += 1
+    return out
+
+
+def _class_product(f: dict, ds: tuple, cache: dict) -> int:
+    """|prod f(chi)| over the characters chi whose j-th coordinate has
+    order ds[j]: the variables are eliminated first to last by
+    _eliminate_first, each result kept in ``cache`` under the orders of
+    the variables eliminated so far."""
+    for j, d in enumerate(ds):
+        g = cache.get(ds[: j + 1])
+        if g is None:
+            g = cache[ds[: j + 1]] = _eliminate_first(f, d)
+        if not g:
+            return 0
+        f = g
+    return abs(f[()])
+
+
+def _orbit_norms(f: dict, ds: tuple) -> tuple:
+    """|prod f(chi)| over the characters of the class ``ds`` with
+    f(chi) != 0, and the number with f(chi) = 0, one Galois orbit at a
+    time.
+
+    The class's characters are (zeta^e_1, ..., zeta^e_k) for zeta a
+    primitive L-th root of unity, L = lcm(ds), and e_j = (L/d_j) u_j with
+    u_j a unit mod d_j; the units mod L act freely, so each orbit has
+    phi(L) characters and its norm is Res(Phi_L, f(t^e_1, ..., t^e_k)
+    mod t^L - 1).
+    """
+    lcm = math.lcm(*ds)
+    phi = list(_cyclotomic(lcm))
+    units = [u for u in range(1, lcm + 1) if math.gcd(u, lcm) == 1]
+    choices = [[lcm // d * u for u in range(d) if math.gcd(u, d) == 1] for d in ds]
+    seen: set = set()
+    norm, zeros = 1, 0
+    for e in itertools.product(*choices):
+        if e in seen:
+            continue
+        seen.update(tuple(u * x % lcm for x in e) for u in units)
+        h = [0] * lcm
+        for exps, c in f.items():
+            h[sum(x * y for x, y in zip(e, exps)) % lcm] += c
+        value = _resultant(phi, _trim(h))
+        if value:
+            norm *= value
+        else:
+            zeros += len(units)
+    return norm, zeros
+
+
+def quotient_norm(coeffs: dict, moduli, cache: dict | None = None) -> tuple:
+    """|prod f(chi)| over the characters chi of Z/n_1 x ... x Z/n_d with
+    f(chi) != 0, and the number of chi with f(chi) = 0, as exact integer
+    norms with no group table and no regular representation.
+
+    ``coeffs`` maps exponent tuples (any sign) to rational coefficients.
+    With at most one modulus above 1 the quotient is cyclic and
+    cyclic_norm measures f on that axis.  Otherwise the characters fall
+    into classes by the orders (d_1, ..., d_d) of their coordinates,
+    d_j | n_j, and a class's product is the iterated resultant
+    Res(Phi_d_d, ... Res(Phi_d_1, f)) (_class_product), the variables
+    taken in increasing modulus.  A class whose product is 0 is split into
+    its Galois orbits (_orbit_norms).  Class products depend only on the
+    orders, so a caller measuring one f over many quotients passes the
+    same ``cache`` dict to every call; it holds nothing else.
+    """
+    moduli = tuple(moduli)
+    count = math.prod(moduli)
+    big = [j for j, n in enumerate(moduli) if n > 1]
+    if len(big) <= 1:
+        axis = big[0] if big else 0
+        line: dict = {}
+        for e, c in coeffs.items():
+            line[e[axis]] = line.get(e[axis], 0) + c
+        return cyclic_norm(line, count)
+    terms = {e: c for e, c in coeffs.items() if c}
+    if not terms:
+        return 1, count
+    scale = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    # integer coefficients, nonnegative exponents, smallest modulus first
+    order = sorted(range(len(moduli)), key=lambda j: moduli[j])
+    low = [min(e[j] for e in terms) for j in order]
+    f = {
+        tuple(e[j] - m for j, m in zip(order, low)): int(c * scale)
+        for e, c in terms.items()
+    }
+    if cache is None:
+        cache = {}
+    classes = cache.setdefault(tuple(order), {})
+    norm, zeros = 1, 0
+    for ds in itertools.product(*(_divisors(moduli[j]) for j in order)):
+        value = _class_product(f, ds, classes)
+        if not value:
+            value, lost = _orbit_norms(f, ds)
+            zeros += lost
+        norm *= value
+    norm = Fraction(norm, scale ** (count - zeros))
+    return (norm.numerator if norm.denominator == 1 else norm), zeros
+
+
+def cyclic_stages(entries, rows: int, moduli) -> list:
+    """(determinant, kernel dimension) over Z/n_1 x ... x Z/n_d for each
+    moduli tuple in ``moduli`` of a 1x1, 1xk or kx1 matrix, given its
+    entries as exponent tuple -> coefficient maps, with one quotient_norm
+    call per tuple and one class cache for them all.
 
     A single entry p is measured itself; a vector x through the element
     f = sum x_i x_i*, whose nonzero eigenvalues are those of the Gram
-    matrix of regular_rep, so its determinant is the 2n-th root of the
-    norm.  A singular single entry is measured through p p* as the Gram
-    route of regular_rep does, so even float values agree bit for bit.
+    matrix of regular_rep, so its determinant is the 2N-th root of the
+    norm, N the group order.  A singular single entry is measured through
+    p p* as the Gram route of regular_rep does, so even float values agree
+    bit for bit.
     """
     gram = len(entries) > 1
     f = {} if gram else entries[0]
@@ -595,10 +767,13 @@ def cyclic_stages(entries, rows: int, orders) -> list:
             items = [(e, c) for e, c in x.items() if c]
             for e1, c1 in items:
                 for e2, c2 in items:
-                    f[e1 - e2] = f.get(e1 - e2, 0) + c1 * c2
+                    e = tuple(a - b for a, b in zip(e1, e2))
+                    f[e] = f.get(e, 0) + c1 * c2
+    cache: dict = {}
     out = []
-    for n in orders:
-        norm, zeros = cyclic_norm(f, n)
+    for mods in moduli:
+        n = math.prod(mods)
+        norm, zeros = quotient_norm(f, mods, cache)
         root = 2 * n if gram else n
         if zeros and not gram:
             norm, root = norm * norm, 2 * n
@@ -617,12 +792,13 @@ def _is_cyclic_table(group: FiniteGroup) -> bool:
 
 
 def takes_cyclic_norm(shape, n: int, cyclic) -> bool:
-    """Whether fk_det_kernel_flat measures a matrix of ``shape`` over a
-    group of order ``n`` by cyclic_norm: one row or one column, and
-    ``cyclic()`` true (the group is Z/n in the order of make_cyclic; asked
-    only for such a shape).  A matrix for the regular_rep route whose
-    representation, of dimension max(shape) * n, is over REP_MAX_DIM is
-    refused with a ValueError.
+    """Whether a matrix of ``shape`` over a group of order ``n`` is
+    measured by its norms (method tag "cyclic_norm"): one row or one
+    column, and ``cyclic()`` true, asked only for such a shape.  For
+    fk_det_kernel_flat that is a table for Z/n in the order of make_cyclic;
+    every stage of det_sequence, a product of cyclic groups, qualifies.  A
+    matrix for the regular_rep route whose representation, of dimension
+    max(shape) * n, is over REP_MAX_DIM is refused with a ValueError.
     """
     rows, cols = shape
     if min(rows, cols) == 1 and cyclic():
@@ -670,8 +846,10 @@ def fk_det_kernel_flat(
     rows, cols = shape
     n = group.order
     if takes_cyclic_norm(shape, n, lambda: _is_cyclic_table(group)):
-        entries = [dict(enumerate(vec[k : k + n])) for k in range(0, len(vec), n)]
-        return cyclic_stages(entries, rows, (n,))[0]
+        entries = [
+            {(e,): c for e, c in enumerate(vec[k : k + n])} for k in range(0, len(vec), n)
+        ]
+        return cyclic_stages(entries, rows, ((n,),))[0]
     if getters is None:
         getters = rep_getters(group, rows, cols)
     rep = [get(vec) for get in getters]

@@ -37,11 +37,12 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division does not come out even."""
 
 
-def _as_fraction(c) -> Fraction:
+def _as_fraction(c):
+    """An exact coefficient: an int when integral, else a Fraction."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -49,10 +50,10 @@ class LaurentPolynomial:
     """A Laurent polynomial with exact rational coefficients.
 
     ``rank`` is the number of variables; ``terms`` maps exponent tuples of
-    length ``rank`` to nonzero ``Fraction`` coefficients.  Instances are
-    immutable by convention: every operation returns a fresh object and the
-    constructor strips zero coefficients, so equal polynomials have equal
-    term maps.
+    length ``rank`` to nonzero coefficients, an ``int`` when integral and
+    a ``Fraction`` otherwise.  Instances are immutable by convention: every
+    operation returns a fresh object and the constructor strips zero
+    coefficients, so equal polynomials have equal term maps.
     """
 
     __slots__ = ("rank", "terms")
@@ -74,7 +75,7 @@ class LaurentPolynomial:
                     if prev is None:
                         clean[exps] = c
                     else:
-                        tot = prev + c
+                        tot = _as_fraction(prev + c)
                         if tot:
                             clean[exps] = tot
                         else:
@@ -192,7 +193,7 @@ class LaurentPolynomial:
         self._check_rank(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            tot = terms.get(e, Fraction(0)) + c
+            tot = terms.get(e, 0) + c
             if tot:
                 terms[e] = tot
             else:
@@ -232,7 +233,7 @@ class LaurentPolynomial:
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                tot = terms.get(e, Fraction(0)) + ca * cb
+                tot = terms.get(e, 0) + ca * cb
                 if tot:
                     terms[e] = tot
                 else:
@@ -329,11 +330,11 @@ class LaurentPolynomial:
             diff = tuple(a - b for a, b in zip(lt_r, lt_g))
             if any(x < 0 for x in diff):
                 raise ExactDivisionError("not exactly divisible")
-            c = rem[lt_r] / lc_g
+            c = _as_fraction(Fraction(rem[lt_r], lc_g))
             quot[diff] = c
             for e, cg in g_h.items():
                 t = tuple(a + b for a, b in zip(diff, e))
-                tot = rem.get(t, Fraction(0)) - c * cg
+                tot = rem.get(t, 0) - c * cg
                 if tot:
                     rem[t] = tot
                 else:

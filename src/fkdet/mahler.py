@@ -106,9 +106,9 @@ def _primitive(coeffs: list) -> list:
     return out
 
 
-def _reduce(num: list, den: int, mod: list) -> tuple:
-    """num/den modulo mod, as a numerator list and a positive denominator
-    in lowest terms.
+def _pseudo_rem(num: list, den: int, mod: list) -> tuple:
+    """num/den modulo mod, as a numerator list and a denominator, not
+    reduced.
 
     Pseudo-division: where a division by the leading coefficient lc of mod
     would be due, the rest of the numerator and the denominator are
@@ -128,6 +128,13 @@ def _reduce(num: list, den: int, mod: list) -> tuple:
             den *= lc
         for i in range(dm):
             r[k - dm + i] -= c * mod[i]
+    return r, den
+
+
+def _reduce(num: list, den: int, mod: list) -> tuple:
+    """num/den modulo mod (_pseudo_rem), as a numerator list and a positive
+    denominator in lowest terms."""
+    r, den = _pseudo_rem(num, den, mod)
     g = math.gcd(den, *r)
     if den < 0:
         g = -g
@@ -145,7 +152,7 @@ def _gcd_poly(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _primitive(_trim(_reduce(a, 1, b)[0]))
+        r = _primitive(_trim(_pseudo_rem(a, 1, b)[0]))
         a, b = b, r
     return a
 

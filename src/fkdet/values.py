@@ -54,6 +54,18 @@ def _residue_moduli(p: int) -> tuple:
     return tuple(out)
 
 
+@functools.cache
+def _primes_below(size: int) -> tuple:
+    """The primes below ``size``, by a sieve of Eratosthenes; callers ask
+    for powers of two, so a few sieves serve every bit length."""
+    sieve = bytearray([1]) * size
+    sieve[: min(size, 2)] = bytes(min(size, 2))
+    for f in range(2, math.isqrt(size - 1) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, size, f)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
 def perfect_power(n: int) -> tuple[int, int]:
     """Write n >= 1 as m**k with k maximal; (n, 1) when n is not a power."""
     if n < 1:
@@ -62,18 +74,17 @@ def perfect_power(n: int) -> tuple[int, int]:
     # roots one at a time reaches k; base >= 2 bounds each prime by the
     # bit length.  A p-th power is a p-th power residue mod every prime
     # q = 1 mod p, which rules out almost every p before any root is taken
-    k, p = 1, 2
-    while p < n.bit_length():
-        if all(
+    k = 1
+    for p in _primes_below(1 << n.bit_length().bit_length()):
+        while p < n.bit_length() and all(
             n % q == 0 or pow(n % q, (q - 1) // p, q) == 1 for q in _residue_moduli(p)
         ):
             m = integer_nth_root(n, p)
-            if m ** p == n:
-                n, k = m, k * p
-                continue
-        p += 1
-        while not _is_prime(p):
-            p += 1
+            if m ** p != n:
+                break
+            n, k = m, k * p
+        if p >= n.bit_length():
+            break
     return n, k
 
 

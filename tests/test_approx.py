@@ -22,6 +22,7 @@ from fkdet.approx import (
 )
 from fkdet.fk_finite import (
     FiniteGroupRingElement,
+    cyclic_stages,
     FiniteGroupRingMatrix,
     _is_cyclic_table,
     make_cyclic,
@@ -337,12 +338,13 @@ def test_det_sequence_validation():
 
 
 def test_det_sequence_refuses_an_oversized_stage_before_computing_any(monkeypatch):
-    # stages 2..10 fit REP_MAX_DIM = 100; (11, 11) needs dimension 121
+    # stages 2..7 of a 2x2 fit REP_MAX_DIM = 100; (8, 8) needs dimension 128
     calls = []
     monkeypatch.setattr(approx, "fk_det_finite", lambda m: calls.append(m))
     monkeypatch.setattr(approx, "fk_det_zd", lambda *a, **k: calls.append(a))
-    with pytest.raises(ValueError, match="dimension 121.*REP_MAX_DIM = 100"):
-        det_sequence(mat([["1 + z1 + z2"]], rank=2), chain_range(2, 2, 11))
+    square = mat([["1 + z1", "z2"], ["1", "2 + z1*z2"]], rank=2)
+    with pytest.raises(ValueError, match="dimension 128.*REP_MAX_DIM = 100"):
+        det_sequence(square, chain_range(2, 2, 11))
     # a 2x2 never takes the cyclic route, even over Z/n
     with pytest.raises(ValueError, match="dimension 102"):
         det_sequence(mat([["z1", "1"], ["0", "z2"]], rank=2), QuotientChain(2, ((1, 51),)))
@@ -363,6 +365,39 @@ def test_det_sequence_admits_cyclic_stages_over_the_representation_budget():
     column = QuotientChain(2, ((150, 1),))
     seq = det_sequence(mat([["z1 - 2"], ["1 + z2"]], rank=2), column)
     assert seq.values[0].method == "cyclic_norm"
+
+
+def test_rank_2_chain_past_the_old_representation_budget_matches_a_float_product():
+    # orders up to 900, far over REP_MAX_DIM; the engine decides exactly
+    # which characters are zeros (the orbit of (omega, omega^2) when 3
+    # divides n), and the float product over the n x n character grid
+    # leaves out that many smallest values
+    a = mat([["1 + z1 + z2"]], rank=2)
+    chain = chain_range(2, 2, 30)
+    seq = det_sequence(a, chain)
+    kernels = [k for _, k in cyclic_stages([a.entries[0][0].terms], 1, chain.moduli)]
+    for (n, _), value, kernel in zip(chain.moduli, seq.values, kernels):
+        assert value.method == "cyclic_norm"
+        assert kernel == (Fraction(2, n * n) if n % 3 == 0 else 0)
+        zeta = np.exp(2j * np.pi * np.arange(n) / n)
+        mags = np.sort(np.abs(1 + zeta[:, None] + zeta[None, :]).ravel())
+        kept = mags[int(kernel * n * n):]
+        want = math.exp(np.mean(np.log(kept)) * len(kept) / (n * n))
+        assert value.value == pytest.approx(want, rel=1e-9), n
+
+
+def test_one_row_or_column_takes_the_norm_engine_at_every_rank():
+    # past REP_MAX_DIM at ranks 2 and 3, and with both moduli above 1
+    cases = [
+        (mat([["1 + z1 + z2"]], rank=2), QuotientChain(2, ((11, 11), (4, 30)))),
+        (mat([["z1 - 2", "1 + z2"]], rank=2), QuotientChain(2, ((6, 9),))),
+        (mat([["1 - z1*z2"], ["z1 + 3"]], rank=2), QuotientChain(2, ((8, 8),))),
+        (mat([["3 + z1 + z2 - z3"]], rank=3), QuotientChain(3, ((5, 5, 5),))),
+    ]
+    for a, chain in cases:
+        seq = det_sequence(a, chain)
+        assert {v.method for v in seq.values} == {"cyclic_norm"}
+        assert all(v.exact is not None for v in seq.values)
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])

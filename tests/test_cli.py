@@ -436,24 +436,47 @@ def test_chain_default_is_doubling(capsys):
 # exact-constants and trace-check
 
 
-def test_chain_refuses_a_stage_over_the_representation_budget(capsys):
-    # Z/12 x Z/12 needs a 144-dimensional regular representation
+def _square_matrix_file(tmp_path):
+    """A rank-2 2x2 matrix, which takes the regular representation."""
+    m = GroupRingMatrix(
+        [[parse_polynomial(t, rank=2) for t in row]
+         for row in (["1 + z1", "z2"], ["1", "2 + z1*z2"])]
+    )
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(matrix_to_json(m)), encoding="utf-8")
+    return str(path)
+
+
+def test_chain_refuses_a_stage_over_the_representation_budget(capsys, tmp_path):
+    # a 2x2 over Z/11 x Z/11 needs a 242-dimensional regular representation
     code, err = error_of(
-        capsys, "approx-chain", "--poly", "1 + z1 + z2", "--chain", "12..12"
+        capsys, "approx-chain", "--matrix-file", _square_matrix_file(tmp_path),
+        "--chain", "11..11",
     )
     assert code == 1
     assert err["kind"] == "domain"
-    assert "dimension 144" in err["message"] and "REP_MAX_DIM = 100" in err["message"]
+    assert "dimension 242" in err["message"] and "REP_MAX_DIM = 100" in err["message"]
 
 
-def test_chain_refuses_the_oversized_stage_before_the_others_run(capsys):
-    # stages 2..10 fit the budget; none is computed before (11, 11) is refused
+def test_chain_refuses_the_oversized_stage_before_the_others_run(capsys, tmp_path):
+    # stages 2..7 of a 2x2 fit the budget; none is computed before (8, 8)
+    # is refused
     start = time.perf_counter()
     code, err = error_of(
-        capsys, "approx-chain", "--poly", "1 + z1 + z2", "--chain", "2..11"
+        capsys, "approx-chain", "--matrix-file", _square_matrix_file(tmp_path),
+        "--chain", "2..11",
     )
-    assert code == 1 and "dimension 121" in err["message"]
+    assert code == 1 and "dimension 128" in err["message"]
     assert time.perf_counter() - start < 0.5
+
+
+def test_chain_of_one_element_runs_past_the_representation_budget(capsys):
+    # Z/11 x Z/11 is over REP_MAX_DIM for the regular representation, but
+    # one element takes the norm engine at every stage
+    blob = run_json(capsys, "approx-chain", "--poly", "1 + z1 + z2", "--chain", "2..11")
+    stages = blob["result"]["stages"]
+    assert [s["order"] for s in stages] == [n * n for n in range(2, 12)]
+    assert {s["value"]["method"] for s in stages} == {"cyclic_norm"}
 
 
 @pytest.mark.parametrize(
@@ -479,6 +502,16 @@ def test_exact_constants_json(capsys):
     assert constants["lambda_w_1"]["exact"] == {"base": 3, "exponent": "1/2"}
     assert constants["lambda"]["lower"] == {"base": 2, "exponent": "1/4"}
     assert blob["result"]["torsion_bound"]["value"] == pytest.approx(2 ** (1 / 3))
+
+
+@pytest.mark.parametrize("moduli", ["0", "3,-1"])
+def test_trace_check_refuses_a_modulus_below_1_as_a_flag_error(capsys, moduli):
+    # like --chain 0,2 and --cyclic 0: exit 2 naming the flag
+    code, err = error_of(capsys, "trace-check", "--poly", "z1 + z2", "--degree", "1",
+                         "--moduli", moduli)
+    assert code == 2
+    assert err["kind"] == "config"
+    assert "--moduli" in err["message"] and "positive" in err["message"]
 
 
 def test_trace_check_json(capsys):

@@ -24,6 +24,7 @@ from fkdet.fk_finite import (
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
     cyclic_norm,
+    cyclic_stages,
     direct_product,
     fk_det_finite,
     fk_det_kernel_finite,
@@ -32,9 +33,10 @@ from fkdet.fk_finite import (
     regular_rep,
     vn_dim_kernel_finite,
 )
+from fkdet.laurent import GroupRingMatrix
 from fkdet.values import Radical
 
-from helpers import mat
+from helpers import mat, rand_poly
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 # ascending coefficients of Phi_1 .. Phi_4
@@ -220,7 +222,9 @@ def test_products_and_square_matrices_keep_regular_rep():
     x = FiniteGroupRingElement(prod, [rng.randrange(-2, 3) for _ in range(6)])
     assert fk_det_finite(x).method == "regular_rep"
     assert fk_det_finite(vector(3, 2, 2, rng)).method == "regular_rep"
-    two_var = det_sequence(mat([["3 + z1 - z1*z2"]], rank=2), chain_range(2, 2, 3))
+    two_var = det_sequence(
+        mat([["3 + z1", "z2"], ["1", "2 - z1*z2"]], rank=2), chain_range(2, 2, 3)
+    )
     assert {v.method for v in two_var.values} == {"regular_rep"}
     square = det_sequence(mat([["2", "z"], ["1", "3"]]), chain_range(1, 2, 3))
     assert {v.method for v in square.values} == {"regular_rep"}
@@ -284,3 +288,189 @@ def test_stage_budget_lehmer_at_default_order(tmp_path):
     coeffs = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
     log_mean = np.mean(np.log(np.abs(np.polyval(coeffs[::-1], zeta))))
     assert abs(float(log_exact) - log_mean) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# quotients Z/n1 x Z/n2: class products against regular_rep
+
+# every stage (n1, n2) with n1 * n2 <= 100
+PAIRS = [(n1, n2) for n1 in range(1, 101) for n2 in range(1, 101) if n1 * n2 <= 100]
+# a 31-bit prime for the modular oracle
+PRIME = 2147483629
+
+
+def _echelon_mod(m, p):
+    """Gaussian elimination of an int64 matrix mod p: the rank, the pivot
+    columns, and the determinant when the matrix is square of full rank."""
+    m = m % p
+    rows, cols = m.shape
+    rank, det, pivots = 0, 1, []
+    for c in range(cols):
+        if rank == rows:
+            break
+        nz = np.flatnonzero(m[rank:, c])
+        if not len(nz):
+            continue
+        i = rank + nz[0]
+        if i != rank:
+            m[[rank, i]] = m[[i, rank]]
+            det = -det
+        piv = int(m[rank, c])
+        det = det * piv % p
+        top = m[rank, c:] * pow(piv, -1, p) % p
+        below = m[rank + 1 :, c:]
+        below -= below[:, :1] * top
+        below %= p
+        pivots.append(c)
+        rank += 1
+    return rank, pivots, det
+
+
+def _difference_index(mods):
+    """idx[u, v] = the mixed-radix index of u - v over Z/n1 x ... x Z/nd,
+    so coeffs[idx] lays out regular_rep of one element (block[u][v] is the
+    coefficient of inv(v)*u)."""
+    coords = np.indices(mods).reshape(len(mods), -1)
+    idx = np.zeros((coords.shape[1],) * 2, dtype=np.int64)
+    for axis, n in enumerate(mods):
+        c = coords[axis]
+        idx = idx * n + (c[:, None] - c[None, :]) % n
+    return idx
+
+
+def _rep(a, mods):
+    """regular_rep of the reduction of ``a`` mod ``mods``, as an int64
+    array: entry (i, j) reduced to mixed-radix coefficients as reduce_mod
+    does, laid out by _difference_index."""
+    idx = _difference_index(mods)
+    blocks = []
+    for row in a.entries:
+        line = []
+        for p in row:
+            coeffs = np.zeros(math.prod(mods), dtype=np.int64)
+            for exps, c in p.terms.items():
+                coeffs[np.ravel_multi_index([e % n for e, n in zip(exps, mods)], mods)] += c
+            line.append(coeffs[idx])
+        blocks.append(line)
+    return np.block(blocks)
+
+
+def rep_oracle_mod(rep, n, p=PRIME):
+    """(q mod p, root, rank) of a regular representation over a group of
+    order n: q = |det| with root n for an invertible square representation,
+    else the product of the nonzero eigenvalues of the smaller Gram matrix
+    with root 2n.  With I the pivot columns of the Gram matrix G,
+    G = G[:, I] G[I, I]^-1 G[I, :], so that product is
+    det(G[I, :] G[:, I]) / det(G[I, I])."""
+    if rep.shape[0] == rep.shape[1]:
+        rank, _, det = _echelon_mod(rep, p)
+        if rank == rep.shape[0]:
+            return det, n, rank
+    gram = rep @ rep.T if rep.shape[0] <= rep.shape[1] else rep.T @ rep
+    rank, piv, _ = _echelon_mod(gram, p)
+    _, _, top = _echelon_mod(gram[piv, :] @ gram[:, piv], p)
+    _, _, sub = _echelon_mod(gram[np.ix_(piv, piv)], p)
+    return top * pow(sub, -1, p) % p, 2 * n, rank
+
+
+def assert_stages_match_regular_rep(a, pairs):
+    """cyclic_stages against the modular regular_rep oracle at every stage,
+    and against fk_det_kernel_finite on reduce_mod exactly on the small
+    ones."""
+    entries = [p.terms for row in a.entries for p in row]
+    stages = cyclic_stages(entries, a.rows, pairs)
+    for mods, (value, kernel) in zip(pairs, stages):
+        assert value.method == "cyclic_norm"
+        n = math.prod(mods)
+        q, root, rank = rep_oracle_mod(_rep(a, mods), n)
+        assert kernel == Fraction(a.rows * n - rank, n), mods
+        power = value.exact**root
+        assert power.exponent == 1, mods
+        assert power.base % PRIME in (q, -q % PRIME), mods
+        assert value.value == float(value.exact)
+        if max(a.rows, a.cols) * n <= 24:
+            want, want_kernel = fk_det_kernel_finite(reduce_mod(a, mods))
+            assert (value.exact, value.value, kernel) == (want.exact, want.value, want_kernel)
+
+
+def test_difference_index_is_the_regular_rep_layout():
+    a = mat([["1 + 2*z1 - z2^2", "3 - z1*z2"]], rank=2)
+    for mods in ((2, 3), (4, 2), (3, 3)):
+        assert _rep(a, mods).tolist() == regular_rep(reduce_mod(a, mods))
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        [["3 + z1 + z2"]],
+        # zero only on the orbit of (omega, omega^2), in the class (3, 3)
+        [["1 + z1 + z2"]],
+        # zero at (-1, -1)
+        [["2 + z1 + z2"]],
+        # zero at every diagonal character
+        [["z1 - z2"]],
+        [["1 + 2*z1 + 2*z2 + z1^2 + 2*z1*z2 + z2^2"]],
+        [["1 + z1 - z2", "2 - z1*z2"]],
+        [["1 + z1 + z2^-1"], ["z1 - 2*z2 + 1"]],
+    ],
+)
+def test_quotient_stages_match_regular_rep(texts):
+    assert_stages_match_regular_rep(mat(texts, rank=2), PAIRS)
+
+
+def test_quotient_stages_of_random_elements_match_regular_rep():
+    # ten criterion-8 elements, over every stage of order at most 36
+    rng = random.Random(29)
+    pairs = [(n1, n2) for n1, n2 in PAIRS if n1 * n2 <= 36]
+    for _ in range(10):
+        p = rand_poly(rng, rank=2)
+        while p.is_zero():
+            p = rand_poly(rng, rank=2)
+        assert_stages_match_regular_rep(GroupRingMatrix([[p]]), pairs)
+
+
+def test_quotient_stages_at_rank_3_match_regular_rep():
+    a = mat([["1 + z1 + z2 + z3"]], rank=3)
+    pairs = [(2, 2, 2), (1, 2, 3), (2, 3, 2), (3, 3, 1), (2, 2, 4)]
+    assert_stages_match_regular_rep(a, pairs)
+    b = mat([["z1 - z2", "1 + z3"]], rank=3)
+    assert_stages_match_regular_rep(b, pairs)
+
+
+def test_class_products_and_orbits():
+    # prod over the primitive cube roots omega of 1 + omega + t is t^2 + t + 1
+    f = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    assert fk_finite._eliminate_first(f, 3) in ({(0,): 1, (1,): 1, (2,): 1},
+                                                {(0,): -1, (1,): -1, (2,): -1})
+    cache = {}
+    # the class (3, 3) holds a zero: its product is 0 and its two orbits are
+    # (omega, omega), where 1 + 2 omega has norm 3, and (omega, omega^2)
+    assert fk_finite._class_product(f, (3, 3), cache) == 0
+    assert set(cache) == {(3,), (3, 3)}
+    assert fk_finite._orbit_norms(f, (3, 3)) == (3, 2)
+    assert fk_finite._class_product(f, (1, 3), {}) == 3  # (2 + w)(2 + w^2)
+    assert fk_finite._resultant([1, 1, 1], [2, 1]) == 3
+    assert fk_finite._resultant([-2, 0, 1], [0, 1]) == 2
+    assert fk_finite._resultant([3], [1, 0, 1]) == 9
+    assert fk_finite._resultant([], [1, 1]) == 0
+
+
+def test_quotient_norm_shares_class_products_across_stages(monkeypatch):
+    calls = []
+    orig = fk_finite._eliminate_first
+
+    def counting(f, d):
+        calls.append(d)
+        return orig(f, d)
+
+    monkeypatch.setattr(fk_finite, "_eliminate_first", counting)
+    f = {(0, 0): 3, (1, 0): 1, (0, 1): 1}
+    cache = {}
+    fk_finite.quotient_norm(f, (4, 4), cache)
+    first = len(calls)
+    # (2, 2) has only classes that (4, 4) has computed already
+    fk_finite.quotient_norm(f, (2, 2), cache)
+    assert len(calls) == first
+    # one cyclic modulus: cyclic_norm, no class products
+    assert fk_finite.quotient_norm(f, (1, 5), cache) == cyclic_norm({0: 4, 1: 1}, 5)
+    assert len(calls) == first

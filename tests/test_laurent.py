@@ -175,6 +175,19 @@ def test_divide_exact_roundtrip():
             assert (g * h).divide_exact(g) == h
 
 
+def test_integral_coefficients_are_ints():
+    # parsed, multiplied, summed and divided: int when integral, a Fraction
+    # only when not, so a cancelled denominator leaves an int behind
+    p = parse_polynomial("2 + z1 - 1/2*z2", rank=2)
+    q = parse_polynomial("4 - 2*z2 + 1/2*z1*z2", rank=2)
+    for r in (p, q, p * q, p + q, p * 2, (p * q).divide_exact(p), 2 * p - p):
+        for c in r.terms.values():
+            assert type(c) is (Fraction if c.denominator > 1 else int), (r, c)
+    assert (p * 2).terms == {(0, 0): 4, (1, 0): 2, (0, 1): -1}
+    assert LaurentPolynomial(1, [((0,), Fraction(1, 2)), ((0,), Fraction(1, 2))]).terms == {(0,): 1}
+    assert type((p * q).divide_exact(q).terms[(0, 0)]) is int
+
+
 def test_divide_exact_rejects_uneven():
     with pytest.raises(ExactDivisionError):
         (z * z + 1).divide_exact(z + 1)
