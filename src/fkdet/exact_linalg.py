@@ -10,16 +10,28 @@ polynomials use the division-free Berkowitz scheme.
 Both loops are generic.  The elimination, ``eliminate``, works over any
 integral domain whose elements support ``*``, ``-``, truth testing and
 exact division by ``//``: the Laurent ring of ``laurent`` takes its
-determinants, ranks and kernel bases from the same loop.  The Berkowitz
-scheme needs no division at all, so ``fk_finite`` (over the integers) and
-``fk_zd`` (over the Laurent ring) share it for the product of the nonzero
-eigenvalues of a singular Gram matrix.
+determinants, ranks and kernel bases from the same loop, and it can
+report its pivot columns, from which ``fk_finite`` takes the product of
+the nonzero eigenvalues of a singular rational Gram matrix.  The Berkowitz
+scheme needs no division at all, so ``fk_zd`` takes that product over the
+Laurent ring from it.
+
+``det_batch`` is the one numpy path: the exact determinants of a whole
+stack of square integer matrices at once, by Gaussian elimination modulo
+word-size primes, vectorised over the stack, and the Chinese remainder
+theorem.  The primes' product exceeds twice the stack's Hadamard bound, so
+every determinant, zero included, is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+import functools
+from math import gcd, log2
+
+import numpy as np
+
+from .values import _is_prime
 
 Row = list
 Matrix = list
@@ -51,7 +63,7 @@ def _clear_denominators(rows: Matrix) -> tuple[Matrix, int]:
     return out, total
 
 
-def eliminate(a: Matrix, width: int | None = None) -> tuple:
+def eliminate(a: Matrix, width: int | None = None, pivots: list | None = None) -> tuple:
     """Fraction-free (Bareiss) elimination over an integral domain, in place.
 
     Pivots are taken in the first ``width`` columns (all of them by
@@ -62,7 +74,8 @@ def eliminate(a: Matrix, width: int | None = None) -> tuple:
     exact (Sylvester's identity).  For a square matrix of full rank the
     signed last pivot is the determinant.  Eliminating ``[A | I]`` with
     ``width`` the column count of ``A`` leaves, in each row from the rank
-    on, an identity part that annihilates ``A``.
+    on, an identity part that annihilates ``A``.  When ``pivots`` is a
+    list, the column of each pivot is appended to it.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -88,6 +101,8 @@ def eliminate(a: Matrix, width: int | None = None) -> tuple:
             row_i[col] = 0
         prev = pivot
         rank += 1
+        if pivots is not None:
+            pivots.append(col)
     return rank, sign * prev
 
 
@@ -160,3 +175,90 @@ def charpoly_berkowitz(rows: Matrix) -> list:
         v = new_v
     v.reverse()
     return v
+
+
+@functools.cache
+def _word_prime(i: int) -> int:
+    """The i-th prime below 2**31 in descending order, 2**31 - 1 at i = 0:
+    the product of two residues modulo any of them fits in int64."""
+    q = 2**31 - 1 if i == 0 else _word_prime(i - 1) - 2
+    while not _is_prime(q):
+        q -= 2
+    return q
+
+
+def _inverse_mod(x, p: int):
+    """x**(p - 2) mod p elementwise, by square and multiply: the inverse of
+    each nonzero residue, and 0 for 0."""
+    out = np.ones_like(x)
+    base = x.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _det_mod(a, p: int):
+    """The determinants modulo p, in [0, p), of a (B, N, N) int64 stack, by
+    Gaussian elimination with one pivot step per column over the whole
+    stack.  No step divides: each row below the pivot becomes lead * row -
+    entry * pivot row, which scales the determinant by lead, and one
+    inverse of the accumulated scale at the end undoes that.  A column
+    without a pivot leaves a determinant of 0."""
+    r = a % p
+    b, n = r.shape[:2]
+    every = np.arange(b)
+    det = np.ones(b, dtype=np.int64)
+    scale = np.ones(b, dtype=np.int64)
+    for col in range(n):
+        # the first nonzero entry on or below the diagonal; col when none
+        piv = col + (r[:, col:, col] != 0).argmax(axis=1)
+        top = r[every, col].copy()
+        r[every, col] = r[every, piv]
+        r[every, piv] = top
+        det = np.where(piv != col, p - det, det)
+        lead = r[:, col, col].copy()
+        det = det * lead % p
+        for _ in range(n - col - 1):
+            scale = scale * lead % p
+        below = r[:, col + 1 :, col + 1 :]
+        below *= lead[:, None, None]
+        below -= r[:, col + 1 :, col, None] * r[:, None, col, col + 1 :]
+        below %= p
+    return det * _inverse_mod(scale, p) % p
+
+
+def det_batch(mats) -> list:
+    """Exact determinants of a (B, N, N) stack of integer matrices, as B
+    Python ints.
+
+    Each determinant is found modulo k primes below 2**31 by _det_mod and
+    recombined by the Chinese remainder theorem.  k is the least number
+    whose product exceeds twice the stack's largest Hadamard bound (the
+    product of the row 2-norms) with one more bit of margin, which covers
+    the float rounding of the bound; the centred residue is then the
+    determinant, and a determinant of 0 is exact.  Entries must fit in
+    int64.
+    """
+    a = np.asarray(mats, dtype=np.int64)
+    if len(a) == 0:
+        return []
+    rows = np.einsum("bij,bij->bi", a, a, dtype=np.float64, casting="unsafe")
+    # log2 of 2H plus one bit; a zero row counts as norm 1 (its det is 0)
+    need = float(np.log2(np.maximum(rows, 1.0)).sum(axis=1).max()) / 2 + 2
+    primes, bits = [], 0.0
+    while bits <= need:
+        primes.append(_word_prime(len(primes)))
+        bits += log2(primes[-1])
+    total = _det_mod(a, primes[0]).tolist()
+    m = primes[0]
+    for q in primes[1:]:
+        inv = pow(m, -1, q)
+        residues = _det_mod(a, q).tolist()
+        total = [x + m * ((r - x) * inv % q) for x, r in zip(total, residues)]
+        m *= q
+    half = m // 2
+    return [x - m if x > half else x for x in total]

@@ -4,18 +4,17 @@ Groups are given extensionally: an order, an identity index, and a full
 multiplication table (validated as an associative Latin square).  The
 determinant of a matrix over such a group ring goes through the regular
 representation: an invertible square representation contributes
-|det|**(1/n) directly, everything else goes through the division-free
-characteristic polynomial of the Gram matrix, whose lowest nonzero
-coefficient is the product of the nonzero eigenvalues.  Over a cyclic
-group, and over every quotient Z/n_1 x ... x Z/n_d of a determinant chain,
-a matrix with one row or one column skips the representation: its
-determinant is a norm, a product over the characters, which cyclic_norm
-(one modulus) and quotient_norm (several) compute from integer
-resultants.  All routes give exact radical values for integer inputs.
-The regular representation is picked straight out of the matrix's flat
-coefficient vector by rep_getters, so a caller with many matrices of one
-shape, such as the Lehmer scan, hands those vectors to fk_det_kernel_flat
-and builds no group ring objects.
+|det|**(1/n) directly, everything else goes through the Gram matrix,
+whose nonzero eigenvalues multiply to a quotient of two pivot minors.
+Over a cyclic group, and over every quotient Z/n_1 x ... x Z/n_d of a
+determinant chain, a matrix with one row or one column skips the
+representation: its determinant is a norm, a product over the
+characters, which cyclic_norm (one modulus) and quotient_norm (several)
+compute from integer resultants.  All routes give exact radical values
+for integer inputs.  The regular representation is picked straight out
+of the matrix's flat coefficient vector by rep_getters, so a caller with
+many matrices of one shape, such as the Lehmer scan, hands those vectors
+to fk_det_kernel_flat and builds no group ring objects.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ import operator
 import numpy as np
 
 from .exact_linalg import (
-    charpoly_berkowitz,
+    _clear_denominators,
+    eliminate,
     mat_mul_exact,
     mat_transpose,
     rank_det_exact,
@@ -861,14 +861,30 @@ def fk_det_kernel_flat(
         return None, kernel
     if rows == 0 or cols == 0:
         return fk_exact(Radical(1), "regular_rep"), kernel
-    # Gram route: the lowest nonzero characteristic coefficient is the
-    # product of the nonzero eigenvalues; take the smaller Gram matrix
+    # Gram route: the product of the nonzero eigenvalues of the smaller
+    # Gram matrix
     if rows <= cols:
         gram = mat_mul_exact(rep, mat_transpose(rep))
     else:
         gram = mat_mul_exact(mat_transpose(rep), rep)
-    q0 = next(c for c in charpoly_berkowitz(gram) if c != 0)
-    return _rep_value(q0, 2 * n, radicals), kernel
+    return _rep_value(_nonzero_eigen_product(gram), 2 * n, radicals), kernel
+
+
+def _nonzero_eigen_product(gram):
+    """The product of the nonzero eigenvalues of a positive semidefinite
+    matrix G, 1 for the zero matrix, from pivot minors.
+
+    With I the pivot columns of G, G = G[:, I] G[I, I]^-1 G[I, :] and
+    G[I, I] is nonsingular, so the product is
+    det(G[:, I]^T G[:, I]) / det(G[I, I]), three eliminations where the
+    characteristic polynomial takes O(N^4).
+    """
+    cols: list = []
+    eliminate(_clear_denominators(gram)[0], pivots=cols)
+    picked = [[row[j] for j in cols] for row in gram]
+    top = rank_det_exact(mat_mul_exact(mat_transpose(picked), picked))[1]
+    sub = rank_det_exact([picked[i] for i in cols])[1]
+    return Fraction(top, sub)
 
 
 def _rep_value(q, root: int, radicals) -> FKValue:

@@ -20,14 +20,20 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .exact_linalg import det_batch
 from .fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
+    _is_cyclic_table,
     _picker,
+    _rep_value,
     fk_det_kernel_flat,
     format_element,
     rep_getters,
+    takes_cyclic_norm,
 )
 from .fk_zd import fk_det_zd, vn_dim_kernel_zd
 from .laurent import (
@@ -61,6 +67,11 @@ DEFAULT_BUDGET_MATRICES = 10**5
 
 # refuse spaces whose raw enumeration cannot finish at desk scale
 RAW_ENUMERATION_CAP = 5 * 10**7
+
+# a square finite scan on the regular_rep route takes the determinants of
+# its canonical candidates in chunks of representation entries this many
+# (1 024 candidates of a 6x6 representation, about 300 KB of int64)
+DET_CHUNK_ENTRIES = 1024 * 36
 
 # exact measure lower bounds are scaled by this before they rule a candidate
 # out, so a candidate whose measure equals the bound (z^3 - z - 1 attains
@@ -233,6 +244,17 @@ class _FiniteSpace:
         self.getters = rep_getters(self.group, self.rows, self.cols)
         self.radicals: dict = {}
         p = space.positions()
+        # a square shape on the regular_rep route reads every candidate's
+        # representation off one index table, and stream() fills dets with
+        # the exact determinant of each candidate in the current chunk;
+        # takes_cyclic_norm refuses a representation over REP_MAX_DIM here
+        self.rep_index = None
+        self.dets: dict = {}
+        if self.rows == self.cols and not takes_cyclic_norm(
+            space.shape, n, lambda: _is_cyclic_table(self.group)
+        ):
+            ids = tuple(range(p))
+            self.rep_index = np.array([get(ids) for get in self.getters])
         self.zero = (0,) * p
         # every image of a vector under a left translation g and, for a
         # square shape, under the adjoint of that translation, each read off
@@ -261,10 +283,35 @@ class _FiniteSpace:
                 self.images.append(_picker([src[a] for a in adjoint]))
 
     def stream(self):
+        """The canonical candidates in enumeration order.
+
+        On a square regular_rep space the candidates come in chunks, and
+        while a chunk is being yielded ``dets`` maps each of its candidates
+        to its exact determinant.  ``injective`` and ``evaluate`` read it,
+        so they are fast only for the candidate the stream just yielded
+        (or one of its chunk); any other candidate takes the elimination.
+        """
         space = self.space
-        for vec in _vectors(space.positions(), space.coeff_bound, space.support):
-            if self._is_canonical(vec):
-                yield vec
+        canonical = (
+            vec
+            for vec in _vectors(space.positions(), space.coeff_bound, space.support)
+            if self._is_canonical(vec)
+        )
+        if self.rep_index is None:
+            yield from canonical
+            return
+        size = max(1, DET_CHUNK_ENTRIES // self.rep_index.size)
+        while True:
+            # one chunk alive at a time: the dict keeps its candidates in
+            # stream order
+            self.dets = {}
+            chunk = list(itertools.islice(canonical, size))
+            if not chunk:
+                return
+            dets = det_batch(np.array(chunk, dtype=np.int64)[:, self.rep_index])
+            self.dets = dict(zip(chunk, dets))
+            del chunk, dets
+            yield from self.dets
 
     def _is_canonical(self, vec: tuple) -> bool:
         # the greatest member of the orbit has a positive first nonzero
@@ -306,13 +353,24 @@ class _FiniteSpace:
         )
 
     def injective(self, vec: tuple) -> bool:
-        # the elimination that finds the kernel of a square matrix holds its
+        """Whether the candidate has zero kernel; read off ``dets`` when the
+        candidate is in the chunk ``stream`` is yielding, else eliminated."""
+        # a square matrix is injective exactly when its determinant is
+        # nonzero
+        d = self.dets.get(vec)
+        if d is not None:
+            return d != 0
+        # the norms that find the kernel on the cyclic_norm route give the
         # determinant too; evaluate takes it from here
         det, kernel = self._det_kernel(vec, False)
         self.carried = (vec, det)
         return kernel == 0
 
     def evaluate(self, vec, one_threshold):
+        d = self.dets.get(vec)
+        if d:
+            v = _rep_value(d, self.n, self.radicals)
+            return v, v.exact == _ONE
         carried, v = self.carried
         if carried is not vec or v is None:
             v = self._det_kernel(vec, True)[0]

@@ -3,6 +3,8 @@
 import itertools
 import math
 
+import fkdet.fk_finite as fk_finite
+from fkdet.exact_linalg import charpoly_berkowitz
 from fkdet.fk_finite import FiniteGroup
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 from fkdet.mahler import mahler_measure
@@ -34,6 +36,24 @@ def symmetric_group_3() -> FiniteGroup:
         for a in perms
     ]
     return FiniteGroup(table, 0)
+
+
+def check_gram_route_against_berkowitz(monkeypatch) -> list:
+    """Make every Gram route of fk_finite assert that its pivot-minor
+    product equals, up to sign, the lowest nonzero coefficient of the Gram
+    matrix's characteristic polynomial (Berkowitz); returns the list of
+    the products it checked."""
+    product = fk_finite._nonzero_eigen_product
+    seen = []
+
+    def checked(gram):
+        q = product(gram)
+        assert abs(q) == abs(next(c for c in charpoly_berkowitz(gram) if c))
+        seen.append(q)
+        return q
+
+    monkeypatch.setattr(fk_finite, "_nonzero_eigen_product", checked)
+    return seen
 
 
 def kernel_reduction_on_a(a, variant="canonical"):

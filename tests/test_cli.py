@@ -351,6 +351,24 @@ def test_scan_refusal_gives_no_method_hint(capsys):
         assert err["message"].endswith("; use --method quadrature")
 
 
+def test_square_finite_scan_refuses_a_representation_over_the_budget(capsys):
+    # a 2x2 over Z/51 and one element of Z/2 x Z/51 (a product table, so
+    # not on the cyclic_norm route) need 102-dimensional representations
+    for argv in (
+        ("--cyclic", "51", "--shape", "2,2", "--variant", "lambda_w"),
+        ("--cyclic", "2,51", "--variant", "lambda_w_1"),
+    ):
+        code, err = error_of(
+            capsys, "lehmer-scan", *argv, "--coeff-bound", "1", "--support", "1"
+        )
+        assert code == 1
+        assert err == {
+            "kind": "domain",
+            "message": "regular representation of dimension 102 is over the "
+            "budget REP_MAX_DIM = 100",
+        }
+
+
 def test_scan_survey_csv(capsys):
     code, out, _ = run_cli(
         capsys, "lehmer-scan", "--cyclic", "3", "--coeff-bound", "2",

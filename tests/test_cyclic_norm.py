@@ -36,7 +36,15 @@ from fkdet.fk_finite import (
 from fkdet.laurent import GroupRingMatrix
 from fkdet.values import Radical
 
-from helpers import mat, rand_poly
+from helpers import check_gram_route_against_berkowitz, mat, rand_poly
+
+
+@pytest.fixture(autouse=True)
+def gram_checked(monkeypatch):
+    """Every singular case in this module takes the Gram route by pivot
+    minors, checked against Berkowitz."""
+    return check_gram_route_against_berkowitz(monkeypatch)
+
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 # ascending coefficients of Phi_1 .. Phi_4

@@ -4,10 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fkdet import exact_linalg
 from fkdet.exact_linalg import (
     charpoly_berkowitz,
+    det_batch,
     det_exact,
     eliminate,
     mat_mul_exact,
@@ -241,3 +244,68 @@ def test_charpoly_singular_has_zero_constant_term():
     coeffs = charpoly_berkowitz(m)
     assert coeffs[0] == 0
     assert coeffs == [0, -2, 1]
+
+
+# ---------------------------------------------------------------------------
+# batched determinants modulo word-size primes
+
+
+def _primes_used(monkeypatch) -> list:
+    """The primes det_batch eliminates modulo, recorded as it runs."""
+    used = []
+    det_mod = exact_linalg._det_mod
+
+    def recording(a, p):
+        used.append(p)
+        return det_mod(a, p)
+
+    monkeypatch.setattr(exact_linalg, "_det_mod", recording)
+    return used
+
+
+def test_det_batch_matches_det_exact():
+    rng = random.Random(31)
+    for n in (1, 2, 3, 5, 8):
+        mats = [_rand_int_matrix(rng, n, bound=3) for _ in range(40)]
+        # a repeated row: singular
+        mats.append([mats[0][0]] * n)
+        got = det_batch(np.array(mats))
+        assert got == [det_exact(m) for m in mats]
+        assert all(type(d) is int for d in got)
+
+
+def test_det_batch_takes_two_primes_past_the_hadamard_bound(monkeypatch):
+    # 10x10 with entries +-3: every Hadamard bound is 90**5, over 2**31, so
+    # the determinants, multiples of 3**10 * 2**9, come from two primes
+    used = _primes_used(monkeypatch)
+    rng = random.Random(37)
+    mats = [
+        [[rng.choice((-3, 3)) for _ in range(10)] for _ in range(10)]
+        for _ in range(12)
+    ]
+    mats.append([[3] * 10] * 10)
+    want = [det_exact(m) for m in mats]
+    assert det_batch(np.array(mats)) == want
+    assert used == [2**31 - 1, 2147483629]
+    assert want[-1] == 0 and all(d % (3**10 * 2**9) == 0 for d in want)
+
+
+def test_det_batch_has_no_false_zero_at_a_prime():
+    # det = 2**31 - 1, the first prime, both from a large entry and from
+    # small ones (46341**2 - 2 * 2317); a zero and a negative one beside them
+    p = 2**31 - 1
+    mats = [
+        [[p, 0], [0, 1]],
+        [[46341, 2], [2317, 46341]],
+        [[1, 2], [2, 4]],
+        [[0, 1], [1, 0]],
+        [[-p, 0], [0, 1]],
+    ]
+    assert det_batch(np.array(mats)) == [p, p, 0, -1, -p]
+    assert det_batch(np.array([[[p, 0], [0, p]]])) == [p * p]
+
+
+def test_det_batch_edge_shapes():
+    assert det_batch(np.zeros((0, 3, 3), dtype=np.int64)) == []
+    assert det_batch(np.zeros((2, 0, 0), dtype=np.int64)) == [1, 1]
+    assert det_batch(np.array([[[-7]]])) == [-7]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fkdet.approx import reduce_mod
 from fkdet.exact_linalg import det_exact, rank_exact
 from fkdet.fk_finite import (
     FiniteGroup,
@@ -26,9 +27,18 @@ from fkdet.fk_finite import (
     restrict,
     vn_dim_kernel_finite,
 )
+from fkdet.laurent import parse_polynomial
 from fkdet.values import Radical
 
-from helpers import symmetric_group_3
+from helpers import check_gram_route_against_berkowitz, symmetric_group_3
+
+
+@pytest.fixture(autouse=True)
+def gram_checked(monkeypatch):
+    """Every singular case in this module takes the Gram route by pivot
+    minors, checked against Berkowitz."""
+    return check_gram_route_against_berkowitz(monkeypatch)
+
 
 # a Latin square with two-sided identity 0 that is not a group
 NON_ASSOCIATIVE_LOOP = [
@@ -383,6 +393,20 @@ def test_det_rectangular_gram_route():
     )
     got = fk_det_finite(a)
     assert got.exact == Radical(5, Fraction(1, 4))
+
+
+def test_gram_route_by_pivot_minors(gram_checked):
+    # z1 - z2 over Z/6 x Z/6 and Z/8 x Z/8: singular 36x36 and 64x64
+    # representations; the fixture checks each Gram product against Berkowitz
+    z1_z2 = parse_polynomial("z1 - z2", rank=2)
+    assert fk_det_finite(reduce_mod(z1_z2, (6, 6))).exact == Radical(6, Fraction(1, 6))
+    assert fk_det_finite(reduce_mod(z1_z2, (8, 8))).exact == Radical(2, Fraction(3, 8))
+    # rational entries: (1 + a)/3 over the Klein four-group, a of order 2,
+    # has Gram eigenvalues 4/9, 4/9, 0 and 0
+    klein = direct_product(make_cyclic(2), make_cyclic(2))
+    third = FiniteGroupRingElement(klein, (Fraction(1, 3), 0, Fraction(1, 3), 0))
+    assert fk_det_finite(third).value == pytest.approx((16 / 81) ** 0.125, rel=1e-14)
+    assert gram_checked == [6**12, 2**48, Fraction(16, 81)]
 
 
 def test_det_squares_to_gram_determinant():

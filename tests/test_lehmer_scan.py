@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fkdet import lehmer_scan
+from fkdet.exact_linalg import rank_det_exact
 from fkdet.fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
@@ -879,6 +880,105 @@ def test_square_injectivity_agrees_with_the_kernel(space):
     for vec in ctx.stream():
         m = ctx.build(vec)
         assert ctx.injective(m) == (vn_dim_kernel_zd(m) == 0)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1),
+        SearchSpace(group=KLEIN, shape=(2, 2), coeff_bound=1, support=3),
+        SearchSpace(group=KLEIN, coeff_bound=2),
+        SearchSpace(group=make_cyclic(3), shape=(2, 2), coeff_bound=1, support=6),
+    ],
+    ids=["Z2-2x2", "klein-2x2-s3", "klein-1x1", "Z3-2x2-s6"],
+)
+def test_square_stream_determinants_match_the_elimination(space):
+    # the batched determinant of every canonical candidate, read off the
+    # chunk the stream is in, against one exact elimination of its regular
+    # representation
+    ctx = _FiniteSpace(space)
+    assert ctx.rep_index is not None
+    zeros = 0
+    for vec in ctx.stream():
+        want = rank_det_exact([get(vec) for get in ctx.getters])[1]
+        assert ctx.dets[vec] == want
+        zeros += want == 0
+    assert zeros
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        SearchSpace(group=make_cyclic(3), shape=(1, 2), coeff_bound=1),
+        SearchSpace(group=make_cyclic(3), shape=(2, 1), coeff_bound=2, support=2),
+        SearchSpace(group=make_cyclic(4), coeff_bound=2),
+    ],
+    ids=["Z3-1x2", "Z3-2x1", "Z4-1x1"],
+)
+def test_other_finite_shapes_are_not_batched(space):
+    # non-square shapes, and one row or column over Z/n (cyclic_norm)
+    ctx = _FiniteSpace(space)
+    assert ctx.rep_index is None
+    assert list(ctx.stream()) and ctx.dets == {}
+
+
+def test_square_scans_answer_from_the_current_chunk(monkeypatch):
+    # injective and evaluate read the determinant of the chunk the stream
+    # is yielding: a weak scan over several chunks eliminates nothing, and a
+    # plain scan eliminates only its singular candidates (Gram route)
+    seen = []
+    det_kernel = _FiniteSpace._det_kernel
+
+    def counted(self, vec, singular_det):
+        seen.append(self.dets.get(vec))
+        return det_kernel(self, vec, singular_det)
+
+    monkeypatch.setattr(_FiniteSpace, "_det_kernel", counted)
+    space = SearchSpace(group=make_cyclic(3), shape=(2, 2), coeff_bound=1, support=6)
+    report = scan(space, "lambda_w")
+    assert report.count_examined > 2 * lehmer_scan.DET_CHUNK_ENTRIES // 36
+    assert seen == []
+    scan(SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1), "lambda")
+    assert seen and set(seen) == {0}
+
+
+def test_plain_square_scan_keeps_its_singular_candidates():
+    # lambda admits the singular candidates, which take the Gram route
+    space = SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1)
+    report = scan(space, "lambda")
+    assert report.as_json() == {
+        "space": {
+            "ring": {"kind": "cyclic", "order": 2},
+            "shape": [2, 2],
+            "coeff_bound": 1,
+            "support": None,
+        },
+        "variant": "lambda",
+        "infimum_found": {
+            "value": 1.414213562373095,
+            "method": "regular_rep",
+            "error_estimate": 0.0,
+            "exact": {"base": 2, "exponent": "1/2"},
+        },
+        "witness": {
+            "kind": "matrix",
+            "rows": 2,
+            "cols": 2,
+            "entries": ["t + 1", "t + 1", "t + 1", "1"],
+            "coeffs": [[1, 1], [1, 1], [1, 1], [1, 0]],
+        },
+        "count_examined": 952,
+        "count_det_one": 195,
+        "one_threshold": DEFAULT_ONE_THRESHOLD,
+        "budget": 100000,
+        "budget_exceeded": False,
+    }
+    ctx = _FiniteSpace(space)
+    singular = [vec for vec in ctx.stream() if ctx.dets[vec] == 0]
+    assert singular
+    for vec in singular[:20]:
+        value, _ = ctx.evaluate(vec, DEFAULT_ONE_THRESHOLD)
+        assert value == fk_det_kernel_finite(ctx.matrix(vec))[0]
 
 
 def test_zd_matrix_scan():
