@@ -59,7 +59,7 @@ class FiniteGroup:
     kind: str
 
     def __init__(self, table, identity: int, names=None, kind: str = "table"):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(tuple(map(int, row)) for row in table)
         n = len(rows)
         if n == 0:
             raise ValueError("empty multiplication table")
@@ -151,14 +151,7 @@ class FiniteGroup:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order n with generator t at index 1."""
-    if n < 1:
-        raise ValueError("group order must be positive")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    if n == 1:
-        names = ("e",)
-    else:
-        names = ("e", "t") + tuple("t^%d" % k for k in range(2, n))
-    return FiniteGroup(table, 0, names, kind="cyclic")
+    return _cyclic_product([n], "cyclic")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -179,14 +172,34 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def make_cyclic_product(moduli) -> FiniteGroup:
-    """Product of cyclic groups; element index is the mixed-radix exponent."""
+    """Product of cyclic groups; element index is the mixed-radix exponent.
+
+    Table, names and kind are those of direct_product folded over
+    make_cyclic of each modulus (one modulus gives make_cyclic's group)."""
     mods = list(moduli)
     if not mods:
         raise ValueError("need at least one modulus")
-    group = make_cyclic(mods[0])
-    for n in mods[1:]:
-        group = direct_product(group, make_cyclic(n))
-    return group
+    return _cyclic_product(mods, "cyclic" if len(mods) == 1 else "product")
+
+
+def _cyclic_product(mods: list, kind: str) -> FiniteGroup:
+    """Z/n_1 x ... x Z/n_d, its table built in one numpy step: the entry at
+    (x, y) sums the digits of x and y modulo each modulus, at that digit's
+    mixed-radix stride.  FiniteGroup validates it once."""
+    if any(n < 1 for n in mods):
+        raise ValueError("group order must be positive")
+    order = math.prod(mods)
+    index = np.arange(order)
+    table = np.zeros((order, order), dtype=np.int64)
+    names: tuple = ()
+    stride = order
+    for n in mods:
+        stride //= n
+        digit = index // stride % n
+        table += (digit[:, None] + digit[None, :]) % n * stride
+        own = ("e",) if n == 1 else ("e", "t") + tuple("t^%d" % k for k in range(2, n))
+        names = tuple("(%s,%s)" % (a, b) for a in names for b in own) if names else own
+    return FiniteGroup(table.tolist(), 0, names, kind=kind)
 
 
 class FiniteGroupRingElement:

@@ -48,6 +48,7 @@ from .mahler import (
     face_lower_bound,
     is_cyclotomic_product,
     line_coeffs,
+    mahler_jensen_batch,
     mahler_measure,
     measure_lower_bound,
 )
@@ -72,6 +73,11 @@ RAW_ENUMERATION_CAP = 5 * 10**7
 # its canonical candidates in chunks of representation entries this many
 # (1 024 candidates of a 6x6 representation, about 300 KB of int64)
 DET_CHUNK_ENTRIES = 1024 * 36
+
+# a batched scan measures the candidates due for it whenever this many more
+# canonical candidates have streamed past, and at the end of the stream; a
+# longer wait leaves the cutoff stale, and held candidates pile up meanwhile
+MEASURE_CHUNK = 1024
 
 # exact measure lower bounds are scaled by this before they rule a candidate
 # out, so a candidate whose measure equals the bound (z^3 - z - 1 attains
@@ -232,6 +238,8 @@ def _vectors(positions: int, bound: int, support: int | None):
 
 class _FiniteSpace:
     """Enumeration context for matrices over a finite group ring."""
+
+    batched = False  # candidates are measured one by one, by evaluate
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -421,6 +429,8 @@ class _LaurentSpace:
 
         # a vector is shifted down when each axis has a term at exponent 0
         self.anchors = [face(a, 0) for a in range(self.rank)]
+        # single elements over Z are measured in batches, by evaluate_batch
+        self.batched = self.rank == 1 and space.shape == (1, 1)
         self.adjoint_at = self.tops = None
         if self.rows == self.cols:
             self._build_adjoint(face)
@@ -539,6 +549,21 @@ class _LaurentSpace:
         v = fk_det_zd(m).value
         return v, v.value < 1.0 + one_threshold
 
+    def evaluate_batch(self, vecs: list, one_threshold) -> list:
+        """evaluate for single elements over Z, straight from their
+        coefficient vectors: mahler_jensen_batch measures them together,
+        except monomials, which evaluate gives their exact radical."""
+        values = iter(mahler_jensen_batch([vec for vec in vecs if any(vec[1:])]))
+        out = []
+        for vec in vecs:
+            if any(vec[1:]):
+                mv = next(values)
+                v = FKValue(mv.value, mv.method, mv.error_estimate)
+                out.append((v, v.value < 1.0 + one_threshold))
+            else:
+                out.append(self.evaluate(self.build(vec), one_threshold))
+        return out
+
     def entry_texts(self, m) -> list:
         return [format_polynomial(p) for row in m.entries for p in row]
 
@@ -599,7 +624,11 @@ def scan(
     least value found by then.  Ties in the infimum keep the earliest candidate in
     enumeration order, so reports are deterministic for a fixed space.
     Over Z^d every determinant is measured by the ``auto`` method, fibrewise
-    Jensen; a candidate it refuses ends the scan with its ValueError.  Over
+    Jensen; a candidate it refuses ends the scan with its ValueError.  Single
+    elements over Z wait in a pending list and are measured together
+    (``evaluate_batch``) every MEASURE_CHUNK streamed candidates and at the
+    end of the stream; their results are recorded in enumeration order, so
+    the report is that of measuring each at once.  Over
     a finite group the exact radical decides determinant one.  A
     ``one_threshold`` that is negative or not finite is refused.
     """
@@ -628,12 +657,13 @@ def scan(
         )
 
     ctx = _context(space)
+    batched = ctx.batched
 
     examined = 0
     evaluated = 0
     det_one = 0
     exceeded = False
-    best = None  # (value, enumeration index, FKValue, matrix)
+    best = None  # (value, enumeration index, FKValue, vec, matrix or None)
     rows: list = []
     # a candidate whose measure lower bound exceeds the floor can be neither
     # determinant one nor a survey row, and one whose bound exceeds the
@@ -642,15 +672,18 @@ def scan(
     floor = max(1.0 + one_threshold, 1.5 if survey else 0.0)
     cutoff = math.inf
     held: list = []  # (enumeration index, bound, vec) with floor < bound <= cutoff
+    # (enumeration index, vec) of a batched scan's candidates due for
+    # measurement; flush measures them and records them in this order
+    pending: list = []
 
-    def measure(index, m):
+    def record(index, vec, m, value, is_one):
+        # m is the candidate's matrix, or None when only vec was built
         nonlocal det_one, best, cutoff, held
-        value, is_one = ctx.evaluate(m, one_threshold)
         if is_one:
             det_one += 1
             return
         if survey and value.value <= 1.5:
-            texts = ctx.entry_texts(m)
+            texts = ctx.entry_texts(m if m is not None else ctx.build(vec))
             text = (
                 texts[0]
                 if space.shape == (1, 1)
@@ -659,11 +692,29 @@ def scan(
             rows.append((text, value.value))
         # ties keep the earliest candidate in enumeration order
         if best is None or (value.value, index) < best[:2]:
-            best = (value.value, index, value, m)
+            best = (value.value, index, value, vec, m)
             cutoff = max(best[0], floor)
             held = [h for h in held if h[1] <= cutoff]
 
-    for vec in ctx.stream():
+    def measure(index, vec, m):
+        if batched:
+            pending.append((index, vec))
+            return
+        if m is None:
+            m = ctx.build(vec)
+        record(index, vec, m, *ctx.evaluate(m, one_threshold))
+
+    def flush():
+        if not pending:
+            return
+        results = ctx.evaluate_batch([vec for _, vec in pending], one_threshold)
+        for (index, vec), result in zip(pending, results):
+            record(index, vec, None, *result)
+        pending.clear()
+
+    for streamed, vec in enumerate(ctx.stream()):
+        if streamed % MEASURE_CHUNK == 0:
+            flush()
         screen = ctx.screen(vec)
         m = None
         admit = True
@@ -687,19 +738,25 @@ def scan(
             if bound > floor:
                 held.append((examined, bound, vec))
                 continue
-        measure(examined, m if m is not None else ctx.build(vec))
+        measure(examined, vec, m)
+    flush()
 
-    # measure rebinds held when the cutoff falls; this walks the list as it
-    # stood when the stream ended and rechecks each bound instead
+    # record rebinds held when the cutoff falls; this walks the list as it
+    # stood when the stream ended and rechecks each bound instead, so each
+    # held candidate is measured alone, against the cutoff the ones before
+    # it left
     for index, bound, vec in held:
         if bound <= cutoff:
-            measure(index, ctx.build(vec))
+            measure(index, vec, None)
+            flush()
 
     return ScanReport(
         space=space,
         variant=variant,
         infimum_found=None if best is None else best[2],
-        witness=None if best is None else ctx.witness_json(best[3]),
+        witness=None if best is None else ctx.witness_json(
+            best[4] if best[4] is not None else ctx.build(best[3])
+        ),
         count_examined=examined,
         count_det_one=det_one,
         one_threshold=one_threshold,

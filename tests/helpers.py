@@ -3,11 +3,13 @@
 import itertools
 import math
 
+import numpy as np
+
 import fkdet.fk_finite as fk_finite
 from fkdet.exact_linalg import charpoly_berkowitz
 from fkdet.fk_finite import FiniteGroup
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
-from fkdet.mahler import mahler_measure
+from fkdet.mahler import UNIT_BAND, mahler_measure, squarefree_decomposition
 
 
 def mat(texts, rank=1):
@@ -66,3 +68,43 @@ def kernel_reduction_on_a(a, variant="canonical"):
     value = math.sqrt(m1.value / m2.value)
     rel = m1.error_estimate / m1.value + m2.error_estimate / m2.value
     return value, 0.5 * value * rel
+
+
+def np_roots_reference(factor):
+    """(roots, residual) of a square-free integer polynomial, ascending with
+    a nonzero constant term, by np.roots and three Newton steps through
+    np.polyval and np.polyder: one polynomial at a time, independently of
+    the stacked companion kernel."""
+    desc = np.array([float(x) for x in factor[::-1]], dtype=np.complex128)
+    roots = np.roots(desc)
+    dd = np.polyder(desc)
+    for _ in range(3):
+        vals, dvals = np.polyval(desc, roots), np.polyval(dd, roots)
+        dvals = np.where(dvals == 0, 1e-300, dvals)
+        step = vals / dvals
+        roots = roots - step
+    return roots, float(np.max(np.abs(step)))
+
+
+def np_jensen_reference(coeffs):
+    """(value, log value, error estimate) of the Mahler measure of a nonzero
+    integer polynomial, ascending coefficients: the exact square-free split,
+    np_roots_reference on each factor, and the Jensen sum over the roots in
+    factor order."""
+    c = list(coeffs)
+    while c[-1] == 0:
+        c.pop()
+    while c[0] == 0:
+        c.pop(0)
+    roots, residual = [], 0.0
+    for factor, mult in squarefree_decomposition(c):
+        found, res = np_roots_reference(factor)
+        residual = max(residual, res)
+        for r in found:
+            roots.extend([complex(r)] * mult)
+    log_m = math.log(abs(float(c[-1])))
+    for a in roots:
+        if abs(a) > 1.0 + UNIT_BAND:
+            log_m += math.log(abs(a))
+    value = math.exp(log_m)
+    return value, log_m, value * (residual * max(1, len(roots)) + 1e-15)

@@ -111,6 +111,40 @@ def test_direct_product_klein_four():
     assert v4.names[3] == "(t,t)"
 
 
+def _cyclic_reference(n):
+    """Z/n from its table of sums, filled entry by entry."""
+    names = ("e",) if n == 1 else ("e", "t") + tuple("t^%d" % k for k in range(2, n))
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return FiniteGroup(table, 0, names, kind="cyclic")
+
+
+@pytest.mark.parametrize(
+    "moduli", [(1,), (6,), (2, 3), (3, 2), (1, 4), (2, 2, 2), (4, 5, 1), (10, 10), (3, 2, 4, 2)]
+)
+def test_cyclic_product_matches_the_folded_direct_product(moduli):
+    # the one-step table against the group that direct_product builds
+    # factor by factor
+    folded = _cyclic_reference(moduli[0])
+    for n in moduli[1:]:
+        folded = direct_product(folded, _cyclic_reference(n))
+    g = make_cyclic_product(moduli)
+    assert (g.table, g.names, g.kind, g.identity) == (
+        folded.table, folded.names, folded.kind, folded.identity
+    )
+    assert g.inverses == folded.inverses
+    if len(moduli) == 1:
+        assert make_cyclic(moduli[0]).as_json() == g.as_json()
+
+
+def test_cyclic_product_refuses_an_order_below_1():
+    with pytest.raises(ValueError, match="positive"):
+        make_cyclic_product((2, 0))
+    with pytest.raises(ValueError, match="positive"):
+        make_cyclic(0)
+    with pytest.raises(ValueError, match="at least one modulus"):
+        make_cyclic_product(())
+
+
 def test_cyclic_product_matches_modular_arithmetic():
     g = make_cyclic_product([2, 3])
     # index (a, b) -> 3a + b

@@ -213,28 +213,34 @@ def test_scan_bounded_by_exact_table():
 
 
 def test_z_scan_finds_lehmer_polynomial(monkeypatch):
-    calls = 0
-    evaluate = _LaurentSpace.evaluate
+    calls = batches = 0
+    evaluate_batch = _LaurentSpace.evaluate_batch
 
-    def counted(self, m, one_threshold):
-        nonlocal calls
-        calls += 1
-        return evaluate(self, m, one_threshold)
+    def counted(self, vecs, one_threshold):
+        nonlocal calls, batches
+        calls += len(vecs)
+        batches += 1
+        return evaluate_batch(self, vecs, one_threshold)
 
-    monkeypatch.setattr(_LaurentSpace, "evaluate", counted)
+    monkeypatch.setattr(_LaurentSpace, "evaluate_batch", counted)
     report = scan(zd_space((10,), coeff_bound=1), "lambda_1")
     # candidates bounded above the floor wait for the stream's final cutoff:
     # Smyth's constant bounds the 795 non-reciprocal ones above the
     # infimum, so none of them is measured (1 221 measures without holding)
     assert calls == 426
+    # measured every MEASURE_CHUNK streamed candidates, and at the end: a
+    # cutoff left stale longer lets held candidates pile up
+    assert batches == math.ceil(29888 / lehmer_scan.MEASURE_CHUNK)
     assert report.infimum_found.value == pytest.approx(LEHMER_MEASURE, abs=1e-9)
     assert report.infimum_found.value >= LEHMER_FLOOR
     assert parse_polynomial(report.witness["text"]) == parse_polynomial(LEHMER)
     assert report.count_examined == 29888
     assert report.count_det_one == 301
     assert report.budget_exceeded is False
+    # the witness is measured again alone, through mahler_jensen: the batch
+    # gives the same bits
     again = witness_value(report.space, report.witness)
-    assert abs(again.value - report.infimum_found.value) <= 1e-9
+    assert again.value == report.infimum_found.value
 
 
 def test_z_scan_keeps_the_smyth_tie():
@@ -410,7 +416,9 @@ def test_held_candidate_keeps_the_tie(monkeypatch):
         _LaurentSpace, "screen", lambda self, vec: (False, 2.0 if vec == first else 1.0)
     )
     monkeypatch.setattr(
-        _LaurentSpace, "evaluate", lambda self, m, t: (FKValue(2.0, "jensen", 0.0), False)
+        _LaurentSpace,
+        "evaluate_batch",
+        lambda self, vecs, t: [(FKValue(2.0, "jensen", 0.0), False)] * len(vecs),
     )
     report = scan(space, "lambda_1")
     assert report.count_examined > 1
