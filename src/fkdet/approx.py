@@ -305,8 +305,9 @@ def det_sequence(
     A matrix with one row or one column is measured at every rank by
     cyclic_stages straight from its Laurent entries, as exact integer norms
     over the characters of each quotient (quotient_norm), with no
-    reduction, no group table and no regular representation; the class
-    products are shared by all stages.  Any other shape takes regular_rep.
+    reduction, no group table and no regular representation; the stages
+    share one cyclic_norm pass at rank 1 and the class products above it.
+    Any other shape takes regular_rep.
     Stages exceeding ``max_stage_order`` group elements, or whose regular
     representation is over REP_MAX_DIM (see takes_cyclic_norm), are
     refused before any stage runs rather than silently taking hours.  A

@@ -10,11 +10,14 @@ Over a cyclic group, and over every quotient Z/n_1 x ... x Z/n_d of a
 determinant chain, a matrix with one row or one column skips the
 representation: its determinant is a norm, a product over the
 characters, which cyclic_norm (one modulus) and quotient_norm (several)
-compute from integer resultants.  All routes give exact radical values
-for integer inputs.  The regular representation is picked straight out
-of the matrix's flat coefficient vector by rep_getters, so a caller with
-many matrices of one shape, such as the Lehmer scan, hands those vectors
-to fk_det_kernel_flat and builds no group ring objects.
+compute from integer resultants.  cyclic_norm measures a whole list of
+orders in one pass, so the stages of a rank-1 chain share one residue
+t^n mod p*G and one search for the cyclotomic factors G of p.  All routes
+give exact radical values for integer inputs.  The regular representation
+is picked straight out of the matrix's flat coefficient vector by
+rep_getters, so a caller with many matrices of one shape, such as the
+Lehmer scan, hands those vectors to fk_det_kernel_flat and builds no group
+ring objects.
 """
 
 from __future__ import annotations
@@ -561,71 +564,101 @@ def _resultant(a: list, b: list) -> int:
     return abs(b[0] ** degree // h ** (degree - 1)) if degree else 1
 
 
-def cyclic_norm(coeffs, n: int) -> tuple:
-    """|prod p(zeta)| over the n-th roots of unity with p(zeta) != 0, and
-    the number of roots with p(zeta) = 0, without an n x n matrix.
+def cyclic_norm(coeffs, orders) -> list:
+    """For each order n in ``orders``: |prod p(zeta)| over the n-th roots
+    of unity with p(zeta) != 0, and the number of roots with p(zeta) = 0,
+    without an n x n matrix.  One pass measures the whole list.
 
-    ``coeffs`` maps integer exponents (any sign, read mod n) to rational
-    coefficients.  With the monomial factor stripped, p has degree m < n.
-    g is the product of the Phi_d, d | n, that divide p, so the zero roots
-    number deg g.  For h = (t^n - 1)/g, prod_{h(zeta)=0} p(zeta) is
-    +-lc(p)^deg h times prod_{p(a)=0} h(a), a resultant of p with h mod p
-    (_resultant).  h mod p is ((t^n - 1) mod p*g)/g, kept as an integer
-    numerator over one denominator, so no Fraction arithmetic runs whatever
-    lc(p) is.  The norm is exact, an int or a Fraction.
+    ``coeffs`` maps integer exponents (any sign, read mod the lcm L of the
+    orders, which every order divides) to rational coefficients.  With the
+    monomial factor stripped, p has degree m < L.  G is the product of the
+    Phi_d that divide p, d a divisor of some order, found once; g_n, the
+    product of those with d | n, gives the zero roots of order n, deg g_n of
+    them.  For h = (t^n - 1)/g_n, prod_{h(zeta)=0} p(zeta) is
+    +-lc(p)^deg h times prod_{p(a)=0} h(a), a resultant of p with any
+    polynomial congruent to h mod p (_resultant); ((t^n mod p*G) - 1)/g_n
+    is one.  The residue t^n mod p*G carries from each order to the next,
+    times t^(n - previous) while the orders rise and afresh when they fall,
+    kept as an integer numerator over one denominator, so no Fraction
+    arithmetic runs whatever lc(p) is.  Each norm is exact, an int or a
+    Fraction.
     """
-    if n < 1:
+    orders = list(orders)
+    if any(n < 1 for n in orders):
         raise ValueError("group order must be positive")
+    if not orders:
+        return []
+    period = math.lcm(*orders)
     terms = {}
     for e, c in coeffs.items():
         if c:
-            terms[e % n] = terms.get(e % n, 0) + c
+            terms[e % period] = terms.get(e % period, 0) + c
     exps = sorted(e for e, c in terms.items() if c)
     if not exps:
-        return 1, n
+        return [(1, n) for n in orders]
     # start after the widest cyclic gap between exponents: least degree
-    gaps = [(exps[0] + n - exps[-1], exps[0])]
+    gaps = [(exps[0] + period - exps[-1], exps[0])]
     gaps += [(b - a, b) for a, b in zip(exps, exps[1:])]
     low = max(gaps)[1]
     scale = 1
     for e in exps:
         if isinstance(terms[e], Fraction):
             scale = math.lcm(scale, terms[e].denominator)
-    m = max((e - low) % n for e in exps)
+    m = max((e - low) % period for e in exps)
     p = [0] * (m + 1)
     for e in exps:
-        p[(e - low) % n] = int(terms[e] * scale)
-    zeros = 0
+        p[(e - low) % period] = int(terms[e] * scale)
     if m == 0:
-        norm = abs(p[0]) ** n
+        stages = [(abs(p[0]) ** n, 0) for n in orders]
     else:
-        g = [1]
-        for d in range(1, n + 1):
-            if n % d or _totient(d) > m:
+        # the cyclotomic factors of p whose orders divide some order
+        factors, cyclo = [], [1]
+        for d in sorted({d for n in set(orders) for d in _divisors(n)}):
+            if _totient(d) > m:
                 continue
             phi = list(_cyclotomic(d))
             try:
                 _div_exact(p, phi)
             except ValueError:
                 continue
-            g = _poly_mul(g, phi)
-        zeros = len(g) - 1
-        # h = num/den; g is monic, so it divides the integer numerator
-        num, den = _t_power_mod(n, _poly_mul(p, g))
-        num[0] -= den
-        num = _trim(_div_exact(num, g))
-        # prod h(a) over the roots a of p is Res(p, num) / lc(p)^deg(num)
-        # / den^m, up to sign
-        norm = Fraction(
-            abs(p[-1]) ** (n - zeros) * _resultant(p, num),
-            abs(p[-1]) ** (len(num) - 1) * den**m,
-        )
-    norm = Fraction(norm, scale ** (n - zeros))
-    return (norm.numerator if norm.denominator == 1 else norm), zeros
+            factors.append((d, phi))
+            cyclo = _poly_mul(cyclo, phi)
+        mod = _poly_mul(p, cyclo)
+        stages, prev = [], 0
+        for n in orders:
+            # t^n mod p*G = num/den
+            if not 0 < prev <= n:
+                num, den = _t_power_mod(n, mod)
+            elif n > prev:
+                step, step_den = _t_power_mod(n - prev, mod)
+                num, den = _reduce(_poly_mul(num, step), den * step_den, mod)
+            prev = n
+            g = [1]
+            for d, phi in factors:
+                if n % d == 0:
+                    g = _poly_mul(g, phi)
+            # g_n is monic and divides t^n - 1 and p*G, so it divides the
+            # integer numerator
+            h = list(num)
+            h[0] -= den
+            h = _trim(_div_exact(h, g))
+            # prod h(a) over the roots a of p is Res(p, h) / lc(p)^deg(h)
+            # / den^m, up to sign
+            norm = Fraction(
+                abs(p[-1]) ** (n - len(g) + 1) * _resultant(p, h),
+                abs(p[-1]) ** (len(h) - 1) * den**m,
+            )
+            stages.append((norm, len(g) - 1))
+    out = []
+    for n, (norm, zeros) in zip(orders, stages):
+        norm = Fraction(norm, scale ** (n - zeros))
+        out.append((norm.numerator if norm.denominator == 1 else norm, zeros))
+    return out
 
 
 def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _eliminate_first(f: dict, d: int) -> dict:
@@ -734,7 +767,7 @@ def quotient_norm(coeffs: dict, moduli, cache: dict | None = None) -> tuple:
         line: dict = {}
         for e, c in coeffs.items():
             line[e[axis]] = line.get(e[axis], 0) + c
-        return cyclic_norm(line, count)
+        return cyclic_norm(line, [count])[0]
     terms = {e: c for e, c in coeffs.items() if c}
     if not terms:
         return 1, count
@@ -763,8 +796,9 @@ def quotient_norm(coeffs: dict, moduli, cache: dict | None = None) -> tuple:
 def cyclic_stages(entries, rows: int, moduli) -> list:
     """(determinant, kernel dimension) over Z/n_1 x ... x Z/n_d for each
     moduli tuple in ``moduli`` of a 1x1, 1xk or kx1 matrix, given its
-    entries as exponent tuple -> coefficient maps, with one quotient_norm
-    call per tuple and one class cache for them all.
+    entries as exponent tuple -> coefficient maps.  A rank-1 chain is one
+    cyclic_norm pass over all its orders; a higher rank takes one
+    quotient_norm call per tuple and one class cache for them all.
 
     A single entry p is measured itself; a vector x through the element
     f = sum x_i x_i*, whose nonzero eigenvalues are those of the Gram
@@ -782,11 +816,15 @@ def cyclic_stages(entries, rows: int, moduli) -> list:
                 for e2, c2 in items:
                     e = tuple(a - b for a, b in zip(e1, e2))
                     f[e] = f.get(e, 0) + c1 * c2
-    cache: dict = {}
+    if all(len(mods) == 1 for mods in moduli):
+        # a rank-1 chain: one cyclic_norm pass shares its work across stages
+        norms = cyclic_norm({e: c for (e,), c in f.items()}, [n for (n,) in moduli])
+    else:
+        cache: dict = {}
+        norms = [quotient_norm(f, mods, cache) for mods in moduli]
     out = []
-    for mods in moduli:
+    for mods, (norm, zeros) in zip(moduli, norms):
         n = math.prod(mods)
-        norm, zeros = quotient_norm(f, mods, cache)
         root = 2 * n if gram else n
         if zeros and not gram:
             norm, root = norm * norm, 2 * n

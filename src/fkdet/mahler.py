@@ -47,9 +47,15 @@ UNIT_BAND = 1e-12
 # grid samples with |p| below this are treated as exact zeros and excluded
 ZERO_FLOOR = 1e-300
 
+# largest degree one-variable Jensen root-finds: a polynomial of degree d
+# takes a dense d x d companion matrix, and degree 1024 already takes about
+# 6 s on a 2-core Xeon (degree 2000 32 s, degree 100 000 asks for 149 GiB),
+# so roots_one_var refuses above it before the square-free split
+JENSEN_MAX_DEGREE = 1024
+
 # largest specialized degree the Boyd-Lawton ramp root-finds; the ramp
 # refuses above it rather than run for minutes
-BL_MAX_DEGREE = 1024
+BL_MAX_DEGREE = JENSEN_MAX_DEGREE
 
 # most points of one quadrature grid; a chunk of it is then at most 128 MB
 QUADRATURE_MAX_POINTS = 1 << 24
@@ -451,11 +457,18 @@ class RootList:
 
 
 def roots_one_var(p: LaurentPolynomial) -> RootList:
-    """Roots with multiplicity of a nonzero rank-1 Laurent polynomial."""
+    """Roots with multiplicity of a nonzero rank-1 Laurent polynomial, of
+    degree at most JENSEN_MAX_DEGREE (ValueError above it)."""
     if p.rank != 1:
         raise ValueError("need a rank-1 polynomial")
     if p.is_zero():
         raise ValueError("zero polynomial has no root data")
+    degree = _span(p, 0)
+    if degree > JENSEN_MAX_DEGREE:
+        raise ValueError(
+            f"one-variable jensen has degree {degree}, over the budget "
+            f"JENSEN_MAX_DEGREE = {JENSEN_MAX_DEGREE}"
+        )
     low, coeffs = p.dense_coefficients()
     lead_abs = abs(float(coeffs[-1]))
     if len(coeffs) == 1:

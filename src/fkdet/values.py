@@ -131,6 +131,12 @@ class Radical:
         return float(self.exponent) * math.log(self.base)
 
     def __float__(self) -> float:
+        # an integer is rounded once, where exp(log) can land an ulp off
+        if self.exponent == 1:
+            try:
+                return float(self.base)
+            except OverflowError:
+                return math.inf
         lg = self.log()
         if lg > 709.0:
             return math.inf

@@ -1,12 +1,14 @@
 """Shared builders for the test modules."""
 
+from fractions import Fraction
+import functools
 import itertools
 import math
 
 import numpy as np
 
 import fkdet.fk_finite as fk_finite
-from fkdet.exact_linalg import charpoly_berkowitz
+from fkdet.exact_linalg import charpoly_berkowitz, det_exact
 from fkdet.fk_finite import FiniteGroup
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 from fkdet.mahler import UNIT_BAND, mahler_measure, squarefree_decomposition
@@ -108,3 +110,60 @@ def np_jensen_reference(coeffs):
             log_m += math.log(abs(a))
     value = math.exp(log_m)
     return value, log_m, value * (residual * max(1, len(roots)) + 1e-15)
+
+
+@functools.cache
+def cyclotomic_reference(d):
+    """Phi_d, ascending: t^d - 1 divided by Phi_e for every proper divisor
+    e, by schoolbook long division by monic polynomials."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e:
+            continue
+        phi = cyclotomic_reference(e)
+        q = [0] * (len(p) - len(phi) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = p[k + len(phi) - 1]
+            for i, c in enumerate(phi):
+                p[k + i] -= q[k] * c
+        assert not any(p)
+        p = q
+    return tuple(p)
+
+
+@functools.cache
+def sylvester_resultant(a, b):
+    """Res(a, b) of two integer polynomials, ascending tuples with nonzero
+    leading coefficients, not both constant: the determinant of their
+    Sylvester matrix."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + list(a[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(b[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+    return det_exact(rows)
+
+
+def class_product_norm(coeffs, n):
+    """(|prod p(zeta)| over the n-th roots of unity with p(zeta) != 0, and
+    the number with p(zeta) = 0) for p given as {exponent: rational}: the
+    product over d | n of the class products Res(Phi_d, p), one for the
+    roots of order d, where a zero class holds phi(d) zero roots.  A
+    reference for cyclic_norm that shares none of its code."""
+    terms = {e: Fraction(c) for e, c in coeffs.items() if c}
+    if not terms:
+        return 1, n
+    low = min(terms)
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    p = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        p[e - low] = int(c * scale)
+    norm, zeros = 1, 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi = cyclotomic_reference(d)
+            value = sylvester_resultant(phi, tuple(p))
+            if value:
+                norm *= abs(value)
+            else:
+                zeros += len(phi) - 1
+    norm = Fraction(norm, scale ** (n - zeros))
+    return (norm.numerator if norm.denominator == 1 else norm), zeros

@@ -15,7 +15,7 @@ import fkdet.cli
 from fkdet.cli import main
 from fkdet.laurent import GroupRingMatrix, matrix_to_json, parse_polynomial
 from fkdet.lehmer_scan import DEFAULT_ONE_THRESHOLD
-from fkdet.mahler import mahler_jensen
+from fkdet.mahler import JENSEN_MAX_DEGREE, mahler_jensen
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 
@@ -495,6 +495,29 @@ def test_chain_of_one_element_runs_past_the_representation_budget(capsys):
     stages = blob["result"]["stages"]
     assert [s["order"] for s in stages] == [n * n for n in range(2, 12)]
     assert {s["value"]["method"] for s in stages} == {"cyclic_norm"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mahler", "--poly", "2*z^100000 + 1"),
+        ("mahler", "--poly", "2*z^100000 + 1", "--method", "quadrature"),
+        ("fkdet-zd", "--poly", "2*z^100000 + 1"),
+        # the stages are norms and cheap; the Z reference is refused
+        ("approx-chain", "--poly", "2*z^100000 + 1", "--chain", "2..6"),
+    ],
+)
+def test_one_variable_jensen_refuses_past_its_degree_budget(capsys, argv):
+    start = time.perf_counter()
+    code, err = error_of(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert err["kind"] == "domain"
+    # no other method measures one variable, so no advice
+    assert err["message"] == (
+        "one-variable jensen has degree 100000, over the budget "
+        f"JENSEN_MAX_DEGREE = {JENSEN_MAX_DEGREE}"
+    )
 
 
 @pytest.mark.parametrize(

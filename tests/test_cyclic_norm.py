@@ -36,7 +36,7 @@ from fkdet.fk_finite import (
 from fkdet.laurent import GroupRingMatrix
 from fkdet.values import Radical
 
-from helpers import check_gram_route_against_berkowitz, mat, rand_poly
+from helpers import check_gram_route_against_berkowitz, class_product_norm, mat, rand_poly
 
 
 @pytest.fixture(autouse=True)
@@ -144,7 +144,7 @@ def test_t_to_the_n_minus_one_at_stage_n():
         assert x.is_zero()
         assert_matches_oracle(x)
         # and before reduction: every character is a zero
-        assert cyclic_norm({n: 1, 0: -1}, n) == (1, n)
+        assert cyclic_norm({n: 1, 0: -1}, [n]) == [(1, n)]
 
 
 def test_constants_and_monomials():
@@ -269,16 +269,115 @@ def test_one_computation_per_route(monkeypatch):
 
 def test_cyclic_norm_small_goldens():
     # prod over cube roots of (zeta - 2) is -(2^3 - 1)
-    assert cyclic_norm({1: 1, 0: -2}, 3) == (7, 0)
-    assert cyclic_norm({1: 2, 0: -1}, 3) == (7, 0)
+    assert cyclic_norm({1: 1, 0: -2}, [3]) == [(7, 0)]
+    assert cyclic_norm({1: 2, 0: -1}, [3]) == [(7, 0)]
     # 1 + t over Z/4 vanishes at -1; the other roots give 2 * |1 + i|^2
-    assert cyclic_norm({0: 1, 1: 1}, 4) == (4, 1)
-    assert cyclic_norm({0: Fraction(1, 2)}, 3) == (Fraction(1, 8), 0)
-    assert cyclic_norm({}, 5) == (1, 5)
+    assert cyclic_norm({0: 1, 1: 1}, [4]) == [(4, 1)]
+    assert cyclic_norm({0: Fraction(1, 2)}, [3]) == [(Fraction(1, 8), 0)]
+    assert cyclic_norm({}, [5]) == [(1, 5)]
+    assert cyclic_norm({0: 1}, []) == []
     # exponents of any sign; the widest gap keeps the degree low
-    assert cyclic_norm({-1: 1, 0: 3, 1: 1}, 20000) == cyclic_norm({0: 1, 1: 3, 2: 1}, 20000)
+    assert cyclic_norm({-1: 1, 0: 3, 1: 1}, [20000]) == cyclic_norm({0: 1, 1: 3, 2: 1}, [20000])
     with pytest.raises(ValueError):
-        cyclic_norm({0: 1}, 0)
+        cyclic_norm({0: 1}, [3, 0])
+
+
+def _gram(*vectors):
+    """f = sum x_i x_i* of {exponent: coefficient} maps."""
+    f = {}
+    for x in vectors:
+        for e1, c1 in x.items():
+            for e2, c2 in x.items():
+                f[e1 - e2] = f.get(e1 - e2, 0) + c1 * c2
+    return f
+
+
+def _ascending(coeffs):
+    return {e: c for e, c in enumerate(coeffs) if c}
+
+
+# Phi_1^2 Phi_3 (2 + t - t^2): a repeated cyclotomic factor
+_REPEATED = poly_mul(poly_mul(poly_mul(PHI[1], PHI[1]), PHI[3]), [2, 1, -1])
+
+CHAIN_INPUTS = {
+    "lehmer": _ascending([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]),
+    "lead 2": _ascending([1, -2, 0, 1, 2, -1, 0, 0, 1, -1, 2]),
+    "lead -2": _ascending([-1, 0, 2, 1, -2, 0, 1, 1, 0, 2, -2]),
+    "p(1) = 0": _ascending([2, -1, 0, 1, -2, 0, 0, 1, 0, -1]),
+    "repeated cyclotomic": _ascending(_REPEATED),
+    "gram": _gram(
+        {-1: Fraction(1, 2), 0: 3, 2: -1}, {0: Fraction(2, 3), 1: 1, -3: Fraction(-1, 4)}
+    ),
+    "monomial": {3: -2},
+    "zero": {},
+}
+
+CHAINS = {
+    "consecutive": list(range(1, 31)),
+    "sparse": [2, 7, 30, 31, 60],
+    "doubling": [2, 4, 8, 16, 32],
+    "decreasing": [32, 16, 3],
+    "repeated": [5, 5, 6, 6, 5],
+    # every order below the exponent span of the degree-10 inputs
+    "below the span": [1, 2, 3, 4, 6],
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+@pytest.mark.parametrize("name", sorted(CHAIN_INPUTS))
+def test_chain_pass_matches_one_call_per_order_and_class_products(name, chain):
+    f, orders = CHAIN_INPUTS[name], CHAINS[chain]
+    got = cyclic_norm(f, orders)
+    assert got == [cyclic_norm(f, [n])[0] for n in orders]
+    assert got == [class_product_norm(f, n) for n in orders]
+
+
+def test_chain_pass_on_a_huge_exponent_searches_only_the_chain_divisors():
+    # read mod lcm(2..6) = 60, 1 + t^100000 is 1 + t^40; the cyclotomic
+    # search runs over the divisors of the orders, not every Phi_d of
+    # degree up to 100 000
+    start = time.perf_counter()
+    got = cyclic_norm({0: 1, 100000: 1}, range(2, 7))
+    assert time.perf_counter() - start < 0.5
+    for n, stage in zip(range(2, 7), got):
+        reduced = [1] + [0] * (n - 1)
+        reduced[100000 % n] += 1
+        assert stage == class_product_norm(_ascending(reduced), n)
+
+
+def test_chain_pass_shares_the_power_and_the_trial_divisions(monkeypatch):
+    calls = {"_t_power_mod": [], "_div_exact": 0, "_resultant": 0}
+    power, div, res = fk_finite._t_power_mod, fk_finite._div_exact, fk_finite._resultant
+
+    def counted_power(n, mod):
+        calls["_t_power_mod"].append(n)
+        return power(n, mod)
+
+    def counted_div(a, b):
+        calls["_div_exact"] += 1
+        return div(a, b)
+
+    def counted_res(a, b):
+        calls["_resultant"] += 1
+        return res(a, b)
+
+    monkeypatch.setattr(fk_finite, "_t_power_mod", counted_power)
+    monkeypatch.setattr(fk_finite, "_div_exact", counted_div)
+    monkeypatch.setattr(fk_finite, "_resultant", counted_res)
+
+    def run(orders):
+        calls.update(_t_power_mod=[], _div_exact=0, _resultant=0)
+        cyclic_norm(CHAIN_INPUTS["p(1) = 0"], orders)
+        return dict(calls)
+
+    short, long = run(range(2, 31)), run(range(2, 61))
+    # t^2 once, then one step of t per stage
+    assert long["_t_power_mod"] == [2] + [1] * 58
+    # one resultant and one exact division by g_n per stage; the trial
+    # divisions, by the Phi_d with phi(d) <= 9, all with d <= 30, are the
+    # same for both chains
+    assert (short["_resultant"], long["_resultant"]) == (29, 59)
+    assert long["_div_exact"] - 59 == short["_div_exact"] - 29 > 0
 
 
 def test_stage_budget_lehmer_at_default_order(tmp_path):
@@ -480,5 +579,5 @@ def test_quotient_norm_shares_class_products_across_stages(monkeypatch):
     fk_finite.quotient_norm(f, (2, 2), cache)
     assert len(calls) == first
     # one cyclic modulus: cyclic_norm, no class products
-    assert fk_finite.quotient_norm(f, (1, 5), cache) == cyclic_norm({0: 4, 1: 1}, 5)
+    assert fk_finite.quotient_norm(f, (1, 5), cache) == cyclic_norm({0: 4, 1: 1}, [5])[0]
     assert len(calls) == first

@@ -93,6 +93,14 @@ def test_radical_float_and_log():
     assert float(Radical(2, 10000)) == math.inf
 
 
+def test_integer_radicals_float_as_the_integer():
+    # exp(log 8) is 7.999999999999998; an exponent-1 radical is its base
+    for n in range(1, 2000):
+        assert float(Radical(n)) == float(n)
+    assert float(Radical(10**300 + 7)) == float(10**300 + 7)
+    assert float(Radical(10**400)) == math.inf
+
+
 def test_radical_products_and_powers():
     half = Fraction(1, 2)
     assert Radical(2, half) * Radical(2, half) == Radical(2)
