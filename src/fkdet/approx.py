@@ -330,6 +330,8 @@ def det_sequence(
         # norm engine knows
         norms = takes_cyclic_norm(shape, order, lambda: True)
 
+    # the reference first: a Z^d measure over its budget refuses at once
+    reference = fk_det_zd(a, measure_method).value
     if norms:
         # one row or column: the stages are norms of one element
         entries = [p.terms for row in a.entries for p in row]
@@ -337,7 +339,6 @@ def det_sequence(
     else:
         values = tuple(fk_det_finite(reduce_mod(a, mods)) for mods in chain.moduli)
 
-    reference = fk_det_zd(a, measure_method).value
     combined = tolerance + reference.error_estimate + max(
         v.error_estimate for v in values
     )

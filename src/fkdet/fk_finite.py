@@ -11,7 +11,7 @@ determinant chain, a matrix with one row or one column skips the
 representation: its determinant is a norm, a product over the
 characters, which cyclic_norm (one modulus) and quotient_norm (several)
 compute from integer resultants.  cyclic_norm measures a whole list of
-orders in one pass, so the stages of a rank-1 chain share one residue
+orders, and the orders that read the same p share one pass: one residue
 t^n mod p*G and one search for the cyclotomic factors G of p.  All routes
 give exact radical values for integer inputs.  The regular representation
 is picked straight out of the matrix's flat coefficient vector by
@@ -523,11 +523,15 @@ def _poly_mul(a: list, b: list) -> list:
 
 def _t_power_mod(n: int, mod: list) -> tuple:
     """t**n modulo mod as (numerator list, denominator), by repeated
-    squaring."""
-    num, den = [1], 1
-    for bit in bin(n)[2:]:
+    squaring started at t**(n >> shift), the least shift that puts the
+    power below deg(mod), where it is its own residue."""
+    shift = 0
+    while n >> shift >= max(len(mod) - 1, 1):
+        shift += 1
+    num, den = [0] * (n >> shift) + [1], 1
+    for i in reversed(range(shift)):
         num, den = _poly_mul(num, num), den * den
-        if bit == "1":
+        if n >> i & 1:
             num = [0] + num
         num, den = _reduce(num, den, mod)
     return num, den
@@ -567,93 +571,117 @@ def _resultant(a: list, b: list) -> int:
 def cyclic_norm(coeffs, orders) -> list:
     """For each order n in ``orders``: |prod p(zeta)| over the n-th roots
     of unity with p(zeta) != 0, and the number of roots with p(zeta) = 0,
-    without an n x n matrix.  One pass measures the whole list.
+    without an n x n matrix.
 
-    ``coeffs`` maps integer exponents (any sign, read mod the lcm L of the
-    orders, which every order divides) to rational coefficients.  With the
-    monomial factor stripped, p has degree m < L.  G is the product of the
-    Phi_d that divide p, d a divisor of some order, found once; g_n, the
-    product of those with d | n, gives the zero roots of order n, deg g_n of
-    them.  For h = (t^n - 1)/g_n, prod_{h(zeta)=0} p(zeta) is
-    +-lc(p)^deg h times prod_{p(a)=0} h(a), a resultant of p with any
-    polynomial congruent to h mod p (_resultant); ((t^n mod p*G) - 1)/g_n
-    is one.  The residue t^n mod p*G carries from each order to the next,
-    times t^(n - previous) while the orders rise and afresh when they fall,
-    kept as an integer numerator over one denominator, so no Fraction
-    arithmetic runs whatever lc(p) is.  Each norm is exact, an int or a
-    Fraction.
+    ``coeffs`` maps integer exponents (any sign) to rational coefficients.
+    Read mod the lcm L of the orders, which every order divides, they give
+    one p of degree m < L (_cyclic_poly).  The orders n >= m + w, w the
+    widest gap between the exponents of p, read the same p mod n, and they
+    share one _cyclic_pass on it.  Any lower order reads its own p mod n,
+    of degree below m, in a pass of its own: a span wider than the orders,
+    such as 1 + t^1000 on 2..160, would otherwise carry every stage at
+    degree m.  Each norm is exact, an int or a Fraction.
     """
     orders = list(orders)
     if any(n < 1 for n in orders):
         raise ValueError("group order must be positive")
-    if not orders:
-        return []
-    period = math.lcm(*orders)
+    shared = _cyclic_poly(coeffs, math.lcm(*orders))
+    passes = [(shared, [n for n in orders if n >= shared[2]])]
+    passes += [(_cyclic_poly(coeffs, n), [n]) for n in orders if n < shared[2]]
+    measured = {}
+    for (p, scale, _), group in passes:
+        for n, (num, den, zeros) in zip(group, _cyclic_pass(p, group)):
+            den *= scale ** (n - zeros)
+            norm = num // den if num % den == 0 else Fraction(num, den)
+            measured[n] = (norm, zeros)
+    return [measured[n] for n in orders]
+
+
+def _cyclic_poly(coeffs, period: int) -> tuple:
+    """``coeffs`` read mod ``period`` as an ascending integer list p of
+    degree m ([] when they cancel), starting after the widest cyclic gap
+    between exponents, which keeps m least; the common denominator the
+    coefficients were scaled by; and m + w, w the widest gap left between
+    the exponents of p, the least order that reads this same p."""
     terms = {}
     for e, c in coeffs.items():
         if c:
             terms[e % period] = terms.get(e % period, 0) + c
     exps = sorted(e for e, c in terms.items() if c)
     if not exps:
-        return [(1, n) for n in orders]
-    # start after the widest cyclic gap between exponents: least degree
+        return [], 1, 0
     gaps = [(exps[0] + period - exps[-1], exps[0])]
     gaps += [(b - a, b) for a, b in zip(exps, exps[1:])]
-    low = max(gaps)[1]
+    gaps.sort()
+    low = gaps[-1][1]
     scale = 1
     for e in exps:
         if isinstance(terms[e], Fraction):
             scale = math.lcm(scale, terms[e].denominator)
-    m = max((e - low) % period for e in exps)
-    p = [0] * (m + 1)
+    p = [0] * (period - gaps[-1][0] + 1)
     for e in exps:
         p[(e - low) % period] = int(terms[e] * scale)
+    return p, scale, len(p) - 1 + (gaps[-2][0] if len(gaps) > 1 else 0)
+
+
+def _cyclic_pass(p: list, orders: list) -> list:
+    """(norm numerator, norm denominator, zeros) of an integer polynomial
+    p of degree m over each order's roots of unity, for orders above m.
+
+    G is the product of the Phi_d that divide p, d a divisor of some order,
+    found once; g_n, the product of those with d | n, gives the zero roots
+    of order n, deg g_n of them.  For h = (t^n - 1)/g_n,
+    prod_{h(zeta)=0} p(zeta) is +-lc(p)^deg h times prod_{p(a)=0} h(a), a
+    resultant of p with any polynomial congruent to h mod p (_resultant);
+    ((t^n mod p*G) - 1)/g_n is one.  The residue t^n mod p*G carries from
+    each order to the next, times t^(n - previous) while the orders rise
+    and afresh when they fall, kept as an integer numerator over one
+    denominator, so no Fraction arithmetic runs whatever lc(p) is.
+    """
+    if not p or not orders:
+        return [(1, 1, n) for n in orders]
+    m = len(p) - 1
     if m == 0:
-        stages = [(abs(p[0]) ** n, 0) for n in orders]
-    else:
-        # the cyclotomic factors of p whose orders divide some order
-        factors, cyclo = [], [1]
-        for d in sorted({d for n in set(orders) for d in _divisors(n)}):
-            if _totient(d) > m:
-                continue
-            phi = list(_cyclotomic(d))
-            try:
-                _div_exact(p, phi)
-            except ValueError:
-                continue
-            factors.append((d, phi))
-            cyclo = _poly_mul(cyclo, phi)
-        mod = _poly_mul(p, cyclo)
-        stages, prev = [], 0
-        for n in orders:
-            # t^n mod p*G = num/den
-            if not 0 < prev <= n:
-                num, den = _t_power_mod(n, mod)
-            elif n > prev:
-                step, step_den = _t_power_mod(n - prev, mod)
-                num, den = _reduce(_poly_mul(num, step), den * step_den, mod)
-            prev = n
-            g = [1]
-            for d, phi in factors:
-                if n % d == 0:
-                    g = _poly_mul(g, phi)
-            # g_n is monic and divides t^n - 1 and p*G, so it divides the
-            # integer numerator
-            h = list(num)
-            h[0] -= den
-            h = _trim(_div_exact(h, g))
-            # prod h(a) over the roots a of p is Res(p, h) / lc(p)^deg(h)
-            # / den^m, up to sign
-            norm = Fraction(
-                abs(p[-1]) ** (n - len(g) + 1) * _resultant(p, h),
-                abs(p[-1]) ** (len(h) - 1) * den**m,
-            )
-            stages.append((norm, len(g) - 1))
-    out = []
-    for n, (norm, zeros) in zip(orders, stages):
-        norm = Fraction(norm, scale ** (n - zeros))
-        out.append((norm.numerator if norm.denominator == 1 else norm, zeros))
-    return out
+        return [(abs(p[0]) ** n, 1, 0) for n in orders]
+    # the cyclotomic factors of p whose orders divide some order
+    factors, cyclo = [], [1]
+    for d in sorted({d for n in orders for d in _divisors(n)}):
+        if _totient(d) > m:
+            continue
+        phi = list(_cyclotomic(d))
+        try:
+            _div_exact(p, phi)
+        except ValueError:
+            continue
+        factors.append((d, phi))
+        cyclo = _poly_mul(cyclo, phi)
+    mod = _poly_mul(p, cyclo)
+    stages, prev = [], 0
+    for n in orders:
+        # t^n mod p*G = num/den
+        if not 0 < prev <= n:
+            num, den = _t_power_mod(n, mod)
+        elif n > prev:
+            step, step_den = _t_power_mod(n - prev, mod)
+            num, den = _reduce(_poly_mul(num, step), den * step_den, mod)
+        prev = n
+        g = [1]
+        for d, phi in factors:
+            if n % d == 0:
+                g = _poly_mul(g, phi)
+        # g_n is monic and divides t^n - 1 and p*G, so it divides the
+        # integer numerator
+        h = list(num)
+        h[0] -= den
+        h = _trim(_div_exact(h, g))
+        # prod h(a) over the roots a of p is Res(p, h) / lc(p)^deg(h)
+        # / den^m, up to sign
+        stages.append((
+            abs(p[-1]) ** (n - len(g) + 1) * _resultant(p, h),
+            abs(p[-1]) ** (len(h) - 1) * den**m,
+            len(g) - 1,
+        ))
+    return stages
 
 
 def _divisors(n: int) -> list:

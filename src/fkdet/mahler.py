@@ -50,12 +50,10 @@ ZERO_FLOOR = 1e-300
 # largest degree one-variable Jensen root-finds: a polynomial of degree d
 # takes a dense d x d companion matrix, and degree 1024 already takes about
 # 6 s on a 2-core Xeon (degree 2000 32 s, degree 100 000 asks for 149 GiB),
-# so roots_one_var refuses above it before the square-free split
+# so roots_one_var refuses above it before the square-free split, and the
+# Boyd-Lawton ramp refuses a schedule that specializes above it before any
+# root finding
 JENSEN_MAX_DEGREE = 1024
-
-# largest specialized degree the Boyd-Lawton ramp root-finds; the ramp
-# refuses above it rather than run for minutes
-BL_MAX_DEGREE = JENSEN_MAX_DEGREE
 
 # most points of one quadrature grid; a chunk of it is then at most 128 MB
 QUADRATURE_MAX_POINTS = 1 << 24
@@ -792,8 +790,8 @@ def mahler_boyd_lawton(
     The value is the Jensen measure at the last schedule tuple; the error
     estimate is the spread over the final three tuples plus the same
     rounding floor as the Jensen route.  A schedule whose
-    specializations exceed degree BL_MAX_DEGREE is refused before any root
-    finding.
+    specializations exceed degree JENSEN_MAX_DEGREE is refused before any
+    root finding.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -805,10 +803,10 @@ def mahler_boyd_lawton(
         raise ValueError("empty specialization schedule")
     specs = [p.specialize(ks) for ks in schedule]
     degree = max(q.max_exponents()[0] - q.min_exponents()[0] for q in specs)
-    if degree > BL_MAX_DEGREE:
+    if degree > JENSEN_MAX_DEGREE:
         raise ValueError(
             f"boyd_lawton specialization reaches degree {degree}, over the "
-            f"budget {BL_MAX_DEGREE}"
+            f"budget {JENSEN_MAX_DEGREE}"
         )
     values = []
     for ks, q in zip(schedule, specs):

@@ -503,8 +503,9 @@ def test_chain_of_one_element_runs_past_the_representation_budget(capsys):
         ("mahler", "--poly", "2*z^100000 + 1"),
         ("mahler", "--poly", "2*z^100000 + 1", "--method", "quadrature"),
         ("fkdet-zd", "--poly", "2*z^100000 + 1"),
-        # the stages are norms and cheap; the Z reference is refused
+        # the Z reference is refused before any stage is measured
         ("approx-chain", "--poly", "2*z^100000 + 1", "--chain", "2..6"),
+        ("approx-chain", "--poly", "2*z^100000 + 1", "--chain", "2..60"),
     ],
 )
 def test_one_variable_jensen_refuses_past_its_degree_budget(capsys, argv):

@@ -333,9 +333,9 @@ def test_chain_pass_matches_one_call_per_order_and_class_products(name, chain):
 
 
 def test_chain_pass_on_a_huge_exponent_searches_only_the_chain_divisors():
-    # read mod lcm(2..6) = 60, 1 + t^100000 is 1 + t^40; the cyclotomic
-    # search runs over the divisors of the orders, not every Phi_d of
-    # degree up to 100 000
+    # read mod lcm(2..6) = 60, 1 + t^100000 is 1 + t^40, and each order
+    # reads its own binomial; the cyclotomic search runs over the divisors
+    # of the orders, not every Phi_d of degree up to 100 000
     start = time.perf_counter()
     got = cyclic_norm({0: 1, 100000: 1}, range(2, 7))
     assert time.perf_counter() - start < 0.5
@@ -343,6 +343,13 @@ def test_chain_pass_on_a_huge_exponent_searches_only_the_chain_divisors():
         reduced = [1] + [0] * (n - 1)
         reduced[100000 % n] += 1
         assert stage == class_product_norm(_ascending(reduced), n)
+
+
+@pytest.mark.parametrize("mod", [[1, 1], [-1, 0, 2], [3, 1, 0, -2, 1], [1, 1, 1, 1, 1, 1, 1, 1, -3]])
+def test_t_power_mod_is_the_reduced_monomial(mod):
+    # the squaring starts from the first power of n's chain below deg(mod)
+    for n in [0, 1, 2, 3, 5, 7, 8, 9, 16, 31, 100, 1025]:
+        assert fk_finite._t_power_mod(n, mod) == fk_finite._reduce([0] * n + [1], 1, mod)
 
 
 def test_chain_pass_shares_the_power_and_the_trial_divisions(monkeypatch):
@@ -371,13 +378,52 @@ def test_chain_pass_shares_the_power_and_the_trial_divisions(monkeypatch):
         return dict(calls)
 
     short, long = run(range(2, 31)), run(range(2, 61))
-    # t^2 once, then one step of t per stage
-    assert long["_t_power_mod"] == [2] + [1] * 58
-    # one resultant and one exact division by g_n per stage; the trial
-    # divisions, by the Phi_d with phi(d) <= 9, all with d <= 30, are the
-    # same for both chains
-    assert (short["_resultant"], long["_resultant"]) == (29, 59)
-    assert long["_div_exact"] - 59 == short["_div_exact"] - 29 > 0
+    # p has degree 9 and its widest gap is 3 (t^4 to t^7), so 12..60 read
+    # the same p and share one pass: t^12 once, then one step of t per
+    # stage; 3..11 each read a shorter p of their own, and 2 a constant
+    assert long["_t_power_mod"] == [12] + [1] * 48 + list(range(3, 12))
+    # one resultant and one exact division by g_n per stage past the
+    # constant; the shared trial divisions, by the Phi_d with phi(d) <= 9,
+    # all with d <= 30, are the same for both chains
+    assert (short["_resultant"], long["_resultant"]) == (28, 58)
+    assert long["_div_exact"] - 58 == short["_div_exact"] - 28 > 0
+
+
+@pytest.mark.parametrize(
+    "coeffs, orders",
+    [
+        ({0: 1, 1000: 1}, range(2, 161)),
+        ({0: 2, 100000: 1}, range(2, 61)),
+        # Lehmer's p(t^50): span 500, widest gap 100, so 600 is the first
+        # order to read the same p
+        ({50 * e: c for e, c in CHAIN_INPUTS["lehmer"].items()}, range(595, 606)),
+        (CHAIN_INPUTS["lehmer"], range(2, 61)),
+        (CHAIN_INPUTS["gram"], [30, 2, 9, 31]),
+    ],
+)
+def test_chain_pass_keeps_each_stage_at_its_own_degree(monkeypatch, coeffs, orders):
+    # a span wider than the orders is not carried into their stages: every
+    # order is measured on a p no longer than its own reading mod n
+    passes = []
+    measure = fk_finite._cyclic_pass
+
+    def recorded(terms, group):
+        passes.append((terms, group))
+        return measure(terms, group)
+
+    monkeypatch.setattr(fk_finite, "_cyclic_pass", recorded)
+    start = time.perf_counter()
+    got = cyclic_norm(coeffs, orders)
+    assert time.perf_counter() - start < 2
+    degrees = {}
+    for terms, group in passes:
+        for n in group:
+            degrees[n] = max(terms, default=0)
+    assert sorted(degrees) == sorted(set(orders))
+    for n in orders:
+        assert degrees[n] == max(fk_finite._cyclic_poly(coeffs, n)[0], default=0)
+    monkeypatch.undo()
+    assert got == [cyclic_norm(coeffs, [n])[0] for n in orders]
 
 
 def test_stage_budget_lehmer_at_default_order(tmp_path):

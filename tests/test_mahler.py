@@ -13,9 +13,9 @@ import pytest
 import fkdet.mahler
 from fkdet.laurent import LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
-    BL_MAX_DEGREE,
     FIBRE_GRID,
     FIBRE_MAX_DEGREE,
+    JENSEN_MAX_DEGREE,
     QUADRATURE_MAX_POINTS,
     SMYTH_THETA0,
     default_bl_schedule,
@@ -703,9 +703,9 @@ def test_boyd_lawton_default_schedule_is_certified():
 def test_boyd_lawton_refuses_over_the_degree_budget():
     p = parse_polynomial("1 + z1 + z2")
     with pytest.raises(ValueError, match="degree %d, over the budget %d" % (
-        BL_MAX_DEGREE + 1, BL_MAX_DEGREE
+        JENSEN_MAX_DEGREE + 1, JENSEN_MAX_DEGREE
     )):
-        mahler_boyd_lawton(p, [(25,), (BL_MAX_DEGREE + 1,)])
+        mahler_boyd_lawton(p, [(25,), (JENSEN_MAX_DEGREE + 1,)])
     # the Gram determinant pp* + 1 of the column [p; 1], p = 1 + z1 + z2 + z3,
     # reaches degree 1602 on its default schedule
     p = parse_polynomial("1 + z1 + z2 + z3")
