@@ -521,18 +521,29 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ONLY}
     try:
         payload, text, csv = globals()[args.handler](args)
-        if args.format == "json":
-            report = {
-                "schema_version": SCHEMA_VERSION,
-                "tool": {"name": "fkdet", "version": __version__},
-                "config": config,
-                "result": payload,
-            }
-            body = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        elif args.format == "csv":
-            body = csv
-        else:
-            body = text + "\n"
+        # an exact radical's base can run past the 4 300 digits Python
+        # writes by default (3**10000 - 1 at approx-chain order 10 000), so
+        # the limit is lifted while the body is written; interpreters before
+        # 3.10.7 have none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            if args.format == "json":
+                report = {
+                    "schema_version": SCHEMA_VERSION,
+                    "tool": {"name": "fkdet", "version": __version__},
+                    "config": config,
+                    "result": payload,
+                }
+                body = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            elif args.format == "csv":
+                body = csv
+            else:
+                body = text + "\n"
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:

@@ -219,21 +219,86 @@ def _vectors(positions: int, bound: int, support: int | None):
     greatest member of a symmetry orbit is seen first and ties in the
     infimum resolve to it; with a support cap the stream is graded by
     support size first, which keeps sparse spaces enumerable without
-    touching the dense box.
+    touching the dense box.  Within a support size the patterns come in
+    lexicographic order, and each pattern's values in descending order with
+    the negatives after the positives.
     """
     if support is None or support >= positions:
         for v in itertools.product(range(bound, -bound - 1, -1), repeat=positions):
             if any(v):
                 yield v
         return
-    nonzero = list(range(bound, 0, -1)) + list(range(-1, -bound - 1, -1))
+    nonzero = tuple(range(bound, 0, -1)) + tuple(range(-1, -bound - 1, -1))
     for j in range(1, support + 1):
         for pos in itertools.combinations(range(positions), j):
-            for vals in itertools.product(nonzero, repeat=j):
-                v = [0] * positions
-                for p, c in zip(pos, vals):
-                    v[p] = c
-                yield tuple(v)
+            choices = [(0,)] * positions
+            for p in pos:
+                choices[p] = nonzero
+            yield from itertools.product(*choices)
+
+
+# rows per block of _vector_blocks: small enough that a block and the images
+# the orbit mask takes of it stay a few hundred KB
+VECTOR_BLOCK = 4096
+
+
+def _vector_blocks(positions: int, bound: int, support: int | None):
+    """_vectors as int arrays of at most VECTOR_BLOCK rows each: the same
+    vectors in the same order, built from the enumeration's structure and
+    not from its tuples."""
+    dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int64
+    if support is None or support >= positions:
+        # row i of the box holds the base-(2 bound + 1) digits of i, each
+        # digit d standing for the value bound - d; the zero vector is the
+        # middle row, and is dropped wherever it falls
+        base = 2 * bound + 1
+        powers = base ** np.arange(positions - 1, -1, -1, dtype=np.int64)
+        total = base**positions
+        zero = total // 2
+        for start in range(0, total, VECTOR_BLOCK):
+            idx = np.arange(start, min(start + VECTOR_BLOCK, total), dtype=np.int64)
+            if start <= zero < start + VECTOR_BLOCK:
+                idx = np.delete(idx, zero - start)
+            yield (bound - (idx[:, None] // powers) % base).astype(dtype)
+        return
+    nonzero = np.array(
+        list(range(bound, 0, -1)) + list(range(-1, -bound - 1, -1)), dtype=dtype
+    )
+    for j in range(1, support + 1):
+        # a pattern's value rows, in the order of _vectors: value row v holds
+        # the nonzero values at the base-(2 bound) digits of v
+        values = (2 * bound) ** j
+        digits = (2 * bound) ** np.arange(j - 1, -1, -1, dtype=np.int64)
+        step = min(values, VECTOR_BLOCK)
+        patterns = itertools.combinations(range(positions), j)
+        while True:
+            pos = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.islice(patterns, VECTOR_BLOCK // step)
+                ),
+                dtype=np.int64,
+            ).reshape(-1, j)
+            if not len(pos):
+                break
+            for start in range(0, values, step):
+                rows = np.arange(start, min(start + step, values), dtype=np.int64)
+                vals = nonzero[(rows[:, None] // digits) % (2 * bound)]
+                block = np.zeros((len(pos) * len(vals), positions), dtype=dtype)
+                # row r of the block is pattern r // len(vals) with value row
+                # r % len(vals)
+                at = np.arange(len(block)).reshape(len(pos), len(vals), 1)
+                block.reshape(-1)[at * positions + pos[:, None, :]] = vals
+                yield block
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """Each row of an integer array as one byte string; the strings compare
+    as the rows do lexicographically (offset binary, most significant byte
+    first)."""
+    flipped = (a ^ np.iinfo(a.dtype).min).astype(
+        a.dtype.newbyteorder(">"), order="C"
+    )
+    return flipped.view("S%d" % (a.shape[1] * a.itemsize))[:, 0]
 
 
 class _FiniteSpace:
@@ -263,11 +328,10 @@ class _FiniteSpace:
         ):
             ids = tuple(range(p))
             self.rep_index = np.array([get(ids) for get in self.getters])
-        self.zero = (0,) * p
         # every image of a vector under a left translation g and, for a
-        # square shape, under the adjoint of that translation, each read off
-        # the vector by one fixed position table; the identity translation
-        # is left out, since the sign test in _is_canonical covers it
+        # square shape, under the adjoint of that translation, as the row of
+        # positions the image reads off the vector; the identity translation
+        # is left out, since the sign test in _canonical_mask covers it
         adjoint = None
         if self.rows == self.cols:
             inv = self.group.inverses
@@ -278,7 +342,7 @@ class _FiniteSpace:
                         adjoint[(i * self.cols + j) * n + h] = (
                             j * self.cols + i
                         ) * n + inv[h]
-        self.images = []
+        images = []
         for g in range(n):
             row = self.group.table[g]
             src = [0] * p
@@ -286,25 +350,31 @@ class _FiniteSpace:
                 e, h = divmod(idx, n)
                 src[e * n + row[h]] = idx
             if g != self.group.identity:
-                self.images.append(_picker(src))
+                images.append(src)
             if adjoint is not None:
-                self.images.append(_picker([src[a] for a in adjoint]))
+                images.append([src[a] for a in adjoint])
+        self.images = np.array(images, dtype=np.int64).reshape(len(images), p)
 
     def stream(self):
         """The canonical candidates in enumeration order.
 
-        On a square regular_rep space the candidates come in chunks, and
-        while a chunk is being yielded ``dets`` maps each of its candidates
-        to its exact determinant.  ``injective`` and ``evaluate`` read it,
-        so they are fast only for the candidate the stream just yielded
-        (or one of its chunk); any other candidate takes the elimination.
+        Each raw vector is drawn once, as a tuple from ``_vectors``, and kept
+        by the entry of its row in the orbit mask of the matching
+        ``_vector_blocks`` block; a block's mask is taken only when the
+        stream reaches the block, so a scan stopped by its budget draws a
+        prefix of the space.  On a square regular_rep space the candidates
+        come in chunks, and while a chunk is being yielded ``dets`` maps
+        each of its candidates to its exact determinant.  ``injective`` and
+        ``evaluate`` read it, so they are fast only for the candidate the
+        stream just yielded (or one of its chunk); any other candidate takes
+        the elimination.
         """
         space = self.space
-        canonical = (
-            vec
-            for vec in _vectors(space.positions(), space.coeff_bound, space.support)
-            if self._is_canonical(vec)
+        args = (space.positions(), space.coeff_bound, space.support)
+        keep = itertools.chain.from_iterable(
+            self._canonical_mask(block).tolist() for block in _vector_blocks(*args)
         )
+        canonical = itertools.compress(_vectors(*args), keep)
         if self.rep_index is None:
             yield from canonical
             return
@@ -321,17 +391,18 @@ class _FiniteSpace:
             del chunk, dets
             yield from self.dets
 
-    def _is_canonical(self, vec: tuple) -> bool:
-        # the greatest member of the orbit has a positive first nonzero
-        # coefficient; -image > vec is image < -vec
-        if vec < self.zero:
-            return False
-        neg_vec = tuple(map(operator.neg, vec))
-        for image in self.images:
-            t = image(vec)
-            if t > vec or t < neg_vec:
-                return False
-        return True
+    def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
+        """Which rows A of ``block`` are the greatest member of their orbit:
+        the first nonzero entry of A is positive and, for every image T, the
+        first nonzero entry of T - A is at most 0 and that of T + A at least
+        0, that is -A <= T <= A lexicographically."""
+        keys = _row_keys(block)
+        below = _row_keys(-block)
+        keep = keys > _row_keys(np.zeros_like(block[:1]))
+        for idx in self.images:
+            image = _row_keys(block.take(idx, axis=1))
+            keep &= (image <= keys) & (image >= below)
+        return keep
 
     def build(self, vec: tuple) -> tuple:
         """A candidate is its own coefficient vector; ``matrix`` makes the

@@ -487,13 +487,16 @@ def roots_one_var(p: LaurentPolynomial) -> RootList:
 
 
 def _jensen(lead_abs: float, roots: tuple, residual: float) -> MahlerValue:
-    """The Jensen product |c| * prod max(1, |root|), summed in root order."""
+    """The Jensen product |c| * prod max(1, |root|), summed in root order;
+    exactly |c| when no root lies outside the circle."""
     log_m = math.log(lead_abs)
+    outside = False
     for a in roots:
         m = abs(a)
         if m > 1.0 + UNIT_BAND:
             log_m += math.log(m)
-    value = math.exp(log_m)
+            outside = True
+    value = math.exp(log_m) if outside else lead_abs
     error = value * (residual * max(1, len(roots)) + 1e-15)
     return MahlerValue(value, log_m, "jensen", error)
 

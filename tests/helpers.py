@@ -92,7 +92,7 @@ def np_jensen_reference(coeffs):
     """(value, log value, error estimate) of the Mahler measure of a nonzero
     integer polynomial, ascending coefficients: the exact square-free split,
     np_roots_reference on each factor, and the Jensen sum over the roots in
-    factor order."""
+    factor order; exactly |c| when no root lies outside the circle."""
     c = list(coeffs)
     while c[-1] == 0:
         c.pop()
@@ -105,10 +105,10 @@ def np_jensen_reference(coeffs):
         for r in found:
             roots.extend([complex(r)] * mult)
     log_m = math.log(abs(float(c[-1])))
-    for a in roots:
-        if abs(a) > 1.0 + UNIT_BAND:
-            log_m += math.log(abs(a))
-    value = math.exp(log_m)
+    outside = [abs(a) for a in roots if abs(a) > 1.0 + UNIT_BAND]
+    for m in outside:
+        log_m += math.log(m)
+    value = math.exp(log_m) if outside else abs(float(c[-1]))
     return value, log_m, value * (residual * max(1, len(roots)) + 1e-15)
 
 

@@ -420,6 +420,29 @@ def test_chain_json_flavors(capsys):
         assert blob["result"]["chain"]["nested"] is nested, text
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+def test_chain_report_writes_a_radical_past_the_digit_limit(capsys):
+    # the stage norm 3**10000 - 1 has 4 772 digits, past Python's default
+    # limit of 4 300 for converting an int to text
+    limit = sys.get_int_max_str_digits()
+    argv = ("approx-chain", "--poly", "3 + z", "--chain", "10000")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        blob = json.loads(out)
+        exact = blob["result"]["stages"][0]["value"]["exact"]
+        assert exact == {"base": 3**10000 - 1, "exponent": "1/10000"}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = run_cli(capsys, *argv, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.startswith("order 10000  moduli [10000]  value 3.0")
+
+
 @pytest.mark.parametrize("chain, message", [
     ("0,2", "positive"),
     ("0..3", "positive"),

@@ -17,14 +17,17 @@ from fkdet.fk_finite import (
     fk_det_kernel_finite,
     format_element,
     make_cyclic,
+    make_cyclic_product,
 )
 from fkdet.fk_zd import vn_dim_kernel_zd
 from fkdet.laurent import format_polynomial, parse_polynomial
 from fkdet.lehmer_scan import (
     DEFAULT_ONE_THRESHOLD,
+    VECTOR_BLOCK,
     SearchSpace,
     _FiniteSpace,
     _LaurentSpace,
+    _vector_blocks,
     _vectors,
     exact_constants,
     scan,
@@ -56,6 +59,21 @@ KLEIN = FiniteGroup(
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], 0
 )
 S3 = symmetric_group_3()
+
+
+def _s3_group_file():
+    """S3 read from --group-file JSON, its elements listed in reverse
+    lexicographic order so that the identity is the last of six."""
+    perms = list(itertools.permutations(range(3)))[::-1]
+    table = [
+        [perms.index(tuple(a[b[i]] for i in range(3))) for b in perms]
+        for a in perms
+    ]
+    return FiniteGroup.from_json({"identity": perms.index((0, 1, 2)), "table": table})
+
+
+S3_FILE = _s3_group_file()
+Z2xZ3 = make_cyclic_product((2, 3))
 
 
 def zd_space(box, **kw):
@@ -584,6 +602,42 @@ def test_laurent_stream_matches_reference_filter(space):
         SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1),
         SearchSpace(group=KLEIN, shape=(2, 2), coeff_bound=1, support=3),
         SearchSpace(group=make_cyclic(3), shape=(2, 1), coeff_bound=2, support=2),
+        # a non-abelian table group whose identity is not element 0, a
+        # product group, and square, wide and tall shapes of both
+        pytest.param(SearchSpace(group=S3_FILE, coeff_bound=2), id="S3file-1x1-c2"),
+        pytest.param(
+            SearchSpace(group=S3_FILE, shape=(2, 2), coeff_bound=1, support=2),
+            id="S3file-2x2-c1-s2",
+        ),
+        pytest.param(
+            SearchSpace(group=S3_FILE, shape=(1, 2), coeff_bound=1, support=3),
+            id="S3file-1x2-c1-s3",
+        ),
+        pytest.param(
+            SearchSpace(group=S3_FILE, shape=(2, 1), coeff_bound=2, support=2),
+            id="S3file-2x1-c2-s2",
+        ),
+        pytest.param(SearchSpace(group=Z2xZ3, coeff_bound=2), id="Z2xZ3-1x1-c2"),
+        pytest.param(
+            SearchSpace(group=Z2xZ3, shape=(2, 2), coeff_bound=1, support=3),
+            id="Z2xZ3-2x2-c1-s3",
+        ),
+        pytest.param(
+            SearchSpace(group=Z2xZ3, shape=(1, 2), coeff_bound=1, support=4),
+            id="Z2xZ3-1x2-c1-s4",
+        ),
+        pytest.param(
+            SearchSpace(group=Z2xZ3, shape=(2, 1), coeff_bound=1, support=3),
+            id="Z2xZ3-2x1-c1-s3",
+        ),
+        pytest.param(
+            SearchSpace(group=make_cyclic(2), shape=(3, 3), coeff_bound=1, support=2),
+            id="order2-3x3-c1-s2",
+        ),
+        # coefficients past the int8 blocks
+        pytest.param(
+            SearchSpace(group=make_cyclic(2), coeff_bound=128), id="order2-1x1-c128"
+        ),
     ],
     ids=lambda s: "order%d-%dx%d-c%d-s%s" % (
         s.group.order, *s.shape, s.coeff_bound, s.support
@@ -636,6 +690,61 @@ def test_scan_draws_every_raw_vector_once(monkeypatch, space, variant, raw):
     monkeypatch.setattr(lehmer_scan, "_vectors", counted)
     scan(space, variant)
     assert drawn == space.raw_count() == raw
+
+
+def test_budget_stopped_finite_scan_draws_a_prefix(monkeypatch):
+    # the stream takes a block's orbit mask only when it reaches the block,
+    # so a scan stopped by its budget draws a short prefix of the raw space
+    space = SearchSpace(group=make_cyclic_product((2, 2, 2, 2)), coeff_bound=1)
+    drawn = blocks = 0
+    enumerate_raw = lehmer_scan._vectors
+    enumerate_blocks = lehmer_scan._vector_blocks
+
+    def counted(*args):
+        nonlocal drawn
+        for vec in enumerate_raw(*args):
+            drawn += 1
+            yield vec
+
+    def counted_blocks(*args):
+        nonlocal blocks
+        for block in enumerate_blocks(*args):
+            blocks += 1
+            yield block
+
+    monkeypatch.setattr(lehmer_scan, "_vectors", counted)
+    monkeypatch.setattr(lehmer_scan, "_vector_blocks", counted_blocks)
+    report = scan(space, "lambda_w_1", budget=200)
+    assert report.budget_exceeded
+    assert 0 < drawn < space.raw_count() // 100
+    assert blocks <= drawn // VECTOR_BLOCK + 1
+
+
+@pytest.mark.parametrize(
+    "positions, bound, supports",
+    # every support cap, the uncapped box included (support None, and a cap
+    # of all positions, which takes the same branch)
+    [(p, b, [None, *range(1, p + 1)]) for p in range(1, 6) for b in (1, 2, 3)]
+    + [
+        # the last bound in int8 blocks and the first in int64 ones, with
+        # and without a cap
+        (2, 127, [None, 1]),
+        (2, 128, [None, 1]),
+        (3, 128, [2]),
+        # the zero vector is row 39 062 of the box, past the first block
+        (7, 2, [None]),
+        # 6**5 value rows per five-term pattern, more than one block holds
+        (6, 3, [5]),
+    ],
+    ids=lambda v: "s" + ",".join(map(str, v)) if isinstance(v, list) else str(v),
+)
+def test_vector_blocks_mirror_the_enumeration(positions, bound, supports):
+    for support in supports:
+        rows = []
+        for block in _vector_blocks(positions, bound, support):
+            assert 0 < len(block) <= VECTOR_BLOCK
+            rows.extend(map(tuple, block.tolist()))
+        assert rows == list(_vectors(positions, bound, support)), support
 
 
 def test_z_scan_degree_two_golden_ratio():

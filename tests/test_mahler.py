@@ -390,6 +390,18 @@ def test_jensen_known_values():
     assert math.isclose(got.value, math.exp(got.log_value))
 
 
+@pytest.mark.parametrize(
+    "coeffs, c", [([3, 0, 3], 3.0), ([5], 5.0), ([-7, 7], 7.0), ([2, 2, 2], 2.0)]
+)
+def test_jensen_is_exactly_the_lead_with_no_root_outside(coeffs, c):
+    # exp(log 3) is 3.0000000000000004; with no root outside the circle
+    # the measure is |c| itself, alone and in a batch
+    text = " + ".join("%d*z^%d" % (a, k) for k, a in enumerate(coeffs))
+    assert mahler_jensen(parse_polynomial(text)).value == c
+    assert mahler_jensen_batch([coeffs, [1, -2]])[0].value == c
+    assert mahler_jensen_batch([coeffs])[0] == mahler_jensen(parse_polynomial(text))
+
+
 def test_jensen_monomial_and_unit_invariance():
     rng = random.Random(19)
     for _ in range(40):
