@@ -329,9 +329,9 @@ def format_element(x: FiniteGroupRingElement) -> str:
 
 
 def parse_element(group: FiniteGroup, text: str) -> FiniteGroupRingElement:
-    """Parse 't^2 - t + 2' style text over a cyclic group."""
-    if group.kind != "cyclic":
-        raise ValueError("element text is only defined for cyclic groups")
+    """Parse 't^2 - t + 2' over a table that is Z/n with element k = t^k."""
+    if not _is_cyclic_table(group):
+        raise ValueError("element text needs a Z/n table with element k = t^k")
     poly = parse_polynomial(text, rank=1, letter="t")
     coeffs = [0] * group.order
     for (e,), c in poly.terms.items():

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ from .fk_finite import (
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
     _is_cyclic_table,
-    _picker,
     _rep_value,
     fk_det_kernel_flat,
     format_element,
@@ -301,6 +299,34 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     return flipped.view("S%d" % (a.shape[1] * a.itemsize))[:, 0]
 
 
+def _orbit_greatest(block: np.ndarray, images) -> np.ndarray:
+    """Which rows A of ``block`` have a positive first nonzero entry and,
+    for every image T (an array shaped like ``block``, row for row), satisfy
+    -A <= T <= A lexicographically."""
+    keys = _row_keys(block)
+    below = _row_keys(-block)
+    keep = keys > _row_keys(np.zeros_like(block[:1]))
+    for image in images:
+        image = _row_keys(image)
+        keep &= (image <= keys) & (image >= below)
+    return keep
+
+
+def _canonical_stream(space: SearchSpace, mask):
+    """The raw vectors of ``space`` that ``mask`` keeps, in enumeration order.
+
+    Each raw vector is drawn once, as a tuple from ``_vectors``, and kept by
+    the entry of its row in ``mask`` of the matching ``_vector_blocks``
+    block; a block's mask is taken only when the stream reaches the block,
+    so a scan stopped by its budget draws a prefix of the space.
+    """
+    args = (space.positions(), space.coeff_bound, space.support)
+    keep = itertools.chain.from_iterable(
+        mask(block).tolist() for block in _vector_blocks(*args)
+    )
+    return itertools.compress(_vectors(*args), keep)
+
+
 class _FiniteSpace:
     """Enumeration context for matrices over a finite group ring."""
 
@@ -331,50 +357,32 @@ class _FiniteSpace:
         # every image of a vector under a left translation g and, for a
         # square shape, under the adjoint of that translation, as the row of
         # positions the image reads off the vector; the identity translation
-        # is left out, since the sign test in _canonical_mask covers it
-        adjoint = None
-        if self.rows == self.cols:
-            inv = self.group.inverses
-            adjoint = [0] * p
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    for h in range(n):
-                        adjoint[(i * self.cols + j) * n + h] = (
-                            j * self.cols + i
-                        ) * n + inv[h]
+        # is left out, since the sign test in _orbit_greatest covers it
+        inv, c = self.group.inverses, self.cols
+        entries = range(self.rows * c)
+        # entry (i, j) of an adjoint reads entry (j, i) at inverses
+        flip = [(e % c * c + e // c) * n + inv[h] for e in entries for h in range(n)]
         images = []
         for g in range(n):
-            row = self.group.table[g]
-            src = [0] * p
-            for idx in range(p):
-                e, h = divmod(idx, n)
-                src[e * n + row[h]] = idx
+            # g sends h to table[g][h], so the image reads position u at g^-1 u
+            line = self.group.table[inv[g]]
+            src = [e * n + line[u] for e in entries for u in range(n)]
             if g != self.group.identity:
                 images.append(src)
-            if adjoint is not None:
-                images.append([src[a] for a in adjoint])
+            if self.rows == c:
+                images.append([src[a] for a in flip])
         self.images = np.array(images, dtype=np.int64).reshape(len(images), p)
 
     def stream(self):
-        """The canonical candidates in enumeration order.
+        """The canonical candidates in enumeration order, by _canonical_stream.
 
-        Each raw vector is drawn once, as a tuple from ``_vectors``, and kept
-        by the entry of its row in the orbit mask of the matching
-        ``_vector_blocks`` block; a block's mask is taken only when the
-        stream reaches the block, so a scan stopped by its budget draws a
-        prefix of the space.  On a square regular_rep space the candidates
-        come in chunks, and while a chunk is being yielded ``dets`` maps
-        each of its candidates to its exact determinant.  ``injective`` and
-        ``evaluate`` read it, so they are fast only for the candidate the
-        stream just yielded (or one of its chunk); any other candidate takes
-        the elimination.
+        On a square regular_rep space the candidates come in chunks, and
+        while a chunk is being yielded ``dets`` maps each of its candidates
+        to its exact determinant.  ``injective`` and ``evaluate`` read it, so
+        they are fast only for the candidate the stream just yielded (or one
+        of its chunk); any other candidate takes the elimination.
         """
-        space = self.space
-        args = (space.positions(), space.coeff_bound, space.support)
-        keep = itertools.chain.from_iterable(
-            self._canonical_mask(block).tolist() for block in _vector_blocks(*args)
-        )
-        canonical = itertools.compress(_vectors(*args), keep)
+        canonical = _canonical_stream(self.space, self._canonical_mask)
         if self.rep_index is None:
             yield from canonical
             return
@@ -392,17 +400,9 @@ class _FiniteSpace:
             yield from self.dets
 
     def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
-        """Which rows A of ``block`` are the greatest member of their orbit:
-        the first nonzero entry of A is positive and, for every image T, the
-        first nonzero entry of T - A is at most 0 and that of T + A at least
-        0, that is -A <= T <= A lexicographically."""
-        keys = _row_keys(block)
-        below = _row_keys(-block)
-        keep = keys > _row_keys(np.zeros_like(block[:1]))
-        for idx in self.images:
-            image = _row_keys(block.take(idx, axis=1))
-            keep &= (image <= keys) & (image >= below)
-        return keep
+        """Which rows of ``block`` are the greatest member of their orbit
+        under sign, left translations and (square shapes) their adjoints."""
+        return _orbit_greatest(block, (block.take(idx, axis=1) for idx in self.images))
 
     def build(self, vec: tuple) -> tuple:
         """A candidate is its own coefficient vector; ``matrix`` makes the
@@ -479,7 +479,13 @@ class _FiniteSpace:
 
 
 class _LaurentSpace:
-    """Enumeration context for matrices over Q[Z^d] with a degree box."""
+    """Enumeration context for matrices over Q[Z^d] with a degree box.
+
+    A raw vector is the greatest member of its orbit under sign, monomial
+    shifts and (square shapes) the adjoint when it is shifted down, its
+    first nonzero coefficient is positive and, for a square shape, it is
+    at least its shifted-down adjoint and that adjoint's negative.
+    """
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -487,90 +493,49 @@ class _LaurentSpace:
         self.rows, self.cols = space.shape
         self.exps = list(itertools.product(*[range(b + 1) for b in space.box]))
         self.block = len(self.exps)
-        p = space.positions()
-        self.zero = (0,) * p
-
-        def face(a: int, l: int):
-            # the coefficients, across every entry, whose exponent on axis a
-            # is l, and what they read on the zero vector
-            get = operator.itemgetter(
-                *[i for i in range(p) if self.exps[i % self.block][a] == l]
-            )
-            return get, get(self.zero)
-
-        # a vector is shifted down when each axis has a term at exponent 0
-        self.anchors = [face(a, 0) for a in range(self.rank)]
         # single elements over Z are measured in batches, by evaluate_batch
         self.batched = self.rank == 1 and space.shape == (1, 1)
-        self.adjoint_at = self.tops = None
+        # the shifted-down adjoint of a square matrix as a gather, one index
+        # row per top exponent: the adjoint transposes the matrix and sends
+        # z^e to z^-e, so shifted down, entry k's coefficient at e is entry
+        # k^T's at top - e, and 0 where e exceeds top on some axis; row t
+        # serves top = exps[t], and index p reads the zero column that
+        # _canonical_mask appends
+        self.adjoint = None
         if self.rows == self.cols:
-            self._build_adjoint(face)
-
-    def _build_adjoint(self, face) -> None:
-        """Tables for the shifted-down adjoint of a square matrix.
-
-        The adjoint transposes the matrix and sends z^e to z^-e; shifted
-        down, entry k's coefficient at e is entry k^T's at top - e, where
-        top is the vector's per-axis top exponent, and 0 where e exceeds
-        top on some axis.  adjoint_at[off] reads that image for every top
-        with flat offset off = (box - top) . strides; a 0 is read from a
-        position whose exponent is box on an axis where top < box, which
-        holds no term."""
-        box, n, block, exps = self.space.box, self.rows, self.block, self.exps
-        flat = {e: t for t, e in enumerate(exps)}
-        strides = [math.prod(c + 1 for c in box[a + 1 :]) for a in range(len(box))]
-        self.adjoint_at = [None] * block
-        for top in exps:
-            short = [a for a in range(len(box)) if top[a] < box[a]]
-            blank = None
-            if short:
-                corner = [0] * len(box)
-                corner[short[0]] = box[short[0]]
-                blank = flat[tuple(corner)]
-            src = []
-            for k in range(n * n):
-                base = ((k % n) * n + k // n) * block
-                for e in exps:
-                    if all(x <= y for x, y in zip(e, top)):
-                        src.append(base + flat[tuple(y - x for x, y in zip(e, top))])
-                    else:
-                        src.append(blank)
-            off = sum((b - y) * s for b, y, s in zip(box, top, strides))
-            self.adjoint_at[off] = _picker(src)
-        # tops[a] finds the top exponent on axis a from the highest face
-        # down, as its share of the flat offset
-        self.tops = [
-            [((b - l) * strides[a], *face(a, l)) for l in range(b, -1, -1)]
-            for a, b in enumerate(box)
-        ]
+            n, p = self.rows, space.positions()
+            flat = {e: t for t, e in enumerate(self.exps)}
+            starts = [((k % n) * n + k // n) * self.block for k in range(n * n)]
+            rows = []
+            for top in self.exps:
+                # where top - e sits in an entry, None when it leaves the box
+                at = [flat.get(tuple(y - x for x, y in zip(e, top))) for e in self.exps]
+                rows.append([p if t is None else s + t for s in starts for t in at])
+            self.adjoint = np.array(rows, dtype=np.int64)
 
     def stream(self):
-        """The raw vectors that are the greatest member of their orbit under
-        sign, monomial shifts and (square shapes) the adjoint, in
-        enumeration order."""
-        space = self.space
-        zero, anchors = self.zero, self.anchors
-        adjoint_at, tops = self.adjoint_at, self.tops
-        for vec in _vectors(space.positions(), space.coeff_bound, space.support):
-            if vec < zero:
-                continue
-            for get, blank in anchors:
-                if get(vec) == blank:
-                    break
-            else:
-                if adjoint_at is not None:
-                    off = 0
-                    for levels in tops:
-                        for shift, get, blank in levels:
-                            if get(vec) != blank:
-                                off += shift
-                                break
-                    rev = adjoint_at[off](vec)
-                    if rev < zero:
-                        rev = tuple(map(operator.neg, rev))
-                    if rev > vec:
-                        continue
-                yield vec
+        """The canonical candidates in enumeration order."""
+        return _canonical_stream(self.space, self._canonical_mask)
+
+    def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
+        """Which rows of ``block`` are the greatest member of their orbit."""
+        box = self.space.box
+        # nonzero[r, k, *e]: whether row r has a term at exponent e in entry k
+        nonzero = (block != 0).reshape(len(block), -1, *(b + 1 for b in box))
+        keep = np.ones(len(block), dtype=bool)
+        top = 0  # each row's top exponent, as a flat index into exps
+        for a, b in enumerate(box):
+            others = tuple(i for i in range(1, nonzero.ndim) if i != a + 2)
+            # levels[r, l]: whether row r has a term at exponent l on axis a
+            levels = nonzero.any(axis=others)
+            keep &= levels[:, 0]
+            top = top * (b + 1) + b - levels[:, ::-1].argmax(axis=1)
+        images = ()
+        if self.adjoint is not None:
+            padded = np.concatenate([block, np.zeros_like(block[:, :1])], axis=1)
+            gather = self.adjoint.take(top, axis=0)
+            images = (np.take_along_axis(padded, gather, axis=1),)
+        return keep & _orbit_greatest(block, images)
 
     def build(self, vec: tuple) -> GroupRingMatrix:
         rows = []

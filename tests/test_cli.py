@@ -290,6 +290,23 @@ def test_fkdet_finite_group_file(capsys, tmp_path):
     assert blob["result"]["value"]["exact"] == {"base": 3, "exponent": "1/2"}
 
 
+def test_element_text_on_a_z4_table_file_matches_cyclic_4(capsys, tmp_path):
+    # a Z/4 table with no declared kind reads element text as --cyclic 4 does
+    path = tmp_path / "z4.json"
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    path.write_text(json.dumps({"table": table, "identity": 0}), encoding="utf-8")
+    from_file = run_json(
+        capsys, "fkdet-finite", "--group-file", str(path), "--elem", "t + 2"
+    )["result"]
+    cyclic = run_json(
+        capsys, "fkdet-finite", "--cyclic", "4", "--elem", "t + 2"
+    )["result"]
+    assert from_file["input"]["coeffs"] == cyclic["input"]["coeffs"] == [2, 1, 0, 0]
+    assert from_file["value"] == cyclic["value"]
+    assert from_file["value"]["exact"] == {"base": 15, "exponent": "1/4"}
+    assert from_file["kernel_dimension"] == cyclic["kernel_dimension"]
+
+
 # ---------------------------------------------------------------------------
 # lehmer-scan
 
@@ -627,12 +644,15 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert code == 1
     assert err["kind"] == "domain"
     assert "integer rows" in err["message"]
-    # element text over a non-cyclic table group
-    path2 = tmp_path / "z2table.json"
-    path2.write_text(json.dumps({"table": [[0, 1], [1, 0]], "identity": 0}))
+    # element text over a non-cyclic table group, even one that declares
+    # itself cyclic: t^3 = t holds in the Klein four-group and in no Z/4
+    path2 = tmp_path / "klein.json"
+    klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    path2.write_text(json.dumps({"kind": "cyclic", "table": klein, "identity": 0}))
     code, err = error_of(capsys, "fkdet-finite", "--group-file", str(path2),
-                         "--elem", "t+1")
+                         "--elem", "t^3 - t")
     assert code == 1
+    assert err["kind"] == "domain"
     # fibrewise Jensen refuses past its inner-degree budget
     code, err = error_of(capsys, "mahler", "--poly", "1 + z1^65 + z2^65")
     assert code == 1

@@ -578,6 +578,9 @@ def _neg(vec):
         zd_space((2, 1), shape=(1, 2), coeff_bound=1, support=3),
         zd_space((1, 2), shape=(2, 1), coeff_bound=1, support=3),
         zd_space((1,), shape=(3, 3), coeff_bound=1, support=2),
+        # coefficients past the int8 blocks, and a rank-3 square matrix
+        zd_space((1,), coeff_bound=128),
+        zd_space((1, 1, 1), shape=(2, 2), coeff_bound=1, support=3),
     ],
     ids=lambda s: "box%s-%dx%d-c%d-s%s" % (
         ",".join(map(str, s.box)), *s.shape, s.coeff_bound, s.support
@@ -674,8 +677,9 @@ def test_matrix_stream_is_orbit_greatest(space):
             "lambda_w",
             94448,
         ),
+        (zd_space((1, 1), shape=(2, 2), coeff_bound=1, support=3), "lambda_w", 4992),
     ],
-    ids=["box10", "Z3-2x2-support6"],
+    ids=["box10", "Z3-2x2-support6", "box1,1-2x2-support3"],
 )
 def test_scan_draws_every_raw_vector_once(monkeypatch, space, variant, raw):
     drawn = 0
@@ -692,10 +696,21 @@ def test_scan_draws_every_raw_vector_once(monkeypatch, space, variant, raw):
     assert drawn == space.raw_count() == raw
 
 
-def test_budget_stopped_finite_scan_draws_a_prefix(monkeypatch):
+@pytest.mark.parametrize(
+    "space, variant",
+    [
+        (
+            SearchSpace(group=make_cyclic_product((2, 2, 2, 2)), coeff_bound=1),
+            "lambda_w_1",
+        ),
+        # 14 348 906 raw vectors
+        (zd_space((14,), coeff_bound=1), "lambda_1"),
+    ],
+    ids=["Z2^4", "box14"],
+)
+def test_budget_stopped_scan_draws_a_prefix(monkeypatch, space, variant):
     # the stream takes a block's orbit mask only when it reaches the block,
     # so a scan stopped by its budget draws a short prefix of the raw space
-    space = SearchSpace(group=make_cyclic_product((2, 2, 2, 2)), coeff_bound=1)
     drawn = blocks = 0
     enumerate_raw = lehmer_scan._vectors
     enumerate_blocks = lehmer_scan._vector_blocks
@@ -714,7 +729,7 @@ def test_budget_stopped_finite_scan_draws_a_prefix(monkeypatch):
 
     monkeypatch.setattr(lehmer_scan, "_vectors", counted)
     monkeypatch.setattr(lehmer_scan, "_vector_blocks", counted_blocks)
-    report = scan(space, "lambda_w_1", budget=200)
+    report = scan(space, variant, budget=200)
     assert report.budget_exceeded
     assert 0 < drawn < space.raw_count() // 100
     assert blocks <= drawn // VECTOR_BLOCK + 1
