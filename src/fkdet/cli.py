@@ -50,6 +50,7 @@ from .lehmer_scan import (
     DEFAULT_ONE_THRESHOLD,
     VARIANTS,
     SearchSpace,
+    _matrix_text,
     constants_to_json,
     exact_constants,
     scan,
@@ -287,12 +288,7 @@ def _witness_text(witness: dict | None) -> str:
         return "none"
     if witness["kind"] == "element":
         return witness["text"]
-    cols = witness["cols"]
-    rows = [
-        ", ".join(witness["entries"][i * cols : (i + 1) * cols])
-        for i in range(witness["rows"])
-    ]
-    return "[%s]" % "; ".join(rows)
+    return _matrix_text(witness["entries"], witness["rows"], witness["cols"])
 
 
 def _run_scan(args):

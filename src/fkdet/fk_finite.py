@@ -308,13 +308,17 @@ class FiniteGroupRingElement:
 
 
 def format_element(x: FiniteGroupRingElement) -> str:
-    """Readable form, highest element index first, e.g. 't^2 - t + 2'."""
+    """Readable form, highest element index first, e.g. 't^2 - t + 2'; over
+    a Z/n table in t order the names are powers of t, as parse_element reads."""
+    names = x.group.names
+    if _is_cyclic_table(x.group):
+        names = ("1", "t") + tuple("t^%d" % k for k in range(2, x.group.order))
     parts = []
     for i in range(x.group.order - 1, -1, -1):
         c = x.coeffs[i]
         if not c:
             continue
-        name = x.group.names[i]
+        name = names[i]
         if i == x.group.identity:
             body = str(abs(c))
         elif abs(c) == 1:

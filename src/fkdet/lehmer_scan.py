@@ -72,9 +72,9 @@ RAW_ENUMERATION_CAP = 5 * 10**7
 # (1 024 candidates of a 6x6 representation, about 300 KB of int64)
 DET_CHUNK_ENTRIES = 1024 * 36
 
-# a batched scan measures the candidates due for it whenever this many more
-# canonical candidates have streamed past, and at the end of the stream; a
-# longer wait leaves the cutoff stale, and held candidates pile up meanwhile
+# a scan measures the candidates due for it whenever this many more canonical
+# candidates have streamed past, and at the end of the stream; a longer wait
+# leaves the cutoff stale, and held candidates pile up meanwhile
 MEASURE_CHUNK = 1024
 
 # exact measure lower bounds are scaled by this before they rule a candidate
@@ -328,9 +328,14 @@ def _canonical_stream(space: SearchSpace, mask):
 
 
 class _FiniteSpace:
-    """Enumeration context for matrices over a finite group ring."""
+    """Enumeration context for matrices over a finite group ring.
 
-    batched = False  # candidates are measured one by one, by evaluate
+    ``dets`` is the one determinant memo: it maps a candidate to its
+    determinant, or to 0 for a square candidate the stream found singular.
+    The square stream fills it chunk by chunk, and ``injective`` fills it
+    for other shapes; ``injective`` drops a candidate it rejects and
+    ``evaluate`` the one it measures.
+    """
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -338,17 +343,16 @@ class _FiniteSpace:
         self.rows, self.cols = space.shape
         n = self.group.order
         self.n = n
-        self.carried = (None, None)  # (vector, determinant) from injective
         # candidates are evaluated straight from their coefficient vectors
         self.getters = rep_getters(self.group, self.rows, self.cols)
         self.radicals: dict = {}
+        self.dets: dict = {}
         p = space.positions()
         # a square shape on the regular_rep route reads every candidate's
-        # representation off one index table, and stream() fills dets with
-        # the exact determinant of each candidate in the current chunk;
-        # takes_cyclic_norm refuses a representation over REP_MAX_DIM here
+        # representation off one index table, for the determinants stream()
+        # puts in dets; takes_cyclic_norm refuses a representation over
+        # REP_MAX_DIM here
         self.rep_index = None
-        self.dets: dict = {}
         if self.rows == self.cols and not takes_cyclic_norm(
             space.shape, n, lambda: _is_cyclic_table(self.group)
         ):
@@ -377,37 +381,30 @@ class _FiniteSpace:
         """The canonical candidates in enumeration order, by _canonical_stream.
 
         On a square regular_rep space the candidates come in chunks, and
-        while a chunk is being yielded ``dets`` maps each of its candidates
-        to its exact determinant.  ``injective`` and ``evaluate`` read it, so
-        they are fast only for the candidate the stream just yielded (or one
-        of its chunk); any other candidate takes the elimination.
+        before a chunk is yielded ``det_batch`` puts the determinant of each
+        of its candidates in ``dets``, where ``injective`` and ``evaluate``
+        read it; any other candidate takes the elimination.
         """
         canonical = _canonical_stream(self.space, self._canonical_mask)
         if self.rep_index is None:
             yield from canonical
             return
         size = max(1, DET_CHUNK_ENTRIES // self.rep_index.size)
-        while True:
-            # one chunk alive at a time: the dict keeps its candidates in
-            # stream order
-            self.dets = {}
-            chunk = list(itertools.islice(canonical, size))
-            if not chunk:
-                return
+        while chunk := list(itertools.islice(canonical, size)):
             dets = det_batch(np.array(chunk, dtype=np.int64)[:, self.rep_index])
-            self.dets = dict(zip(chunk, dets))
-            del chunk, dets
-            yield from self.dets
+            self.dets.update(
+                (vec, _rep_value(d, self.n, self.radicals) if d else 0)
+                for vec, d in zip(chunk, dets)
+            )
+            del dets
+            yield from chunk
+            # one chunk list alive at a time
+            del chunk
 
     def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
         """Which rows of ``block`` are the greatest member of their orbit
         under sign, left translations and (square shapes) their adjoints."""
         return _orbit_greatest(block, (block.take(idx, axis=1) for idx in self.images))
-
-    def build(self, vec: tuple) -> tuple:
-        """A candidate is its own coefficient vector; ``matrix`` makes the
-        group ring matrix for survey rows and the witness."""
-        return vec
 
     def matrix(self, vec: tuple) -> FiniteGroupRingMatrix:
         n = self.n
@@ -432,28 +429,31 @@ class _FiniteSpace:
         )
 
     def injective(self, vec: tuple) -> bool:
-        """Whether the candidate has zero kernel; read off ``dets`` when the
-        candidate is in the chunk ``stream`` is yielding, else eliminated."""
+        """Whether the candidate has zero kernel: read off ``dets`` when the
+        stream has put the candidate there, else eliminated."""
+        det = self.dets.get(vec)
+        if det is None:
+            # the norms that find the kernel on the cyclic_norm route give
+            # the determinant too; evaluate takes it from dets
+            det, kernel = self._det_kernel(vec, False)
+            if kernel == 0 and det is not None:
+                self.dets[vec] = det
+            return kernel == 0
         # a square matrix is injective exactly when its determinant is
         # nonzero
-        d = self.dets.get(vec)
-        if d is not None:
-            return d != 0
-        # the norms that find the kernel on the cyclic_norm route give the
-        # determinant too; evaluate takes it from here
-        det, kernel = self._det_kernel(vec, False)
-        self.carried = (vec, det)
-        return kernel == 0
+        if not det:
+            del self.dets[vec]
+        return bool(det)
 
     def evaluate(self, vec, one_threshold):
-        d = self.dets.get(vec)
-        if d:
-            v = _rep_value(d, self.n, self.radicals)
-            return v, v.exact == _ONE
-        carried, v = self.carried
-        if carried is not vec or v is None:
+        v = self.dets.pop(vec, 0)
+        if not v:
             v = self._det_kernel(vec, True)[0]
         return v, v.exact == _ONE
+
+    def evaluate_batch(self, vecs: list, one_threshold) -> list:
+        """evaluate of each candidate in turn."""
+        return [self.evaluate(vec, one_threshold) for vec in vecs]
 
     def entry_texts(self, vec) -> list:
         return [format_element(x) for row in self.matrix(vec).entries for x in row]
@@ -493,8 +493,6 @@ class _LaurentSpace:
         self.rows, self.cols = space.shape
         self.exps = list(itertools.product(*[range(b + 1) for b in space.box]))
         self.block = len(self.exps)
-        # single elements over Z are measured in batches, by evaluate_batch
-        self.batched = self.rank == 1 and space.shape == (1, 1)
         # the shifted-down adjoint of a square matrix as a gather, one index
         # row per top exponent: the adjoint transposes the matrix and sends
         # z^e to z^-e, so shifted down, entry k's coefficient at e is entry
@@ -530,14 +528,18 @@ class _LaurentSpace:
             levels = nonzero.any(axis=others)
             keep &= levels[:, 0]
             top = top * (b + 1) + b - levels[:, ::-1].argmax(axis=1)
+        # the orbit test reads only the rows the shift-down anchor kept
+        kept = np.flatnonzero(keep)
+        rows = block[kept]
         images = ()
         if self.adjoint is not None:
-            padded = np.concatenate([block, np.zeros_like(block[:, :1])], axis=1)
-            gather = self.adjoint.take(top, axis=0)
+            padded = np.concatenate([rows, np.zeros_like(rows[:, :1])], axis=1)
+            gather = self.adjoint.take(top[kept], axis=0)
             images = (np.take_along_axis(padded, gather, axis=1),)
-        return keep & _orbit_greatest(block, images)
+        keep[kept] = _orbit_greatest(rows, images)
+        return keep
 
-    def build(self, vec: tuple) -> GroupRingMatrix:
+    def matrix(self, vec: tuple) -> GroupRingMatrix:
         rows = []
         for i in range(self.rows):
             row = []
@@ -574,21 +576,22 @@ class _LaurentSpace:
             return True, 1.0
         return False, bound * _BOUND_SLACK
 
-    def injective(self, m: GroupRingMatrix) -> bool:
-        if self.space.shape == (1, 1):
-            return not m.entries[0][0].is_zero()
-        return vn_dim_kernel_zd(m) == 0
+    def injective(self, vec: tuple) -> bool:
+        return vn_dim_kernel_zd(self.matrix(vec)) == 0
 
-    def evaluate(self, m, one_threshold):
+    def evaluate(self, vec, one_threshold):
+        m = self.matrix(vec)
         if self.space.shape == (1, 1):
             return _poly_det(m.entries[0][0], one_threshold)
         v = fk_det_zd(m).value
         return v, v.value < 1.0 + one_threshold
 
     def evaluate_batch(self, vecs: list, one_threshold) -> list:
-        """evaluate for single elements over Z, straight from their
-        coefficient vectors: mahler_jensen_batch measures them together,
-        except monomials, which evaluate gives their exact radical."""
+        """evaluate of each candidate; single elements over Z are measured
+        together by mahler_jensen_batch, straight from their coefficient
+        vectors, except monomials, which evaluate gives their exact radical."""
+        if self.rank != 1 or self.space.shape != (1, 1):
+            return [self.evaluate(vec, one_threshold) for vec in vecs]
         values = iter(mahler_jensen_batch([vec for vec in vecs if any(vec[1:])]))
         out = []
         for vec in vecs:
@@ -597,13 +600,14 @@ class _LaurentSpace:
                 v = FKValue(mv.value, mv.method, mv.error_estimate)
                 out.append((v, v.value < 1.0 + one_threshold))
             else:
-                out.append(self.evaluate(self.build(vec), one_threshold))
+                out.append(self.evaluate(vec, one_threshold))
         return out
 
-    def entry_texts(self, m) -> list:
-        return [format_polynomial(p) for row in m.entries for p in row]
+    def entry_texts(self, vec) -> list:
+        return [format_polynomial(p) for row in self.matrix(vec).entries for p in row]
 
-    def witness_json(self, m) -> dict:
+    def witness_json(self, vec) -> dict:
+        m = self.matrix(vec)
         if self.space.shape == (1, 1):
             return {
                 "kind": "element",
@@ -633,6 +637,7 @@ def _context(space: SearchSpace):
 
 
 def _matrix_text(texts: list, rows: int, cols: int) -> str:
+    """Row-major entry texts as the bracket text [a, b; c, d]."""
     return "[%s]" % "; ".join(
         ", ".join(texts[i * cols : (i + 1) * cols]) for i in range(rows)
     )
@@ -660,13 +665,14 @@ def scan(
     least value found by then.  Ties in the infimum keep the earliest candidate in
     enumeration order, so reports are deterministic for a fixed space.
     Over Z^d every determinant is measured by the ``auto`` method, fibrewise
-    Jensen; a candidate it refuses ends the scan with its ValueError.  Single
-    elements over Z wait in a pending list and are measured together
-    (``evaluate_batch``) every MEASURE_CHUNK streamed candidates and at the
-    end of the stream; their results are recorded in enumeration order, so
-    the report is that of measuring each at once.  Over
-    a finite group the exact radical decides determinant one.  A
-    ``one_threshold`` that is negative or not finite is refused.
+    Jensen; a candidate it refuses ends the scan with its ValueError.  Over
+    a finite group the exact radical decides determinant one.  A candidate
+    is only its raw vector here.  Every candidate due for measurement waits
+    in a pending list, and ``evaluate_batch`` measures the list every
+    MEASURE_CHUNK streamed candidates, at the end of the stream and for
+    each held candidate; results are recorded in enumeration order, so the
+    report is that of measuring each at once.  A ``one_threshold`` that is
+    negative or not finite is refused.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -693,13 +699,12 @@ def scan(
         )
 
     ctx = _context(space)
-    batched = ctx.batched
 
     examined = 0
     evaluated = 0
     det_one = 0
     exceeded = False
-    best = None  # (value, enumeration index, FKValue, vec, matrix or None)
+    best = None  # (value, enumeration index, FKValue, vec)
     rows: list = []
     # a candidate whose measure lower bound exceeds the floor can be neither
     # determinant one nor a survey row, and one whose bound exceeds the
@@ -708,18 +713,17 @@ def scan(
     floor = max(1.0 + one_threshold, 1.5 if survey else 0.0)
     cutoff = math.inf
     held: list = []  # (enumeration index, bound, vec) with floor < bound <= cutoff
-    # (enumeration index, vec) of a batched scan's candidates due for
-    # measurement; flush measures them and records them in this order
+    # (enumeration index, vec) of the candidates due for measurement; flush
+    # measures them and records them in this order
     pending: list = []
 
-    def record(index, vec, m, value, is_one):
-        # m is the candidate's matrix, or None when only vec was built
+    def record(index, vec, value, is_one):
         nonlocal det_one, best, cutoff, held
         if is_one:
             det_one += 1
             return
         if survey and value.value <= 1.5:
-            texts = ctx.entry_texts(m if m is not None else ctx.build(vec))
+            texts = ctx.entry_texts(vec)
             text = (
                 texts[0]
                 if space.shape == (1, 1)
@@ -728,53 +732,39 @@ def scan(
             rows.append((text, value.value))
         # ties keep the earliest candidate in enumeration order
         if best is None or (value.value, index) < best[:2]:
-            best = (value.value, index, value, vec, m)
+            best = (value.value, index, value, vec)
             cutoff = max(best[0], floor)
             held = [h for h in held if h[1] <= cutoff]
-
-    def measure(index, vec, m):
-        if batched:
-            pending.append((index, vec))
-            return
-        if m is None:
-            m = ctx.build(vec)
-        record(index, vec, m, *ctx.evaluate(m, one_threshold))
 
     def flush():
         if not pending:
             return
         results = ctx.evaluate_batch([vec for _, vec in pending], one_threshold)
         for (index, vec), result in zip(pending, results):
-            record(index, vec, None, *result)
+            record(index, vec, *result)
         pending.clear()
 
-    for streamed, vec in enumerate(ctx.stream()):
-        if streamed % MEASURE_CHUNK == 0:
-            flush()
+    for streamed, vec in enumerate(ctx.stream(), 1):
         screen = ctx.screen(vec)
-        m = None
-        admit = True
-        if weak and screen is None:
-            m = ctx.build(vec)
-            admit = ctx.injective(m)
+        admit = not weak or screen is not None or ctx.injective(vec)
         if admit and evaluated >= budget:
             exceeded = True
             break
         examined += 1
-        if not admit:
-            continue
-        evaluated += 1
-        if screen is not None:
-            exact_one, bound = screen
+        if admit:
+            evaluated += 1
+            # a candidate without a screen is measured
+            exact_one, bound = screen or (False, floor)
             if exact_one:
                 det_one += 1
-                continue
-            if bound > cutoff:
-                continue
-            if bound > floor:
+            elif bound <= floor:
+                pending.append((examined, vec))
+            elif bound <= cutoff:
                 held.append((examined, bound, vec))
-                continue
-        measure(examined, vec, m)
+        # measure before the stream draws the next candidate, so a finite
+        # scan's memo holds the determinants of one det_batch chunk at a time
+        if streamed % MEASURE_CHUNK == 0:
+            flush()
     flush()
 
     # record rebinds held when the cutoff falls; this walks the list as it
@@ -783,16 +773,14 @@ def scan(
     # it left
     for index, bound, vec in held:
         if bound <= cutoff:
-            measure(index, vec, None)
+            pending.append((index, vec))
             flush()
 
     return ScanReport(
         space=space,
         variant=variant,
         infimum_found=None if best is None else best[2],
-        witness=None if best is None else ctx.witness_json(
-            best[4] if best[4] is not None else ctx.build(best[3])
-        ),
+        witness=None if best is None else ctx.witness_json(best[3]),
         count_examined=examined,
         count_det_one=det_one,
         one_threshold=one_threshold,

@@ -405,6 +405,13 @@ def test_scan_text(capsys):
     assert code == 0
     assert "infimum = 2.0" in out
     assert "witness = 2" in out
+    # a matrix witness in the bracket text of the survey rows
+    code, out, _ = run_cli(
+        capsys, "lehmer-scan", "--cyclic", "2", "--shape", "2,2",
+        "--variant", "lambda_w", "--format", "text",
+    )
+    assert code == 0
+    assert "witness = [t + 1, 1; 1, t + 1]" in out
 
 
 # ---------------------------------------------------------------------------

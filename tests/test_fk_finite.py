@@ -199,6 +199,26 @@ def test_parse_and_format_element():
     assert format_element(parse_element(make_cyclic(3), "t^2 - t")) == "t^2 - t"
 
 
+@pytest.mark.parametrize(
+    "names", [None, ["e", "a", "b", "c"]], ids=["default-names", "own-names"]
+)
+def test_format_element_reads_back_over_a_cyclic_table(names):
+    # a Z/4 table from --group-file, whose names are not powers of t: the
+    # text is written in t, so parse_element reads back the same element
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    blob = {"identity": 0, "table": table}
+    if names is not None:
+        blob["names"] = names
+    z4 = FiniteGroup.from_json(blob)
+    rng = random.Random(4)
+    for _ in range(50):
+        x = FiniteGroupRingElement(z4, [rng.randint(-3, 3) for _ in range(4)])
+        text = format_element(x)
+        assert parse_element(z4, text) == x, text
+    x = FiniteGroupRingElement(z4, [1, 1, 1, 0])
+    assert format_element(x) == "t^2 + t + 1"
+
+
 def test_parse_element_needs_cyclic_group():
     v4 = direct_product(make_cyclic(2), make_cyclic(2))
     with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from fkdet.fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
+    _rep_value,
     fk_det_kernel_finite,
     format_element,
     make_cyclic,
@@ -354,7 +357,7 @@ def _brute_force(space, survey=False, limit=None):
     best = None
     rows = []
     for vec in _orbit_representatives(space)[:limit]:
-        p = ctx.build(vec).entries[0][0]
+        p = ctx.matrix(vec).entries[0][0]
         examined += 1
         if p.rank == 1:
             value = mahler_jensen(p).value
@@ -440,7 +443,7 @@ def test_held_candidate_keeps_the_tie(monkeypatch):
     )
     report = scan(space, "lambda_1")
     assert report.count_examined > 1
-    assert report.witness["text"] == format_polynomial(ctx.build(first).entries[0][0])
+    assert report.witness["text"] == format_polynomial(ctx.matrix(first).entries[0][0])
 
 
 class _ReferenceLaurentFilter:
@@ -819,7 +822,7 @@ def _specializes_to_cyclotomic(vec, ctx):
     """Whether z2 -> z^25 and z2 -> z^50 both give +-z^k times cyclotomic
     polynomials: a reference for determinant one that computes no Mahler
     measure, where the scan measures every non-collinear candidate."""
-    p = ctx.build(vec).entries[0][0]
+    p = ctx.matrix(vec).entries[0][0]
     for k in (25, 50):
         terms = p.specialize((k,)).terms
         low = min(e for (e,) in terms)
@@ -861,8 +864,8 @@ def test_screen_bound_stays_under_the_measure(space):
         exact_one, bound = ctx.screen(vec)
         if exact_one:
             continue
-        m = ctx.build(vec)
-        value, _ = ctx.evaluate(m, DEFAULT_ONE_THRESHOLD)
+        m = ctx.matrix(vec)
+        value, _ = ctx.evaluate(vec, DEFAULT_ONE_THRESHOLD)
         assert bound <= value.value - value.error_estimate
         faces += line_coeffs(m.entries[0][0].terms) is None
     assert faces > 0
@@ -1010,8 +1013,8 @@ def test_square_injectivity_agrees_with_the_kernel(space):
     # a square candidate is injective exactly when its determinant is nonzero
     ctx = _LaurentSpace(space)
     for vec in ctx.stream():
-        m = ctx.build(vec)
-        assert ctx.injective(m) == (vn_dim_kernel_zd(m) == 0)
+        m = ctx.matrix(vec)
+        assert ctx.injective(vec) == (vn_dim_kernel_zd(m) == 0)
 
 
 @pytest.mark.parametrize(
@@ -1033,7 +1036,7 @@ def test_square_stream_determinants_match_the_elimination(space):
     zeros = 0
     for vec in ctx.stream():
         want = rank_det_exact([get(vec) for get in ctx.getters])[1]
-        assert ctx.dets[vec] == want
+        assert ctx.dets[vec] == (_rep_value(want, ctx.n, None) if want else 0)
         zeros += want == 0
     assert zeros
 
@@ -1054,15 +1057,16 @@ def test_other_finite_shapes_are_not_batched(space):
     assert list(ctx.stream()) and ctx.dets == {}
 
 
-def test_square_scans_answer_from_the_current_chunk(monkeypatch):
-    # injective and evaluate read the determinant of the chunk the stream
-    # is yielding: a weak scan over several chunks eliminates nothing, and a
-    # plain scan eliminates only its singular candidates (Gram route)
+def test_square_scans_read_their_determinants_from_the_memo(monkeypatch):
+    # injective and evaluate read the determinant the stream put in dets:
+    # a weak scan over several chunks eliminates nothing, and a plain scan
+    # eliminates only its singular candidates (Gram route), which dets
+    # holds as 0
     seen = []
     det_kernel = _FiniteSpace._det_kernel
 
     def counted(self, vec, singular_det):
-        seen.append(self.dets.get(vec))
+        seen.append(vec)
         return det_kernel(self, vec, singular_det)
 
     monkeypatch.setattr(_FiniteSpace, "_det_kernel", counted)
@@ -1070,47 +1074,88 @@ def test_square_scans_answer_from_the_current_chunk(monkeypatch):
     report = scan(space, "lambda_w")
     assert report.count_examined > 2 * lehmer_scan.DET_CHUNK_ENTRIES // 36
     assert seen == []
-    scan(SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1), "lambda")
-    assert seen and set(seen) == {0}
+    space = SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1)
+    scan(space, "lambda")
+    ctx = _FiniteSpace(space)
+    singular = [vec for vec in ctx.stream() if ctx.dets[vec] == 0]
+    assert seen and seen == singular
+
+
+def test_finite_memo_takes_each_determinant_once(monkeypatch):
+    # a weak scan on the cyclic_norm route: injective puts each determinant
+    # in dets, the batch measured every MEASURE_CHUNK streamed candidates
+    # takes it from there, and nothing is left when the scan ends
+    calls = {}
+    admitted = 0
+    ctx = None
+    det_kernel = _FiniteSpace._det_kernel
+
+    def counted(self, vec, singular_det):
+        nonlocal admitted, ctx
+        ctx = self
+        calls[vec] = calls.get(vec, 0) + 1
+        det, kernel = det_kernel(self, vec, singular_det)
+        admitted += kernel == 0
+        return det, kernel
+
+    monkeypatch.setattr(_FiniteSpace, "_det_kernel", counted)
+    space = SearchSpace(group=make_cyclic(5), shape=(1, 2), coeff_bound=1)
+    report = scan(space, "lambda_w")
+    assert admitted > lehmer_scan.MEASURE_CHUNK
+    assert len(calls) == report.count_examined
+    assert set(calls.values()) == {1}
+    assert ctx.dets == {}
 
 
 def test_plain_square_scan_keeps_its_singular_candidates():
-    # lambda admits the singular candidates, which take the Gram route
+    # lambda admits the singular candidates, which take the Gram route; the
+    # report of this scan is pinned by test_scan_reports_match_their_goldens
     space = SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1)
-    report = scan(space, "lambda")
-    assert report.as_json() == {
-        "space": {
-            "ring": {"kind": "cyclic", "order": 2},
-            "shape": [2, 2],
-            "coeff_bound": 1,
-            "support": None,
-        },
-        "variant": "lambda",
-        "infimum_found": {
-            "value": 1.414213562373095,
-            "method": "regular_rep",
-            "error_estimate": 0.0,
-            "exact": {"base": 2, "exponent": "1/2"},
-        },
-        "witness": {
-            "kind": "matrix",
-            "rows": 2,
-            "cols": 2,
-            "entries": ["t + 1", "t + 1", "t + 1", "1"],
-            "coeffs": [[1, 1], [1, 1], [1, 1], [1, 0]],
-        },
-        "count_examined": 952,
-        "count_det_one": 195,
-        "one_threshold": DEFAULT_ONE_THRESHOLD,
-        "budget": 100000,
-        "budget_exceeded": False,
-    }
     ctx = _FiniteSpace(space)
     singular = [vec for vec in ctx.stream() if ctx.dets[vec] == 0]
     assert singular
     for vec in singular[:20]:
         value, _ = ctx.evaluate(vec, DEFAULT_ONE_THRESHOLD)
         assert value == fk_det_kernel_finite(ctx.matrix(vec))[0]
+
+
+# the "result" of each lehmer-scan report below, byte for byte as the
+# command writes it (sorted keys, two-space indent); over the Z/4 table the
+# entries are written in powers of t
+GOLDEN_REPORTS = json.loads(
+    (Path(__file__).parent / "data" / "scan_reports.json").read_text(encoding="utf-8")
+)
+Z4_FILE = FiniteGroup.from_json(
+    {"identity": 0, "table": [[(a + b) % 4 for b in range(4)] for a in range(4)]}
+)
+GOLDEN_SCANS = [
+    ("box1-2x2-s4-w-survey", zd_space((1,), shape=(2, 2), support=4), "lambda_w", True),
+    ("Z3-1x2-w", SearchSpace(group=make_cyclic(3), shape=(1, 2)), "lambda_w", False),
+    (
+        "Z3-2x1-c2-s2",
+        SearchSpace(group=make_cyclic(3), shape=(2, 1), coeff_bound=2, support=2),
+        "lambda",
+        False,
+    ),
+    ("Z2-2x2", SearchSpace(group=make_cyclic(2), shape=(2, 2)), "lambda", False),
+    ("box2,1-survey", zd_space((2, 1)), "lambda_1", True),
+    ("Z5-c2", SearchSpace(group=make_cyclic(5), coeff_bound=2), "lambda_1", False),
+    (
+        "Z4-file-2x2-s4-w",
+        SearchSpace(group=Z4_FILE, shape=(2, 2), support=4),
+        "lambda_w",
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, space, variant, survey", GOLDEN_SCANS, ids=[c[0] for c in GOLDEN_SCANS]
+)
+def test_scan_reports_match_their_goldens(name, space, variant, survey):
+    report = scan(space, variant, survey=survey)
+    text = json.dumps(report.as_json(), sort_keys=True, indent=2)
+    assert text == json.dumps(GOLDEN_REPORTS[name], sort_keys=True, indent=2)
 
 
 def test_zd_matrix_scan():
