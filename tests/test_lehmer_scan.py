@@ -1129,31 +1129,49 @@ Z4_FILE = FiniteGroup.from_json(
     {"identity": 0, "table": [[(a + b) % 4 for b in range(4)] for a in range(4)]}
 )
 GOLDEN_SCANS = [
-    ("box1-2x2-s4-w-survey", zd_space((1,), shape=(2, 2), support=4), "lambda_w", True),
-    ("Z3-1x2-w", SearchSpace(group=make_cyclic(3), shape=(1, 2)), "lambda_w", False),
+    (
+        "box1-2x2-s4-w-survey",
+        zd_space((1,), shape=(2, 2), support=4),
+        "lambda_w",
+        {"survey": True},
+    ),
+    ("Z3-1x2-w", SearchSpace(group=make_cyclic(3), shape=(1, 2)), "lambda_w", {}),
     (
         "Z3-2x1-c2-s2",
         SearchSpace(group=make_cyclic(3), shape=(2, 1), coeff_bound=2, support=2),
         "lambda",
-        False,
+        {},
     ),
-    ("Z2-2x2", SearchSpace(group=make_cyclic(2), shape=(2, 2)), "lambda", False),
-    ("box2,1-survey", zd_space((2, 1)), "lambda_1", True),
-    ("Z5-c2", SearchSpace(group=make_cyclic(5), coeff_bound=2), "lambda_1", False),
+    ("Z2-2x2", SearchSpace(group=make_cyclic(2), shape=(2, 2)), "lambda", {}),
+    ("box2,1-survey", zd_space((2, 1)), "lambda_1", {"survey": True}),
+    ("Z5-c2", SearchSpace(group=make_cyclic(5), coeff_bound=2), "lambda_1", {}),
     (
         "Z4-file-2x2-s4-w",
         SearchSpace(group=Z4_FILE, shape=(2, 2), support=4),
         "lambda_w",
-        False,
+        {},
+    ),
+    # the element scans over Z that the block screen decides
+    ("box10", zd_space((10,)), "lambda_1", {}),
+    ("box8-w1-survey", zd_space((8,)), "lambda_w_1", {"survey": True}),
+    ("box6-c2", zd_space((6,), coeff_bound=2), "lambda_1", {}),
+    ("box12-s6", zd_space((12,), support=6), "lambda_1", {}),
+    ("box10-b5000", zd_space((10,)), "lambda_1", {"budget": 5000}),
+    # a non-square regular_rep shape, whose weak scan takes the Gram route
+    (
+        "S3-1x2-s4-w",
+        SearchSpace(group=S3, shape=(1, 2), support=4),
+        "lambda_w",
+        {},
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, space, variant, survey", GOLDEN_SCANS, ids=[c[0] for c in GOLDEN_SCANS]
+    "name, space, variant, options", GOLDEN_SCANS, ids=[c[0] for c in GOLDEN_SCANS]
 )
-def test_scan_reports_match_their_goldens(name, space, variant, survey):
-    report = scan(space, variant, survey=survey)
+def test_scan_reports_match_their_goldens(name, space, variant, options):
+    report = scan(space, variant, **options)
     text = json.dumps(report.as_json(), sort_keys=True, indent=2)
     assert text == json.dumps(GOLDEN_REPORTS[name], sort_keys=True, indent=2)
 
