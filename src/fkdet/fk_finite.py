@@ -942,15 +942,21 @@ def fk_det_kernel_flat(
         return _rep_value(d, n, radicals), kernel
     if not singular_det:
         return None, kernel
-    if rows == 0 or cols == 0:
-        return fk_exact(Radical(1), "regular_rep"), kernel
-    # Gram route: the product of the nonzero eigenvalues of the smaller
-    # Gram matrix
-    if rows <= cols:
+    return gram_rep_value(rep, n, radicals), kernel
+
+
+def gram_rep_value(rep, n: int, radicals) -> FKValue:
+    """The regular_rep value of a representation (a list of integer rows)
+    with no determinant, a singular or non-square one, over a group of
+    order n: the product of the nonzero eigenvalues of its smaller Gram
+    matrix.  ``radicals`` is as in fk_det_kernel_flat."""
+    if not rep or not rep[0]:
+        return fk_exact(Radical(1), "regular_rep")
+    if len(rep) <= len(rep[0]):
         gram = mat_mul_exact(rep, mat_transpose(rep))
     else:
         gram = mat_mul_exact(mat_transpose(rep), rep)
-    return _rep_value(_nonzero_eigen_product(gram), 2 * n, radicals), kernel
+    return _rep_value(_nonzero_eigen_product(gram), 2 * n, radicals)
 
 
 def _nonzero_eigen_product(gram):

@@ -30,6 +30,7 @@ from .fk_finite import (
     _rep_value,
     fk_det_kernel_flat,
     format_element,
+    gram_rep_value,
     rep_getters,
     takes_cyclic_norm,
 )
@@ -44,11 +45,10 @@ from .laurent import (
 )
 from .mahler import (
     face_lower_bound,
-    is_cyclotomic_product,
     line_coeffs,
     mahler_jensen_batch,
     mahler_measure,
-    measure_lower_bound,
+    screen_lines,
 )
 from .values import FKValue, Radical
 
@@ -222,9 +222,11 @@ def _vectors(positions: int, bound: int, support: int | None):
     the negatives after the positives.
     """
     if support is None or support >= positions:
-        for v in itertools.product(range(bound, -bound - 1, -1), repeat=positions):
-            if any(v):
-                yield v
+        box = itertools.product(range(bound, -bound - 1, -1), repeat=positions)
+        # the zero vector is the middle one
+        yield from itertools.islice(box, (2 * bound + 1) ** positions // 2)
+        next(box)
+        yield from box
         return
     nonzero = tuple(range(bound, 0, -1)) + tuple(range(-1, -bound - 1, -1))
     for j in range(1, support + 1):
@@ -240,6 +242,15 @@ def _vectors(positions: int, bound: int, support: int | None):
 VECTOR_BLOCK = 4096
 
 
+def _digit_rows(count: int, bound: int, dtype) -> np.ndarray:
+    """Every vector of ``count`` entries in -bound..bound, in descending
+    lexicographic order, as the rows of one array."""
+    base = 2 * bound + 1
+    idx = np.arange(base**count, dtype=np.int64)
+    powers = base ** np.arange(count - 1, -1, -1, dtype=np.int64)
+    return (bound - (idx[:, None] // powers) % base).astype(dtype)
+
+
 def _vector_blocks(positions: int, bound: int, support: int | None):
     """_vectors as int arrays of at most VECTOR_BLOCK rows each: the same
     vectors in the same order, built from the enumeration's structure and
@@ -248,16 +259,21 @@ def _vector_blocks(positions: int, bound: int, support: int | None):
     if support is None or support >= positions:
         # row i of the box holds the base-(2 bound + 1) digits of i, each
         # digit d standing for the value bound - d; the zero vector is the
-        # middle row, and is dropped wherever it falls
+        # middle row, and is dropped wherever it falls.  Row i is the row
+        # i // span of a table over the high positions next to the row
+        # i % span of a table over the low ones.
         base = 2 * bound + 1
-        powers = base ** np.arange(positions - 1, -1, -1, dtype=np.int64)
+        low = positions // 2
+        span = base**low
+        high_rows = _digit_rows(positions - low, bound, dtype)
+        low_rows = _digit_rows(low, bound, dtype)
         total = base**positions
         zero = total // 2
         for start in range(0, total, VECTOR_BLOCK):
             idx = np.arange(start, min(start + VECTOR_BLOCK, total), dtype=np.int64)
             if start <= zero < start + VECTOR_BLOCK:
                 idx = np.delete(idx, zero - start)
-            yield (bound - (idx[:, None] // powers) % base).astype(dtype)
+            yield np.concatenate([high_rows[idx // span], low_rows[idx % span]], axis=1)
         return
     nonzero = np.array(
         list(range(bound, 0, -1)) + list(range(-1, -bound - 1, -1)), dtype=dtype
@@ -331,7 +347,9 @@ class _FiniteSpace:
     """Enumeration context for matrices over a finite group ring.
 
     ``dets`` is the one determinant memo: it maps a candidate to its
-    determinant, or to 0 for a square candidate the stream found singular.
+    determinant, to 0 for a square candidate the stream found singular, or
+    to None for an injective candidate whose representation is not square,
+    which ``evaluate`` takes by the Gram route without a second elimination.
     The square stream fills it chunk by chunk, and ``injective`` fills it
     for other shapes; ``injective`` drops a candidate it rejects and
     ``evaluate`` the one it measures.
@@ -431,14 +449,15 @@ class _FiniteSpace:
     def injective(self, vec: tuple) -> bool:
         """Whether the candidate has zero kernel: read off ``dets`` when the
         stream has put the candidate there, else eliminated."""
-        det = self.dets.get(vec)
-        if det is None:
+        if vec not in self.dets:
             # the norms that find the kernel on the cyclic_norm route give
-            # the determinant too; evaluate takes it from dets
+            # the determinant too, and a non-square representation has
+            # none (None); evaluate takes either from dets
             det, kernel = self._det_kernel(vec, False)
-            if kernel == 0 and det is not None:
+            if kernel == 0:
                 self.dets[vec] = det
             return kernel == 0
+        det = self.dets[vec]
         # a square matrix is injective exactly when its determinant is
         # nonzero
         if not det:
@@ -447,7 +466,11 @@ class _FiniteSpace:
 
     def evaluate(self, vec, one_threshold):
         v = self.dets.pop(vec, 0)
-        if not v:
+        if v is None:
+            # injective eliminated it already: straight to the Gram route
+            rep = [get(vec) for get in self.getters]
+            v = gram_rep_value(rep, self.n, self.radicals)
+        elif not v:
             v = self._det_kernel(vec, True)[0]
         return v, v.exact == _ONE
 
@@ -493,6 +516,9 @@ class _LaurentSpace:
         self.rows, self.cols = space.shape
         self.exps = list(itertools.product(*[range(b + 1) for b in space.box]))
         self.block = len(self.exps)
+        # the exact screen of each canonical element, by its vector, put here
+        # by _canonical_mask block by block and taken by screen
+        self.screens: dict = {}
         # the shifted-down adjoint of a square matrix as a gather, one index
         # row per top exponent: the adjoint transposes the matrix and sends
         # z^e to z^-e, so shifted down, entry k's coefficient at e is entry
@@ -516,6 +542,18 @@ class _LaurentSpace:
         return _canonical_stream(self.space, self._canonical_mask)
 
     def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
+        """_orbit_mask of ``block``; for single elements the screen of each
+        row it keeps goes to ``screens``."""
+        keep = self._orbit_mask(block)
+        if self.space.shape == (1, 1):
+            canonical = block[keep]
+            # the rows as tuples, straight from the columns
+            self.screens.update(
+                zip(zip(*canonical.T.tolist()), self._screen_rows(canonical))
+            )
+        return keep
+
+    def _orbit_mask(self, block: np.ndarray) -> np.ndarray:
         """Which rows of ``block`` are the greatest member of their orbit."""
         box = self.space.box
         # nonzero[r, k, *e]: whether row r has a term at exponent e in entry k
@@ -555,26 +593,50 @@ class _LaurentSpace:
         return GroupRingMatrix(rows, rank=self.rank)
 
     def screen(self, vec: tuple) -> tuple | None:
-        """(proven determinant one, measure lower bound) of an element, from
-        its integer coefficients alone; None for matrices, which
-        ``evaluate`` measures.  Determinant one is proven only for collinear
-        support; a non-collinear element gets the bound of its faces, and
-        ``evaluate`` decides whether its measure is one.  An element is
+        """(proven determinant one, measure lower bound) of a canonical
+        element, from its integer coefficients alone; None for matrices,
+        which ``evaluate`` measures.  Taken from ``screens`` when the stream
+        put it there, else screened as a block of one row.  An element is
         nonzero, hence injective."""
         if self.space.shape != (1, 1):
             return None
+        found = self.screens.pop(vec, None)
+        return found or self._screen_rows(np.array([vec]))[0]
+
+    def _screen_rows(self, rows: np.ndarray) -> list:
+        """screen of each row of an int array of canonical elements.
+
+        Determinant one is proven only for collinear support, whose line
+        (over Z the row itself: the shift-down anchor puts a term at z^0)
+        screen_lines decides for the whole block at once; a non-collinear
+        element gets the bound of its faces, and ``evaluate`` decides
+        whether its measure is one."""
         if self.rank == 1:
-            # the shift-down anchor puts a term at z^0: vec is the line
-            line = vec
-        else:
+            return self._screen_lines(rows)
+        # a line along a primitive direction has degree at most the largest
+        # box side
+        width = max(self.space.box) + 1
+        out, at, lines = [None] * len(rows), [], []
+        for r, vec in enumerate(rows.tolist()):
             terms = {self.exps[i]: c for i, c in enumerate(vec) if c}
             line = line_coeffs(terms)
             if line is None:
-                return False, face_lower_bound(terms) * _FACE_SLACK
-        bound = measure_lower_bound(line)
-        if bound == 1.0 and is_cyclotomic_product(line):
-            return True, 1.0
-        return False, bound * _BOUND_SLACK
+                out[r] = (False, face_lower_bound(terms) * _FACE_SLACK)
+            else:
+                at.append(r)
+                lines.append(line + [0] * (width - len(line)))
+        lines = np.array(lines, dtype=np.int64).reshape(len(at), width)
+        for r, pair in zip(at, self._screen_lines(lines)):
+            out[r] = pair
+        return out
+
+    @staticmethod
+    def _screen_lines(lines: np.ndarray) -> list:
+        """screen_lines as (exact_one, bound) pairs, the bound scaled by
+        _BOUND_SLACK."""
+        exact_one, bound = screen_lines(lines)
+        bound = np.where(exact_one, 1.0, bound * _BOUND_SLACK)
+        return list(zip(exact_one.tolist(), bound.tolist()))
 
     def injective(self, vec: tuple) -> bool:
         return vn_dim_kernel_zd(self.matrix(vec)) == 0

@@ -239,22 +239,111 @@ def _is_reciprocal(c: list) -> bool:
     return c == rev or c == [-x for x in rev]
 
 
+@functools.lru_cache(maxsize=8)
+def _cyclotomic_table(width: int) -> tuple:
+    """The linear map that takes a polynomial of degree below ``width`` to
+    its Hasse derivatives reduced modulo cyclotomic polynomials, and how
+    its columns group.
+
+    Column block (n, j), for every n with phi(n) <= width - 1 and every
+    j <= (width - 1) // phi(n), holds the phi(n) coefficients of
+    D_j f = sum_k C(k, j) f_k z^(k - j) modulo Phi_n, so row k of the block
+    is C(k, j) times z^(k - j) mod Phi_n.  Returns the table (int64 when its
+    largest entry fits, else Python ints), that largest entry, each block's
+    first column, each block's phi(n), and for each block the index of its
+    n's first block (j = 0).
+    """
+    degree = width - 1
+    columns, starts, phis, firsts = [], [], [], []
+    for n in _cyclotomic_orders(degree):
+        phi = _cyclotomic(n)
+        f = len(phi) - 1
+        # powers[r]: z^r mod Phi_n, for r = 0..degree (Phi_n is monic)
+        powers, v = [], [1] + [0] * (f - 1)
+        for _ in range(width):
+            powers.append(v)
+            top, v = v[-1], [0] + v[:-1]
+            v = [a - top * b for a, b in zip(v, phi)]
+        first = len(starts)
+        for j in range(degree // f + 1):
+            starts.append(len(columns))
+            phis.append(f)
+            firsts.append(first)
+            columns.extend(
+                [0] * j + [math.comb(k, j) * powers[k - j][i] for k in range(j, width)]
+                for i in range(f)
+            )
+    largest = max((abs(x) for col in columns for x in col), default=0)
+    dtype = np.int64 if largest < 2**63 else object
+    table = np.array(columns, dtype=dtype).reshape(len(columns), width).T
+    return table, largest, np.array(starts), np.array(phis), np.array(firsts)
+
+
+def _cyclotomic_degree(lines: np.ndarray) -> np.ndarray:
+    """sum of m_n phi(n) over the cyclotomic factors Phi_n^m_n of each row
+    of ``lines`` (ascending coefficients, nonzero rows), from one matrix
+    product with _cyclotomic_table.
+
+    Phi_n is irreducible and its roots are simple, so m_n is the order of
+    zeta_n as a root, the least j with D_j f(zeta_n) != 0, that is with
+    block (n, j) of the product nonzero; the table's blocks reach that j,
+    since m_n phi(n) <= deg f < width.  The product is taken in int64 when
+    largest entry * largest |coefficient| * width proves it fits, else in
+    Python ints."""
+    count, width = lines.shape
+    table, largest, starts, phis, firsts = _cyclotomic_table(width)
+    if not len(starts) or not count:
+        return np.zeros(count, dtype=np.int64)
+    if largest * int(np.abs(lines).max()) * width < 2**63:
+        product = lines.astype(np.int64) @ table
+    else:
+        product = lines.astype(object) @ table.astype(object)
+    nonzero = np.logical_or.reduceat(product != 0, starts, axis=1)
+    # seen[:, b]: nonzero blocks up to block b; block b of n and every block
+    # of n before it vanish when none is nonzero since n's first block
+    seen = np.cumsum(nonzero, axis=1)
+    vanish = seen == seen[:, firsts] - nonzero[:, firsts]
+    return vanish.astype(np.int64) @ phis
+
+
+def screen_lines(lines: np.ndarray) -> tuple:
+    """(exact_one, bound) for each row of ``lines``, the ascending
+    coefficients of a one-variable integer polynomial with a nonzero
+    constant term, zero-padded to one width.
+
+    ``bound`` is measure_lower_bound of the row as a float array.
+    ``exact_one`` says whether the Mahler measure is 1: by Kronecker's
+    theorem exactly when the row is +-1 times a product of cyclotomic
+    polynomials.  That needs bound 1, so |lead| = 1, and then holds iff
+    the cyclotomic factors' degrees (_cyclotomic_degree) add up to the
+    row's degree: their product divides the row and is monic.
+    """
+    lines = np.asarray(lines)
+    count, width = lines.shape
+    top = width - 1 - (lines[:, ::-1] != 0).argmax(axis=1)
+    # rev[r]: row r reversed up to its degree; reciprocal up to sign is
+    # rev = +-row
+    at = top[:, None] - np.arange(width)
+    inside = at >= 0
+    np.maximum(at, 0, out=at)
+    rev = np.take_along_axis(lines, at, axis=1)
+    del at
+    rev[~inside] = 0
+    reciprocal = (rev == lines).all(axis=1) | (rev == -lines).all(axis=1)
+    lead = np.abs(lines[np.arange(count), top])
+    bound = np.maximum(np.abs(lines[:, 0]), lead).astype(float)
+    bound[~reciprocal] = np.maximum(bound[~reciprocal], SMYTH_THETA0)
+    exact_one = bound == 1.0
+    exact_one[exact_one] = _cyclotomic_degree(lines[exact_one]) == top[exact_one]
+    return exact_one, bound
+
+
 def is_cyclotomic_product(coeffs: list) -> bool:
     """True iff the integer polynomial is +-z**k times a product of
     cyclotomic polynomials, which by Kronecker's theorem is exactly when its
-    Mahler measure is 1.  Decided by trial division by every Phi_n with
-    phi(n) <= degree, in integer arithmetic."""
+    Mahler measure is 1: screen_lines of its one row, z**k dropped."""
     c = _strip_monomial(coeffs)
-    if not c or abs(c[0]) != 1 or abs(c[-1]) != 1 or not _is_reciprocal(c):
-        return False
-    for n in _cyclotomic_orders(len(c) - 1):
-        phi = _cyclotomic(n)
-        while len(phi) <= len(c):
-            try:
-                c = _div_exact(c, phi)
-            except ValueError:
-                break
-    return len(c) == 1
+    return bool(c) and bool(screen_lines(np.array([c]))[0][0])
 
 
 def measure_lower_bound(coeffs: list) -> float:

@@ -11,7 +11,16 @@ import fkdet.fk_finite as fk_finite
 from fkdet.exact_linalg import charpoly_berkowitz, det_exact
 from fkdet.fk_finite import FiniteGroup
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
-from fkdet.mahler import UNIT_BAND, mahler_measure, squarefree_decomposition
+from fkdet.mahler import (
+    UNIT_BAND,
+    _cyclotomic,
+    _cyclotomic_orders,
+    _div_exact,
+    _is_reciprocal,
+    _strip_monomial,
+    mahler_measure,
+    squarefree_decomposition,
+)
 
 
 def mat(texts, rank=1):
@@ -129,6 +138,23 @@ def cyclotomic_reference(d):
         assert not any(p)
         p = q
     return tuple(p)
+
+
+def cyclotomic_product_oracle(coeffs) -> bool:
+    """Whether the integer polynomial is +-z**k times a product of
+    cyclotomic polynomials, by trial division by every Phi_n with
+    phi(n) <= degree: the reference for mahler.is_cyclotomic_product."""
+    c = _strip_monomial(coeffs)
+    if not c or abs(c[0]) != 1 or abs(c[-1]) != 1 or not _is_reciprocal(c):
+        return False
+    for n in _cyclotomic_orders(len(c) - 1):
+        phi = _cyclotomic(n)
+        while len(phi) <= len(c):
+            try:
+                c = _div_exact(c, phi)
+            except ValueError:
+                break
+    return len(c) == 1
 
 
 @functools.cache

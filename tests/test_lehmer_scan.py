@@ -40,14 +40,15 @@ from fkdet.lehmer_scan import (
 )
 from fkdet.mahler import (
     SMYTH_THETA0,
-    is_cyclotomic_product,
+    face_lower_bound,
     line_coeffs,
     mahler_jensen,
     mahler_measure,
+    measure_lower_bound,
 )
 from fkdet.values import FKValue, Radical
 
-from helpers import rand_poly, symmetric_group_3
+from helpers import cyclotomic_product_oracle, rand_poly, symmetric_group_3
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
@@ -829,7 +830,7 @@ def _specializes_to_cyclotomic(vec, ctx):
         coeffs = [0] * (max(e for (e,) in terms) - low + 1)
         for (e,), c in terms.items():
             coeffs[e - low] = int(c)
-        if not is_cyclotomic_product(coeffs):
+        if not cyclotomic_product_oracle(coeffs):
             return False
     return True
 
@@ -889,6 +890,66 @@ def test_face_bound_stays_under_the_measure(rank):
         assert bound <= value.value - value.error_estimate
         faces += line_coeffs(p.terms) is None
     assert faces > 0
+
+
+def _screen_reference(ctx, vec):
+    """The exact screen of one element row by row: its line (collinear
+    support) gets measure_lower_bound and, at bound 1, the trial-division
+    oracle; any other element its face bound."""
+    terms = {ctx.exps[i]: c for i, c in enumerate(vec) if c}
+    line = line_coeffs(terms)
+    if line is None:
+        return False, face_lower_bound(terms) * lehmer_scan._FACE_SLACK
+    bound = measure_lower_bound(line)
+    if bound == 1.0 and cyclotomic_product_oracle(line):
+        return True, 1.0
+    return False, bound * lehmer_scan._BOUND_SLACK
+
+
+@pytest.mark.parametrize(
+    "space, bound_one, det_one",
+    [
+        (zd_space((10,)), 727, 301),
+        (zd_space((6,), coeff_bound=2), 249, 107),
+        (zd_space((2, 2), support=4), 33, 33),
+    ],
+    ids=["box10", "box6-c2", "box2,2-s4"],
+)
+def test_block_screen_matches_the_per_row_reference(space, bound_one, det_one):
+    # the stream screens each block of canonical rows at once into
+    # ctx.screens; every canonical row is there, with the pair the per-row
+    # screen gives it.  Rows of bound 1 are the ones the cyclotomic test
+    # decides.
+    ctx = _LaurentSpace(space)
+    ones = exact = faces = 0
+    for vec in ctx.stream():
+        assert vec in ctx.screens
+        pair = ctx.screen(vec)
+        assert pair == _screen_reference(ctx, vec), vec
+        ones += pair[0] or pair[1] == lehmer_scan._BOUND_SLACK
+        exact += pair[0]
+        if space.rank > 1:
+            faces += line_coeffs(ctx.matrix(vec).entries[0][0].terms) is None
+    assert ctx.screens == {}
+    assert (ones, exact) == (bound_one, det_one)
+    # box 2,2 has non-collinear elements, which take the face bound
+    assert bool(faces) == (space.rank > 1)
+
+
+def test_one_row_screen_of_a_degree_60_line():
+    # an element the stream did not put in ctx.screens is screened as a
+    # block of one row; at width 61 with a coefficient 2 the cyclotomic
+    # test runs in Python ints
+    ctx = _LaurentSpace(zd_space((60,), coeff_bound=2, support=3))
+    for terms in (
+        {0: 1, 30: -2, 60: 1},  # (z^30 - 1)^2
+        {0: 1, 30: 2, 60: 1},  # (z^30 + 1)^2
+        {0: 1, 30: 2, 60: -1},
+        {0: 1, 29: 2, 60: 1},
+        {0: 2, 60: 1},
+    ):
+        vec = tuple(terms.get(e, 0) for e in range(61))
+        assert ctx.screen(vec) == _screen_reference(ctx, vec), terms
 
 
 def test_z3_element_scan_measures_by_fibrewise_jensen():
@@ -1105,6 +1166,33 @@ def test_finite_memo_takes_each_determinant_once(monkeypatch):
     assert len(calls) == report.count_examined
     assert set(calls.values()) == {1}
     assert ctx.dets == {}
+
+
+def test_non_square_weak_scan_eliminates_each_candidate_once(monkeypatch):
+    # injective eliminates the 3x6 representation of each candidate; the
+    # injective ones go from there straight to the Gram route, with no
+    # second elimination in evaluate.  The report is pinned by
+    # test_scan_reports_match_their_goldens.
+    eliminations = {False: 0, True: 0}
+    grams = 0
+    det_kernel = _FiniteSpace._det_kernel
+    gram_rep_value = lehmer_scan.gram_rep_value
+
+    def counted(self, vec, singular_det):
+        eliminations[singular_det] += 1
+        return det_kernel(self, vec, singular_det)
+
+    def counted_gram(*args):
+        nonlocal grams
+        grams += 1
+        return gram_rep_value(*args)
+
+    monkeypatch.setattr(_FiniteSpace, "_det_kernel", counted)
+    monkeypatch.setattr(lehmer_scan, "gram_rep_value", counted_gram)
+    space = SearchSpace(group=S3, shape=(1, 2), support=4)
+    report = scan(space, "lambda_w")
+    assert report.count_examined == 868
+    assert (eliminations[False], eliminations[True], grams) == (868, 0, 648)
 
 
 def test_plain_square_scan_keeps_its_singular_candidates():

@@ -18,6 +18,9 @@ from fkdet.mahler import (
     JENSEN_MAX_DEGREE,
     QUADRATURE_MAX_POINTS,
     SMYTH_THETA0,
+    _cyclotomic,
+    _cyclotomic_table,
+    _totient,
     default_bl_schedule,
     face_lower_bound,
     is_cyclotomic_product,
@@ -29,10 +32,16 @@ from fkdet.mahler import (
     mahler_measure,
     measure_lower_bound,
     roots_one_var,
+    screen_lines,
     squarefree_decomposition,
 )
 
-from helpers import np_jensen_reference, np_roots_reference, rand_poly
+from helpers import (
+    cyclotomic_product_oracle,
+    np_jensen_reference,
+    np_roots_reference,
+    rand_poly,
+)
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
@@ -332,6 +341,104 @@ def test_non_cyclotomic_polynomials_are_rejected():
     lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
     for p in (lehmer, [-1, -1, 0, 1], [-2, 0, 1], [2, 2, 2], [2, 0, 1, 0, 1], [2], [0]):
         assert not is_cyclotomic_product(p), p
+
+
+def _cyclotomic_block_agrees(lines):
+    """exact_one of screen_lines on ``lines`` (zero-padded to one width,
+    1 024 rows a block), checked row by row against the trial-division
+    oracle; returns exact_one as a list."""
+    width = max(len(c) for c in lines)
+    out = []
+    for start in range(0, len(lines), 1024):
+        chunk = lines[start : start + 1024]
+        block = np.array([c + [0] * (width - len(c)) for c in chunk])
+        exact_one = screen_lines(block)[0].tolist()
+        assert exact_one == [cyclotomic_product_oracle(c) for c in chunk]
+        out += exact_one
+    return out
+
+
+def _power(p, k):
+    out = [1]
+    for _ in range(k):
+        out = _conv(out, p)
+    return out
+
+
+def _spread(c, k):
+    # c(z^k)
+    out = [0] * (k * (len(c) - 1) + 1)
+    out[::k] = c
+    return out
+
+
+LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
+
+def _products_to_16():
+    factors = [list(_cyclotomic(n)) for n in range(1, 61) if _totient(n) <= 16]
+    assert len(factors) == 32
+    return _products_up_to(factors, 16)
+
+
+def test_cyclotomic_block_test_on_every_product_up_to_degree_16():
+    products = _products_to_16()
+    assert len(products) == 20581
+    assert all(_cyclotomic_block_agrees(products))
+    # (z - 1)^12 and (z + 1)^3 Phi_3^2: multiplicities above 1
+    named = [_power([-1, 1], 12), _conv(_power([1, 1], 3), _power([1, 1, 1], 2))]
+    rng = random.Random(16)
+    for p in named + rng.sample(products, 200):
+        sign = rng.choice([1, -1])
+        shifted = [0] * rng.randrange(4) + [sign * c for c in p]
+        assert is_cyclotomic_product(shifted)
+        assert cyclotomic_product_oracle(shifted)
+
+
+def test_cyclotomic_block_test_rejects_near_misses():
+    # reciprocal rows with |lead| = |const| = 1, the only rows the count of
+    # multiplicities decides: Lehmer's polynomial times cyclotomic
+    # products, and cyclotomic products with one symmetric pair of
+    # coefficients moved by one, which stay cyclotomic only by accident
+    products = _products_to_16()
+    lehmer = [_conv(LEHMER_COEFFS, p) for p in products if len(p) <= 7]
+    moved = []
+    rng = random.Random(61)
+    for p in rng.sample(products, 3000):
+        d = len(p) - 1
+        sign = 1 if p == p[::-1] else -1
+        i = rng.randrange(d + 1)
+        if d < 2 or i in (0, d) or (2 * i == d and sign == -1):
+            continue
+        q = list(p)
+        step = rng.choice([1, -1])
+        q[i] += step
+        if 2 * i != d:
+            q[d - i] += sign * step
+        moved.append(q)
+    assert not any(_cyclotomic_block_agrees(lehmer))
+    exact_one = _cyclotomic_block_agrees(moved)
+    assert len(moved) > 2000
+    assert 0 < sum(exact_one) < len(moved) // 4
+
+
+def test_cyclotomic_block_test_takes_python_ints_past_int64():
+    # width 61: the largest table entry is C(60, 30), and with a coefficient
+    # of magnitude 2 the product is proven to fit int64 no longer, so it is
+    # taken in Python ints (with magnitude 1 it still fits)
+    largest = _cyclotomic_table(61)[1]
+    assert largest == math.comb(60, 30)
+    assert largest * 61 < 2**63 <= largest * 2 * 61
+    lines = [
+        _spread([1, -2, 1], 30),  # (z^30 - 1)^2
+        _spread([-1, 3, -3, 1], 20),  # (z^20 - 1)^3
+        _spread([1, 1], 60),  # z^60 + 1
+        _conv(_spread(LEHMER_COEFFS, 5), _power([-1, 1], 2)),
+        _conv(_spread([1, -2, 1], 29), [1, 1, 1]),
+        _spread([1, 1, -2, 1, 1], 15),
+    ]
+    assert max(abs(c) for line in lines for c in line) == 3
+    assert _cyclotomic_block_agrees(lines)[:5] == [True, True, True, False, True]
 
 
 def test_measure_lower_bound():
