@@ -1169,7 +1169,7 @@ def test_finite_memo_takes_each_determinant_once(monkeypatch):
 
 
 def test_non_square_weak_scan_eliminates_each_candidate_once(monkeypatch):
-    # injective eliminates the 3x6 representation of each candidate; the
+    # injective eliminates the 6x12 representation of each candidate; the
     # injective ones go from there straight to the Gram route, with no
     # second elimination in evaluate.  The report is pinned by
     # test_scan_reports_match_their_goldens.
