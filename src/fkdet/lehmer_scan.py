@@ -44,10 +44,12 @@ from .laurent import (
     parse_polynomial,
 )
 from .mahler import (
-    face_lower_bound,
+    face_lines,
+    line_bounds,
     line_coeffs,
     mahler_jensen_batch,
     mahler_measure,
+    pad_lines,
     screen_lines,
 )
 from .values import FKValue, Radical
@@ -609,25 +611,33 @@ class _LaurentSpace:
         Determinant one is proven only for collinear support, whose line
         (over Z the row itself: the shift-down anchor puts a term at z^0)
         screen_lines decides for the whole block at once; a non-collinear
-        element gets the bound of its faces, and ``evaluate`` decides
-        whether its measure is one."""
+        element gets the largest bound of its face_lines, all taken at
+        once too, and ``evaluate`` decides whether its measure is one."""
         if self.rank == 1:
             return self._screen_lines(rows)
         # a line along a primitive direction has degree at most the largest
         # box side
         width = max(self.space.box) + 1
-        out, at, lines = [None] * len(rows), [], []
+        out, at, lines, owners, faces = [None] * len(rows), [], [], [], []
         for r, vec in enumerate(rows.tolist()):
             terms = {self.exps[i]: c for i, c in enumerate(vec) if c}
             line = line_coeffs(terms)
             if line is None:
-                out[r] = (False, face_lower_bound(terms) * _FACE_SLACK)
+                found = face_lines(terms)
+                owners += [r] * len(found)
+                faces += found
             else:
                 at.append(r)
-                lines.append(line + [0] * (width - len(line)))
-        lines = np.array(lines, dtype=np.int64).reshape(len(at), width)
-        for r, pair in zip(at, self._screen_lines(lines)):
+                lines.append(line)
+        for r, pair in zip(at, self._screen_lines(pad_lines(lines, width))):
             out[r] = pair
+        if faces:
+            # each non-collinear row's largest face bound
+            bound = line_bounds(pad_lines(faces, width))[0]
+            first = np.flatnonzero(np.diff(owners, prepend=-1))
+            largest = np.maximum.reduceat(bound, first)
+            for r, b in zip(np.array(owners)[first].tolist(), largest.tolist()):
+                out[r] = (False, b * _FACE_SLACK)
         return out
 
     @staticmethod

@@ -233,92 +233,118 @@ def _strip_monomial(coeffs: list) -> list:
     return c[k:]
 
 
-def _is_reciprocal(c: list) -> bool:
-    """c_i = e * c_(deg - i) for one sign e."""
-    rev = c[::-1]
-    return c == rev or c == [-x for x in rev]
-
-
 @functools.lru_cache(maxsize=8)
-def _cyclotomic_table(width: int) -> tuple:
-    """The linear map that takes a polynomial of degree below ``width`` to
-    its Hasse derivatives reduced modulo cyclotomic polynomials, and how
-    its columns group.
+def _cyclotomic_cofactors(degree: int) -> tuple:
+    """A linear map from polynomials of degree at most ``degree`` whose
+    block n vanishes exactly when Phi_n divides the polynomial, for every n
+    with phi(n) <= degree, stored by its generator rather than as a table.
 
-    Column block (n, j), for every n with phi(n) <= width - 1 and every
-    j <= (width - 1) // phi(n), holds the phi(n) coefficients of
-    D_j f = sum_k C(k, j) f_k z^(k - j) modulo Phi_n, so row k of the block
-    is C(k, j) times z^(k - j) mod Phi_n.  Returns the table (int64 when its
-    largest entry fits, else Python ints), that largest entry, each block's
-    first column, each block's phi(n), and for each block the index of its
-    n's first block (j = 0).
+    Psi_n = (z^n - 1) / Phi_n is monic of degree n - phi(n) and prime to
+    Phi_n.  For f = r + q Phi_n with deg r < phi(n), the cyclic product
+    f Psi_n mod z^n - 1 is r Psi_n, whose top phi(n) coefficients are r's
+    under a unit triangular map, so they vanish iff r = 0.  Block n holds
+    those coefficients, at positions t = n - phi(n), ..., n - 1, and z^k
+    puts Psi_n[(t - k) mod n] at position t.
+
+    Returns psi (every Psi_n zero-padded to length n, end to end); for each
+    column the start of its Psi_n in psi, its position t and its n; for
+    each block its first column and phi(n); and the largest |entry| of psi.
     """
-    degree = width - 1
-    columns, starts, phis, firsts = [], [], [], []
+    psi, base, at, period, starts, phis = [], [], [], [], [], []
     for n in _cyclotomic_orders(degree):
-        phi = _cyclotomic(n)
-        f = len(phi) - 1
-        # powers[r]: z^r mod Phi_n, for r = 0..degree (Phi_n is monic)
-        powers, v = [], [1] + [0] * (f - 1)
-        for _ in range(width):
-            powers.append(v)
-            top, v = v[-1], [0] + v[:-1]
-            v = [a - top * b for a, b in zip(v, phi)]
-        first = len(starts)
-        for j in range(degree // f + 1):
-            starts.append(len(columns))
-            phis.append(f)
-            firsts.append(first)
-            columns.extend(
-                [0] * j + [math.comb(k, j) * powers[k - j][i] for k in range(j, width)]
-                for i in range(f)
-            )
-    largest = max((abs(x) for col in columns for x in col), default=0)
-    dtype = np.int64 if largest < 2**63 else object
-    table = np.array(columns, dtype=dtype).reshape(len(columns), width).T
-    return table, largest, np.array(starts), np.array(phis), np.array(firsts)
+        cyclotomic = list(_cyclotomic(n))
+        phi = len(cyclotomic) - 1
+        cof = _div_exact([-1] + [0] * (n - 1) + [1], cyclotomic)
+        starts.append(len(at))
+        phis.append(phi)
+        base += [len(psi)] * phi
+        at += range(n - phi, n)
+        period += [n] * phi
+        psi += cof + [0] * (phi - 1)
+    largest = max(map(abs, psi), default=0)
+    arrays = [np.array(psi, dtype=np.int64 if largest < 2**63 else object)]
+    arrays += [np.array(a, dtype=np.int64) for a in (base, at, period, starts, phis)]
+    for a in arrays:
+        # the cache hands these to every caller
+        a.flags.writeable = False
+    return (*arrays, largest)
+
+
+# the most cells of the cyclotomic map, and of its product with a chunk of
+# rows, held at once: 512 KB in int64
+_CYCLOTOMIC_CELLS = 1 << 16
+
+
+def _cyclotomic_divides(rows: np.ndarray, cofactors: tuple) -> np.ndarray:
+    """Whether Phi_n divides each row of ``rows`` (ascending coefficients,
+    nonzero rows), for every block n of _cyclotomic_cofactors.
+
+    The rows go through the map in chunks, each times the map's rows at the
+    exponents the chunk uses, built as needed, so a support-capped row of a
+    wide box costs its terms, not its width."""
+    psi, base, at, period, starts = cofactors[:5]
+    count, width = rows.shape
+    size = len(at)
+    step = max(1, _CYCLOTOMIC_CELLS // (width * size))
+    per_map = max(1, _CYCLOTOMIC_CELLS // size)
+    out = np.empty((count, len(starts)), dtype=bool)
+    for r in range(0, count, step):
+        chunk = rows[r : r + step]
+        used = np.flatnonzero((chunk != 0).any(axis=0))
+        product = 0
+        for k in range(0, len(used), per_map):
+            ks = used[k : k + per_map]
+            product = product + chunk[:, ks] @ psi[base + (at - ks[:, None]) % period]
+        out[r : r + step] = ~np.logical_or.reduceat(product != 0, starts, axis=1)
+    return out
 
 
 def _cyclotomic_degree(lines: np.ndarray) -> np.ndarray:
     """sum of m_n phi(n) over the cyclotomic factors Phi_n^m_n of each row
-    of ``lines`` (ascending coefficients, nonzero rows), from one matrix
-    product with _cyclotomic_table.
+    of ``lines`` (ascending coefficients, nonzero rows).
 
     Phi_n is irreducible and its roots are simple, so m_n is the order of
-    zeta_n as a root, the least j with D_j f(zeta_n) != 0, that is with
-    block (n, j) of the product nonzero; the table's blocks reach that j,
-    since m_n phi(n) <= deg f < width.  The product is taken in int64 when
-    largest entry * largest |coefficient| * width proves it fits, else in
-    Python ints."""
+    zeta_n as a root: the least j with Phi_n not dividing the Hasse
+    derivative D_j f = sum_k C(k, j) f_k z^(k - j).  Level j tests D_j f
+    against the blocks n that divided every lower derivative, for the rows
+    that have one; no block divides past j = deg f / phi(n), since
+    m_n phi(n) <= deg f.  Level j is taken in int64 when
+    largest |map entry| * largest |coefficient| * C(width, j + 1), a bound
+    on |D_j f|'s coefficients added up times the map, proves it fits, else
+    in Python ints."""
     count, width = lines.shape
-    table, largest, starts, phis, firsts = _cyclotomic_table(width)
+    cofactors = _cyclotomic_cofactors(width - 1)
+    starts, phis, largest = cofactors[4:]
+    degree = np.zeros(count, dtype=np.int64)
     if not len(starts) or not count:
-        return np.zeros(count, dtype=np.int64)
-    if largest * int(np.abs(lines).max()) * width < 2**63:
-        product = lines.astype(np.int64) @ table
-    else:
-        product = lines.astype(object) @ table.astype(object)
-    nonzero = np.logical_or.reduceat(product != 0, starts, axis=1)
-    # seen[:, b]: nonzero blocks up to block b; block b of n and every block
-    # of n before it vanish when none is nonzero since n's first block
-    seen = np.cumsum(nonzero, axis=1)
-    vanish = seen == seen[:, firsts] - nonzero[:, firsts]
-    return vanish.astype(np.int64) @ phis
+        return degree
+    coeff = int(np.abs(lines).max())
+    rows = np.arange(count)
+    divides = np.ones((count, len(starts)), dtype=bool)
+    for j in range(width):
+        fits = largest * coeff * math.comb(width, j + 1) < 2**63
+        binom = np.array(
+            [math.comb(k, j) for k in range(j, width)],
+            dtype=np.int64 if fits else object,
+        )
+        divides &= _cyclotomic_divides(lines[rows, j:] * binom, cofactors)
+        degree[rows] += divides @ phis
+        keep = divides.any(axis=1)
+        rows, divides = rows[keep], divides[keep]
+        if not len(rows):
+            break
+    return degree
 
 
-def screen_lines(lines: np.ndarray) -> tuple:
-    """(exact_one, bound) for each row of ``lines``, the ascending
-    coefficients of a one-variable integer polynomial with a nonzero
-    constant term, zero-padded to one width.
+def line_bounds(lines: np.ndarray) -> tuple:
+    """A lower bound for the Mahler measure of each row of ``lines``, the
+    ascending coefficients of a one-variable integer polynomial with a
+    nonzero constant term, zero-padded to one width; and each row's degree.
 
-    ``bound`` is measure_lower_bound of the row as a float array.
-    ``exact_one`` says whether the Mahler measure is 1: by Kronecker's
-    theorem exactly when the row is +-1 times a product of cyclotomic
-    polynomials.  That needs bound 1, so |lead| = 1, and then holds iff
-    the cyclotomic factors' degrees (_cyclotomic_degree) add up to the
-    row's degree: their product divides the row and is monic.
+    M(p) >= |lead| and M(p) >= |p(0)|; by Smyth (1971) M(p) >= SMYTH_THETA0
+    when p is not reciprocal up to sign.  The constant is a float, so the
+    bound holds up to one rounding.
     """
-    lines = np.asarray(lines)
     count, width = lines.shape
     top = width - 1 - (lines[:, ::-1] != 0).argmax(axis=1)
     # rev[r]: row r reversed up to its degree; reciprocal up to sign is
@@ -333,9 +359,35 @@ def screen_lines(lines: np.ndarray) -> tuple:
     lead = np.abs(lines[np.arange(count), top])
     bound = np.maximum(np.abs(lines[:, 0]), lead).astype(float)
     bound[~reciprocal] = np.maximum(bound[~reciprocal], SMYTH_THETA0)
+    return bound, top
+
+
+def screen_lines(lines: np.ndarray) -> tuple:
+    """(exact_one, bound) for each row of ``lines``, as in line_bounds.
+
+    ``bound`` is line_bounds of the row.  ``exact_one`` says whether the
+    Mahler measure is 1: by Kronecker's theorem exactly when the row is +-1
+    times a product of cyclotomic polynomials.  That needs bound 1, so
+    |lead| = 1, and then holds iff the cyclotomic factors' degrees
+    (_cyclotomic_degree) add up to the row's degree: their product divides
+    the row and is monic.
+    """
+    lines = np.asarray(lines)
+    bound, top = line_bounds(lines)
     exact_one = bound == 1.0
     exact_one[exact_one] = _cyclotomic_degree(lines[exact_one]) == top[exact_one]
     return exact_one, bound
+
+
+def pad_lines(lines: list, width: int) -> np.ndarray:
+    """Ascending integer coefficient lists as the rows of one array,
+    zero-padded to ``width``: int64 when every coefficient fits, else
+    Python ints."""
+    fits = all(-(2**63) < x < 2**63 for c in lines for x in c)
+    padded = [c + [0] * (width - len(c)) for c in lines]
+    return np.array(padded, dtype=np.int64 if fits else object).reshape(
+        len(lines), width
+    )
 
 
 def is_cyclotomic_product(coeffs: list) -> bool:
@@ -343,21 +395,14 @@ def is_cyclotomic_product(coeffs: list) -> bool:
     cyclotomic polynomials, which by Kronecker's theorem is exactly when its
     Mahler measure is 1: screen_lines of its one row, z**k dropped."""
     c = _strip_monomial(coeffs)
-    return bool(c) and bool(screen_lines(np.array([c]))[0][0])
+    return bool(c) and bool(screen_lines(pad_lines([c], len(c)))[0][0])
 
 
 def measure_lower_bound(coeffs: list) -> float:
-    """A lower bound for the Mahler measure of a nonzero integer polynomial.
-
-    M(p) >= |lead| and M(p) >= |p(0)| once the z**k factor is dropped; by
-    Smyth (1971) M(p) >= SMYTH_THETA0 when p is not reciprocal up to sign.
-    The constant is a float, so the bound holds up to one rounding.
-    """
+    """A lower bound for the Mahler measure of a nonzero integer polynomial:
+    line_bounds of its one row, z**k dropped."""
     c = _strip_monomial(coeffs)
-    bound = max(abs(c[0]), abs(c[-1]))
-    if not _is_reciprocal(c):
-        bound = max(bound, SMYTH_THETA0)
-    return float(bound)
+    return float(line_bounds(pad_lines([c], len(c)))[0][0])
 
 
 def line_coeffs(terms: dict) -> list | None:
@@ -389,26 +434,34 @@ def line_coeffs(terms: dict) -> list | None:
     return out
 
 
-def face_lower_bound(terms: dict) -> float:
-    """A lower bound for the Mahler measure of a nonzero integer Laurent
-    polynomial in any number of variables, given as {exponents: coeff}.
+def face_lines(terms: dict) -> list:
+    """Lines (line_coeffs) whose measures bound the Mahler measure of a
+    nonzero integer Laurent polynomial in any number of variables, given as
+    {exponents: coeff}, from below.
 
     By Jensen's formula along one axis, M(p) >= M(c) for c the coefficient
     of the highest or of the lowest power of that axis, itself a polynomial
     in the other axes.  Faces are taken recursively until the support is
-    collinear, where ``measure_lower_bound`` applies.
+    collinear; a collinear polynomial is its own line.
     """
     line = line_coeffs(terms)
     if line is not None:
-        return measure_lower_bound(line)
-    bound = 1.0
+        return [line]
+    out = []
     for a in range(len(next(iter(terms)))):
         levels = {e[a] for e in terms}
         if len(levels) > 1:
             for level in (min(levels), max(levels)):
-                face = {e: c for e, c in terms.items() if e[a] == level}
-                bound = max(bound, face_lower_bound(face))
-    return bound
+                out += face_lines({e: c for e, c in terms.items() if e[a] == level})
+    return out
+
+
+def face_lower_bound(terms: dict) -> float:
+    """A lower bound for the Mahler measure of a nonzero integer Laurent
+    polynomial, given as {exponents: coeff}: the largest line_bounds of its
+    face_lines."""
+    lines = face_lines(terms)
+    return float(line_bounds(pad_lines(lines, max(map(len, lines))))[0].max())
 
 
 def squarefree_decomposition(coeffs: list) -> list:

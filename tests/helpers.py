@@ -12,11 +12,11 @@ from fkdet.exact_linalg import charpoly_berkowitz, det_exact
 from fkdet.fk_finite import FiniteGroup
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
+    SMYTH_THETA0,
     UNIT_BAND,
     _cyclotomic,
     _cyclotomic_orders,
     _div_exact,
-    _is_reciprocal,
     _strip_monomial,
     mahler_measure,
     squarefree_decomposition,
@@ -138,6 +138,23 @@ def cyclotomic_reference(d):
         assert not any(p)
         p = q
     return tuple(p)
+
+
+def _is_reciprocal(c: list) -> bool:
+    """c_i = e * c_(deg - i) for one sign e."""
+    rev = c[::-1]
+    return c == rev or c == [-x for x in rev]
+
+
+def measure_bound_reference(coeffs) -> float:
+    """mahler.measure_lower_bound in scalar arithmetic: max(|lead|, |p(0)|)
+    once z**k is dropped, raised to SMYTH_THETA0 off the polynomials that
+    are reciprocal up to sign."""
+    c = _strip_monomial(coeffs)
+    bound = max(abs(c[0]), abs(c[-1]))
+    if not _is_reciprocal(c):
+        bound = max(bound, SMYTH_THETA0)
+    return float(bound)
 
 
 def cyclotomic_product_oracle(coeffs) -> bool:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,11 +45,15 @@ from fkdet.mahler import (
     line_coeffs,
     mahler_jensen,
     mahler_measure,
-    measure_lower_bound,
 )
 from fkdet.values import FKValue, Radical
 
-from helpers import cyclotomic_product_oracle, rand_poly, symmetric_group_3
+from helpers import (
+    cyclotomic_product_oracle,
+    measure_bound_reference,
+    rand_poly,
+    symmetric_group_3,
+)
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
 LEHMER_MEASURE = 1.176280818259917
@@ -894,13 +899,13 @@ def test_face_bound_stays_under_the_measure(rank):
 
 def _screen_reference(ctx, vec):
     """The exact screen of one element row by row: its line (collinear
-    support) gets measure_lower_bound and, at bound 1, the trial-division
-    oracle; any other element its face bound."""
+    support) gets the scalar measure bound and, at bound 1, the
+    trial-division oracle; any other element its face bound."""
     terms = {ctx.exps[i]: c for i, c in enumerate(vec) if c}
     line = line_coeffs(terms)
     if line is None:
         return False, face_lower_bound(terms) * lehmer_scan._FACE_SLACK
-    bound = measure_lower_bound(line)
+    bound = measure_bound_reference(line)
     if bound == 1.0 and cyclotomic_product_oracle(line):
         return True, 1.0
     return False, bound * lehmer_scan._BOUND_SLACK
@@ -938,8 +943,7 @@ def test_block_screen_matches_the_per_row_reference(space, bound_one, det_one):
 
 def test_one_row_screen_of_a_degree_60_line():
     # an element the stream did not put in ctx.screens is screened as a
-    # block of one row; at width 61 with a coefficient 2 the cyclotomic
-    # test runs in Python ints
+    # block of one row
     ctx = _LaurentSpace(zd_space((60,), coeff_bound=2, support=3))
     for terms in (
         {0: 1, 30: -2, 60: 1},  # (z^30 - 1)^2
@@ -950,6 +954,22 @@ def test_one_row_screen_of_a_degree_60_line():
     ):
         vec = tuple(terms.get(e, 0) for e in range(61))
         assert ctx.screen(vec) == _screen_reference(ctx, vec), terms
+
+
+def test_wide_support_capped_scan_holds_little_memory():
+    # the cyclotomic test of a degree-100 line builds the map's rows at the
+    # line's terms only, in chunks; a table over the whole width took over
+    # 100 MB.  Trial division peaked at 2.0 MB traced on this scan, the
+    # block screen at 2.6 MB.  Its report is pinned by
+    # test_scan_reports_match_their_goldens.
+    tracemalloc.start()
+    try:
+        report = scan(zd_space((100,), support=2), "lambda_1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.count_det_one == report.count_examined == 201
+    assert peak < 6 * 2**20
 
 
 def test_z3_element_scan_measures_by_fibrewise_jensen():
@@ -1245,6 +1265,8 @@ GOLDEN_SCANS = [
     ("box6-c2", zd_space((6,), coeff_bound=2), "lambda_1", {}),
     ("box12-s6", zd_space((12,), support=6), "lambda_1", {}),
     ("box10-b5000", zd_space((10,)), "lambda_1", {"budget": 5000}),
+    # a wide support-capped box: 201 cyclotomic lines up to degree 100
+    ("box100-s2", zd_space((100,), support=2), "lambda_1", {}),
     # a non-square regular_rep shape, whose weak scan takes the Gram route
     (
         "S3-1x2-s4-w",

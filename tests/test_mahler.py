@@ -19,7 +19,7 @@ from fkdet.mahler import (
     QUADRATURE_MAX_POINTS,
     SMYTH_THETA0,
     _cyclotomic,
-    _cyclotomic_table,
+    _cyclotomic_cofactors,
     _totient,
     default_bl_schedule,
     face_lower_bound,
@@ -38,6 +38,7 @@ from fkdet.mahler import (
 
 from helpers import (
     cyclotomic_product_oracle,
+    measure_bound_reference,
     np_jensen_reference,
     np_roots_reference,
     rand_poly,
@@ -423,22 +424,57 @@ def test_cyclotomic_block_test_rejects_near_misses():
 
 
 def test_cyclotomic_block_test_takes_python_ints_past_int64():
-    # width 61: the largest table entry is C(60, 30), and with a coefficient
-    # of magnitude 2 the product is proven to fit int64 no longer, so it is
-    # taken in Python ints (with magnitude 1 it still fits)
-    largest = _cyclotomic_table(61)[1]
-    assert largest == math.comb(60, 30)
-    assert largest * 61 < 2**63 <= largest * 2 * 61
+    # degree 40 with multiplicities up to 40: past the level j where
+    # largest |map entry| * largest |coefficient| * C(41, j + 1) reaches
+    # 2^63 the Hasse derivatives are taken in Python ints
+    top = math.comb(40, 20)
+    assert _cyclotomic_cofactors(40)[-1] * top * math.comb(41, 8) >= 2**63
     lines = [
-        _spread([1, -2, 1], 30),  # (z^30 - 1)^2
-        _spread([-1, 3, -3, 1], 20),  # (z^20 - 1)^3
-        _spread([1, 1], 60),  # z^60 + 1
-        _conv(_spread(LEHMER_COEFFS, 5), _power([-1, 1], 2)),
-        _conv(_spread([1, -2, 1], 29), [1, 1, 1]),
-        _spread([1, 1, -2, 1, 1], 15),
+        _power([-1, 1], 40),  # (z - 1)^40
+        _spread(_power([-1, 1], 20), 2),  # (z^2 - 1)^20
+        _conv(_power([-1, 1], 30), LEHMER_COEFFS),
+        _conv(_power([1, 1], 36), _power([1, 1, 1], 2)),
+        _conv(_power([-1, 1], 39), [1, 1]),
     ]
-    assert max(abs(c) for line in lines for c in line) == 3
-    assert _cyclotomic_block_agrees(lines)[:5] == [True, True, True, False, True]
+    moved = _power([-1, 1], 40)
+    moved[20] += 1
+    lines.append(moved)
+    assert max(abs(c) for line in lines for c in line) == top + 1
+    assert _cyclotomic_block_agrees(lines) == [True, True, False, True, True, False]
+
+
+def test_cyclotomic_block_test_is_the_same_in_any_chunks(monkeypatch):
+    # the map's rows and the product go in chunks of at most
+    # _CYCLOTOMIC_CELLS cells; one cell a chunk, one row and one exponent a
+    # step, decides as one chunk does
+    rng = random.Random(18)
+    products = rng.sample(_products_to_16(), 300)
+    lehmer = [_conv(LEHMER_COEFFS, p) for p in products if len(p) <= 7][:100]
+    lines = [p + [0] * (17 - len(p)) for p in products + lehmer]
+    whole = screen_lines(np.array(lines))[0].tolist()
+    assert 0 < sum(whole) < len(lines)
+    monkeypatch.setattr(fkdet.mahler, "_CYCLOTOMIC_CELLS", 1)
+    assert screen_lines(np.array(lines))[0].tolist() == whole
+
+
+def test_cyclotomic_test_of_a_wide_sparse_row_stays_small():
+    # a support-capped row of degree 200 reads the map only at its terms:
+    # the cached generator holds sum of n over phi(n) <= 200 entries, not a
+    # table of the width times the map's columns
+    psi, base = _cyclotomic_cofactors(200)[:2]
+    assert (len(psi), len(base)) == (91759, 40244)
+    lehmer = dict(zip(range(0, 201, 20), LEHMER_COEFFS))
+    for terms, cyclotomic in [
+        ({0: 1, 200: -1}, True),  # z^200 - 1
+        ({0: 1, 100: 2, 200: 1}, True),  # (z^100 + 1)^2
+        ({0: 1, 100: 3, 200: 1}, False),
+        ({0: 1, 70: 1, 130: 1, 200: 1}, True),  # (z^70 + 1)(z^130 + 1)
+        ({0: 1, 99: -1, 101: -1, 200: 1}, True),  # (z^99 - 1)(z^101 - 1)
+        (dict(zip(range(0, 201, 20), _power([-1, 1], 10))), True),  # (z^20 - 1)^10
+        (lehmer, False),  # Lehmer's polynomial at z^20
+    ]:
+        coeffs = [terms.get(k, 0) for k in range(201)]
+        assert is_cyclotomic_product(coeffs) == cyclotomic, terms
 
 
 def test_measure_lower_bound():
@@ -446,6 +482,15 @@ def test_measure_lower_bound():
     assert measure_lower_bound([0, 0, 1, 1, 0]) == 1.0  # z^2 (1 + z)
     assert measure_lower_bound([1, 0, 0, 3]) == 3.0
     assert measure_lower_bound([2, 1, 2]) == 2.0
+    # coefficients past int64 are read as Python ints, not floats
+    assert measure_lower_bound([1, 2**64 - 1, 1]) == 1.0
+    assert measure_lower_bound([1, 2**64 - 1, 2**64 - 1]) == float(2**64 - 1)
+    assert not is_cyclotomic_product([1, 2**64 - 1, 1])
+    rng = random.Random(7)
+    for _ in range(300):
+        p = [rng.randint(-3, 3) for _ in range(rng.randint(1, 9))]
+        if any(p):
+            assert measure_lower_bound(p) == measure_bound_reference(p), p
     # Smyth's constant is the measure of z^3 - z - 1 to the last digit
     theta = mahler_jensen(parse_polynomial("z^3 - z - 1")).value
     assert theta == pytest.approx(SMYTH_THETA0, rel=1e-15)
