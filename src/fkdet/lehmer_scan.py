@@ -44,6 +44,7 @@ from .laurent import (
     parse_polynomial,
 )
 from .mahler import (
+    SMYTH_THETA0,
     face_lines,
     line_bounds,
     line_coeffs,
@@ -76,7 +77,8 @@ DET_CHUNK_ENTRIES = 1024 * 36
 
 # a scan measures the candidates due for it whenever this many more canonical
 # candidates have streamed past, and at the end of the stream; a longer wait
-# leaves the cutoff stale, and held candidates pile up meanwhile
+# leaves the cutoff stale, and held candidates pile up meanwhile.  Candidates
+# a reciprocal-first stream drops never stream, so they do not count here
 MEASURE_CHUNK = 1024
 
 # exact measure lower bounds are scaled by this before they rule a candidate
@@ -89,6 +91,13 @@ _BOUND_SLACK = 1.0 - 1e-9
 # so an element whose measure equals its face bound (2 - z2 + z2*z3 measures
 # exactly 2 and reads 4.6e-9 low) is still measured
 _FACE_SLACK = 1.0 - 1e-3
+
+# by Smyth (1971) a non-reciprocal integer polynomial with p(0) != 0 has
+# M(p) >= SMYTH_THETA0, so the screen bounds every non-reciprocal element of
+# a Z scan by at least this; once the cutoff is below it, such an element can
+# be neither determinant one, nor measured, nor held, and a Z element scan
+# streams only the reciprocal ones (up to sign) from then on
+RECIPROCAL_CUTOFF = SMYTH_THETA0 * _BOUND_SLACK
 
 
 @dataclass(frozen=True)
@@ -521,6 +530,11 @@ class _LaurentSpace:
         # the exact screen of each canonical element, by its vector, put here
         # by _canonical_mask block by block and taken by screen
         self.screens: dict = {}
+        # set by scan once only reciprocal elements can matter: from the next
+        # block on, _orbit_mask keeps only canonical rows reciprocal up to
+        # sign and adds the ones it drops to skipped, which scan takes
+        self.reciprocal_only = False
+        self.skipped = 0
         # the shifted-down adjoint of a square matrix as a gather, one index
         # row per top exponent: the adjoint transposes the matrix and sends
         # z^e to z^-e, so shifted down, entry k's coefficient at e is entry
@@ -556,7 +570,9 @@ class _LaurentSpace:
         return keep
 
     def _orbit_mask(self, block: np.ndarray) -> np.ndarray:
-        """Which rows of ``block`` are the greatest member of their orbit."""
+        """Which rows of ``block`` are the greatest member of their orbit;
+        under ``reciprocal_only``, the ones whose shifted-down adjoint is
+        also +-the row."""
         box = self.space.box
         # nonzero[r, k, *e]: whether row r has a term at exponent e in entry k
         nonzero = (block != 0).reshape(len(block), -1, *(b + 1 for b in box))
@@ -576,7 +592,15 @@ class _LaurentSpace:
             padded = np.concatenate([rows, np.zeros_like(rows[:, :1])], axis=1)
             gather = self.adjoint.take(top[kept], axis=0)
             images = (np.take_along_axis(padded, gather, axis=1),)
-        keep[kept] = _orbit_greatest(rows, images)
+        canonical = _orbit_greatest(rows, images)
+        if self.reciprocal_only:
+            # over Z the shifted-down adjoint of an element with a constant
+            # term is its reversal
+            (image,) = images
+            reciprocal = (image == rows).all(axis=1) | (image == -rows).all(axis=1)
+            self.skipped += int(np.count_nonzero(canonical & ~reciprocal))
+            canonical &= reciprocal
+        keep[kept] = canonical
         return keep
 
     def matrix(self, vec: tuple) -> GroupRingMatrix:
@@ -745,6 +769,20 @@ def scan(
     each held candidate; results are recorded in enumeration order, so the
     report is that of measuring each at once.  A ``one_threshold`` that is
     negative or not finite is refused.
+
+    A scan of single elements over Z goes reciprocal-first.  By Smyth
+    (1971) a non-reciprocal integer polynomial with a constant term has
+    measure at least SMYTH_THETA0, so the first time a measurement leaves
+    the cutoff below RECIPROCAL_CUTOFF, the stream keeps only the canonical
+    elements that are reciprocal up to sign, from its next block on.  Each
+    element it drops is counted from the orbit mask as examined and
+    admitted, as the full stream would have counted it before its bound
+    ruled it out, so the report is the full stream's.  A survey, or a
+    threshold with 1 + one_threshold >= RECIPROCAL_CUTOFF, never switches,
+    since the cutoff never falls below the floor; neither does a scan that
+    its budget might stop: the switch needs a proven bound on the canonical
+    elements, b (2b + 1)^box for bound b (a positive constant term) and half
+    the raw count, within the budget.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -771,6 +809,15 @@ def scan(
         )
 
     ctx = _context(space)
+    # the budget must not stop a scan that switches: canonical elements have
+    # a positive first coefficient, the constant term over Z
+    b = space.coeff_bound
+    reciprocal_first = (
+        space.group is None
+        and space.rank == 1
+        and space.shape == (1, 1)
+        and min(b * (2 * b + 1) ** space.box[0], raw // 2) <= budget
+    )
 
     examined = 0
     evaluated = 0
@@ -815,8 +862,20 @@ def scan(
         for (index, vec), result in zip(pending, results):
             record(index, vec, *result)
         pending.clear()
+        if reciprocal_first and cutoff < RECIPROCAL_CUTOFF:
+            ctx.reciprocal_only = True
+
+    def take_skipped():
+        # the elements the reciprocal-first stream dropped: each is admitted
+        # and, its bound above the cutoff, neither decided nor held
+        nonlocal examined, evaluated
+        examined += ctx.skipped
+        evaluated += ctx.skipped
+        ctx.skipped = 0
 
     for streamed, vec in enumerate(ctx.stream(), 1):
+        if reciprocal_first:
+            take_skipped()
         screen = ctx.screen(vec)
         admit = not weak or screen is not None or ctx.injective(vec)
         if admit and evaluated >= budget:
@@ -837,6 +896,8 @@ def scan(
         # scan's memo holds the determinants of one det_batch chunk at a time
         if streamed % MEASURE_CHUNK == 0:
             flush()
+    if reciprocal_first:
+        take_skipped()
     flush()
 
     # record rebinds held when the cutoff falls; this walks the list as it

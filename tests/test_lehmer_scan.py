@@ -256,8 +256,10 @@ def test_z_scan_finds_lehmer_polynomial(monkeypatch):
     # infimum, so none of them is measured (1 221 measures without holding)
     assert calls == 426
     # measured every MEASURE_CHUNK streamed candidates, and at the end: a
-    # cutoff left stale longer lets held candidates pile up
-    assert batches == math.ceil(29888 / lehmer_scan.MEASURE_CHUNK)
+    # cutoff left stale longer lets held candidates pile up.  The first
+    # measurement finds a value below Smyth's constant, so from the next block
+    # on only reciprocal candidates stream: 4 655 of the 29 888
+    assert batches == math.ceil(4655 / lehmer_scan.MEASURE_CHUNK)
     assert report.infimum_found.value == pytest.approx(LEHMER_MEASURE, abs=1e-9)
     assert report.infimum_found.value >= LEHMER_FLOOR
     assert parse_polynomial(report.witness["text"]) == parse_polynomial(LEHMER)
@@ -281,6 +283,99 @@ def test_z_scan_keeps_the_smyth_tie():
     exact_one, bound = _LaurentSpace(space).screen((-1, -1, 0, 1))
     assert not exact_one
     assert bound < report.infimum_found.value
+
+
+def _scan_and_context(monkeypatch, space, variant, **options):
+    """The report of a scan and the enumeration context it ran in."""
+    contexts = []
+    make = lehmer_scan._context
+    monkeypatch.setattr(
+        lehmer_scan, "_context", lambda s: contexts.append(make(s)) or contexts[-1]
+    )
+    report = scan(space, variant, **options)
+    monkeypatch.setattr(lehmer_scan, "_context", make)
+    return report, contexts[0]
+
+
+@pytest.mark.parametrize(
+    "space, variant, switches",
+    [
+        (zd_space((11,)), "lambda_1", True),
+        (zd_space((12,)), "lambda_1", True),
+        (zd_space((8,), coeff_bound=2), "lambda_1", True),
+        (zd_space((10,)), "lambda_w_1", True),
+        (zd_space((16,), support=5), "lambda_1", True),
+        # trinomials attain Smyth's constant (1 - z^26 + z^39 is the witness)
+        # and come no lower, so this scan never switches
+        (zd_space((40,), support=3), "lambda_1", False),
+    ],
+    ids=["box11", "box12", "box8-c2", "box10-w1", "box16-s5", "box40-s3"],
+)
+def test_reciprocal_first_stream_reports_what_the_full_stream_does(
+    monkeypatch, space, variant, switches
+):
+    # the report is that of the full stream, which a cutoff of 0 keeps on
+    report, ctx = _scan_and_context(monkeypatch, space, variant)
+    assert ctx.reciprocal_only == switches
+    assert ctx.skipped == 0
+    assert (report.infimum_found.value < SMYTH_THETA0 * (1 - 1e-9)) == switches
+    monkeypatch.setattr(lehmer_scan, "RECIPROCAL_CUTOFF", 0.0)
+    full, full_ctx = _scan_and_context(monkeypatch, space, variant)
+    assert not full_ctx.reciprocal_only
+    assert json.dumps(report.as_json()) == json.dumps(full.as_json())
+
+
+@pytest.mark.parametrize(
+    "space, options",
+    [
+        # the survey floor 1.5 lies above Smyth's constant
+        (zd_space((8,)), {"survey": True}),
+        # so does a floor 1 + 0.4
+        (zd_space((9,)), {"one_threshold": 0.4}),
+        # 3^10 canonical candidates might exceed the budget
+        (zd_space((10,)), {"budget": 5000}),
+        (zd_space((10,)), {"budget": 3**10 - 1}),
+    ],
+    ids=["survey", "threshold", "budget-stopped", "budget-short"],
+)
+def test_reciprocal_first_stream_does_not_switch(monkeypatch, space, options):
+    report, ctx = _scan_and_context(monkeypatch, space, "lambda_1", **options)
+    assert not ctx.reciprocal_only
+    monkeypatch.setattr(lehmer_scan, "RECIPROCAL_CUTOFF", 0.0)
+    full, _ = _scan_and_context(monkeypatch, space, "lambda_1", **options)
+    assert json.dumps(report.as_json()) == json.dumps(full.as_json())
+
+
+def test_budget_at_the_canonical_bound_switches(monkeypatch):
+    # 3^10 bounds the canonical candidates of box 10, so this budget cannot
+    # stop the scan (29 888 are canonical) and the stream may switch
+    space = zd_space((10,))
+    report, ctx = _scan_and_context(monkeypatch, space, "lambda_1", budget=3**10)
+    assert ctx.reciprocal_only
+    assert not report.budget_exceeded
+    assert report.count_examined == 29888
+
+
+def _reciprocal_up_to_sign(vec):
+    c = list(vec[: max(i for i, x in enumerate(vec) if x) + 1])
+    return c[::-1] in (c, [-x for x in c])
+
+
+def test_reciprocal_only_mask_drops_and_counts_the_non_reciprocal_rows():
+    # every block's mask under reciprocal_only keeps the canonical rows that
+    # are reciprocal up to sign, and counts the other canonical rows
+    space = zd_space((8,))
+    ctx = _LaurentSpace(space)
+    ctx.reciprocal_only = True
+    kept = []
+    for block in _vector_blocks(space.positions(), 1, None):
+        kept += [tuple(r) for r in block[ctx._canonical_mask(block)].tolist()]
+    canonical = _orbit_representatives(space)
+    reciprocal = [v for v in canonical if _reciprocal_up_to_sign(v)]
+    assert kept == reciprocal
+    assert ctx.skipped == len(canonical) - len(reciprocal) > 0
+    # the screens memo holds the kept rows only
+    assert set(ctx.screens) == set(reciprocal)
 
 
 def _orbit_representatives(space):

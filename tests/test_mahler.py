@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fkdet.mahler
+from fkdet.exact_linalg import _word_prime
 from fkdet.laurent import LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
     FIBRE_GRID,
@@ -20,6 +21,10 @@ from fkdet.mahler import (
     SMYTH_THETA0,
     _cyclotomic,
     _cyclotomic_cofactors,
+    _cyclotomic_orders,
+    _primitive,
+    _proven_squarefree,
+    _squarefree_splits,
     _totient,
     default_bl_schedule,
     face_lower_bound,
@@ -42,6 +47,7 @@ from helpers import (
     np_jensen_reference,
     np_roots_reference,
     rand_poly,
+    sylvester_resultant,
 )
 
 LEHMER = "z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1"
@@ -121,6 +127,124 @@ def test_squarefree_reassembles():
         lead = p[-1]
         lead_r = rebuilt[-1]
         assert [x * lead for x in rebuilt] == [x * lead_r for x in p]
+
+
+# the prime the batched square-free proof works modulo
+P = _word_prime(0)
+
+
+def _squarefree_cases(rng):
+    """Square-free and repeated-factor polynomials with nonzero constant
+    terms: random ones with planted repeated factors, squares of cyclotomic
+    polynomials and of their products, and random square-free ones."""
+    out = []
+    for _ in range(300):
+        part = [rng.choice([-2, -1, 1, 2])] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+        part[-1] = part[-1] or 1
+        rest = [rng.choice([-1, 1, 3])] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+        rest[-1] = rest[-1] or -2
+        out.append(_conv(_power(part, rng.randint(2, 3)), rest))
+    for n in range(1, 40):
+        phi = list(_cyclotomic(n))
+        out += [_power(phi, 2), _conv(_power(phi, 2), list(_cyclotomic(n % 7 + 1)))]
+    for _ in range(300):
+        c = [rng.choice([-2, -1, 1])] + [rng.randint(-2, 2) for _ in range(rng.randint(1, 14))]
+        c[-1] = c[-1] or 1
+        out.append(c)
+    return out
+
+
+def _check_squarefree_proof(polys):
+    """_squarefree_splits of ``polys`` is Yun's, and every row
+    _proven_squarefree claims, stacked by degree, has Res(f, f') nonzero mod
+    P and a split of one factor of multiplicity 1; returns how many rows of
+    each kind (square-free by Yun, proven) there were."""
+    want = [squarefree_decomposition(c) for c in polys]
+    assert _squarefree_splits(polys) == want
+    by_degree = {}
+    for c, split in zip(polys, want):
+        if all(abs(x) < P for x in c):
+            by_degree.setdefault(len(c) - 1, []).append((c, split))
+    squarefree = sum(split == [(_primitive(c), 1)] for c, split in zip(polys, want))
+    proven = 0
+    for group in by_degree.values():
+        claims = _proven_squarefree(np.array([c for c, _ in group], dtype=np.int64))
+        for (c, split), claimed in zip(group, claims.tolist()):
+            if claimed:
+                proven += 1
+                assert split == [(_primitive(c), 1)], c
+                assert sylvester_resultant(tuple(c), tuple(_deriv(c))) % P, c
+    return squarefree, proven
+
+
+def _deriv(c):
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def test_squarefree_proof_never_claims_a_split_row():
+    squarefree, proven = _check_squarefree_proof(_squarefree_cases(random.Random(25)))
+    # the planted squares are never proven; most square-free rows are
+    assert 250 < proven <= squarefree < 400
+
+
+def test_squarefree_proof_leaves_abnormal_sequences_to_yun():
+    # square-free rows whose remainder sequence over Q drops a degree: an
+    # even polynomial's f' is odd, so the first remainder is even too
+    abnormal = [[1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 0, 1], [1, 0, -1, 0, 0, 0, 0, 0, 1]]
+    assert not _proven_squarefree(np.array(abnormal[:1] * 2)).any()
+    squarefree, proven = _check_squarefree_proof(abnormal + [[1, 2, 0, 1, 1]] * 2)
+    assert squarefree == 5 and proven == 2
+
+
+def test_squarefree_proof_needs_leads_prime_to_p():
+    # a lead divisible by P, alone or after a smaller term: f mod P has a
+    # lower degree, and the proof claims nothing about f
+    rows = np.array([[1, 1, P], [1, 1, 2 * P], [3, 0, -P], [1, 2, 1]], dtype=np.int64)
+    assert _proven_squarefree(rows).tolist() == [False, False, False, False]
+    # (z + 1)^2 + P z^3 is square-free; (z - 2)^2 (P z + 1) is not
+    for c in ([1, 2, 1, P], _conv(_conv([-2, 1], [-2, 1]), [1, P])):
+        assert not _proven_squarefree(np.array([c, c], dtype=np.int64)).any()
+    # a degree whose lead times the degree is divisible by P would need a
+    # degree of at least P, past any root finder; a lead of P - 1 is fine
+    assert _proven_squarefree(np.array([[1, P - 1]] * 2, dtype=np.int64)).all()
+    _check_squarefree_proof([[1, P - 1], [-1, 1 - P], [1, 1, P - 1], [2, 1, 1 - P]])
+
+
+def test_squarefree_proof_sends_big_coefficients_to_yun(monkeypatch):
+    # rows with a coefficient of 2^31 or more take Yun, whatever their
+    # degree group holds
+    seen = []
+    prove = fkdet.mahler._proven_squarefree
+
+    def spy(rows):
+        seen.extend(map(tuple, rows.tolist()))
+        return prove(rows)
+
+    monkeypatch.setattr(fkdet.mahler, "_proven_squarefree", spy)
+    big = [
+        _conv(_conv([2**40, 1], [2**40, 1]), [1, 1]),
+        [3, -(2**31), 1, 5],
+        [P, 1, 0, 1],
+        [1, 1, 0, -P],
+        [7, 2**64, 1, 2**63],
+    ]
+    small = [[1, 1, 0, 1], [1, 0, 1, 1], _conv([1, 1], [1, 1]) + [1]]
+    squarefree, proven = _check_squarefree_proof(big + small)
+    assert squarefree == 7 and proven == 3
+    assert {tuple(c) for c in small} <= set(seen)
+    assert not {tuple(c) for c in big} & set(seen)
+
+
+def test_squarefree_proof_keeps_one_row_degrees_on_yun(monkeypatch):
+    # a degree group of one row, as every roots_one_var call is, takes Yun
+    calls = []
+    monkeypatch.setattr(fkdet.mahler, "_proven_squarefree", calls.append)
+    assert _squarefree_splits([LEHMER_COEFFS, [1, 1, 1]]) == [
+        [(LEHMER_COEFFS, 1)],
+        [([1, 1, 1], 1)],
+    ]
+    roots_one_var(parse_polynomial(LEHMER))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +365,9 @@ def _batch_inputs(rng, count):
 def test_stacked_roots_match_np_roots_bit_for_bit():
     # one stacked companion solve per degree against np.roots and np.polyval
     # Newton steps, one polynomial at a time: the same roots, residuals and
-    # Jensen values, bit for bit
+    # Jensen values, bit for bit.  The batch proves 143 of its rows
+    # square-free modulo a word prime and sends the others to Yun; the
+    # single route sends every row to Yun
     polys = _batch_inputs(random.Random(19), 200)
     lines = [list(c) for c in polys]
     for c in lines:
@@ -374,6 +500,16 @@ def _spread(c, k):
 
 
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("degrees", [range(61), [200]], ids=["to60", "200"])
+def test_cyclotomic_orders_match_the_totient_definition(degrees):
+    # the sieve gives the tuple of every n with phi(n) <= D, searched up to
+    # 2 D^2 + 2 by _totient's trial factoring
+    for d in degrees:
+        want = tuple(n for n in range(1, 2 * d * d + 3) if _totient(n) <= d)
+        assert _cyclotomic_orders(d) == want, d
+        assert all(type(n) is int for n in want)
 
 
 def _products_to_16():
