@@ -46,6 +46,7 @@ from .fk_zd import (
     fk_det_zd,
     vn_dim_kernel_zd,
 )
+from .intpoly import squarefree_decomposition
 from .laurent import (
     GroupRingMatrix,
     LaurentPolynomial,
@@ -65,12 +66,7 @@ from .lehmer_scan import (
     torsion_bound_check,
     witness_value,
 )
-from .mahler import (
-    log_mahler_quadrature,
-    mahler_jensen,
-    roots_one_var,
-    squarefree_decomposition,
-)
+from .mahler import log_mahler_quadrature, mahler_jensen, roots_one_var
 from .values import FKValue, MahlerValue, Radical
 
 __all__ = [

@@ -50,9 +50,9 @@ from .lehmer_scan import (
     DEFAULT_ONE_THRESHOLD,
     VARIANTS,
     SearchSpace,
-    _matrix_text,
     constants_to_json,
     exact_constants,
+    matrix_text,
     scan,
     survey_to_csv,
     torsion_bound_check,
@@ -288,7 +288,7 @@ def _witness_text(witness: dict | None) -> str:
         return "none"
     if witness["kind"] == "element":
         return witness["text"]
-    return _matrix_text(witness["entries"], witness["rows"], witness["cols"])
+    return matrix_text(witness["entries"], witness["rows"], witness["cols"])
 
 
 def _run_scan(args):

@@ -20,18 +20,18 @@ Laurent ring from it.
 stack of square integer matrices at once, by Gaussian elimination modulo
 word-size primes, vectorised over the stack, and the Chinese remainder
 theorem.  The primes' product exceeds twice the stack's Hadamard bound, so
-every determinant, zero included, is exact.
+every determinant, zero included, is exact.  The word primes come from
+``intpoly.word_prime``, which the square-free proof of ``mahler`` uses too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-import functools
-from math import gcd, log2
+from math import lcm, log2
 
 import numpy as np
 
-from .values import _is_prime
+from .intpoly import word_prime
 
 Row = list
 Matrix = list
@@ -48,16 +48,11 @@ def mat_mul_exact(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _clear_denominators(rows: Matrix) -> tuple[Matrix, int]:
+def clear_denominators(rows: Matrix) -> tuple[Matrix, int]:
     """Scale each row to integers; returns the int matrix and the product of scales."""
-    out = []
-    total = 1
+    out, total = [], 1
     for row in rows:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                scale = scale * d // gcd(scale, d)
+        scale = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
         total *= scale
         out.append([int(x * scale) for x in row])
     return out, total
@@ -116,7 +111,7 @@ def rank_det_exact(rows: Matrix) -> tuple:
     if all(type(x) is int for row in rows for x in row):
         ints, scale = [list(row) for row in rows], 1
     else:
-        ints, scale = _clear_denominators(rows)
+        ints, scale = clear_denominators(rows)
     rank, last = eliminate(ints)
     if rank < len(rows) or (rows and len(rows[0]) != len(rows)):
         return rank, 0
@@ -175,16 +170,6 @@ def charpoly_berkowitz(rows: Matrix) -> list:
         v = new_v
     v.reverse()
     return v
-
-
-@functools.cache
-def _word_prime(i: int) -> int:
-    """The i-th prime below 2**31 in descending order, 2**31 - 1 at i = 0:
-    the product of two residues modulo any of them fits in int64."""
-    q = 2**31 - 1 if i == 0 else _word_prime(i - 1) - 2
-    while not _is_prime(q):
-        q -= 2
-    return q
 
 
 def _inverse_mod(x, p: int):
@@ -251,7 +236,7 @@ def det_batch(mats) -> list:
     need = float(np.log2(np.maximum(rows, 1.0)).sum(axis=1).max()) / 2 + 2
     primes, bits = [], 0.0
     while bits <= need:
-        primes.append(_word_prime(len(primes)))
+        primes.append(word_prime(len(primes)))
         bits += log2(primes[-1])
     total = _det_mod(a, primes[0]).tolist()
     m = primes[0]

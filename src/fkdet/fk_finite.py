@@ -10,14 +10,15 @@ Over a cyclic group, and over every quotient Z/n_1 x ... x Z/n_d of a
 determinant chain, a matrix with one row or one column skips the
 representation: its determinant is a norm, a product over the
 characters, which cyclic_norm (one modulus) and quotient_norm (several)
-compute from integer resultants.  cyclic_norm measures a whole list of
-orders, and the orders that read the same p share one pass: one residue
-t^n mod p*G and one search for the cyclotomic factors G of p.  All routes
-give exact radical values for integer inputs.  The regular representation
-is picked straight out of the matrix's flat coefficient vector by
-rep_getters, so a caller with many matrices of one shape, such as the
-Lehmer scan, hands those vectors to fk_det_kernel_flat and builds no group
-ring objects.
+compute from integer resultants; the polynomial arithmetic under them,
+the resultant included, is ``intpoly``'s.  cyclic_norm measures a whole
+list of orders, and the orders that read the same p share one pass: one
+residue t^n mod p*G and one search for the cyclotomic factors G of p.
+All routes give exact radical values for integer inputs.  The regular
+representation is picked straight out of the matrix's flat coefficient
+vector by rep_getters, so a caller with many matrices of one shape, such
+as the Lehmer scan, hands those vectors to fk_det_kernel_flat and builds no
+group ring objects.
 """
 
 from __future__ import annotations
@@ -30,14 +31,24 @@ import operator
 import numpy as np
 
 from .exact_linalg import (
-    _clear_denominators,
+    clear_denominators,
     eliminate,
     mat_mul_exact,
     mat_transpose,
     rank_det_exact,
 )
+from .intpoly import (
+    cyclotomic,
+    div_exact,
+    divisors,
+    poly_mul,
+    reduced_rem,
+    resultant,
+    t_power_mod,
+    totient,
+    trim,
+)
 from .laurent import parse_polynomial
-from .mahler import _cyclotomic, _div_exact, _pseudo_rem, _reduce, _totient, _trim
 from .values import FKValue, Radical, fk_exact
 
 # Largest regular representation, max(rows, cols) * order, that
@@ -102,9 +113,6 @@ class FiniteGroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
@@ -311,7 +319,7 @@ def format_element(x: FiniteGroupRingElement) -> str:
     """Readable form, highest element index first, e.g. 't^2 - t + 2'; over
     a Z/n table in t order the names are powers of t, as parse_element reads."""
     names = x.group.names
-    if _is_cyclic_table(x.group):
+    if is_cyclic_table(x.group):
         names = ("1", "t") + tuple("t^%d" % k for k in range(2, x.group.order))
     parts = []
     for i in range(x.group.order - 1, -1, -1):
@@ -334,7 +342,7 @@ def format_element(x: FiniteGroupRingElement) -> str:
 
 def parse_element(group: FiniteGroup, text: str) -> FiniteGroupRingElement:
     """Parse 't^2 - t + 2' over a table that is Z/n with element k = t^k."""
-    if not _is_cyclic_table(group):
+    if not is_cyclic_table(group):
         raise ValueError("element text needs a Z/n table with element k = t^k")
     poly = parse_polynomial(text, rank=1, letter="t")
     coeffs = [0] * group.order
@@ -516,62 +524,6 @@ def _radical_value(q, root: int, method: str) -> FKValue:
 # cyclic groups: norms from a resultant instead of the regular representation
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _t_power_mod(n: int, mod: list) -> tuple:
-    """t**n modulo mod as (numerator list, denominator), by repeated
-    squaring started at t**(n >> shift), the least shift that puts the
-    power below deg(mod), where it is its own residue."""
-    shift = 0
-    while n >> shift >= max(len(mod) - 1, 1):
-        shift += 1
-    num, den = [0] * (n >> shift) + [1], 1
-    for i in reversed(range(shift)):
-        num, den = _poly_mul(num, num), den * den
-        if n >> i & 1:
-            num = [0] + num
-        num, den = _reduce(num, den, mod)
-    return num, den
-
-
-def _resultant(a: list, b: list) -> int:
-    """|Res(a, b)| of two integer polynomials, ascending with nonzero
-    leading coefficients ([] is the zero polynomial).
-
-    The subresultant remainder sequence (Cohen, A Course in Computational
-    Algebraic Number Theory, Algorithm 3.3.7): each pseudo-remainder
-    lc(b)^(delta+1) a mod b, from _pseudo_rem, is divided exactly by
-    g h^delta, which keeps the coefficients at the size of minors of the
-    Sylvester matrix, in O(deg a * deg b) integer operations.
-    """
-    if not a or not b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    g = h = 1
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        r, den = _pseudo_rem(a, 1, b)
-        scale = b[-1] ** (delta + 1) // den
-        r = _trim([x * scale for x in r])
-        if not r:
-            return 0
-        div = g * h**delta
-        a, b = b, [x // div for x in r]
-        g = a[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
-    degree = len(a) - 1
-    return abs(b[0] ** degree // h ** (degree - 1)) if degree else 1
-
-
 def cyclic_norm(coeffs, orders) -> list:
     """For each order n in ``orders``: |prod p(zeta)| over the n-th roots
     of unity with p(zeta) != 0, and the number of roots with p(zeta) = 0,
@@ -618,10 +570,7 @@ def _cyclic_poly(coeffs, period: int) -> tuple:
     gaps += [(b - a, b) for a, b in zip(exps, exps[1:])]
     gaps.sort()
     low = gaps[-1][1]
-    scale = 1
-    for e in exps:
-        if isinstance(terms[e], Fraction):
-            scale = math.lcm(scale, terms[e].denominator)
+    scale = math.lcm(*(terms[e].denominator for e in exps if isinstance(terms[e], Fraction)))
     p = [0] * (period - gaps[-1][0] + 1)
     for e in exps:
         p[(e - low) % period] = int(terms[e] * scale)
@@ -636,7 +585,7 @@ def _cyclic_pass(p: list, orders: list) -> list:
     found once; g_n, the product of those with d | n, gives the zero roots
     of order n, deg g_n of them.  For h = (t^n - 1)/g_n,
     prod_{h(zeta)=0} p(zeta) is +-lc(p)^deg h times prod_{p(a)=0} h(a), a
-    resultant of p with any polynomial congruent to h mod p (_resultant);
+    resultant of p with any polynomial congruent to h mod p (resultant);
     ((t^n mod p*G) - 1)/g_n is one.  The residue t^n mod p*G carries from
     each order to the next, times t^(n - previous) while the orders rise
     and afresh when they fall, kept as an integer numerator over one
@@ -649,48 +598,43 @@ def _cyclic_pass(p: list, orders: list) -> list:
         return [(abs(p[0]) ** n, 1, 0) for n in orders]
     # the cyclotomic factors of p whose orders divide some order
     factors, cyclo = [], [1]
-    for d in sorted({d for n in orders for d in _divisors(n)}):
-        if _totient(d) > m:
+    for d in sorted({d for n in orders for d in divisors(n)}):
+        if totient(d) > m:
             continue
-        phi = list(_cyclotomic(d))
+        phi = list(cyclotomic(d))
         try:
-            _div_exact(p, phi)
+            div_exact(p, phi)
         except ValueError:
             continue
         factors.append((d, phi))
-        cyclo = _poly_mul(cyclo, phi)
-    mod = _poly_mul(p, cyclo)
+        cyclo = poly_mul(cyclo, phi)
+    mod = poly_mul(p, cyclo)
     stages, prev = [], 0
     for n in orders:
         # t^n mod p*G = num/den
         if not 0 < prev <= n:
-            num, den = _t_power_mod(n, mod)
+            num, den = t_power_mod(n, mod)
         elif n > prev:
-            step, step_den = _t_power_mod(n - prev, mod)
-            num, den = _reduce(_poly_mul(num, step), den * step_den, mod)
+            step, step_den = t_power_mod(n - prev, mod)
+            num, den = reduced_rem(poly_mul(num, step), den * step_den, mod)
         prev = n
         g = [1]
         for d, phi in factors:
             if n % d == 0:
-                g = _poly_mul(g, phi)
+                g = poly_mul(g, phi)
         # g_n is monic and divides t^n - 1 and p*G, so it divides the
         # integer numerator
         h = list(num)
         h[0] -= den
-        h = _trim(_div_exact(h, g))
+        h = trim(div_exact(h, g))
         # prod h(a) over the roots a of p is Res(p, h) / lc(p)^deg(h)
         # / den^m, up to sign
         stages.append((
-            abs(p[-1]) ** (n - len(g) + 1) * _resultant(p, h),
+            abs(p[-1]) ** (n - len(g) + 1) * resultant(p, h),
             abs(p[-1]) ** (len(h) - 1) * den**m,
             len(g) - 1,
         ))
     return stages
-
-
-def _divisors(n: int) -> list:
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _eliminate_first(f: dict, d: int) -> dict:
@@ -704,7 +648,7 @@ def _eliminate_first(f: dict, d: int) -> dict:
     outrunning the degrees, the resultant's balanced digits in base 2B + 1
     are its coefficients.
     """
-    phi = list(_cyclotomic(d))
+    phi = list(cyclotomic(d))
     deg = len(phi) - 1
     rest = len(next(iter(f))) - 1
     radices = [deg * max(e[j] for e in f) + 1 for j in range(1, rest + 1)]
@@ -714,7 +658,7 @@ def _eliminate_first(f: dict, d: int) -> dict:
     g = [0] * (max(e[0] for e in f) + 1)
     for e, c in f.items():
         g[e[0]] += c * base ** sum(w * x for w, x in zip(weights, e[1:]))
-    value = _resultant(phi, g)
+    value = resultant(phi, g)
     if not rest:
         return {(): value} if value else {}
     out, pos = {}, 0
@@ -755,7 +699,7 @@ def _orbit_norms(f: dict, ds: tuple) -> tuple:
     mod t^L - 1).
     """
     lcm = math.lcm(*ds)
-    phi = list(_cyclotomic(lcm))
+    phi = list(cyclotomic(lcm))
     units = [u for u in range(1, lcm + 1) if math.gcd(u, lcm) == 1]
     choices = [[lcm // d * u for u in range(d) if math.gcd(u, d) == 1] for d in ds]
     seen: set = set()
@@ -767,7 +711,7 @@ def _orbit_norms(f: dict, ds: tuple) -> tuple:
         h = [0] * lcm
         for exps, c in f.items():
             h[sum(x * y for x, y in zip(e, exps)) % lcm] += c
-        value = _resultant(phi, _trim(h))
+        value = resultant(phi, trim(h))
         if value:
             norm *= value
         else:
@@ -815,7 +759,7 @@ def quotient_norm(coeffs: dict, moduli, cache: dict | None = None) -> tuple:
         cache = {}
     classes = cache.setdefault(tuple(order), {})
     norm, zeros = 1, 0
-    for ds in itertools.product(*(_divisors(moduli[j]) for j in order)):
+    for ds in itertools.product(*(divisors(moduli[j]) for j in order)):
         value = _class_product(f, ds, classes)
         if not value:
             value, lost = _orbit_norms(f, ds)
@@ -865,7 +809,7 @@ def cyclic_stages(entries, rows: int, moduli) -> list:
     return out
 
 
-def _is_cyclic_table(group: FiniteGroup) -> bool:
+def is_cyclic_table(group: FiniteGroup) -> bool:
     """Whether the table is Z/n with element k = t^k: identity 0 and row 1
     the shift b -> b + 1 mod n, from which t^a * t^b = t^(a+b) follows."""
     n = group.order
@@ -928,7 +872,7 @@ def fk_det_kernel_flat(
     """
     rows, cols = shape
     n = group.order
-    if takes_cyclic_norm(shape, n, lambda: _is_cyclic_table(group)):
+    if takes_cyclic_norm(shape, n, lambda: is_cyclic_table(group)):
         entries = [
             {(e,): c for e, c in enumerate(vec[k : k + n])} for k in range(0, len(vec), n)
         ]
@@ -939,7 +883,7 @@ def fk_det_kernel_flat(
     rank, d = rank_det_exact(rep)
     kernel = Fraction(rows * n - rank, n)
     if d:
-        return _rep_value(d, n, radicals), kernel
+        return rep_value(d, n, radicals), kernel
     if not singular_det:
         return None, kernel
     return gram_rep_value(rep, n, radicals), kernel
@@ -956,7 +900,7 @@ def gram_rep_value(rep, n: int, radicals) -> FKValue:
         gram = mat_mul_exact(rep, mat_transpose(rep))
     else:
         gram = mat_mul_exact(mat_transpose(rep), rep)
-    return _rep_value(_nonzero_eigen_product(gram), 2 * n, radicals)
+    return rep_value(_nonzero_eigen_product(gram), 2 * n, radicals)
 
 
 def _nonzero_eigen_product(gram):
@@ -969,14 +913,14 @@ def _nonzero_eigen_product(gram):
     characteristic polynomial takes O(N^4).
     """
     cols: list = []
-    eliminate(_clear_denominators(gram)[0], pivots=cols)
+    eliminate(clear_denominators(gram)[0], pivots=cols)
     picked = [[row[j] for j in cols] for row in gram]
     top = rank_det_exact(mat_mul_exact(mat_transpose(picked), picked))[1]
     sub = rank_det_exact([picked[i] for i in cols])[1]
     return Fraction(top, sub)
 
 
-def _rep_value(q, root: int, radicals) -> FKValue:
+def rep_value(q, root: int, radicals) -> FKValue:
     """_radical_value of the regular_rep route, looked up in ``radicals``
     (a dict, or None for no memo) before it is built."""
     if radicals is None:

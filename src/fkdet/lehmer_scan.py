@@ -26,12 +26,12 @@ from .fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
-    _is_cyclic_table,
-    _rep_value,
     fk_det_kernel_flat,
     format_element,
     gram_rep_value,
+    is_cyclic_table,
     rep_getters,
+    rep_value,
     takes_cyclic_norm,
 )
 from .fk_zd import fk_det_zd, vn_dim_kernel_zd
@@ -383,7 +383,7 @@ class _FiniteSpace:
         # REP_MAX_DIM here
         self.rep_index = None
         if self.rows == self.cols and not takes_cyclic_norm(
-            space.shape, n, lambda: _is_cyclic_table(self.group)
+            space.shape, n, lambda: is_cyclic_table(self.group)
         ):
             ids = tuple(range(p))
             self.rep_index = np.array([get(ids) for get in self.getters])
@@ -422,7 +422,7 @@ class _FiniteSpace:
         while chunk := list(itertools.islice(canonical, size)):
             dets = det_batch(np.array(chunk, dtype=np.int64)[:, self.rep_index])
             self.dets.update(
-                (vec, _rep_value(d, self.n, self.radicals) if d else 0)
+                (vec, rep_value(d, self.n, self.radicals) if d else 0)
                 for vec, d in zip(chunk, dets)
             )
             del dets
@@ -732,7 +732,7 @@ def _context(space: SearchSpace):
     return _FiniteSpace(space) if space.group is not None else _LaurentSpace(space)
 
 
-def _matrix_text(texts: list, rows: int, cols: int) -> str:
+def matrix_text(texts: list, rows: int, cols: int) -> str:
     """Row-major entry texts as the bracket text [a, b; c, d]."""
     return "[%s]" % "; ".join(
         ", ".join(texts[i * cols : (i + 1) * cols]) for i in range(rows)
@@ -846,7 +846,7 @@ def scan(
             text = (
                 texts[0]
                 if space.shape == (1, 1)
-                else _matrix_text(texts, *space.shape)
+                else matrix_text(texts, *space.shape)
             )
             rows.append((text, value.value))
         # ties keep the earliest candidate in enumeration order

@@ -6,7 +6,9 @@ square-free exactly (Yun decomposition over the integers, after a batched
 proof modulo a word prime that most need none) before any
 floating-point root finding, so repeated roots cost no precision; the
 roots of each square-free factor are then polished with Newton steps
-against the exact coefficients.
+against the exact coefficients.  The exact arithmetic, Yun's split and the
+word-prime proof included, is ``intpoly``'s; this module keeps what it
+builds on them: the batched split, the cyclotomic screen and the bounds.
 
 One companion routine, ``_companion_roots``, finds every root: it stacks
 the companion matrices of polynomials of one degree and takes their
@@ -34,11 +36,19 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .exact_linalg import _word_prime
+from .intpoly import (
+    cyclotomic,
+    div_exact,
+    gcd,
+    primitive,
+    proven_squarefree,
+    squarefree_decomposition,
+    trim,
+    word_prime,
+)
 from .laurent import LaurentPolynomial
 from .values import MahlerValue
 
@@ -93,131 +103,8 @@ SMYTH_THETA0 = 1.324717957244746
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (dense ascending coefficient lists)
-
-
-def _trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _deriv(coeffs: list) -> list:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _primitive(coeffs: list) -> list:
-    """Divide by the integer content and normalize the leading sign."""
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return []
-    out = [c // g for c in coeffs]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def _pseudo_rem(num: list, den: int, mod: list) -> tuple:
-    """num/den modulo mod, as a numerator list and a denominator, not
-    reduced.
-
-    Pseudo-division: where a division by the leading coefficient lc of mod
-    would be due, the rest of the numerator and the denominator are
-    multiplied by lc instead, so only integers occur and the cost hardly
-    depends on lc."""
-    dm = len(mod) - 1
-    lc = mod[-1]
-    r = list(num)
-    for k in range(len(r) - 1, dm - 1, -1):
-        c = r.pop()
-        if not c:
-            continue
-        if lc in (1, -1):
-            c *= lc
-        else:
-            r = [x * lc for x in r]
-            den *= lc
-        for i in range(dm):
-            r[k - dm + i] -= c * mod[i]
-    return r, den
-
-
-def _reduce(num: list, den: int, mod: list) -> tuple:
-    """num/den modulo mod (_pseudo_rem), as a numerator list and a positive
-    denominator in lowest terms."""
-    r, den = _pseudo_rem(num, den, mod)
-    g = math.gcd(den, *r)
-    if den < 0:
-        g = -g
-    return [x // g for x in r], den // g
-
-
-def _gcd_poly(a: list, b: list) -> list:
-    """Primitive gcd of integer polynomials via a primitive remainder sequence."""
-    a = _primitive(_trim(list(a)))
-    b = _primitive(_trim(list(b)))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _primitive(_trim(_pseudo_rem(a, 1, b)[0]))
-        a, b = b, r
-    return a
-
-
-def _div_exact(a: list, b: list) -> list:
-    """Exact quotient a / b of integer polynomials; ValueError unless b
-    divides a over the integers."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = _trim(list(a))
-    if not r:
-        return []
-    db = len(b) - 1
-    lb = b[-1]
-    width = len(r) - db
-    if width <= 0:
-        raise ValueError("quotient would be zero, division not exact")
-    q = [0] * width
-    for k in range(width - 1, -1, -1):
-        c, rem = divmod(r[db + k], lb)
-        if rem:
-            raise ValueError("polynomial division not exact over the integers")
-        q[k] = c
-        if c:
-            for i in range(db + 1):
-                r[k + i] -= c * b[i]
-    if any(r):
-        raise ValueError("polynomial division not exact")
-    return q
-
-
-@functools.cache
-def _cyclotomic(n: int) -> tuple:
-    """Phi_n, built by dividing z**n - 1 by Phi_d for every proper divisor d."""
-    p = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            p = _div_exact(p, _cyclotomic(d))
-    return tuple(p)
-
-
-def _totient(n: int) -> int:
-    out, m, f = n, n, 2
-    while f * f <= m:
-        if m % f == 0:
-            out -= out // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out -= out // m
-    return out
+# exact screens and square-free splits of integer polynomials (dense
+# ascending coefficient lists, on the kernel of intpoly)
 
 
 @functools.cache
@@ -236,7 +123,7 @@ def _cyclotomic_orders(degree: int) -> tuple:
 
 def _strip_monomial(coeffs: list) -> list:
     """Drop the z**k factor and trailing zeros of an ascending list."""
-    c = _trim(list(coeffs))
+    c = trim(list(coeffs))
     k = 0
     while k < len(c) and c[k] == 0:
         k += 1
@@ -262,9 +149,9 @@ def _cyclotomic_cofactors(degree: int) -> tuple:
     """
     psi, base, at, period, starts, phis = [], [], [], [], [], []
     for n in _cyclotomic_orders(degree):
-        cyclotomic = list(_cyclotomic(n))
-        phi = len(cyclotomic) - 1
-        cof = _div_exact([-1] + [0] * (n - 1) + [1], cyclotomic)
+        phi_n = list(cyclotomic(n))
+        phi = len(phi_n) - 1
+        cof = div_exact([-1] + [0] * (n - 1) + [1], phi_n)
         starts.append(len(at))
         phis.append(phi)
         base += [len(psi)] * phi
@@ -400,21 +287,6 @@ def pad_lines(lines: list, width: int) -> np.ndarray:
     )
 
 
-def is_cyclotomic_product(coeffs: list) -> bool:
-    """True iff the integer polynomial is +-z**k times a product of
-    cyclotomic polynomials, which by Kronecker's theorem is exactly when its
-    Mahler measure is 1: screen_lines of its one row, z**k dropped."""
-    c = _strip_monomial(coeffs)
-    return bool(c) and bool(screen_lines(pad_lines([c], len(c)))[0][0])
-
-
-def measure_lower_bound(coeffs: list) -> float:
-    """A lower bound for the Mahler measure of a nonzero integer polynomial:
-    line_bounds of its one row, z**k dropped."""
-    c = _strip_monomial(coeffs)
-    return float(line_bounds(pad_lines([c], len(c)))[0][0])
-
-
 def line_coeffs(terms: dict) -> list | None:
     """Ascending coefficients of a one-variable polynomial with the same
     measure, if the support is collinear; the substitution z -> z^v along a
@@ -427,9 +299,7 @@ def line_coeffs(terms: dict) -> list | None:
         return [terms[base]]
     diffs = [tuple(x - y for x, y in zip(e, base)) for e in pts[1:]]
     v = diffs[0]
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = math.gcd(*v)
     v = tuple(x // g for x in v)
     j0 = next(i for i, x in enumerate(v) if x)
     ts = [0]
@@ -466,95 +336,18 @@ def face_lines(terms: dict) -> list:
     return out
 
 
-def face_lower_bound(terms: dict) -> float:
-    """A lower bound for the Mahler measure of a nonzero integer Laurent
-    polynomial, given as {exponents: coeff}: the largest line_bounds of its
-    face_lines."""
-    lines = face_lines(terms)
-    return float(line_bounds(pad_lines(lines, max(map(len, lines))))[0].max())
-
-
-def squarefree_decomposition(coeffs: list) -> list:
-    """Yun decomposition of a primitive integer polynomial.
-
-    Returns [(factor, multiplicity)] with each factor primitive and
-    square-free, such that the product of factor**multiplicity equals the
-    input up to sign.
-    """
-    p = _primitive(_trim(list(coeffs)))
-    if len(p) <= 1:
-        return []
-    d = _deriv(p)
-    g = _gcd_poly(p, d)
-    if len(g) == 1:
-        return [(p, 1)]
-    w = _div_exact(p, g)
-    y = _div_exact(d, g)
-    dw = _deriv(w)
-    z = _trim([a - b for a, b in zip(y + [0] * len(dw), dw + [0] * len(y))])
-    out = []
-    i = 1
-    while len(w) > 1:
-        if i > len(coeffs):
-            raise AssertionError("square-free decomposition failed to terminate")
-        h = _gcd_poly(w, z)
-        if len(h) > 1:
-            out.append((h, i))
-            w = _div_exact(w, h)
-            z = _div_exact(z, h)
-        dw = _deriv(w)
-        z = _trim([zc - wc for zc, wc in zip(z + [0] * len(dw), dw + [0] * len(z))])
-        i += 1
-    return out
-
-
-def _proven_squarefree(rows: np.ndarray) -> np.ndarray:
-    """Which rows of ``rows`` are proven square-free over Q: integer
-    polynomials of one degree n >= 1 as ascending coefficients, each of
-    absolute value below p = _word_prime(0), as int64.
-
-    One fraction-free remainder sequence of f and f' runs modulo p over the
-    whole stack.  Each step takes (a, b), deg a = deg b + 1 = k + 1, to
-    (b, lb (lb a - la z b) - c b), with la, lb the leads and c the
-    coefficient of z^k in lb a - la z b: a remainder of a by b times the unit
-    lb^2 of F_p, so the gcd over F_p of each pair is that of f and f' mod p.
-    A row is proven when the leads of f and f' and of every remainder are
-    nonzero mod p, so each step drops the degree by one, down to a nonzero
-    constant.  Then gcd(f mod p, f' mod p) = 1 and Res(f mod p, f' mod p) is
-    nonzero.  Since p divides neither lead(f) nor n lead(f), the Sylvester
-    matrix of f mod p and f' mod p is that of f and f' reduced mod p, so
-    Res(f, f') is not 0 mod p, hence not 0: f and f' are coprime over Q, and
-    f is square-free.  Any other row is left to the Yun decomposition; it may
-    still be square-free.
-    """
-    p = _word_prime(0)
-    n = rows.shape[1] - 1
-    a = rows % p
-    b = rows[:, 1:] * np.arange(1, n + 1) % p
-    proven = (a[:, -1] != 0) & (b[:, -1] != 0)
-    zero = np.zeros_like(a[:, :1])
-    for k in range(n - 1, 0, -1):
-        # a - (la / lb) z b and then that minus its z^k term over lb times
-        # b, both scaled by lb: residues below 2^31 keep products in int64
-        la, lb = a[:, -1:], b[:, -1:]
-        a = (a[:, :-1] * lb - np.concatenate([zero, b[:, :-1]], axis=1) * la) % p
-        a, b = b, (a[:, :-1] * lb - a[:, -1:] * b[:, :-1]) % p
-        proven &= b[:, -1] != 0
-    return proven
-
-
 def _squarefree_splits(polys: list) -> list:
     """squarefree_decomposition of each integer polynomial, given as an
     ascending coefficient list with a nonzero lead.
 
     The polynomials of one degree whose coefficients lie below
-    _word_prime(0) in absolute value go through _proven_squarefree
-    together, and a proven one's split is [(_primitive(f), 1)], Yun's own
+    word_prime(0) in absolute value go through proven_squarefree
+    together, and a proven one's split is [(primitive(f), 1)], Yun's own
     answer for a square-free f; every other one takes Yun.  So does a
     degree with a single polynomial, such as a call of roots_one_var: on one
     row of degree 10 the stacked sequence takes about 160 us, Yun 66 us,
     and they break even at two to three rows (2-core Xeon)."""
-    p = _word_prime(0)
+    p = word_prime(0)
     by_degree: dict = {}
     for i, c in enumerate(polys):
         if len(c) > 1 and all(-p < x < p for x in c):
@@ -562,9 +355,9 @@ def _squarefree_splits(polys: list) -> list:
     splits: list = [None] * len(polys)
     for idx in by_degree.values():
         if len(idx) > 1:
-            proven = _proven_squarefree(np.array([polys[i] for i in idx], dtype=np.int64))
+            proven = proven_squarefree(np.array([polys[i] for i in idx], dtype=np.int64))
             for i in np.array(idx)[proven].tolist():
-                splits[i] = [(_primitive(list(polys[i])), 1)]
+                splits[i] = [(primitive(list(polys[i])), 1)]
     return [
         split if split is not None else squarefree_decomposition(c)
         for c, split in zip(polys, splits)
@@ -688,10 +481,7 @@ def roots_one_var(p: LaurentPolynomial) -> RootList:
         return RootList(lead_abs, (), low, 0.0)
     # clear denominators: scaling by a positive rational moves |c| but not
     # the roots, so factor the primitive integer polynomial
-    den = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
     ints = [int(c * den) for c in coeffs]
     [(roots, residual)] = _split_roots([ints])
     return RootList(lead_abs, roots, low, residual)
@@ -771,7 +561,7 @@ def _axis_content(p: LaurentPolynomial, axis: int) -> list:
     for coeffs in groups.values():
         dense = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
         den = math.lcm(*(Fraction(c).denominator for c in dense))
-        g = _strip_monomial(_gcd_poly(g, [int(c * den) for c in dense]))
+        g = _strip_monomial(gcd(g, [int(c * den) for c in dense]))
         if len(g) == 1:
             break
     return g

@@ -10,10 +10,11 @@ results carry a method tag and an error estimate instead.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .intpoly import primes_below, residue_moduli
 
 
 def integer_nth_root(n: int, k: int) -> int:
@@ -39,33 +40,6 @@ def integer_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
-
-
-@functools.cache
-def _residue_moduli(p: int) -> tuple:
-    """Two primes q = 1 mod p."""
-    out, q = [], 1
-    while len(out) < 2:
-        q += 2 * p
-        if _is_prime(q):
-            out.append(q)
-    return tuple(out)
-
-
-@functools.cache
-def _primes_below(size: int) -> tuple:
-    """The primes below ``size``, by a sieve of Eratosthenes; callers ask
-    for powers of two, so a few sieves serve every bit length."""
-    sieve = bytearray([1]) * size
-    sieve[: min(size, 2)] = bytes(min(size, 2))
-    for f in range(2, math.isqrt(size - 1) + 1):
-        if sieve[f]:
-            sieve[f * f :: f] = bytes(len(range(f * f, size, f)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
 def perfect_power(n: int) -> tuple[int, int]:
     """Write n >= 1 as m**k with k maximal; (n, 1) when n is not a power."""
     if n < 1:
@@ -75,9 +49,9 @@ def perfect_power(n: int) -> tuple[int, int]:
     # bit length.  A p-th power is a p-th power residue mod every prime
     # q = 1 mod p, which rules out almost every p before any root is taken
     k = 1
-    for p in _primes_below(1 << n.bit_length().bit_length()):
+    for p in primes_below(1 << n.bit_length().bit_length()):
         while p < n.bit_length() and all(
-            n % q == 0 or pow(n % q, (q - 1) // p, q) == 1 for q in _residue_moduli(p)
+            n % q == 0 or pow(n % q, (q - 1) // p, q) == 1 for q in residue_moduli(p)
         ):
             m = integer_nth_root(n, p)
             if m ** p != n:

@@ -10,16 +10,25 @@ import numpy as np
 import fkdet.fk_finite as fk_finite
 from fkdet.exact_linalg import charpoly_berkowitz, det_exact
 from fkdet.fk_finite import FiniteGroup
+from fkdet.intpoly import (
+    cyclotomic,
+    div_exact,
+    primitive,
+    pseudo_rem,
+    squarefree_decomposition,
+    trim,
+)
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
     SMYTH_THETA0,
     UNIT_BAND,
-    _cyclotomic,
     _cyclotomic_orders,
-    _div_exact,
     _strip_monomial,
+    face_lines,
+    line_bounds,
     mahler_measure,
-    squarefree_decomposition,
+    pad_lines,
+    screen_lines,
 )
 
 
@@ -146,8 +155,27 @@ def _is_reciprocal(c: list) -> bool:
     return c == rev or c == [-x for x in rev]
 
 
+def screen_row(coeffs) -> tuple:
+    """(exact_one, bound) of mahler.screen_lines on the one row of a nonzero
+    integer polynomial, z**k dropped: whether it is +-z**k times a product
+    of cyclotomic polynomials, and a lower bound for its Mahler measure."""
+    c = _strip_monomial(coeffs)
+    if not c:
+        return False, 0.0
+    exact_one, bound = screen_lines(pad_lines([c], len(c)))
+    return bool(exact_one[0]), float(bound[0])
+
+
+def face_bound(terms: dict) -> float:
+    """The largest mahler.line_bounds of the face_lines of a nonzero integer
+    Laurent polynomial, given as {exponents: coeff}: a lower bound for its
+    Mahler measure."""
+    lines = face_lines(terms)
+    return float(line_bounds(pad_lines(lines, max(map(len, lines))))[0].max())
+
+
 def measure_bound_reference(coeffs) -> float:
-    """mahler.measure_lower_bound in scalar arithmetic: max(|lead|, |p(0)|)
+    """The screen_row bound in scalar arithmetic: max(|lead|, |p(0)|)
     once z**k is dropped, raised to SMYTH_THETA0 off the polynomials that
     are reciprocal up to sign."""
     c = _strip_monomial(coeffs)
@@ -160,18 +188,37 @@ def measure_bound_reference(coeffs) -> float:
 def cyclotomic_product_oracle(coeffs) -> bool:
     """Whether the integer polynomial is +-z**k times a product of
     cyclotomic polynomials, by trial division by every Phi_n with
-    phi(n) <= degree: the reference for mahler.is_cyclotomic_product."""
+    phi(n) <= degree: the reference for the exact_one of screen_row."""
     c = _strip_monomial(coeffs)
     if not c or abs(c[0]) != 1 or abs(c[-1]) != 1 or not _is_reciprocal(c):
         return False
     for n in _cyclotomic_orders(len(c) - 1):
-        phi = _cyclotomic(n)
+        phi = cyclotomic(n)
         while len(phi) <= len(c):
             try:
-                c = _div_exact(c, phi)
+                c = div_exact(c, phi)
             except ValueError:
                 break
     return len(c) == 1
+
+
+def primitive_prs_gcd(a, b):
+    """The primitive gcd of two integer polynomials, leading coefficient
+    positive, by the primitive remainder sequence: each pseudo-remainder
+    is divided by its content.  The reference for intpoly.gcd, which takes
+    the subresultant sequence instead."""
+    a = primitive(trim(list(a)))
+    b = primitive(trim(list(b)))
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = primitive(trim(pseudo_rem(a, 1, b)[0]))
+        a, b = b, r
+    return a
 
 
 @functools.cache

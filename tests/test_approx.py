@@ -24,7 +24,7 @@ from fkdet.fk_finite import (
     FiniteGroupRingElement,
     cyclic_stages,
     FiniteGroupRingMatrix,
-    _is_cyclic_table,
+    is_cyclic_table,
     make_cyclic,
     make_cyclic_product,
     parse_element,
@@ -356,7 +356,7 @@ def test_det_sequence_admits_cyclic_stages_over_the_representation_budget():
     # so one row or column takes cyclic_norm at any order
     for mods in ((1, 1), (1, 4), (4, 1), (1, 2, 1), (2, 2), (2, 3), (3, 1, 2)):
         cyclic = sum(n > 1 for n in mods) <= 1
-        assert _is_cyclic_table(make_cyclic_product(mods)) == cyclic, mods
+        assert is_cyclic_table(make_cyclic_product(mods)) == cyclic, mods
     chain = QuotientChain(2, ((1, 150), (1, 200)))
     seq = det_sequence(mat([["1 + z1 + z2"]], rank=2), chain)
     # over Z/n the element is 2 + t, whose norm is 2^n - (-1)^n

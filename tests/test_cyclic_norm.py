@@ -349,31 +349,31 @@ def test_chain_pass_on_a_huge_exponent_searches_only_the_chain_divisors():
 def test_t_power_mod_is_the_reduced_monomial(mod):
     # the squaring starts from the first power of n's chain below deg(mod)
     for n in [0, 1, 2, 3, 5, 7, 8, 9, 16, 31, 100, 1025]:
-        assert fk_finite._t_power_mod(n, mod) == fk_finite._reduce([0] * n + [1], 1, mod)
+        assert fk_finite.t_power_mod(n, mod) == fk_finite.reduced_rem([0] * n + [1], 1, mod)
 
 
 def test_chain_pass_shares_the_power_and_the_trial_divisions(monkeypatch):
-    calls = {"_t_power_mod": [], "_div_exact": 0, "_resultant": 0}
-    power, div, res = fk_finite._t_power_mod, fk_finite._div_exact, fk_finite._resultant
+    calls = {"t_power_mod": [], "div_exact": 0, "resultant": 0}
+    power, div, res = fk_finite.t_power_mod, fk_finite.div_exact, fk_finite.resultant
 
     def counted_power(n, mod):
-        calls["_t_power_mod"].append(n)
+        calls["t_power_mod"].append(n)
         return power(n, mod)
 
     def counted_div(a, b):
-        calls["_div_exact"] += 1
+        calls["div_exact"] += 1
         return div(a, b)
 
     def counted_res(a, b):
-        calls["_resultant"] += 1
+        calls["resultant"] += 1
         return res(a, b)
 
-    monkeypatch.setattr(fk_finite, "_t_power_mod", counted_power)
-    monkeypatch.setattr(fk_finite, "_div_exact", counted_div)
-    monkeypatch.setattr(fk_finite, "_resultant", counted_res)
+    monkeypatch.setattr(fk_finite, "t_power_mod", counted_power)
+    monkeypatch.setattr(fk_finite, "div_exact", counted_div)
+    monkeypatch.setattr(fk_finite, "resultant", counted_res)
 
     def run(orders):
-        calls.update(_t_power_mod=[], _div_exact=0, _resultant=0)
+        calls.update(t_power_mod=[], div_exact=0, resultant=0)
         cyclic_norm(CHAIN_INPUTS["p(1) = 0"], orders)
         return dict(calls)
 
@@ -381,12 +381,12 @@ def test_chain_pass_shares_the_power_and_the_trial_divisions(monkeypatch):
     # p has degree 9 and its widest gap is 3 (t^4 to t^7), so 12..60 read
     # the same p and share one pass: t^12 once, then one step of t per
     # stage; 3..11 each read a shorter p of their own, and 2 a constant
-    assert long["_t_power_mod"] == [12] + [1] * 48 + list(range(3, 12))
+    assert long["t_power_mod"] == [12] + [1] * 48 + list(range(3, 12))
     # one resultant and one exact division by g_n per stage past the
     # constant; the shared trial divisions, by the Phi_d with phi(d) <= 9,
     # all with d <= 30, are the same for both chains
-    assert (short["_resultant"], long["_resultant"]) == (28, 58)
-    assert long["_div_exact"] - 58 == short["_div_exact"] - 28 > 0
+    assert (short["resultant"], long["resultant"]) == (28, 58)
+    assert long["div_exact"] - 58 == short["div_exact"] - 28 > 0
 
 
 @pytest.mark.parametrize(
@@ -602,10 +602,10 @@ def test_class_products_and_orbits():
     assert set(cache) == {(3,), (3, 3)}
     assert fk_finite._orbit_norms(f, (3, 3)) == (3, 2)
     assert fk_finite._class_product(f, (1, 3), {}) == 3  # (2 + w)(2 + w^2)
-    assert fk_finite._resultant([1, 1, 1], [2, 1]) == 3
-    assert fk_finite._resultant([-2, 0, 1], [0, 1]) == 2
-    assert fk_finite._resultant([3], [1, 0, 1]) == 9
-    assert fk_finite._resultant([], [1, 1]) == 0
+    assert fk_finite.resultant([1, 1, 1], [2, 1]) == 3
+    assert fk_finite.resultant([-2, 0, 1], [0, 1]) == 2
+    assert fk_finite.resultant([3], [1, 0, 1]) == 9
+    assert fk_finite.resultant([], [1, 1]) == 0
 
 
 def test_quotient_norm_shares_class_products_across_stages(monkeypatch):

@@ -17,11 +17,11 @@ from fkdet.fk_finite import (
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
-    _rep_value,
     fk_det_kernel_finite,
     format_element,
     make_cyclic,
     make_cyclic_product,
+    rep_value,
 )
 from fkdet.fk_zd import vn_dim_kernel_zd
 from fkdet.laurent import format_polynomial, parse_polynomial
@@ -41,7 +41,6 @@ from fkdet.lehmer_scan import (
 )
 from fkdet.mahler import (
     SMYTH_THETA0,
-    face_lower_bound,
     line_coeffs,
     mahler_jensen,
     mahler_measure,
@@ -50,6 +49,7 @@ from fkdet.values import FKValue, Radical
 
 from helpers import (
     cyclotomic_product_oracle,
+    face_bound,
     measure_bound_reference,
     rand_poly,
     symmetric_group_3,
@@ -999,7 +999,7 @@ def _screen_reference(ctx, vec):
     terms = {ctx.exps[i]: c for i, c in enumerate(vec) if c}
     line = line_coeffs(terms)
     if line is None:
-        return False, face_lower_bound(terms) * lehmer_scan._FACE_SLACK
+        return False, face_bound(terms) * lehmer_scan._FACE_SLACK
     bound = measure_bound_reference(line)
     if bound == 1.0 and cyclotomic_product_oracle(line):
         return True, 1.0
@@ -1212,7 +1212,7 @@ def test_square_stream_determinants_match_the_elimination(space):
     zeros = 0
     for vec in ctx.stream():
         want = rank_det_exact([get(vec) for get in ctx.getters])[1]
-        assert ctx.dets[vec] == (_rep_value(want, ctx.n, None) if want else 0)
+        assert ctx.dets[vec] == (rep_value(want, ctx.n, None) if want else 0)
         zeros += want == 0
     assert zeros
 

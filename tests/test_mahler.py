@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import fkdet.mahler
-from fkdet.exact_linalg import _word_prime
+from fkdet.intpoly import (
+    cyclotomic,
+    primitive,
+    proven_squarefree,
+    squarefree_decomposition,
+    totient,
+    word_prime,
+)
 from fkdet.laurent import LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
     FIBRE_GRID,
@@ -19,34 +26,28 @@ from fkdet.mahler import (
     JENSEN_MAX_DEGREE,
     QUADRATURE_MAX_POINTS,
     SMYTH_THETA0,
-    _cyclotomic,
     _cyclotomic_cofactors,
     _cyclotomic_orders,
-    _primitive,
-    _proven_squarefree,
     _squarefree_splits,
-    _totient,
     default_bl_schedule,
-    face_lower_bound,
-    is_cyclotomic_product,
     line_coeffs,
     log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
     mahler_jensen_batch,
     mahler_measure,
-    measure_lower_bound,
     roots_one_var,
     screen_lines,
-    squarefree_decomposition,
 )
 
 from helpers import (
     cyclotomic_product_oracle,
+    face_bound,
     measure_bound_reference,
     np_jensen_reference,
     np_roots_reference,
     rand_poly,
+    screen_row,
     sylvester_resultant,
 )
 
@@ -130,7 +131,7 @@ def test_squarefree_reassembles():
 
 
 # the prime the batched square-free proof works modulo
-P = _word_prime(0)
+P = word_prime(0)
 
 
 def _squarefree_cases(rng):
@@ -145,8 +146,8 @@ def _squarefree_cases(rng):
         rest[-1] = rest[-1] or -2
         out.append(_conv(_power(part, rng.randint(2, 3)), rest))
     for n in range(1, 40):
-        phi = list(_cyclotomic(n))
-        out += [_power(phi, 2), _conv(_power(phi, 2), list(_cyclotomic(n % 7 + 1)))]
+        phi = list(cyclotomic(n))
+        out += [_power(phi, 2), _conv(_power(phi, 2), list(cyclotomic(n % 7 + 1)))]
     for _ in range(300):
         c = [rng.choice([-2, -1, 1])] + [rng.randint(-2, 2) for _ in range(rng.randint(1, 14))]
         c[-1] = c[-1] or 1
@@ -156,7 +157,7 @@ def _squarefree_cases(rng):
 
 def _check_squarefree_proof(polys):
     """_squarefree_splits of ``polys`` is Yun's, and every row
-    _proven_squarefree claims, stacked by degree, has Res(f, f') nonzero mod
+    proven_squarefree claims, stacked by degree, has Res(f, f') nonzero mod
     P and a split of one factor of multiplicity 1; returns how many rows of
     each kind (square-free by Yun, proven) there were."""
     want = [squarefree_decomposition(c) for c in polys]
@@ -165,14 +166,14 @@ def _check_squarefree_proof(polys):
     for c, split in zip(polys, want):
         if all(abs(x) < P for x in c):
             by_degree.setdefault(len(c) - 1, []).append((c, split))
-    squarefree = sum(split == [(_primitive(c), 1)] for c, split in zip(polys, want))
+    squarefree = sum(split == [(primitive(c), 1)] for c, split in zip(polys, want))
     proven = 0
     for group in by_degree.values():
-        claims = _proven_squarefree(np.array([c for c, _ in group], dtype=np.int64))
+        claims = proven_squarefree(np.array([c for c, _ in group], dtype=np.int64))
         for (c, split), claimed in zip(group, claims.tolist()):
             if claimed:
                 proven += 1
-                assert split == [(_primitive(c), 1)], c
+                assert split == [(primitive(c), 1)], c
                 assert sylvester_resultant(tuple(c), tuple(_deriv(c))) % P, c
     return squarefree, proven
 
@@ -191,7 +192,7 @@ def test_squarefree_proof_leaves_abnormal_sequences_to_yun():
     # square-free rows whose remainder sequence over Q drops a degree: an
     # even polynomial's f' is odd, so the first remainder is even too
     abnormal = [[1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 0, 1], [1, 0, -1, 0, 0, 0, 0, 0, 1]]
-    assert not _proven_squarefree(np.array(abnormal[:1] * 2)).any()
+    assert not proven_squarefree(np.array(abnormal[:1] * 2)).any()
     squarefree, proven = _check_squarefree_proof(abnormal + [[1, 2, 0, 1, 1]] * 2)
     assert squarefree == 5 and proven == 2
 
@@ -200,13 +201,13 @@ def test_squarefree_proof_needs_leads_prime_to_p():
     # a lead divisible by P, alone or after a smaller term: f mod P has a
     # lower degree, and the proof claims nothing about f
     rows = np.array([[1, 1, P], [1, 1, 2 * P], [3, 0, -P], [1, 2, 1]], dtype=np.int64)
-    assert _proven_squarefree(rows).tolist() == [False, False, False, False]
+    assert proven_squarefree(rows).tolist() == [False, False, False, False]
     # (z + 1)^2 + P z^3 is square-free; (z - 2)^2 (P z + 1) is not
     for c in ([1, 2, 1, P], _conv(_conv([-2, 1], [-2, 1]), [1, P])):
-        assert not _proven_squarefree(np.array([c, c], dtype=np.int64)).any()
+        assert not proven_squarefree(np.array([c, c], dtype=np.int64)).any()
     # a degree whose lead times the degree is divisible by P would need a
     # degree of at least P, past any root finder; a lead of P - 1 is fine
-    assert _proven_squarefree(np.array([[1, P - 1]] * 2, dtype=np.int64)).all()
+    assert proven_squarefree(np.array([[1, P - 1]] * 2, dtype=np.int64)).all()
     _check_squarefree_proof([[1, P - 1], [-1, 1 - P], [1, 1, P - 1], [2, 1, 1 - P]])
 
 
@@ -214,13 +215,13 @@ def test_squarefree_proof_sends_big_coefficients_to_yun(monkeypatch):
     # rows with a coefficient of 2^31 or more take Yun, whatever their
     # degree group holds
     seen = []
-    prove = fkdet.mahler._proven_squarefree
+    prove = fkdet.mahler.proven_squarefree
 
     def spy(rows):
         seen.extend(map(tuple, rows.tolist()))
         return prove(rows)
 
-    monkeypatch.setattr(fkdet.mahler, "_proven_squarefree", spy)
+    monkeypatch.setattr(fkdet.mahler, "proven_squarefree", spy)
     big = [
         _conv(_conv([2**40, 1], [2**40, 1]), [1, 1]),
         [3, -(2**31), 1, 5],
@@ -238,7 +239,7 @@ def test_squarefree_proof_sends_big_coefficients_to_yun(monkeypatch):
 def test_squarefree_proof_keeps_one_row_degrees_on_yun(monkeypatch):
     # a degree group of one row, as every roots_one_var call is, takes Yun
     calls = []
-    monkeypatch.setattr(fkdet.mahler, "_proven_squarefree", calls.append)
+    monkeypatch.setattr(fkdet.mahler, "proven_squarefree", calls.append)
     assert _squarefree_splits([LEHMER_COEFFS, [1, 1, 1]]) == [
         [(LEHMER_COEFFS, 1)],
         [([1, 1, 1], 1)],
@@ -457,17 +458,17 @@ def test_cyclotomic_products_are_recognized():
     products = _products_up_to(factors, 12)
     assert len(products) > 1000
     for p in products:
-        assert is_cyclotomic_product(p), p
-        assert is_cyclotomic_product([-c for c in p]), p
-        assert is_cyclotomic_product([0, 0] + p), p
-    assert is_cyclotomic_product([1, -1, -1, 1])  # (z - 1)^2 (z + 1)
-    assert is_cyclotomic_product([1, -1])  # -Phi_1
+        assert screen_row(p)[0], p
+        assert screen_row([-c for c in p])[0], p
+        assert screen_row([0, 0] + p)[0], p
+    assert screen_row([1, -1, -1, 1])[0]  # (z - 1)^2 (z + 1)
+    assert screen_row([1, -1])[0]  # -Phi_1
 
 
 def test_non_cyclotomic_polynomials_are_rejected():
     lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
     for p in (lehmer, [-1, -1, 0, 1], [-2, 0, 1], [2, 2, 2], [2, 0, 1, 0, 1], [2], [0]):
-        assert not is_cyclotomic_product(p), p
+        assert not screen_row(p)[0], p
 
 
 def _cyclotomic_block_agrees(lines):
@@ -507,13 +508,13 @@ def test_cyclotomic_orders_match_the_totient_definition(degrees):
     # the sieve gives the tuple of every n with phi(n) <= D, searched up to
     # 2 D^2 + 2 by _totient's trial factoring
     for d in degrees:
-        want = tuple(n for n in range(1, 2 * d * d + 3) if _totient(n) <= d)
+        want = tuple(n for n in range(1, 2 * d * d + 3) if totient(n) <= d)
         assert _cyclotomic_orders(d) == want, d
         assert all(type(n) is int for n in want)
 
 
 def _products_to_16():
-    factors = [list(_cyclotomic(n)) for n in range(1, 61) if _totient(n) <= 16]
+    factors = [list(cyclotomic(n)) for n in range(1, 61) if totient(n) <= 16]
     assert len(factors) == 32
     return _products_up_to(factors, 16)
 
@@ -528,7 +529,7 @@ def test_cyclotomic_block_test_on_every_product_up_to_degree_16():
     for p in named + rng.sample(products, 200):
         sign = rng.choice([1, -1])
         shifted = [0] * rng.randrange(4) + [sign * c for c in p]
-        assert is_cyclotomic_product(shifted)
+        assert screen_row(shifted)[0]
         assert cyclotomic_product_oracle(shifted)
 
 
@@ -600,7 +601,7 @@ def test_cyclotomic_test_of_a_wide_sparse_row_stays_small():
     psi, base = _cyclotomic_cofactors(200)[:2]
     assert (len(psi), len(base)) == (91759, 40244)
     lehmer = dict(zip(range(0, 201, 20), LEHMER_COEFFS))
-    for terms, cyclotomic in [
+    for terms, want in [
         ({0: 1, 200: -1}, True),  # z^200 - 1
         ({0: 1, 100: 2, 200: 1}, True),  # (z^100 + 1)^2
         ({0: 1, 100: 3, 200: 1}, False),
@@ -610,23 +611,23 @@ def test_cyclotomic_test_of_a_wide_sparse_row_stays_small():
         (lehmer, False),  # Lehmer's polynomial at z^20
     ]:
         coeffs = [terms.get(k, 0) for k in range(201)]
-        assert is_cyclotomic_product(coeffs) == cyclotomic, terms
+        assert screen_row(coeffs)[0] == want, terms
 
 
 def test_measure_lower_bound():
-    assert measure_lower_bound([-1, -1, 0, 1]) == SMYTH_THETA0  # z^3 - z - 1
-    assert measure_lower_bound([0, 0, 1, 1, 0]) == 1.0  # z^2 (1 + z)
-    assert measure_lower_bound([1, 0, 0, 3]) == 3.0
-    assert measure_lower_bound([2, 1, 2]) == 2.0
+    assert screen_row([-1, -1, 0, 1])[1] == SMYTH_THETA0  # z^3 - z - 1
+    assert screen_row([0, 0, 1, 1, 0])[1] == 1.0  # z^2 (1 + z)
+    assert screen_row([1, 0, 0, 3])[1] == 3.0
+    assert screen_row([2, 1, 2])[1] == 2.0
     # coefficients past int64 are read as Python ints, not floats
-    assert measure_lower_bound([1, 2**64 - 1, 1]) == 1.0
-    assert measure_lower_bound([1, 2**64 - 1, 2**64 - 1]) == float(2**64 - 1)
-    assert not is_cyclotomic_product([1, 2**64 - 1, 1])
+    assert screen_row([1, 2**64 - 1, 1])[1] == 1.0
+    assert screen_row([1, 2**64 - 1, 2**64 - 1])[1] == float(2**64 - 1)
+    assert not screen_row([1, 2**64 - 1, 1])[0]
     rng = random.Random(7)
     for _ in range(300):
         p = [rng.randint(-3, 3) for _ in range(rng.randint(1, 9))]
         if any(p):
-            assert measure_lower_bound(p) == measure_bound_reference(p), p
+            assert screen_row(p)[1] == measure_bound_reference(p), p
     # Smyth's constant is the measure of z^3 - z - 1 to the last digit
     theta = mahler_jensen(parse_polynomial("z^3 - z - 1")).value
     assert theta == pytest.approx(SMYTH_THETA0, rel=1e-15)
@@ -644,7 +645,7 @@ def test_measure_lower_bound():
 )
 def test_face_lower_bound(text, bound):
     p = parse_polynomial(text, rank=3)
-    assert face_lower_bound({e: int(c) for e, c in p.terms.items()}) == bound
+    assert face_bound({e: int(c) for e, c in p.terms.items()}) == bound
     value = mahler_measure(p)
     assert value.value + value.error_estimate >= bound
 
@@ -659,8 +660,8 @@ def test_exact_screen_agrees_with_jensen():
         value = mahler_jensen(
             LaurentPolynomial(1, {(e,): c for e, c in enumerate(coeffs) if c})
         ).value
-        assert is_cyclotomic_product(coeffs) == (value < 1 + 1e-9), coeffs
-        assert value >= measure_lower_bound(coeffs) * (1 - 1e-12), coeffs
+        assert screen_row(coeffs)[0] == (value < 1 + 1e-9), coeffs
+        assert value >= screen_row(coeffs)[1] * (1 - 1e-12), coeffs
 
 
 # ---------------------------------------------------------------------------

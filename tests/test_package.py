@@ -1,4 +1,8 @@
-"""The public import surface of the package."""
+"""The public import surface of the package, and the imports between its
+modules."""
+
+import ast
+from pathlib import Path
 
 import fkdet
 
@@ -19,3 +23,56 @@ def test_removed_names_stay_gone():
     ):
         assert name not in fkdet.__all__
         assert not hasattr(fkdet, name)
+
+
+SRC = Path(fkdet.__file__).resolve().parent
+
+
+def _imports_from(path):
+    """(level, module, name) of every ``from ... import name`` in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.level, node.module or "", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # a name that a sibling module needs is public where it is defined
+    crossing = [
+        (path.name, module, name)
+        for path in sorted(SRC.glob("*.py"))
+        for level, module, name in _imports_from(path)
+        if level and name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert crossing == []
+
+
+def test_intpoly_imports_nothing_from_the_package():
+    path = SRC / "intpoly.py"
+    assert all(
+        not level and module.split(".")[0] != "fkdet"
+        for level, module, _ in _imports_from(path)
+    )
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "fkdet" for a in node.names)
+
+
+def test_deleted_helpers_stay_gone():
+    # code that only the tests called, and the second remainder sequence
+    # over Z, which intpoly's subresultant sequence replaced
+    from fkdet import fk_finite, mahler
+
+    for owner, name in [
+        (mahler, "_gcd_poly"),
+        (mahler, "is_cyclotomic_product"),
+        (mahler, "measure_lower_bound"),
+        (mahler, "face_lower_bound"),
+        (fk_finite, "_resultant"),
+        (fk_finite.FiniteGroup, "mul"),
+    ]:
+        assert not hasattr(owner, name), name
