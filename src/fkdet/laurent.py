@@ -21,6 +21,15 @@ is an optional integer (or ``p/q`` rational) coefficient, an optional ``*``, and
 monomial factors ``zK^E`` joined by ``*``, with ``K`` in ``1..d`` and ``E`` a
 signed integer.  For rank 1 the bare name ``z`` is accepted and printed.
 Canonical printing orders exponent vectors lexicographically.
+
+Every polynomial keeps its terms canonical: exponent vectors are tuples of
+ints of length ``rank``, no coefficient is zero, and an integral coefficient
+is an ``int`` (a ``Fraction`` only otherwise).  The public constructor
+``LaurentPolynomial(rank, terms)`` checks and canonicalizes whatever it is
+given.  The ring operations here already produce canonical terms, so they
+return through the private ``_from_canonical``, which checks nothing: a
+product or a matrix entry sums into one dict and drops its zeros once, with
+``_canonical``, and no intermediate polynomial is built.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Iterable, Sequence
 
 from .exact_linalg import eliminate
@@ -44,6 +54,30 @@ def _as_fraction(c):
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _canonical(terms: dict) -> dict:
+    """``terms`` with zero coefficients dropped and integral Fractions made
+    ints; its exponent vectors must already be canonical."""
+    return {
+        e: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+        for e, c in terms.items()
+        if c
+    }
+
+
+def _mul_into(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
+    """Add ``sign * a * b`` into ``acc``, all term maps of one rank; sums
+    that cancel stay in ``acc`` as zeros for ``_canonical`` to drop."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ea, ca in a.items():
+        if sign < 0:
+            ca = -ca
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            acc[e] = get(e, 0) + ca * cb
 
 
 class LaurentPolynomial:
@@ -192,18 +226,15 @@ class LaurentPolynomial:
             return NotImplemented
         self._check_rank(other)
         terms = dict(self.terms)
+        get = terms.get
         for e, c in other.terms.items():
-            tot = terms.get(e, 0) + c
-            if tot:
-                terms[e] = tot
-            else:
-                terms.pop(e, None)
-        return LaurentPolynomial(self.rank, terms)
+            terms[e] = get(e, 0) + c
+        return _from_canonical(self.rank, _canonical(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.rank, {e: -c for e, c in self.terms.items()})
+        return _from_canonical(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,27 +249,16 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if not c:
-                return LaurentPolynomial(self.rank)
-            return LaurentPolynomial(self.rank, {e: c * v for e, v in self.terms.items()})
+            return _from_canonical(
+                self.rank, _canonical({e: c * v for e, v in self.terms.items()})
+            )
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check_rank(other)
         # convolution product: exponent vectors add componentwise
         terms: dict = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                tot = terms.get(e, 0) + ca * cb
-                if tot:
-                    terms[e] = tot
-                else:
-                    terms.pop(e, None)
-        return LaurentPolynomial(self.rank, terms)
+        _mul_into(terms, self.terms, other.terms)
+        return _from_canonical(self.rank, _canonical(terms))
 
     __rmul__ = __mul__
 
@@ -256,13 +276,17 @@ class LaurentPolynomial:
 
     def adjoint(self) -> "LaurentPolynomial":
         """The involution ``*``: exponents negate, coefficients are fixed."""
-        return LaurentPolynomial(self.rank, {tuple(-x for x in e): c for e, c in self.terms.items()})
+        return _from_canonical(
+            self.rank, {tuple(-x for x in e): c for e, c in self.terms.items()}
+        )
 
     def shifted(self, exps: Sequence[int]) -> "LaurentPolynomial":
         """Multiply by the unit monomial with exponent vector ``exps``."""
-        exps = tuple(exps)
-        return LaurentPolynomial(
-            self.rank, {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()}
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != self.rank:
+            raise ValueError(f"shift {exps} has length {len(exps)}, expected rank {self.rank}")
+        return _from_canonical(
+            self.rank, {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
         )
 
     def specialize(self, ks: Sequence[int]) -> "LaurentPolynomial":
@@ -281,13 +305,9 @@ class LaurentPolynomial:
             raise ValueError("specialization integers must be positive")
         terms: dict = {}
         for e, c in self.terms.items():
-            n = e[0] + sum(k * a for k, a in zip(ks, e[1:]))
-            tot = terms.get((n,), Fraction(0)) + c
-            if tot:
-                terms[(n,)] = tot
-            else:
-                terms.pop((n,), None)
-        return LaurentPolynomial(1, terms)
+            n = (e[0] + sum(k * a for k, a in zip(ks, e[1:])),)
+            terms[n] = terms.get(n, 0) + c
+        return _from_canonical(1, _canonical(terms))
 
     def embed(self, rank: int, axis: int = 1) -> "LaurentPolynomial":
         """Reinterpret a rank-1 polynomial as living on ``axis`` of ``Z^rank``."""
@@ -300,7 +320,7 @@ class LaurentPolynomial:
             e = [0] * rank
             e[axis - 1] = n
             out[tuple(e)] = c
-        return LaurentPolynomial(rank, out)
+        return _from_canonical(rank, out)
 
     # ------------------------------------------------------------------
     # exact division (used by the fraction-free elimination)
@@ -340,7 +360,7 @@ class LaurentPolynomial:
                 else:
                     rem.pop(t, None)
         shift = tuple(a - b for a, b in zip(mp, mg))
-        return LaurentPolynomial(self.rank, quot).shifted(shift)
+        return _from_canonical(self.rank, quot).shifted(shift)
 
     def __floordiv__(self, g):
         """Exact quotient (``divide_exact``); ``// 1`` by the int 1 is ``self``."""
@@ -360,7 +380,7 @@ class LaurentPolynomial:
             return 0, []
         lo = min(e[0] for e in self.terms)
         hi = max(e[0] for e in self.terms)
-        coeffs = [Fraction(0)] * (hi - lo + 1)
+        coeffs = [0] * (hi - lo + 1)
         for (n,), c in self.terms.items():
             coeffs[n - lo] = c
         return lo, coeffs
@@ -383,6 +403,15 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return f"LaurentPolynomial({self.rank}, {format_polynomial(self)!r})"
+
+
+def _from_canonical(rank: int, terms: dict) -> LaurentPolynomial:
+    """A polynomial on ``terms`` as given, which must already be canonical
+    (see the module docstring); nothing is checked or copied."""
+    p = object.__new__(LaurentPolynomial)
+    object.__setattr__(p, "rank", rank)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +497,8 @@ def parse_polynomial(text: str, rank: int | None = None, letter: str = "z") -> L
             raise ValueError(f"syntax error in {src!r} at offset {pos}: bad term {body!r}")
         if m.group("stars") and not m.group("monos"):
             raise ValueError(f"syntax error in {src!r} at offset {pos}: dangling '*'")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        digits = m.group("coeff") or "1"
+        coeff = Fraction(digits) if "/" in digits else int(digits)
         if sign_tok == "-":
             coeff = -coeff
         exps: dict[int, int] = {}
@@ -501,18 +531,14 @@ def parse_polynomial(text: str, rank: int | None = None, letter: str = "z") -> L
         raise ValueError(f"polynomial {src!r} uses z{inferred} but rank is {rank}")
     if bare_z and rank > 1:
         raise ValueError(f"bare 'z' needs rank 1, got rank {rank}")
-    out: dict[tuple, Fraction] = {}
+    out: dict = {}
     for coeff, exps in terms:
         vec = [0] * rank
         for idx, e in exps.items():
             vec[idx - 1] += e
         key = tuple(vec)
-        tot = out.get(key, Fraction(0)) + coeff
-        if tot:
-            out[key] = tot
-        else:
-            out.pop(key, None)
-    return LaurentPolynomial(rank, out)
+        out[key] = out.get(key, 0) + coeff
+    return _from_canonical(rank, _canonical(out))
 
 
 # ----------------------------------------------------------------------
@@ -628,17 +654,15 @@ class GroupRingMatrix:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         if self.rows == 0 or other.cols == 0:
             return GroupRingMatrix.zero(self.rows, other.cols, self.rank)
+        # each entry sums its products into one term map
         out = []
-        for i in range(self.rows):
+        for row_a in self.entries:
             row = []
             for j in range(other.cols):
-                acc = LaurentPolynomial.zero(self.rank)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
+                terms: dict = {}
+                for a, row_b in zip(row_a, other.entries):
+                    _mul_into(terms, a.terms, row_b[j].terms)
+                row.append(_from_canonical(self.rank, _canonical(terms)))
             out.append(row)
         return GroupRingMatrix(out, rank=self.rank)
 
@@ -736,19 +760,21 @@ def _normalize_row(row: Sequence[LaurentPolynomial]) -> list:
 
 
 def _det_cofactor(m: list, rank: int) -> LaurentPolynomial:
+    """Expansion along the first row, its signed products summed into one
+    term map."""
     n = len(m)
     if n == 1:
         return m[0][0]
+    terms: dict = {}
     if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = LaurentPolynomial.zero(rank)
-    for j in range(n):
-        if not m[0][j].terms:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_cofactor(minor, rank)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+        _mul_into(terms, m[0][0].terms, m[1][1].terms)
+        _mul_into(terms, m[0][1].terms, m[1][0].terms, -1)
+    else:
+        for j in range(n):
+            if m[0][j].terms:
+                minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+                _mul_into(terms, m[0][j].terms, _det_cofactor(minor, rank).terms, (-1) ** j)
+    return _from_canonical(rank, _canonical(terms))
 
 
 # ----------------------------------------------------------------------

@@ -366,6 +366,9 @@ class _FiniteSpace:
     ``evaluate`` the one it measures.
     """
 
+    # evaluate_batch takes the candidates one at a time
+    batched = False
+
     def __init__(self, space: SearchSpace):
         self.space = space
         self.group = space.group
@@ -525,6 +528,9 @@ class _LaurentSpace:
         self.space = space
         self.rank = space.rank
         self.rows, self.cols = space.shape
+        # single elements over Z: evaluate_batch measures them together, and
+        # evaluating one never refuses
+        self.batched = self.rank == 1 and space.shape == (1, 1)
         self.exps = list(itertools.product(*[range(b + 1) for b in space.box]))
         self.block = len(self.exps)
         # the exact screen of each canonical element, by its vector, put here
@@ -686,7 +692,7 @@ class _LaurentSpace:
         """evaluate of each candidate; single elements over Z are measured
         together by mahler_jensen_batch, straight from their coefficient
         vectors, except monomials, which evaluate gives their exact radical."""
-        if self.rank != 1 or self.space.shape != (1, 1):
+        if not self.batched:
             return [self.evaluate(vec, one_threshold) for vec in vecs]
         values = iter(mahler_jensen_batch([vec for vec in vecs if any(vec[1:])]))
         out = []
@@ -765,10 +771,11 @@ def scan(
     a finite group the exact radical decides determinant one.  A candidate
     is only its raw vector here.  Every candidate due for measurement waits
     in a pending list, and ``evaluate_batch`` measures the list every
-    MEASURE_CHUNK streamed candidates, at the end of the stream and for
-    each held candidate; results are recorded in enumeration order, so the
-    report is that of measuring each at once.  A ``one_threshold`` that is
-    negative or not finite is refused.
+    MEASURE_CHUNK streamed candidates and at the end of the stream; the
+    held candidates follow, all in one batch for single elements over Z
+    and one at a time otherwise.  Results are recorded in enumeration
+    order, so the report is that of measuring each at once.  A
+    ``one_threshold`` that is negative or not finite is refused.
 
     A scan of single elements over Z goes reciprocal-first.  By Smyth
     (1971) a non-reciprocal integer polynomial with a constant term has
@@ -902,12 +909,22 @@ def scan(
 
     # record rebinds held when the cutoff falls; this walks the list as it
     # stood when the stream ended and rechecks each bound instead, so each
-    # held candidate is measured alone, against the cutoff the ones before
-    # it left
-    for index, bound, vec in held:
-        if bound <= cutoff:
-            pending.append((index, vec))
-            flush()
+    # held candidate counts against the cutoff the ones before it left.  A
+    # batched context measures every one still under the cutoff at once and
+    # records those whose bounds the falling cutoff has not passed.  Any
+    # other measures them one at a time: over Z^d with d >= 2 or for a
+    # matrix, evaluating a candidate that the walk would skip may refuse
+    if ctx.batched:
+        due = [h for h in held if h[1] <= cutoff]
+        results = ctx.evaluate_batch([vec for _, _, vec in due], one_threshold) if due else []
+        for (index, bound, vec), result in zip(due, results):
+            if bound <= cutoff:
+                record(index, vec, *result)
+    else:
+        for index, bound, vec in held:
+            if bound <= cutoff:
+                pending.append((index, vec))
+                flush()
 
     return ScanReport(
         space=space,

@@ -398,21 +398,29 @@ def _roots_squarefree(factors: list) -> list:
     The factors of one degree share one _companion_roots call and three
     Newton steps against their exact coefficients; the residual is a
     factor's largest final step.  A factor's roots do not depend on the
-    other factors in the batch."""
+    other factors in the batch.
+
+    Each step evaluates p and p' in one _horner call, on the rows
+    [desc; 0 ‖ ddesc] at [roots; roots].  The padded 0 leaves a
+    derivative row at 0 * x + 0 = +0 after the first step, the value
+    _horner starts from (a -0 from 0 * x sums with +0 to +0), so its
+    later steps are those of p' alone, bit for bit."""
     out: list = [None] * len(factors)
     by_degree: dict = {}
     for i, f in enumerate(factors):
         by_degree.setdefault(len(f) - 1, []).append(i)
     for d, idx in by_degree.items():
-        desc = np.array(
-            [[float(x) for x in factors[i][::-1]] for i in idx], dtype=np.complex128
-        )
+        b = len(idx)
+        stack = np.zeros((2 * b, d + 1), dtype=np.complex128)
+        stack[:b] = [[float(x) for x in factors[i][::-1]] for i in idx]
+        desc = stack[:b]
         roots = _companion_roots(desc)
         # square-free input keeps the derivative well away from zero at the
         # roots
-        ddesc = desc[:, :-1] * np.arange(d, 0, -1)
+        stack[b:, 1:] = desc[:, :-1] * np.arange(d, 0, -1)
         for _ in range(3):
-            vals, dvals = _horner(desc, roots), _horner(ddesc, roots)
+            both = _horner(stack, np.concatenate([roots, roots]))
+            vals, dvals = both[:b], both[b:]
             dvals = np.where(dvals == 0, 1e-300, dvals)
             step = vals / dvals
             roots = roots - step

@@ -16,6 +16,9 @@ from fractions import Fraction
 
 from .intpoly import primes_below, residue_moduli
 
+# the product of the primes below 1000, for perfect_power's first test
+_SMALL_PRIMORIAL = math.prod(primes_below(1000))
+
 
 def integer_nth_root(n: int, k: int) -> int:
     """Largest x with x**k <= n, for n >= 0 and k >= 1."""
@@ -47,7 +50,12 @@ def perfect_power(n: int) -> tuple[int, int]:
     # n = m**k is a j-th power exactly when j divides k, so taking prime
     # roots one at a time reaches k; base >= 2 bounds each prime by the
     # bit length.  A p-th power is a p-th power residue mod every prime
-    # q = 1 mod p, which rules out almost every p before any root is taken
+    # q = 1 mod p, which rules out almost every p before any root is taken.
+    # g is the product of the primes below 1000 that divide n; if one of
+    # them divides n only once, n is no proper power
+    g = math.gcd(n, _SMALL_PRIMORIAL)
+    if math.gcd(n // g, g) != g:
+        return n, 1
     k = 1
     for p in primes_below(1 << n.bit_length().bit_length()):
         while p < n.bit_length() and all(

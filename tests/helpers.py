@@ -49,6 +49,58 @@ def rand_poly(rng, rank=1, bound=2, max_exp=3):
     return LaurentPolynomial(rank, terms)
 
 
+def oracle_sum(p, q, sign=1):
+    """p + sign * q, term by term through the validating constructor."""
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        tot = terms.get(e, 0) + sign * c
+        if tot:
+            terms[e] = tot
+        else:
+            terms.pop(e, None)
+    return LaurentPolynomial(p.rank, terms)
+
+
+def oracle_product(p, q):
+    """The convolution p * q through the validating constructor."""
+    terms = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            tot = terms.get(e, 0) + ca * cb
+            if tot:
+                terms[e] = tot
+            else:
+                terms.pop(e, None)
+    return LaurentPolynomial(p.rank, terms)
+
+
+def oracle_matmul(a, b):
+    """a @ b as one polynomial per partial sum: acc = acc + a_ik * b_kj."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = LaurentPolynomial.zero(a.rank)
+            for k in range(a.cols):
+                acc = oracle_sum(acc, oracle_product(a[i, k], b[k, j]))
+            row.append(acc)
+        out.append(row)
+    return GroupRingMatrix(out, rank=a.rank)
+
+
+def oracle_det(rows, rank):
+    """Determinant of a square list of rows by expansion along the first
+    row, any size, with oracle_sum and oracle_product."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = LaurentPolynomial.zero(rank)
+    for j, p in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        acc = oracle_sum(acc, oracle_product(p, oracle_det(minor, rank)), (-1) ** j)
+    return acc
+
+
 def symmetric_group_3() -> FiniteGroup:
     """S3 on the permutations of 0, 1, 2 in lexicographic order; (a*b)(i)
     is a(b(i)), and the group is not abelian."""

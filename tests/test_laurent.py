@@ -13,7 +13,7 @@ from fkdet.laurent import (
     parse_polynomial,
 )
 
-from helpers import mat
+from helpers import mat, oracle_det, oracle_matmul, oracle_product, oracle_sum
 
 LP = LaurentPolynomial
 z = LP.variable(1)
@@ -501,3 +501,81 @@ def test_print_parse_roundtrip_random():
 def test_canonical_print_orders_lexicographically():
     p = LP(2, {(1, 0): 1, (-1, 2): -2, (0, 0): -3})
     assert format_polynomial(p) == "-2*z1^-1*z2^2 - 3 + z1"
+
+
+# ----------------------------------------------------------------------
+# canonical terms: every operation's result is what the validating
+# constructor would make of it, and what the term-by-term oracle computes
+
+
+def _check_canonical(p):
+    assert p.terms == LP(p.rank, dict(p.terms)).terms
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == p.rank
+        assert all(type(x) is int for x in e), e
+        assert c != 0
+        assert type(c) is (Fraction if c.denominator > 1 else int), (p, c)
+
+
+def _rand_canonical_poly(rng, rank, rational):
+    # halves, thirds and quarters, so sums and products come out integral
+    # and cancel to zero often
+    terms = {}
+    for _ in range(rng.randrange(0, 4)):
+        e = tuple(rng.randint(-1, 1) for _ in range(rank))
+        c = rng.randint(-2, 2)
+        if rational and rng.random() < 0.5:
+            c = Fraction(rng.choice([-3, -1, 1, 2, 3]), rng.choice([2, 3, 4]))
+        terms[e] = terms.get(e, 0) + c
+    return LP(rank, terms)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["Z", "Q"])
+def test_operations_keep_terms_canonical(rational):
+    rng = random.Random(27 + rational)
+    for rank in (1, 2):
+        for _ in range(150):
+            p = _rand_canonical_poly(rng, rank, rational)
+            q = _rand_canonical_poly(rng, rank, rational)
+            s = rng.choice([0, 1, -2, 3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3)])
+            shift = tuple(rng.randint(-2, 2) for _ in range(rank))
+            for got, want in [
+                (p + q, oracle_sum(p, q)),
+                (p - q, oracle_sum(p, q, -1)),
+                (p - p, LP(rank)),
+                (p * q, oracle_product(p, q)),
+                (p * q - q * p, LP(rank)),
+                (p * s, oracle_product(p, LP.constant(s, rank))),
+                (s * p, oracle_product(p, LP.constant(s, rank))),
+                (p.adjoint(), LP(rank, {tuple(-x for x in e): c for e, c in p.terms.items()})),
+                (p.shifted(shift), oracle_product(p, LP.monomial(shift))),
+                (parse_polynomial(format_polynomial(p), rank=rank), p),
+            ]:
+                _check_canonical(got)
+                assert got.terms == want.terms
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(12 if n < 5 else 3):
+                rows = [[_rand_canonical_poly(rng, rank, rational) for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.25 and n > 1:
+                    # a repeated row: the signed products cancel to zero
+                    rows[-1] = list(rows[0])
+                a = GroupRingMatrix(rows, rank=rank)
+                b = GroupRingMatrix(
+                    [[_rand_canonical_poly(rng, rank, rational) for _ in range(2)] for _ in range(n)],
+                    rank=rank,
+                )
+                det = a.det()
+                _check_canonical(det)
+                assert det.terms == oracle_det(rows, rank).terms
+                prod = a @ b
+                assert prod == oracle_matmul(a, b)
+                for row in prod.entries:
+                    for entry in row:
+                        _check_canonical(entry)
+
+
+def test_dense_coefficients_fill_gaps_with_int_zero():
+    lo, coeffs = parse_polynomial("z^-2 + 1/2*z^2").dense_coefficients()
+    assert lo == -2
+    assert coeffs == [1, 0, 0, 0, Fraction(1, 2)]
+    assert [type(c) for c in coeffs] == [int, int, int, int, Fraction]

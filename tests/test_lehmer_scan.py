@@ -547,6 +547,43 @@ def test_held_candidate_keeps_the_tie(monkeypatch):
     assert report.witness["text"] == format_polynomial(ctx.matrix(first).entries[0][0])
 
 
+@pytest.mark.parametrize(
+    "space",
+    [
+        zd_space((12,), coeff_bound=1, support=4),
+        zd_space((8,), coeff_bound=2, support=4),
+        zd_space((20,), coeff_bound=1, support=3),
+    ],
+    ids=["box12-support4", "box8-bound2", "box20-support3"],
+)
+def test_held_candidates_measured_in_one_batch(monkeypatch, space):
+    # the held candidates of a Z element scan go to evaluate_batch in one
+    # call after the stream, and the report is byte for byte that of the
+    # one-at-a-time walk, which measures each held candidate in a call of
+    # its own
+    sizes = []
+    evaluate_batch = _LaurentSpace.evaluate_batch
+
+    def counted(self, vecs, one_threshold):
+        sizes.append(len(vecs))
+        return evaluate_batch(self, vecs, one_threshold)
+
+    monkeypatch.setattr(_LaurentSpace, "evaluate_batch", counted)
+    batched = scan(space, "lambda_1")
+    calls, held = len(sizes), sizes[-1]
+
+    def one_at_a_time(space):
+        ctx = _LaurentSpace(space)
+        ctx.batched = False
+        return ctx
+
+    sizes.clear()
+    monkeypatch.setattr(lehmer_scan, "_context", one_at_a_time)
+    walked = scan(space, "lambda_1")
+    assert json.dumps(batched.as_json()) == json.dumps(walked.as_json())
+    assert held > 1 and len(sizes) > calls
+
+
 class _ReferenceLaurentFilter:
     """The original Z^d canonicality tests, kept as the reference for the
     stream's sequence: a per-axis minimum over the support, an entry-by-entry

@@ -392,6 +392,35 @@ def test_stacked_roots_match_np_roots_bit_for_bit():
     assert mahler_jensen_batch(polys[:1]) == batch[:1]
 
 
+def test_stacked_horner_edge_cases_match_np_roots_bit_for_bit():
+    # one _horner call per Newton step on [p; 0 || p'] at [roots; roots]:
+    # degree-1 factors, whose derivative row is the padded 0 and a
+    # constant, real negative roots, and one batch of many degrees, each
+    # factor against np.roots and np.polyval one at a time
+    linear = [[1, 1], [3, 2], [-5, 4], [2, 7], [1, -3]]
+    negative = [
+        [6, 11, 6, 1],  # (z + 1)(z + 2)(z + 3)
+        [4, 9, 2],  # (2z + 1)(z + 4)
+        [105, 176, 86, 16, 1],  # (z + 1)(z + 3)(z + 5)(z + 7)
+        [-6, 1, 1],  # (z + 3)(z - 2)
+        [1, 0, 0, 0, 0, 1],  # z^5 + 1, a root at -1
+    ]
+    rng = random.Random(27)
+    mixed = []
+    for degree in range(1, 13):
+        while True:
+            f = [rng.choice([-2, -1, 1, 3])] + [rng.randint(-3, 3) for _ in range(degree)]
+            f[-1] = f[-1] or 1
+            if squarefree_decomposition(f) == [(f, 1)]:
+                mixed.append(f)
+                break
+    rng.shuffle(mixed)
+    for batch in (linear, negative, mixed, linear + negative + mixed):
+        for factor, (roots, residual) in zip(batch, fkdet.mahler._roots_squarefree(batch)):
+            want, want_residual = np_roots_reference(factor)
+            assert np.array_equal(roots, want) and residual == want_residual, factor
+
+
 def test_fibre_values_match_np_roots_per_fibre(monkeypatch):
     # the fibres take the same companion kernel: each fibre solved alone by
     # np.roots gives the same measure, bit for bit, on the generator of

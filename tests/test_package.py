@@ -76,3 +76,23 @@ def test_deleted_helpers_stay_gone():
         (fk_finite.FiniteGroup, "mul"),
     ]:
         assert not hasattr(owner, name), name
+
+
+def test_trusted_constructor_stays_in_laurent():
+    # _from_canonical skips the checks of LaurentPolynomial(rank, terms);
+    # only laurent.py, whose operations keep terms canonical, may use it
+    def names(path):
+        # every name read or bound, attribute taken and name imported
+        out = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+        return out
+
+    paths = sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py"))
+    users = [path.name for path in paths if "_from_canonical" in names(path)]
+    assert users == ["laurent.py"]

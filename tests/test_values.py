@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fkdet import values
 from fkdet.values import (
     FKValue,
     MahlerValue,
@@ -61,6 +62,25 @@ def test_perfect_power_randomized_maximality():
         assert base ** found == n
         assert found >= k
         assert perfect_power(base) == (base, 1)
+
+
+def test_perfect_power_prefilter_agrees_with_the_prime_loop(monkeypatch):
+    # the small-prime test in front of the loop decides only what the loop
+    # would: every n below 10^5, and powers hidden behind a prime above 1000,
+    # which no prime below 1000 sees
+    with_filter = [perfect_power(n) for n in range(1, 10**5)]
+    rng = random.Random(27)
+    planted = []
+    for _ in range(300):
+        m, k = rng.randrange(2, 10**4), rng.randrange(2, 9)
+        big = rng.choice([1009, 7919, 104729, 2**31 - 1])
+        planted += [m**k * big, (m * big) ** k, m**k * big**k * 2]
+    planted_with_filter = [perfect_power(n) for n in planted]
+    monkeypatch.setattr(values, "_SMALL_PRIMORIAL", 1)
+    assert with_filter == [perfect_power(n) for n in range(1, 10**5)]
+    assert planted_with_filter == [perfect_power(n) for n in planted]
+    for n, (base, k) in zip(planted, planted_with_filter):
+        assert base**k == n
 
 
 def test_radical_canonical_equalities():
