@@ -129,7 +129,9 @@ def _subresultants(a: list, b: list) -> tuple:
         delta = len(a) - len(b)
         r, den = pseudo_rem(a, 1, b)
         scale = b[-1] ** (delta + 1) // den
-        r = trim([x * scale for x in r])
+        if scale != 1:
+            r = [x * scale for x in r]
+        r = trim(r)
         if not r:
             return b, 0
         div = g * h**delta

@@ -30,9 +30,11 @@ from .fk_finite import (
     format_element,
     gram_rep_value,
     is_cyclic_table,
+    norm_det_batch,
     rep_getters,
     rep_value,
     takes_cyclic_norm,
+    takes_ring_det,
 )
 from .fk_zd import fk_det_zd, vn_dim_kernel_zd
 from .laurent import (
@@ -60,9 +62,6 @@ VARIANTS = ("lambda", "lambda_1", "lambda_w", "lambda_w_1")
 # over Z^d a determinant below 1 + this counts as "determinant one" and is
 # excluded from the infimum; every report carries the threshold it used
 DEFAULT_ONE_THRESHOLD = 1e-9
-
-# finite-group candidates are integral: determinant one is exactly this
-_ONE = Radical(1)
 
 DEFAULT_BUDGET_ELEMENTS = 10**7
 DEFAULT_BUDGET_MATRICES = 10**5
@@ -339,6 +338,74 @@ def _orbit_greatest(block: np.ndarray, images) -> np.ndarray:
     return keep
 
 
+# a key word sums at most this much in absolute value: (B^w - 1)/2 for w
+# balanced base-B digits, so every partial sum of its float64 matmul is an
+# integer float and exact
+_KEY_WORD_MAX = 2**53
+
+# rows per float64 key matmul: a quarter of a VECTOR_BLOCK, so its float
+# copies stay near the size of the block's images as int8 gathers
+KEY_ROWS = 1024
+
+
+def _key_weights(images: np.ndarray, bound: int) -> np.ndarray:
+    """The float64 matrix whose product with a block of rows, entries in
+    -bound..bound, gives the key words of each row and of each of its
+    ``images`` (rows of positions, as in _FiniteSpace.images).
+
+    A row x of p entries is read as balanced base-B digits, B = 2 bound +
+    1, cut into words of w positions, the most w with (B^w - 1)/2 below
+    _KEY_WORD_MAX; the positions s..e-1 make the word sum_i x_i B^(e-1-i).
+    So the key of -x is minus the key of x, and the words compare
+    lexicographically as the rows do.  The raw enumeration cap keeps B, and
+    so a word of one digit, far below 2^53.  Entry [q, t, j] weighs
+    position q of the row in word t of the row itself (j = 0) or of image
+    j - 1.
+    """
+    base = 2 * bound + 1
+    p = images.shape[1]
+    width = 1
+    while (base ** (width + 1) - 1) // 2 < _KEY_WORD_MAX:
+        width += 1
+    sources = np.concatenate([np.arange(p)[None, :], images])
+    starts = range(0, p, width)
+    weights = np.zeros((p, len(starts), len(sources)))
+    for t, start in enumerate(starts):
+        stop = min(start + width, p)
+        digits = base ** np.arange(stop - start - 1, -1, -1, dtype=np.float64)
+        for j, src in enumerate(sources):
+            # image position i reads the row at src[i]
+            np.add.at(weights[:, t, j], src[start:stop], digits)
+    return weights
+
+
+def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether the key words of a along axis 1 are lexicographically at
+    most those of b (the arrays broadcast against each other)."""
+    le = a[:, -1] <= b[:, -1]
+    for t in range(a.shape[1] - 2, -1, -1):
+        le = (a[:, t] < b[:, t]) | ((a[:, t] == b[:, t]) & le)
+    return le
+
+
+def _orbit_greatest_keys(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """_orbit_greatest of ``block`` against the images whose key words
+    ``weights`` (_key_weights) gives: one matmul keys every row and image,
+    for KEY_ROWS rows at a time."""
+    p, words, sources = weights.shape
+    keep = np.empty(len(block), dtype=bool)
+    for start in range(0, len(block), KEY_ROWS):
+        rows = block[start : start + KEY_ROWS]
+        keys = rows.astype(np.float64) @ weights.reshape(p, -1)
+        keys = keys.reshape(len(rows), words, sources)
+        row, images = keys[:, :, :1], keys[:, :, 1:]
+        kept = ~_lex_le(row, np.zeros_like(row))[:, 0]
+        kept &= _lex_le(images, row).all(axis=1)
+        kept &= _lex_le(-row, images).all(axis=1)
+        keep[start : start + KEY_ROWS] = kept
+    return keep
+
+
 def _canonical_stream(space: SearchSpace, mask):
     """The raw vectors of ``space`` that ``mask`` keeps, in enumeration order.
 
@@ -380,16 +447,19 @@ class _FiniteSpace:
         self.radicals: dict = {}
         self.dets: dict = {}
         p = space.positions()
-        # a square shape on the regular_rep route reads every candidate's
-        # representation off one index table, for the determinants stream()
-        # puts in dets; takes_cyclic_norm refuses a representation over
-        # REP_MAX_DIM here
+        # a square shape on the regular_rep route takes the determinants
+        # stream() puts in dets in chunks: over a commutative table as the
+        # norms of the determinants over ZG (ring_det), else from every
+        # candidate's representation, read off one index table;
+        # takes_cyclic_norm refuses a representation over REP_MAX_DIM here
         self.rep_index = None
+        self.ring_det = False
         if self.rows == self.cols and not takes_cyclic_norm(
             space.shape, n, lambda: is_cyclic_table(self.group)
         ):
             ids = tuple(range(p))
             self.rep_index = np.array([get(ids) for get in self.getters])
+            self.ring_det = takes_ring_det(self.group, self.rows, space.coeff_bound)
         # every image of a vector under a left translation g and, for a
         # square shape, under the adjoint of that translation, as the row of
         # positions the image reads off the vector; the identity translation
@@ -408,14 +478,17 @@ class _FiniteSpace:
             if self.rows == c:
                 images.append([src[a] for a in flip])
         self.images = np.array(images, dtype=np.int64).reshape(len(images), p)
+        self.key_weights = _key_weights(self.images, space.coeff_bound)
 
     def stream(self):
         """The canonical candidates in enumeration order, by _canonical_stream.
 
         On a square regular_rep space the candidates come in chunks, and
-        before a chunk is yielded ``det_batch`` puts the determinant of each
-        of its candidates in ``dets``, where ``injective`` and ``evaluate``
-        read it; any other candidate takes the elimination.
+        before a chunk is yielded the determinant of each of its candidates
+        goes in ``dets``, where ``injective`` and ``evaluate`` read it:
+        norm_det_batch's on the ring_det route, det_batch's of the whole
+        representation otherwise.  Any other candidate takes the
+        elimination.
         """
         canonical = _canonical_stream(self.space, self._canonical_mask)
         if self.rep_index is None:
@@ -423,20 +496,25 @@ class _FiniteSpace:
             return
         size = max(1, DET_CHUNK_ENTRIES // self.rep_index.size)
         while chunk := list(itertools.islice(canonical, size)):
-            dets = det_batch(np.array(chunk, dtype=np.int64)[:, self.rep_index])
+            block = np.array(chunk, dtype=np.int64)
+            if self.ring_det:
+                dets = norm_det_batch(block, self.group, self.rows)
+            else:
+                dets = det_batch(block[:, self.rep_index])
             self.dets.update(
                 (vec, rep_value(d, self.n, self.radicals) if d else 0)
                 for vec, d in zip(chunk, dets)
             )
-            del dets
+            del block, dets
             yield from chunk
             # one chunk list alive at a time
             del chunk
 
     def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
         """Which rows of ``block`` are the greatest member of their orbit
-        under sign, left translations and (square shapes) their adjoints."""
-        return _orbit_greatest(block, (block.take(idx, axis=1) for idx in self.images))
+        under sign, left translations and (square shapes) their adjoints,
+        from the key words of one matmul."""
+        return _orbit_greatest_keys(block, self.key_weights)
 
     def matrix(self, vec: tuple) -> FiniteGroupRingMatrix:
         n = self.n
@@ -486,7 +564,9 @@ class _FiniteSpace:
             v = gram_rep_value(rep, self.n, self.radicals)
         elif not v:
             v = self._det_kernel(vec, True)[0]
-        return v, v.exact == _ONE
+        # candidates are integral, so v is an exact radical, and a canonical
+        # radical is 1 exactly when its base is
+        return v, v.exact.base == 1
 
     def evaluate_batch(self, vecs: list, one_threshold) -> list:
         """evaluate of each candidate in turn."""

@@ -9,11 +9,13 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fkdet import lehmer_scan
-from fkdet.exact_linalg import rank_det_exact
+from fkdet import fk_finite, lehmer_scan
+from fkdet.exact_linalg import det_batch, rank_det_exact
 from fkdet.fk_finite import (
+    RING_DET_MAX_SIDE,
     FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
@@ -21,7 +23,11 @@ from fkdet.fk_finite import (
     format_element,
     make_cyclic,
     make_cyclic_product,
+    norm_det_batch,
+    rep_getters,
     rep_value,
+    ring_det_batch,
+    takes_ring_det,
 )
 from fkdet.fk_zd import vn_dim_kernel_zd
 from fkdet.laurent import format_polynomial, parse_polynomial
@@ -1237,8 +1243,9 @@ def test_square_injectivity_agrees_with_the_kernel(space):
         SearchSpace(group=KLEIN, shape=(2, 2), coeff_bound=1, support=3),
         SearchSpace(group=KLEIN, coeff_bound=2),
         SearchSpace(group=make_cyclic(3), shape=(2, 2), coeff_bound=1, support=6),
+        SearchSpace(group=S3, shape=(2, 2), coeff_bound=1, support=3),
     ],
-    ids=["Z2-2x2", "klein-2x2-s3", "klein-1x1", "Z3-2x2-s6"],
+    ids=["Z2-2x2", "klein-2x2-s3", "klein-1x1", "Z3-2x2-s6", "S3-2x2-s3"],
 )
 def test_square_stream_determinants_match_the_elimination(space):
     # the batched determinant of every canonical candidate, read off the
@@ -1406,6 +1413,20 @@ GOLDEN_SCANS = [
         "lambda_w",
         {},
     ),
+    # the benchmark's finite scan, whose determinants are norms over ZG
+    (
+        "Z3-2x2-s6-w",
+        SearchSpace(group=make_cyclic(3), shape=(2, 2), support=6),
+        "lambda_w",
+        {},
+    ),
+    # a non-abelian square space, which keeps the kn x kn representation
+    (
+        "S3-2x2-s3-w",
+        SearchSpace(group=S3, shape=(2, 2), support=3),
+        "lambda_w",
+        {},
+    ),
 ]
 
 
@@ -1416,6 +1437,134 @@ def test_scan_reports_match_their_goldens(name, space, variant, options):
     report = scan(space, variant, **options)
     text = json.dumps(report.as_json(), sort_keys=True, indent=2)
     assert text == json.dumps(GOLDEN_REPORTS[name], sort_keys=True, indent=2)
+
+
+ABELIAN_TABLES = [make_cyclic(n) for n in range(2, 7)] + [
+    make_cyclic_product(m) for m in ((2, 2), (2, 4), (3, 3))
+] + [KLEIN, Z4_FILE]
+ABELIAN_IDS = ["Z%d" % n for n in range(2, 7)] + [
+    "Z2xZ2", "Z2xZ4", "Z3xZ3", "klein", "Z4-file"
+]
+
+
+def _leibniz(vec, group, side):
+    """The determinant over ZG of an entry-major side x side matrix, one
+    permutation at a time in FiniteGroupRingElement arithmetic."""
+    n = group.order
+
+    def entry(i, j):
+        start = (i * side + j) * n
+        return FiniteGroupRingElement(group, vec[start : start + n])
+
+    total = FiniteGroupRingElement.zero(group)
+    for perm in itertools.permutations(range(side)):
+        term = FiniteGroupRingElement.unit(group)
+        for i, j in enumerate(perm):
+            term = term * entry(i, j)
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return list(total.coeffs)
+
+
+@pytest.mark.parametrize("side", [2, 3])
+@pytest.mark.parametrize("group", ABELIAN_TABLES, ids=ABELIAN_IDS)
+def test_ring_determinant_norms_are_the_representation_determinants(group, side):
+    # over a commutative ZG the kn x kn representation's determinant is the
+    # norm of the determinant over ZG, sign included
+    n = group.order
+    p = side * side * n
+    rng = np.random.default_rng(side * 100 + n)
+    vecs = rng.integers(-2, 3, size=(30, p))
+    sparse = vecs * (rng.random((30, p)) < 0.3)
+    # singular ones: the first two rows of the matrix equal
+    singular = vecs.copy()
+    singular[:, side * n : 2 * side * n] = singular[:, : side * n]
+    vecs = np.concatenate([vecs, sparse, singular])
+    ids = tuple(range(p))
+    gather = np.array([get(ids) for get in rep_getters(group, side, side)])
+    assert takes_ring_det(group, side, 2)
+    dets = norm_det_batch(vecs, group, side)
+    assert dets == det_batch(vecs[:, gather])
+    assert dets[-len(singular) :] == [0] * len(singular)
+    rows = ring_det_batch(vecs, group, side).tolist()
+    assert rows == [_leibniz(v, group, side) for v in vecs.tolist()]
+
+
+@pytest.mark.parametrize("bound, eliminated", [(2, False), (10**5, True)])
+def test_norm_determinants_past_int64_take_det_batch(monkeypatch, bound, eliminated):
+    # the 2 x 2 representations of determinants over Z/2 take the expansion
+    # over Z while their minors fit in int64, and det_batch past that
+    group = make_cyclic(2)
+    vecs = np.random.default_rng(bound).integers(-bound, bound + 1, size=(20, 8))
+    gather = np.array([get(tuple(range(8))) for get in rep_getters(group, 2, 2)])
+    calls = []
+
+    def counted(mats):
+        calls.append(len(mats))
+        return det_batch(mats)
+
+    monkeypatch.setattr(fk_finite, "det_batch", counted)
+    assert norm_det_batch(vecs, group, 2) == det_batch(vecs[:, gather])
+    assert calls == ([20] if eliminated else [])
+
+
+def test_ring_determinant_route_needs_a_small_commutative_side():
+    # S3 keeps the kn x kn representation, as do sides past
+    # RING_DET_MAX_SIDE and coefficients past int64
+    assert not takes_ring_det(S3, 2, 1)
+    assert takes_ring_det(make_cyclic(2), RING_DET_MAX_SIDE, 1)
+    assert not takes_ring_det(make_cyclic(2), RING_DET_MAX_SIDE + 1, 1)
+    assert takes_ring_det(make_cyclic(50), 2, 10**7)
+    assert not takes_ring_det(make_cyclic(50), 2, 10**8)
+    ctx = _FiniteSpace(SearchSpace(group=S3, shape=(2, 2), support=3))
+    assert ctx.rep_index is not None and not ctx.ring_det
+    ctx = _FiniteSpace(SearchSpace(group=make_cyclic(3), shape=(2, 2), support=6))
+    assert ctx.rep_index is not None and ctx.ring_det
+    # the 1 x 1 shape over a table that is not Z/n takes the route too
+    assert _FiniteSpace(SearchSpace(group=KLEIN)).ring_det
+
+
+@pytest.mark.parametrize(
+    "space, words",
+    [
+        (SearchSpace(group=make_cyclic(3), shape=(2, 2)), 1),
+        # 24 positions of five digits: words of 23 and 1
+        (SearchSpace(group=S3, shape=(2, 2), coeff_bound=2), 2),
+        (SearchSpace(group=make_cyclic(4), shape=(1, 2), coeff_bound=3), 1),
+        (SearchSpace(group=Z4_FILE, shape=(2, 1), coeff_bound=2), 1),
+        # p = 36 positions of three digits: words of 34 and 2 positions
+        (SearchSpace(group=make_cyclic(9), shape=(2, 2)), 2),
+        (SearchSpace(group=make_cyclic(9), shape=(2, 2), coeff_bound=2), 2),
+        (SearchSpace(group=make_cyclic(25), shape=(2, 2)), 3),
+    ],
+    ids=[
+        "Z3-2x2", "S3-2x2-c2", "Z4-1x2-c3", "Z4-file-2x1-c2", "Z9-2x2", "Z9-2x2-c2",
+        "Z25-2x2",
+    ],
+)
+def test_key_matmul_mask_is_the_byte_key_mask(space, words):
+    ctx = _FiniteSpace(space)
+    assert ctx.key_weights.shape[1] == words
+    b, p = space.coeff_bound, space.positions()
+    rng = np.random.default_rng(p)
+    block = rng.integers(-b, b + 1, size=(300, p)).astype(np.int8)
+    # sparse rows, which often tie with their images
+    block[100:200] *= (rng.random((100, p)) < 0.1).astype(np.int8)
+    images = np.concatenate([block[:, idx] for idx in ctx.images])
+    orbits = np.concatenate([block, -block, images, -images])
+    # the greatest member of each row's orbit, and rows fixed by every image
+    greatest = np.array([
+        max(tuple(o) for o in orbits[i :: len(block)].tolist())
+        for i in range(len(block))
+    ], dtype=np.int8)
+    fixed = np.ones((2, p), dtype=np.int8)
+    fixed[1] = 0
+    block = np.concatenate([block, images, greatest, fixed, -fixed])
+    want = lehmer_scan._orbit_greatest(
+        block, (block.take(idx, axis=1) for idx in ctx.images)
+    )
+    assert want.any() and not want.all()
+    assert (ctx._canonical_mask(block) == want).all()
 
 
 def test_zd_matrix_scan():
