@@ -275,6 +275,11 @@ def word_prime(i: int) -> int:
     return q
 
 
+# the point w of the factors z - w that fill a remainder's dropped degrees;
+# not 0, where the f' of every even f and its remainders vanish
+_FILL_POINT = 65537
+
+
 def proven_squarefree(rows: np.ndarray) -> np.ndarray:
     """Which rows of ``rows`` are proven square-free over Q: integer
     polynomials of one degree n >= 1 as ascending coefficients, each of
@@ -282,17 +287,22 @@ def proven_squarefree(rows: np.ndarray) -> np.ndarray:
 
     One fraction-free remainder sequence of f and f' runs modulo p over the
     whole stack.  Each step takes (a, b), deg a = deg b + 1 = k + 1, to
-    (b, lb (lb a - la z b) - c b), with la, lb the leads and c the
-    coefficient of z^k in lb a - la z b: a remainder of a by b times the unit
-    lb^2 of F_p, so the gcd over F_p of each pair is that of f and f' mod p.
-    A row is proven when the leads of f and f' and of every remainder are
-    nonzero mod p, so each step drops the degree by one, down to a nonzero
-    constant.  Then gcd(f mod p, f' mod p) = 1 and Res(f mod p, f' mod p) is
-    nonzero.  Since p divides neither lead(f) nor n lead(f), the Sylvester
-    matrix of f mod p and f' mod p is that of f and f' reduced mod p, so
-    Res(f, f') is not 0 mod p, hence not 0: f and f' are coprime over Q, and
-    f is square-free.  Any other row is left to the Yun decomposition; it may
-    still be square-free.
+    (b, r): r = lb (lb a - la z b) - c b, with la, lb the leads and c the
+    coefficient of z^k in lb a - la z b, is a remainder of a by b times the
+    unit lb^2 of F_p, so gcd(b, r) = gcd(a, b).  Where the sequence drops a
+    degree, r has degree d < k - 1; each row tracks that, and the step goes
+    on with (b, (z - w)^(k - 1 - d) r), w = _FILL_POINT, whose lead fills
+    the slot of degree k - 1.  A common factor of b and r divides b and
+    (z - w)^j r, so the gcd of the new pair is a multiple of the old one.
+    A row is proven when the leads of f and f' are nonzero mod p and its
+    sequence ends in a nonzero constant.  Then gcd(f mod p, f' mod p) = 1
+    and Res(f mod p, f' mod p) is nonzero.  Since p divides neither lead(f)
+    nor n lead(f), the Sylvester matrix of f mod p and f' mod p is that of f
+    and f' reduced mod p, so Res(f, f') is not 0 mod p, hence not 0: f and
+    f' are coprime over Q, and f is square-free.  A row whose remainder is
+    0 mod p, or whose leads vanish mod p, is left to the Yun decomposition;
+    so is a row where some b vanishes at w mod p, by chance.  It may still
+    be square-free.
     """
     p = word_prime(0)
     n = rows.shape[1] - 1
@@ -306,5 +316,17 @@ def proven_squarefree(rows: np.ndarray) -> np.ndarray:
         la, lb = a[:, -1:], b[:, -1:]
         a = (a[:, :-1] * lb - np.concatenate([zero, b[:, :-1]], axis=1) * la) % p
         a, b = b, (a[:, :-1] * lb - a[:, -1:] * b[:, :-1]) % p
-        proven &= b[:, -1] != 0
+        dropped = proven & (b[:, -1] == 0)
+        if dropped.any():
+            r = b[dropped]
+            nonzero = r != 0
+            # the dropped degrees; a zero remainder keeps its zero lead
+            drop = np.where(nonzero.any(axis=1), nonzero[:, ::-1].argmax(axis=1), 0)
+            for j in range(drop.max()):
+                fill = drop > j
+                # times z - w: up one slot, less w times itself
+                up = np.concatenate([np.zeros_like(r[fill, :1]), r[fill, :-1]], axis=1)
+                r[fill] = (up - _FILL_POINT * r[fill]) % p
+            b[dropped] = r
+            proven &= b[:, -1] != 0
     return proven

@@ -229,22 +229,33 @@ def _vectors(positions: int, bound: int, support: int | None):
     support size first, which keeps sparse spaces enumerable without
     touching the dense box.  Within a support size the patterns come in
     lexicographic order, and each pattern's values in descending order with
-    the negatives after the positives.
+    the negatives after the positives.  One C-level iterator: no Python
+    frame resumes per vector.
     """
     if support is None or support >= positions:
         box = itertools.product(range(bound, -bound - 1, -1), repeat=positions)
         # the zero vector is the middle one
-        yield from itertools.islice(box, (2 * bound + 1) ** positions // 2)
-        next(box)
-        yield from box
-        return
+        zero = (2 * bound + 1) ** positions // 2
+        return itertools.chain(
+            itertools.islice(box, zero), itertools.islice(box, 1, None)
+        )
     nonzero = tuple(range(bound, 0, -1)) + tuple(range(-1, -bound - 1, -1))
-    for j in range(1, support + 1):
-        for pos in itertools.combinations(range(positions), j):
-            choices = [(0,)] * positions
-            for p in pos:
-                choices[p] = nonzero
-            yield from itertools.product(*choices)
+
+    def pattern(pos):
+        choices = [(0,)] * positions
+        for p in pos:
+            choices[p] = nonzero
+        return itertools.product(*choices)
+
+    return itertools.chain.from_iterable(
+        map(
+            pattern,
+            itertools.chain.from_iterable(
+                itertools.combinations(range(positions), j)
+                for j in range(1, support + 1)
+            ),
+        )
+    )
 
 
 # rows per block of _vector_blocks: small enough that a block and the images
@@ -313,6 +324,111 @@ def _vector_blocks(positions: int, bound: int, support: int | None):
                 at = np.arange(len(block)).reshape(len(pos), len(vals), 1)
                 block.reshape(-1)[at * positions + pos[:, None, :]] = vals
                 yield block
+
+
+def _vector_positions(rows: np.ndarray, bound: int, support: int | None) -> np.ndarray:
+    """The index in the order of _vectors of each row of ``rows``, nonzero
+    vectors of ``rows.shape[1]`` entries in -bound..bound.
+
+    Uncapped, a row's index in the box is read off its base-(2 bound + 1)
+    digits, digit bound - x for the value x, less one past the zero row.
+    Under a support cap the vectors come by support size j, then by the
+    lexicographic rank of the support {c_0 < ... < c_(j-1)} among the
+    j-subsets of the p positions, C(p, j) - 1 - sum_i C(p - 1 - c_i, j - i),
+    then by the value row: the base-(2 bound) digits of the nonzero
+    values, digit bound - x for x > 0 and bound - 1 - x for x < 0.
+    """
+    p = rows.shape[1]
+    rows = rows.astype(np.int64)
+    if support is None or support >= p:
+        base = 2 * bound + 1
+        at = (bound - rows) @ base ** np.arange(p - 1, -1, -1, dtype=np.int64)
+        return at - (at > base**p // 2)
+    width = 2 * bound
+    comb = np.array(
+        [[math.comb(n, k) for k in range(support + 1)] for n in range(p + 1)],
+        dtype=np.int64,
+    )
+    nonzero = rows != 0
+    size = nonzero.sum(axis=1)
+    # later[r, i]: the nonzero entries of row r from position i on
+    later = size[:, None] - np.cumsum(nonzero, axis=1) + nonzero
+    ranks = np.where(nonzero, comb[p - 1 - np.arange(p), later], 0)
+    rank = comb[p, size] - 1 - ranks.sum(axis=1)
+    digits = np.where(rows > 0, bound - rows, bound - 1 - rows)
+    values = np.where(nonzero, digits * width ** np.maximum(later - 1, 0), 0)
+    value = values.sum(axis=1)
+    # the vectors of each smaller support come first
+    before = np.cumsum([0] + [comb[p, j] * width**j for j in range(1, support)])
+    return before[size - 1] + rank * width**size + value
+
+
+def _capped_rows(count: int, bound: int, most: int) -> np.ndarray:
+    """Every vector of ``count`` entries in -bound..bound with at most
+    ``most`` nonzero ones, zero included, as the int64 rows of one array."""
+    if most >= count:
+        return _digit_rows(count, bound, np.int64)
+    zero = np.zeros((int(most >= 0), count), dtype=np.int64)
+    return np.concatenate([zero, *_vector_blocks(count, bound, most)])
+
+
+def _reciprocal_rows(space: SearchSpace) -> np.ndarray:
+    """The canonical elements of a space of single elements over Z that
+    equal + or - their reversal, in no particular order.
+
+    Such a row A has a positive constant term c_0 and degree d, with
+    c_(d-i) = +-c_i: it is the greatest of its orbit {A, -A}.  So it is fixed
+    by c_0, the sign and the left half c_1..c_(h-1), h = ceil(d / 2), with
+    the middle c_(d/2) of an even degree for the sign +; the sign - forces
+    it to 0.  A pair (c_i, c_(d-i)) adds two terms to the support, the
+    middle one.
+    """
+    (box,), bound = space.box, space.coeff_bound
+    most = box + 1 if space.support is None else space.support
+    values = np.arange(1, bound + 1)
+    out = [np.pad(values[:, None], ((0, 0), (0, box)))]
+    for d in range(1, box + 1):
+        h = (d + 1) // 2
+        for sign in (1, -1):
+            middle = int(d % 2 == 0 and sign == 1)
+            half = _capped_rows(h - 1 + middle, bound, most - 2)
+            terms = (half != 0) @ np.array([2] * (h - 1) + [1] * middle)
+            half = half[terms <= most - 2]
+            rows = np.zeros((bound * len(half), box + 1), dtype=np.int64)
+            rows[:, 0] = np.repeat(values, len(half))
+            rows[:, 1 : h + middle] = np.tile(half, (bound, 1))
+            rows[:, d - h + 1 : d + 1] = sign * rows[:, h - 1 :: -1]
+            out.append(rows)
+    return np.concatenate(out)
+
+
+def _canonical_count(space: SearchSpace) -> int:
+    """How many canonical elements a space of single elements over Z holds,
+    by Burnside's lemma.
+
+    Shifted down, an orbit of degree d is an orbit of the group {id, -1,
+    rev, -rev} on the rows of degree d with c_0 and c_d nonzero; -1 fixes no
+    row, and rev and -rev fix the rows that equal their reversal and minus
+    it, so the orbits number (fixed(id) + fixed(rev) + fixed(-rev)) / 4.
+    """
+    (box,), bound = space.box, space.coeff_bound
+    most = box + 1 if space.support is None else space.support
+    width = 2 * bound
+
+    def capped(count, k):
+        # vectors of count entries with at most k nonzero
+        return sum(math.comb(count, i) * width**i for i in range(min(count, k) + 1))
+
+    total = bound  # degree 0: the constants 1..bound
+    for d in range(1, box + 1):
+        h = (d + 1) // 2
+        fixed = width**2 * capped(d - 1, most - 2)
+        # c_0 and the pairs after it; rev also fixes the rows of an even
+        # degree with a nonzero middle
+        minus = width * capped(h - 1, (most - 2) // 2)
+        plus = minus + (d % 2 == 0) * width**2 * capped(h - 1, (most - 3) // 2)
+        total += (fixed + plus + minus) // 4
+    return total
 
 
 def _row_keys(a: np.ndarray) -> np.ndarray:
@@ -406,19 +522,19 @@ def _orbit_greatest_keys(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _canonical_stream(space: SearchSpace, mask):
-    """The raw vectors of ``space`` that ``mask`` keeps, in enumeration order.
+def _canonical_stream(space: SearchSpace, keep):
+    """The raw vectors of ``space`` that ``keep`` keeps, in enumeration order.
 
-    Each raw vector is drawn once, as a tuple from ``_vectors``, and kept by
-    the entry of its row in ``mask`` of the matching ``_vector_blocks``
-    block; a block's mask is taken only when the stream reaches the block,
-    so a scan stopped by its budget draws a prefix of the space.
+    ``keep`` takes the ``_vector_blocks`` blocks of the space and gives
+    iterables of booleans, one boolean per raw vector in order.  Each raw
+    vector is drawn once, as a tuple from ``_vectors``, and an iterable is
+    taken only when the stream reaches it, so a scan stopped by its budget
+    draws a prefix of the space.
     """
     args = (space.positions(), space.coeff_bound, space.support)
-    keep = itertools.chain.from_iterable(
-        mask(block).tolist() for block in _vector_blocks(*args)
+    return itertools.compress(
+        _vectors(*args), itertools.chain.from_iterable(keep(_vector_blocks(*args)))
     )
-    return itertools.compress(_vectors(*args), keep)
 
 
 class _FiniteSpace:
@@ -490,7 +606,10 @@ class _FiniteSpace:
         representation otherwise.  Any other candidate takes the
         elimination.
         """
-        canonical = _canonical_stream(self.space, self._canonical_mask)
+        canonical = _canonical_stream(
+            self.space,
+            lambda blocks: (self._canonical_mask(block).tolist() for block in blocks),
+        )
         if self.rep_index is None:
             yield from canonical
             return
@@ -617,10 +736,9 @@ class _LaurentSpace:
         # by _canonical_mask block by block and taken by screen
         self.screens: dict = {}
         # set by scan once only reciprocal elements can matter: from the next
-        # block on, _orbit_mask keeps only canonical rows reciprocal up to
-        # sign and adds the ones it drops to skipped, which scan takes
+        # block on, the stream keeps only the canonical rows reciprocal up to
+        # sign (_reciprocal_keep)
         self.reciprocal_only = False
-        self.skipped = 0
         # the shifted-down adjoint of a square matrix as a gather, one index
         # row per top exponent: the adjoint transposes the matrix and sends
         # z^e to z^-e, so shifted down, entry k's coefficient at e is entry
@@ -641,7 +759,42 @@ class _LaurentSpace:
 
     def stream(self):
         """The canonical candidates in enumeration order."""
-        return _canonical_stream(self.space, self._canonical_mask)
+        return _canonical_stream(self.space, self._keep)
+
+    def _keep(self, blocks):
+        """The keep booleans of the stream: each block's _canonical_mask
+        until scan sets ``reciprocal_only``, then, from the next block on,
+        _reciprocal_keep over the rest of the space."""
+        start = 0  # the raw index where the next block starts
+        for block in blocks:
+            if self.reciprocal_only:
+                yield self._reciprocal_keep(start)
+                return
+            yield self._canonical_mask(block).tolist()
+            start += len(block)
+
+    def _reciprocal_keep(self, start: int):
+        """The keep booleans of the raw vectors from index ``start`` on: true
+        at the canonical elements reciprocal up to sign alone, which
+        _reciprocal_rows builds, _vector_positions places and one call
+        screens into ``screens``.  One C-level iterator: a run of falses
+        before each true, and after the last."""
+        space = self.space
+        rows = _reciprocal_rows(space)
+        at = _vector_positions(rows, space.coeff_bound, space.support)
+        order = np.argsort(at)
+        order = order[at[order] >= start]
+        rows, at = rows[order], at[order]
+        if len(rows):
+            self.screens.update(zip(zip(*rows.T.tolist()), self._screen_rows(rows)))
+        gaps = np.diff(at, prepend=start - 1, append=space.raw_count()) - 1
+        runs = map(itertools.repeat, itertools.repeat(False), gaps.tolist())
+        trues = itertools.repeat((True,), len(at))
+        return itertools.chain.from_iterable(
+            itertools.chain.from_iterable(
+                itertools.zip_longest(runs, trues, fillvalue=())
+            )
+        )
 
     def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
         """_orbit_mask of ``block``; for single elements the screen of each
@@ -656,9 +809,7 @@ class _LaurentSpace:
         return keep
 
     def _orbit_mask(self, block: np.ndarray) -> np.ndarray:
-        """Which rows of ``block`` are the greatest member of their orbit;
-        under ``reciprocal_only``, the ones whose shifted-down adjoint is
-        also +-the row."""
+        """Which rows of ``block`` are the greatest member of their orbit."""
         box = self.space.box
         # nonzero[r, k, *e]: whether row r has a term at exponent e in entry k
         nonzero = (block != 0).reshape(len(block), -1, *(b + 1 for b in box))
@@ -678,15 +829,7 @@ class _LaurentSpace:
             padded = np.concatenate([rows, np.zeros_like(rows[:, :1])], axis=1)
             gather = self.adjoint.take(top[kept], axis=0)
             images = (np.take_along_axis(padded, gather, axis=1),)
-        canonical = _orbit_greatest(rows, images)
-        if self.reciprocal_only:
-            # over Z the shifted-down adjoint of an element with a constant
-            # term is its reversal
-            (image,) = images
-            reciprocal = (image == rows).all(axis=1) | (image == -rows).all(axis=1)
-            self.skipped += int(np.count_nonzero(canonical & ~reciprocal))
-            canonical &= reciprocal
-        keep[kept] = canonical
+        keep[kept] = _orbit_greatest(rows, images)
         return keep
 
     def matrix(self, vec: tuple) -> GroupRingMatrix:
@@ -860,16 +1003,16 @@ def scan(
     A scan of single elements over Z goes reciprocal-first.  By Smyth
     (1971) a non-reciprocal integer polynomial with a constant term has
     measure at least SMYTH_THETA0, so the first time a measurement leaves
-    the cutoff below RECIPROCAL_CUTOFF, the stream keeps only the canonical
-    elements that are reciprocal up to sign, from its next block on.  Each
-    element it drops is counted from the orbit mask as examined and
-    admitted, as the full stream would have counted it before its bound
-    ruled it out, so the report is the full stream's.  A survey, or a
+    the cutoff below RECIPROCAL_CUTOFF, the stream yields only the canonical
+    elements that are reciprocal up to sign, from its next block on, built
+    directly and not masked.  The canonical elements it never yields are
+    neither decided nor held, since their bounds exceed the cutoff; the
+    scan counts them as examined and admitted at the end of the stream,
+    where both counts become the number of canonical elements, found by
+    Burnside's lemma, so the report is the full stream's.  A survey, or a
     threshold with 1 + one_threshold >= RECIPROCAL_CUTOFF, never switches,
     since the cutoff never falls below the floor; neither does a scan that
-    its budget might stop: the switch needs a proven bound on the canonical
-    elements, b (2b + 1)^box for bound b (a positive constant term) and half
-    the raw count, within the budget.
+    its budget might stop, with fewer admissions than canonical elements.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -896,15 +1039,12 @@ def scan(
         )
 
     ctx = _context(space)
-    # the budget must not stop a scan that switches: canonical elements have
-    # a positive first coefficient, the constant term over Z
-    b = space.coeff_bound
-    reciprocal_first = (
-        space.group is None
-        and space.rank == 1
-        and space.shape == (1, 1)
-        and min(b * (2 * b + 1) ** space.box[0], raw // 2) <= budget
-    )
+    # the budget must not stop a scan that switches, so it must admit every
+    # canonical element
+    canonical = None
+    if space.group is None and space.rank == 1 and space.shape == (1, 1):
+        canonical = _canonical_count(space)
+    reciprocal_first = canonical is not None and canonical <= budget
 
     examined = 0
     evaluated = 0
@@ -952,17 +1092,7 @@ def scan(
         if reciprocal_first and cutoff < RECIPROCAL_CUTOFF:
             ctx.reciprocal_only = True
 
-    def take_skipped():
-        # the elements the reciprocal-first stream dropped: each is admitted
-        # and, its bound above the cutoff, neither decided nor held
-        nonlocal examined, evaluated
-        examined += ctx.skipped
-        evaluated += ctx.skipped
-        ctx.skipped = 0
-
     for streamed, vec in enumerate(ctx.stream(), 1):
-        if reciprocal_first:
-            take_skipped()
         screen = ctx.screen(vec)
         admit = not weak or screen is not None or ctx.injective(vec)
         if admit and evaluated >= budget:
@@ -983,9 +1113,11 @@ def scan(
         # scan's memo holds the determinants of one det_batch chunk at a time
         if streamed % MEASURE_CHUNK == 0:
             flush()
-    if reciprocal_first:
-        take_skipped()
     flush()
+    if reciprocal_first and ctx.reciprocal_only:
+        # the elements the reciprocal-first stream never yielded: each is
+        # admitted and, its bound above the cutoff, neither decided nor held
+        examined = evaluated = canonical
 
     # record rebinds held when the cutoff falls; this walks the list as it
     # stood when the stream ended and rechecks each bound instead, so each

@@ -37,7 +37,9 @@ from fkdet.lehmer_scan import (
     SearchSpace,
     _FiniteSpace,
     _LaurentSpace,
+    _canonical_count,
     _vector_blocks,
+    _vector_positions,
     _vectors,
     exact_constants,
     scan,
@@ -323,7 +325,6 @@ def test_reciprocal_first_stream_reports_what_the_full_stream_does(
     # the report is that of the full stream, which a cutoff of 0 keeps on
     report, ctx = _scan_and_context(monkeypatch, space, variant)
     assert ctx.reciprocal_only == switches
-    assert ctx.skipped == 0
     assert (report.infimum_found.value < SMYTH_THETA0 * (1 - 1e-9)) == switches
     monkeypatch.setattr(lehmer_scan, "RECIPROCAL_CUTOFF", 0.0)
     full, full_ctx = _scan_and_context(monkeypatch, space, variant)
@@ -338,9 +339,9 @@ def test_reciprocal_first_stream_reports_what_the_full_stream_does(
         (zd_space((8,)), {"survey": True}),
         # so does a floor 1 + 0.4
         (zd_space((9,)), {"one_threshold": 0.4}),
-        # 3^10 canonical candidates might exceed the budget
+        # the 29 888 canonical candidates exceed the budget
         (zd_space((10,)), {"budget": 5000}),
-        (zd_space((10,)), {"budget": 3**10 - 1}),
+        (zd_space((10,)), {"budget": 29887}),
     ],
     ids=["survey", "threshold", "budget-stopped", "budget-short"],
 )
@@ -353,10 +354,10 @@ def test_reciprocal_first_stream_does_not_switch(monkeypatch, space, options):
 
 
 def test_budget_at_the_canonical_bound_switches(monkeypatch):
-    # 3^10 bounds the canonical candidates of box 10, so this budget cannot
-    # stop the scan (29 888 are canonical) and the stream may switch
+    # box 10 holds 29 888 canonical candidates, so this budget cannot stop
+    # the scan and the stream may switch
     space = zd_space((10,))
-    report, ctx = _scan_and_context(monkeypatch, space, "lambda_1", budget=3**10)
+    report, ctx = _scan_and_context(monkeypatch, space, "lambda_1", budget=29888)
     assert ctx.reciprocal_only
     assert not report.budget_exceeded
     assert report.count_examined == 29888
@@ -367,21 +368,66 @@ def _reciprocal_up_to_sign(vec):
     return c[::-1] in (c, [-x for x in c])
 
 
-def test_reciprocal_only_mask_drops_and_counts_the_non_reciprocal_rows():
-    # every block's mask under reciprocal_only keeps the canonical rows that
-    # are reciprocal up to sign, and counts the other canonical rows
-    space = zd_space((8,))
+@pytest.mark.parametrize(
+    "space",
+    [zd_space((8,)), zd_space((8,), coeff_bound=2), zd_space((16,), support=5)],
+    ids=["box8", "box8-c2", "box16-s5"],
+)
+def test_reciprocal_stream_is_the_reciprocal_subset_of_the_canonical_one(space):
+    # box 8's orbit representatives come from the brute force; it would take
+    # minutes on the other two, so their reference is the unswitched stream,
+    # which the brute force pins on smaller spaces
+    if space == zd_space((8,)):
+        canonical = _orbit_representatives(space)
+    else:
+        canonical = list(_LaurentSpace(space).stream())
+    reciprocal = [v for v in canonical if _reciprocal_up_to_sign(v)]
     ctx = _LaurentSpace(space)
     ctx.reciprocal_only = True
-    kept = []
-    for block in _vector_blocks(space.positions(), 1, None):
-        kept += [tuple(r) for r in block[ctx._canonical_mask(block)].tolist()]
-    canonical = _orbit_representatives(space)
-    reciprocal = [v for v in canonical if _reciprocal_up_to_sign(v)]
-    assert kept == reciprocal
-    assert ctx.skipped == len(canonical) - len(reciprocal) > 0
-    # the screens memo holds the kept rows only
+    assert list(ctx.stream()) == reciprocal
+    # the screens memo holds the streamed rows only
     assert set(ctx.screens) == set(reciprocal)
+    # switched while the first block streams: its canonical rows, then the
+    # reciprocal ones after it
+    ctx = _LaurentSpace(space)
+    stream = ctx.stream()
+    first = next(stream)
+    ctx.reciprocal_only = True
+    blocks = _vector_blocks(space.positions(), space.coeff_bound, space.support)
+    block = set(map(tuple, next(blocks).tolist()))
+    want = [v for v in canonical if v in block]
+    want += [v for v in reciprocal if v not in block]
+    assert [first, *stream] == want
+
+
+def _orbit_mask_count(space):
+    ctx = _LaurentSpace(space)
+    args = (space.positions(), space.coeff_bound, space.support)
+    return sum(int(ctx._orbit_mask(block).sum()) for block in _vector_blocks(*args))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_canonical_count_is_the_orbit_mask_count(bound):
+    # Burnside's count against the mask on every box 0..12 and support cap
+    # 1..6 (or none) whose raw space holds at most 2 million vectors
+    seen = 0
+    for box in range(13):
+        for support in [None, *range(1, 7)]:
+            space = zd_space((box,), coeff_bound=bound, support=support)
+            if space.raw_count() <= 2 * 10**6:
+                assert _canonical_count(space) == _orbit_mask_count(space), space
+                seen += 1
+    assert seen >= 40
+
+
+@pytest.mark.parametrize(
+    "positions, bound", [(p, b) for p in range(1, 7) for b in (1, 2, 3)] + [(2, 128)]
+)
+def test_vector_positions_are_the_enumeration_indices(positions, bound):
+    for support in [None, *range(1, positions)]:
+        rows = np.array(list(_vectors(positions, bound, support)))
+        want = np.arange(len(rows))
+        assert (_vector_positions(rows, bound, support) == want).all(), support
 
 
 def _orbit_representatives(space):

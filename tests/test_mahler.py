@@ -188,13 +188,42 @@ def test_squarefree_proof_never_claims_a_split_row():
     assert 250 < proven <= squarefree < 400
 
 
-def test_squarefree_proof_leaves_abnormal_sequences_to_yun():
+def _even_and_reciprocal_cases(rng):
+    """Even, reciprocal and anti-reciprocal integer polynomials, a quarter
+    of them times the square of a small cyclotomic factor: rows whose
+    remainder sequences over Q often drop degrees."""
+    out = []
+    for _ in range(400):
+        half = [rng.choice([-2, -1, 1, 2])] + [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
+        half[-1] = half[-1] or 1
+        kind = rng.randrange(3)
+        if kind == 0:
+            # g(z^2)
+            c = [x for h in half for x in (h, 0)][:-1]
+        elif kind == 1:
+            c = half + half[-2::-1]
+        else:
+            c = half + [-x for x in reversed(half)]
+        if rng.randrange(4) == 0:
+            c = _conv(c, _power(rng.choice([[1, 1], [1, 0, 1], [1, 1, 1], [-1, 1]]), 2))
+        out.append(c)
+    return out
+
+
+def test_squarefree_proof_follows_sequences_that_drop_degrees():
     # square-free rows whose remainder sequence over Q drops a degree: an
-    # even polynomial's f' is odd, so the first remainder is even too
+    # even polynomial's f' is odd, so the first remainder is even too.  The
+    # proof fills each dropped degree with a factor z - w, so their
+    # sequences still end in a nonzero constant mod P
     abnormal = [[1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 0, 1], [1, 0, -1, 0, 0, 0, 0, 0, 1]]
-    assert not proven_squarefree(np.array(abnormal[:1] * 2)).any()
+    assert proven_squarefree(np.array(abnormal[:1] * 2)).all()
     squarefree, proven = _check_squarefree_proof(abnormal + [[1, 2, 0, 1, 1]] * 2)
-    assert squarefree == 5 and proven == 2
+    assert squarefree == proven == 5
+    # every square-free row of the random ones is proven, and no other
+    squarefree, proven = _check_squarefree_proof(
+        _even_and_reciprocal_cases(random.Random(29))
+    )
+    assert 200 < proven == squarefree < 400
 
 
 def test_squarefree_proof_needs_leads_prime_to_p():
