@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .approx import (
@@ -117,6 +119,77 @@ def _coeff_json(c):
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else str(c)
     return c
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str as is, a number, bool or None as
+    its json text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_parts(value, newline: str, out: list) -> None:
+    """Append the text of ``value`` to ``out``, nested values starting each
+    line with ``newline``; the types are tested in json's own order."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            out.append(opener)
+            _json_parts(item, inner, out)
+            opener = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(opener + encode_basestring_ascii(_key_text(key)) + ": ")
+            _json_parts(item, inner, out)
+            opener = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte.  With
+    an indent, json writes through its pure-Python encoder, whose generators
+    cost a visible share of a run that writes a long report; this one
+    appends every piece to one list."""
+    out: list = []
+    _json_parts(value, "\n", out)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +413,8 @@ def _run_chain(args):
     lines.append("limsup_ok = %s" % seq.limsup_ok)
     gap = abs(seq.values[-1].value - ref.value)
     lines.append("approaching = %s  (final gap %r)" % (seq.approaching, gap))
-    return payload, "\n".join(lines), det_sequence_to_csv(seq)
+    csv = det_sequence_to_csv(seq) if args.format == "csv" else None
+    return payload, "\n".join(lines), csv
 
 
 def _run_constants(args):
@@ -532,7 +606,7 @@ def main(argv=None) -> int:
                     "config": config,
                     "result": payload,
                 }
-                body = json.dumps(report, sort_keys=True, indent=2) + "\n"
+                body = json_text(report) + "\n"
             elif args.format == "csv":
                 body = csv
             else:

@@ -48,6 +48,7 @@ from .laurent import (
 from .mahler import (
     SMYTH_THETA0,
     face_lines,
+    graeffe_bounds,
     line_bounds,
     line_coeffs,
     mahler_jensen_batch,
@@ -997,8 +998,12 @@ def scan(
     MEASURE_CHUNK streamed candidates and at the end of the stream; the
     held candidates follow, all in one batch for single elements over Z
     and one at a time otherwise.  Results are recorded in enumeration
-    order, so the report is that of measuring each at once.  A
-    ``one_threshold`` that is negative or not finite is refused.
+    order, so the report is that of measuring each at once.  For single
+    elements over Z, each batch first drops the candidates whose exact
+    Graeffe bound (graeffe_bounds), scaled by _BOUND_SLACK, exceeds the
+    cutoff: their measures lie above it, so they can neither lower it nor
+    be determinant one or survey rows.  A ``one_threshold`` that is
+    negative or not finite is refused.
 
     A scan of single elements over Z goes reciprocal-first.  By Smyth
     (1971) a non-reciprocal integer polynomial with a constant term has
@@ -1082,12 +1087,23 @@ def scan(
             cutoff = max(best[0], floor)
             held = [h for h in held if h[1] <= cutoff]
 
+    def under_cutoff(due: list) -> list:
+        """The entries of ``due``, each with its vec last, that a batched
+        context may not drop: it drops those whose Graeffe bound, scaled by
+        _BOUND_SLACK, exceeds the cutoff.  Such a measure can neither be the
+        infimum nor lower the cutoff, and since the cutoff is at least the
+        floor, it is neither determinant one nor a survey row."""
+        if not (ctx.batched and due and cutoff < math.inf):
+            return due
+        bound = graeffe_bounds(pad_lines([list(e[-1]) for e in due], ctx.block))
+        return [e for e, b in zip(due, (bound * _BOUND_SLACK).tolist()) if b <= cutoff]
+
     def flush():
-        if not pending:
-            return
-        results = ctx.evaluate_batch([vec for _, vec in pending], one_threshold)
-        for (index, vec), result in zip(pending, results):
-            record(index, vec, *result)
+        due = under_cutoff(pending)
+        if due:
+            results = ctx.evaluate_batch([vec for _, vec in due], one_threshold)
+            for (index, vec), result in zip(due, results):
+                record(index, vec, *result)
         pending.clear()
         if reciprocal_first and cutoff < RECIPROCAL_CUTOFF:
             ctx.reciprocal_only = True
@@ -1122,12 +1138,13 @@ def scan(
     # record rebinds held when the cutoff falls; this walks the list as it
     # stood when the stream ended and rechecks each bound instead, so each
     # held candidate counts against the cutoff the ones before it left.  A
-    # batched context measures every one still under the cutoff at once and
-    # records those whose bounds the falling cutoff has not passed.  Any
+    # batched context measures at once every one still under the cutoff
+    # that under_cutoff keeps, and records those whose bounds the falling
+    # cutoff has not passed.  Any
     # other measures them one at a time: over Z^d with d >= 2 or for a
     # matrix, evaluating a candidate that the walk would skip may refuse
     if ctx.batched:
-        due = [h for h in held if h[1] <= cutoff]
+        due = under_cutoff([h for h in held if h[1] <= cutoff])
         results = ctx.evaluate_batch([vec for _, _, vec in due], one_threshold) if due else []
         for (index, bound, vec), result in zip(due, results):
             if bound <= cutoff:

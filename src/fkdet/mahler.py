@@ -259,6 +259,101 @@ def line_bounds(lines: np.ndarray) -> tuple:
     return bound, top
 
 
+# the most root-squaring steps graeffe_bounds takes; a row with ||p||_1 >= 2
+# stays exact in int64 for at most 5, and a monomial gains nothing
+GRAEFFE_MAX_STEPS = 5
+
+# LIMITS[k]: the largest ||p||_1 with ||p||_1^(2^k) < 2^63, by iterated floor
+# square roots of 2^63 - 1
+_GRAEFFE_LIMITS = [2**63 - 1]
+while len(_GRAEFFE_LIMITS) <= GRAEFFE_MAX_STEPS:
+    _GRAEFFE_LIMITS.append(math.isqrt(_GRAEFFE_LIMITS[-1]))
+
+# a coefficient past the float range is read as the largest float, which can
+# only lower the bound
+_FLOAT_MAX = int(np.finfo(float).max)
+
+
+@functools.lru_cache(maxsize=8)
+def _inverse_binomials(width: int) -> np.ndarray:
+    """table[m, j] = 1 / C(m, j) for j <= m < width, and 0 for j > m; an
+    entry that underflows reads 0, which can only lower a bound."""
+    table = np.zeros((width, width))
+    for m in range(width):
+        table[m, : m + 1] = [1 / math.comb(m, j) for j in range(m + 1)]
+    # the cache hands this to every caller
+    table.flags.writeable = False
+    return table
+
+
+def _graeffe_step(rows: np.ndarray) -> np.ndarray:
+    """One root-squaring step of each row (ascending int64 coefficients):
+    with p(x) = E(x^2) + x O(x^2), p(x) p(-x) = E(x^2)^2 - x^2 O(x^2)^2, so
+    the row E(y)^2 - y O(y)^2 has the squares of p's roots for its roots and
+    p's degree; E has at most (width + 1) // 2 terms and O width // 2, so
+    neither square runs past the width."""
+    out = np.zeros_like(rows)
+    even, odd = rows[:, 0::2], rows[:, 1::2]
+    e, o = even.shape[1], odd.shape[1]
+    for i in range(e):
+        out[:, i : i + e] += even[:, i : i + 1] * even
+    for i in range(o):
+        out[:, i + 1 : i + 1 + o] -= odd[:, i : i + 1] * odd
+    return out
+
+
+def _graeffe_steps(lines: np.ndarray) -> np.ndarray:
+    """The root-squaring steps graeffe_bounds takes on each row: the most k
+    up to GRAEFFE_MAX_STEPS with ||p||_1^(2^k) < 2^63; none for object
+    rows."""
+    if lines.dtype == object:
+        return np.zeros(len(lines), dtype=np.int64)
+    # clipped past the one-step limit, the sum cannot overflow and is exact
+    # wherever it decides a step
+    norm = np.minimum(np.abs(lines), _GRAEFFE_LIMITS[1] + 1).sum(axis=1)
+    return sum((norm <= limit).astype(np.int64) for limit in _GRAEFFE_LIMITS[1:])
+
+
+def graeffe_bounds(lines: np.ndarray) -> np.ndarray:
+    """A lower bound for the Mahler measure of each row of ``lines``, the
+    ascending coefficients of a nonzero integer polynomial zero-padded to
+    one width, as pad_lines gives them; no root is found.
+
+    Root squaring (Graeffe) takes p to p_k with the 2^k-th powers of p's
+    roots for roots and |lead|^(2^k) for leading coefficient, so
+    M(p_k) = M(p)^(2^k).  Every coefficient of a polynomial q of degree m
+    has |c_j| <= C(m, j) M(q) (Mahler 1962), so
+    M(p) >= (max_j |c_j(p_k)| / C(m, j))^(1/2^k), with m the row's degree,
+    which root squaring keeps.  A row z^i q still obeys it with m its own
+    degree: its coefficients are q's shifted by i, and
+    C(m - i, j - i) <= C(m, j).
+
+    Each row takes the most steps, up to GRAEFFE_MAX_STEPS, that keep int64
+    exact.  A step's coefficient, and each partial sum of it, is a sum of
+    products |a_i a_j| over coefficients of the previous row, so at most
+    its ||.||_1^2, and ||p_(i+1)||_1 <= ||p_i||_1^2; so ||p||_1^(2^k) < 2^63
+    bounds everything k steps add up.  Rows past that take fewer steps,
+    down to none, and object rows take none: with k = 0 the bound is
+    Mahler's inequality on p itself.  The result is a float, exact up to a
+    few roundings.
+    """
+    count, width = lines.shape
+    top = width - 1 - (lines[:, ::-1] != 0).argmax(axis=1)
+    steps = _graeffe_steps(lines)
+    if lines.dtype == object:
+        size = np.array(
+            [[float(min(abs(x), _FLOAT_MAX)) for x in row] for row in lines.tolist()]
+        ).reshape(count, width)
+    else:
+        coeffs = lines.copy()
+        for k in range(1, int(steps.max(initial=0)) + 1):
+            active = steps >= k
+            coeffs[active] = _graeffe_step(coeffs[active])
+        size = np.abs(coeffs).astype(float)
+    largest = (size * _inverse_binomials(width)[top]).max(axis=1)
+    return largest ** (1.0 / 2.0**steps)
+
+
 def screen_lines(lines: np.ndarray) -> tuple:
     """(exact_one, bound) for each row of ``lines``, as in line_bounds.
 

@@ -75,6 +75,78 @@ def test_json_reports_are_byte_identical(capsys):
     )
 
 
+def _no_digit_limit():
+    """The int-to-text digit limit lifted, as main lifts it while it writes."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    return limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mahler", "--poly", LEHMER),
+        ("mahler", "--poly", "1 + z1 + z2", "--method", "quadrature", "--grid", "16"),
+        ("fkdet-zd", "--poly", "1 + z1 + z2", "--trace"),
+        ("fkdet-zd", "--poly", "z - 2"),
+        ("fkdet-finite", "--cyclic", "3,2", "--coeffs", "2,1,0,0,0,1"),
+        ("lehmer-scan", "--box", "6", "--variant", "lambda_1", "--survey"),
+        ("lehmer-scan", "--cyclic", "3", "--variant", "lambda_w_1"),
+        ("approx-chain", "--poly", "z - 2", "--chain", "2..6"),
+        # a radical base of 4 772 digits, past the default limit of 4 300
+        ("approx-chain", "--poly", "3 + z", "--chain", "10000"),
+        ("exact-constants", "--cyclic", "4", "--torsion-order", "3"),
+        ("trace-check", "--poly", "z - 2", "--degree", "3", "--moduli", "5"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]) if isinstance(argv, tuple) else None,
+)
+def test_report_encoder_writes_what_json_dumps_does(capsys, monkeypatch, argv):
+    written = []
+    encode = fkdet.cli.json_text
+
+    def spy(value):
+        written.append((value, encode(value)))
+        return written[-1][1]
+
+    monkeypatch.setattr(fkdet.cli, "json_text", spy)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    ((report, text),) = written
+    assert out == text + "\n"
+    limit = _no_digit_limit()
+    try:
+        assert text == json.dumps(report, sort_keys=True, indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_report_encoder_edge_values():
+    values = [
+        {},
+        [],
+        (),
+        {"a": [], "b": {}, "c": [[], {}, ()], "d": (1, -2.5, None, True, False)},
+        {"text": "caf\u00e9 \"quoted\"\n\t\\ \U0001d11e", "": ""},
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1],
+        {3: "int", 10: "keys", -1: "sort numerically"},
+        {2.5: "float", -1.0: "keys", math.inf: "too"},
+        {True: "bool", False: "keys"},
+        {None: "a null key"},
+        "top", 7, 2.0, None, True,
+        {"nested": {"deeper": [{"x": [1, [2, [3]]]}]}},
+        [2**80, -(2**70)],
+    ]
+    for value in values:
+        assert fkdet.cli.json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    for bad in (object(), {"k": {1, 2}}, [b"bytes"], {(1, 2): "tuple key"}):
+        with pytest.raises(TypeError):
+            fkdet.cli.json_text(bad)
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     argv = ("exact-constants", "--cyclic", "3")
     _, streamed, _ = run_cli(capsys, *argv)

@@ -261,8 +261,10 @@ def test_z_scan_finds_lehmer_polynomial(monkeypatch):
     report = scan(zd_space((10,), coeff_bound=1), "lambda_1")
     # candidates bounded above the floor wait for the stream's final cutoff:
     # Smyth's constant bounds the 795 non-reciprocal ones above the
-    # infimum, so none of them is measured (1 221 measures without holding)
-    assert calls == 426
+    # infimum, so none of them is measured (1 221 measures without holding);
+    # and of the rest, each batch measures only those whose Graeffe bound
+    # lies under the cutoff (426 measures without that filter)
+    assert calls == 73
     # measured every MEASURE_CHUNK streamed candidates, and at the end: a
     # cutoff left stale longer lets held candidates pile up.  The first
     # measurement finds a value below Smyth's constant, so from the next block
@@ -361,6 +363,65 @@ def test_budget_at_the_canonical_bound_switches(monkeypatch):
     assert ctx.reciprocal_only
     assert not report.budget_exceeded
     assert report.count_examined == 29888
+
+
+def _with_and_without_graeffe(monkeypatch, space, variant, **options):
+    """The report of a scan as JSON text and the sizes of its measured
+    batches, once as it runs and once with every Graeffe bound 0, which
+    drops nothing."""
+    reports, batches = [], []
+    evaluate_batch = _LaurentSpace.evaluate_batch
+
+    def counted(self, vecs, one_threshold):
+        batches[-1].append(len(vecs))
+        return evaluate_batch(self, vecs, one_threshold)
+
+    monkeypatch.setattr(_LaurentSpace, "evaluate_batch", counted)
+    for bounds in (lehmer_scan.graeffe_bounds, lambda lines: np.zeros(len(lines))):
+        monkeypatch.setattr(lehmer_scan, "graeffe_bounds", bounds)
+        batches.append([])
+        reports.append(json.dumps(scan(space, variant, **options).as_json()))
+    return list(zip(reports, batches))
+
+
+@pytest.mark.parametrize(
+    "space, variant, options, filtered",
+    [
+        *[(zd_space((b,)), "lambda_1", {}, True) for b in range(8, 13)],
+        (zd_space((8,), coeff_bound=2), "lambda_1", {}, True),
+        (zd_space((10,)), "lambda_w_1", {}, True),
+        (zd_space((8,)), "lambda_1", {"survey": True}, True),
+        (zd_space((10,)), "lambda_1", {"one_threshold": 0.4}, True),
+        (zd_space((10,)), "lambda_1", {"budget": 5000}, True),
+        (zd_space((16,), support=5), "lambda_1", {}, True),
+        # ties at Smyth's constant and measures nothing until the held
+        # batch, whose cutoff is still infinite: the filter drops nothing
+        (zd_space((40,), support=3), "lambda_1", {}, False),
+    ],
+    ids=[
+        *[f"box{b}" for b in range(8, 13)],
+        "box8-c2", "box10-w1", "survey", "threshold", "budget", "box16-s5", "box40-s3",
+    ],
+)
+def test_graeffe_filter_leaves_the_report_as_it_was(
+    monkeypatch, space, variant, options, filtered
+):
+    (report, batches), (unfiltered, all_batches) = _with_and_without_graeffe(
+        monkeypatch, space, variant, **options
+    )
+    assert report == unfiltered
+    measured, unfiltered_measured = sum(batches), sum(all_batches)
+    assert measured < unfiltered_measured if filtered else measured == unfiltered_measured
+
+
+def test_graeffe_filter_trims_the_held_batch(monkeypatch):
+    # box 6 holds the candidates its line bounds put above the floor until
+    # the stream ends, and measures them in one batch after the last flush
+    (report, batches), (unfiltered, all_batches) = _with_and_without_graeffe(
+        monkeypatch, zd_space((6,)), "lambda_1"
+    )
+    assert report == unfiltered
+    assert (batches, all_batches) == ([16, 108], [16, 325])
 
 
 def _reciprocal_up_to_sign(vec):

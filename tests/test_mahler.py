@@ -28,14 +28,17 @@ from fkdet.mahler import (
     SMYTH_THETA0,
     _cyclotomic_cofactors,
     _cyclotomic_orders,
+    _graeffe_steps,
     _squarefree_splits,
     default_bl_schedule,
+    graeffe_bounds,
     line_coeffs,
     log_mahler_quadrature,
     mahler_boyd_lawton,
     mahler_jensen,
     mahler_jensen_batch,
     mahler_measure,
+    pad_lines,
     roots_one_var,
     screen_lines,
 )
@@ -720,6 +723,125 @@ def test_exact_screen_agrees_with_jensen():
         ).value
         assert screen_row(coeffs)[0] == (value < 1 + 1e-9), coeffs
         assert value >= screen_row(coeffs)[1] * (1 - 1e-12), coeffs
+
+
+# ---------------------------------------------------------------------------
+# Graeffe bounds
+
+
+def _graeffe_reference(coeffs, k):
+    """k root-squaring steps in Python ints: p_(i+1)(x^2) = p_i(x) p_i(-x)
+    up to sign, its even coefficients."""
+    p = list(coeffs)
+    for _ in range(k):
+        q = [0] * (2 * len(p) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(p):
+                q[i + j] += a * b * (-1) ** j
+        p = q[::2]
+    return p
+
+
+def _graeffe_bound_reference(coeffs, k):
+    """(max_j |c_j| / C(m, j))^(1/2^k) over the k-th root square, with
+    exact ratios."""
+    m = max(i for i, c in enumerate(coeffs) if c)
+    c = _graeffe_reference(coeffs, k)
+    largest = max(Fraction(abs(c[j]), math.comb(m, j)) for j in range(m + 1))
+    return float(largest) ** (1 / 2**k)
+
+
+def _graeffe_agrees(lines):
+    """graeffe_bounds of ``lines`` (nonzero ascending lists) padded to one
+    width: never above the measure, never below |lead| and |p(0)|, and
+    equal to the reference at the steps the row takes."""
+    width = max(map(len, lines))
+    padded = pad_lines(lines, width)
+    bounds = graeffe_bounds(padded).tolist()
+    steps = _graeffe_steps(padded).tolist()
+    for c, b, k, v in zip(lines, bounds, steps, mahler_jensen_batch(lines)):
+        assert b <= v.value * (1 + 1e-12), c
+        lead = [x for x in c if x][-1]
+        assert b >= max(abs(c[0]), abs(lead)) * (1 - 1e-12), c
+        assert b == pytest.approx(_graeffe_bound_reference(c, k), rel=1e-12), c
+    return bounds, steps
+
+
+def test_graeffe_bound_is_below_the_measure_on_random_rows():
+    rng = random.Random(41)
+    lines = []
+    while len(lines) < 600:
+        c = [rng.randint(-3, 3) for _ in range(rng.randint(2, 31))]
+        if any(c):
+            lines.append(c)
+    _, steps = _graeffe_agrees(lines)
+    # ||p||_1 runs up to 93 here: 3 steps for most rows, 4 for the sparse ones
+    assert set(steps) >= {3, 4}
+
+
+def test_graeffe_bound_on_cyclotomic_reciprocal_and_shifted_rows():
+    rng = random.Random(42)
+    products = rng.sample(_products_to_16(), 200)
+    bounds, _ = _graeffe_agrees(products)
+    # a cyclotomic product measures 1, and its bound is at most that
+    assert max(bounds) <= 1 + 1e-12
+    # (z + 1)^m attains Mahler's inequality at every step
+    assert _graeffe_agrees([_power([1, 1], 12)])[0] == [pytest.approx(1.0, rel=1e-15)]
+    reciprocal = []
+    for _ in range(200):
+        half = [rng.randint(-2, 2) for _ in range(rng.randint(1, 8))]
+        half[0] = half[0] or 1
+        reciprocal.append(half + half[-2::-1])
+    _graeffe_agrees(reciprocal)
+    _graeffe_agrees([[0] * rng.randint(1, 5) + c for c in reciprocal[:100]])
+    _graeffe_agrees([LEHMER_COEFFS, [0, 0, 0] + LEHMER_COEFFS, [-1, -1, 0, 1]])
+
+
+def test_graeffe_steps_follow_the_int64_limit():
+    # ||p||_1^(2^k) < 2^63 allows k steps; the largest norms that allow
+    # 5, 4, 3, 2 and 1 of them are 3, 15, 234, 55108 and 3037000499
+    limits = [3, 15, 234, 55108, 3037000499]
+    lines = []
+    for k, limit in zip(range(5, 0, -1), limits):
+        assert limit ** (2**k) < 2**63 <= (limit + 1) ** (2**k)
+        # two rows at the limit, one with the norm spread over coefficients
+        # of one sign, which the squares make largest; and one past it
+        third = limit // 3
+        lines += [[limit - 1, 1], [third, third, limit - 2 * third], [limit, 1]]
+    lines += [[1], [-1, 0, 0, 1], [2**62, 1], [2**63 - 1]]
+    _, steps = _graeffe_agrees(lines)
+    assert steps == [5, 5, 4, 4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0, 5, 5, 0, 0]
+    # every step taken in int64 is the Python-int one
+    for c, k in zip(lines, steps):
+        rows = pad_lines([c], len(c))
+        for _ in range(k):
+            rows = fkdet.mahler._graeffe_step(rows)
+        assert rows.dtype == np.int64
+        assert rows[0].tolist() == _graeffe_reference(c, k), c
+
+
+def test_graeffe_bound_reads_object_rows_without_steps():
+    lines = [[1, 2**64, 1], [2**70, 1], [3, 2**65 - 1, 0, 5], [1, -(2**63), 1]]
+    padded = pad_lines(lines, 4)
+    assert padded.dtype == object
+    bounds, steps = _graeffe_agrees(lines)
+    assert steps == [0, 0, 0, 0]
+    assert bounds[0] == float(2**63)  # 2^64 / C(2, 1)
+    # a coefficient past the float range reads as the largest float
+    huge = graeffe_bounds(pad_lines([[1, 10**400]], 2))
+    assert huge.tolist() == [np.finfo(float).max]
+
+
+def test_graeffe_bound_needs_four_steps_at_box_10():
+    # a reciprocal box-10 row whose bound clears Lehmer's measure only at
+    # the fourth step; every box-10 row with coefficients in -1..1 has
+    # ||p||_1 <= 11 <= 15 and takes four
+    row = [1, 1, 1, 0, -1, 0, -1, 0, 1, 1, 1]
+    assert _graeffe_bound_reference(row, 3) < LEHMER_MEASURE
+    (bound,), (steps,) = _graeffe_agrees([row])
+    assert steps == 4
+    assert bound > LEHMER_MEASURE
+    assert _graeffe_steps(pad_lines([[1] * 11], 11)).tolist() == [4]
 
 
 # ---------------------------------------------------------------------------
