@@ -33,7 +33,6 @@ import numpy as np
 
 from .intpoly import word_prime
 
-Row = list
 Matrix = list
 
 

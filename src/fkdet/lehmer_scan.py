@@ -70,15 +70,12 @@ DEFAULT_BUDGET_MATRICES = 10**5
 # refuse spaces whose raw enumeration cannot finish at desk scale
 RAW_ENUMERATION_CAP = 5 * 10**7
 
-# a square finite scan on the regular_rep route takes the determinants of
-# its canonical candidates in chunks of representation entries this many
-# (1 024 candidates of a 6x6 representation, about 300 KB of int64)
-DET_CHUNK_ENTRIES = 1024 * 36
-
 # a scan measures the candidates due for it whenever this many more canonical
 # candidates have streamed past, and at the end of the stream; a longer wait
 # leaves the cutoff stale, and held candidates pile up meanwhile.  Candidates
-# a reciprocal-first stream drops never stream, so they do not count here
+# a reciprocal-first stream drops never stream, so they do not count here.  A
+# square finite stream on the regular_rep route takes the determinants of
+# this many canonical candidates at a time, so its memo holds one chunk
 MEASURE_CHUNK = 1024
 
 # exact measure lower bounds are scaled by this before they rule a candidate
@@ -432,29 +429,6 @@ def _canonical_count(space: SearchSpace) -> int:
     return total
 
 
-def _row_keys(a: np.ndarray) -> np.ndarray:
-    """Each row of an integer array as one byte string; the strings compare
-    as the rows do lexicographically (offset binary, most significant byte
-    first)."""
-    flipped = (a ^ np.iinfo(a.dtype).min).astype(
-        a.dtype.newbyteorder(">"), order="C"
-    )
-    return flipped.view("S%d" % (a.shape[1] * a.itemsize))[:, 0]
-
-
-def _orbit_greatest(block: np.ndarray, images) -> np.ndarray:
-    """Which rows A of ``block`` have a positive first nonzero entry and,
-    for every image T (an array shaped like ``block``, row for row), satisfy
-    -A <= T <= A lexicographically."""
-    keys = _row_keys(block)
-    below = _row_keys(-block)
-    keep = keys > _row_keys(np.zeros_like(block[:1]))
-    for image in images:
-        image = _row_keys(image)
-        keep &= (image <= keys) & (image >= below)
-    return keep
-
-
 # a key word sums at most this much in absolute value: (B^w - 1)/2 for w
 # balanced base-B digits, so every partial sum of its float64 matmul is an
 # integer float and exact
@@ -468,7 +442,8 @@ KEY_ROWS = 1024
 def _key_weights(images: np.ndarray, bound: int) -> np.ndarray:
     """The float64 matrix whose product with a block of rows, entries in
     -bound..bound, gives the key words of each row and of each of its
-    ``images`` (rows of positions, as in _FiniteSpace.images).
+    ``images`` (rows of positions, as in _FiniteSpace.images; with an array
+    of no rows, as _LaurentSpace takes it, the row's own words alone).
 
     A row x of p entries is read as balanced base-B digits, B = 2 bound +
     1, cut into words of w positions, the most w with (B^w - 1)/2 below
@@ -505,21 +480,15 @@ def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return le
 
 
-def _orbit_greatest_keys(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """_orbit_greatest of ``block`` against the images whose key words
-    ``weights`` (_key_weights) gives: one matmul keys every row and image,
-    for KEY_ROWS rows at a time."""
-    p, words, sources = weights.shape
-    keep = np.empty(len(block), dtype=bool)
-    for start in range(0, len(block), KEY_ROWS):
-        rows = block[start : start + KEY_ROWS]
-        keys = rows.astype(np.float64) @ weights.reshape(p, -1)
-        keys = keys.reshape(len(rows), words, sources)
-        row, images = keys[:, :, :1], keys[:, :, 1:]
-        kept = ~_lex_le(row, np.zeros_like(row))[:, 0]
-        kept &= _lex_le(images, row).all(axis=1)
-        kept &= _lex_le(-row, images).all(axis=1)
-        keep[start : start + KEY_ROWS] = kept
+def _orbit_greatest_keys(keys: np.ndarray) -> np.ndarray:
+    """Which rows A have a positive first nonzero entry and satisfy
+    -A <= T <= A lexicographically for every image T, from key words
+    shaped (rows, words, 1 + images): the row's own at [:, :, 0], image j's
+    at [:, :, 1 + j]."""
+    row, images = keys[:, :, :1], keys[:, :, 1:]
+    keep = ~_lex_le(row, np.zeros_like(row))[:, 0]
+    keep &= _lex_le(images, row).all(axis=1)
+    keep &= _lex_le(-row, images).all(axis=1)
     return keep
 
 
@@ -545,7 +514,8 @@ class _FiniteSpace:
     determinant, to 0 for a square candidate the stream found singular, or
     to None for an injective candidate whose representation is not square,
     which ``evaluate`` takes by the Gram route without a second elimination.
-    The square stream fills it chunk by chunk, and ``injective`` fills it
+    The square stream fills it MEASURE_CHUNK candidates at a time, the
+    count scan measures by, so it holds one chunk; ``injective`` fills it
     for other shapes; ``injective`` drops a candidate it rejects and
     ``evaluate`` the one it measures.
     """
@@ -580,7 +550,7 @@ class _FiniteSpace:
         # every image of a vector under a left translation g and, for a
         # square shape, under the adjoint of that translation, as the row of
         # positions the image reads off the vector; the identity translation
-        # is left out, since the sign test in _orbit_greatest covers it
+        # is left out, since the sign test in _orbit_greatest_keys covers it
         inv, c = self.group.inverses, self.cols
         entries = range(self.rows * c)
         # entry (i, j) of an adjoint reads entry (j, i) at inverses
@@ -600,12 +570,12 @@ class _FiniteSpace:
     def stream(self):
         """The canonical candidates in enumeration order, by _canonical_stream.
 
-        On a square regular_rep space the candidates come in chunks, and
-        before a chunk is yielded the determinant of each of its candidates
-        goes in ``dets``, where ``injective`` and ``evaluate`` read it:
-        norm_det_batch's on the ring_det route, det_batch's of the whole
-        representation otherwise.  Any other candidate takes the
-        elimination.
+        On a square regular_rep space the candidates come in chunks of
+        MEASURE_CHUNK, and before a chunk is yielded the determinant of each
+        of its candidates goes in ``dets``, where ``injective`` and
+        ``evaluate`` read it: norm_det_batch's on the ring_det route,
+        det_batch's of the whole representation otherwise.  Any other
+        candidate takes the elimination.
         """
         canonical = _canonical_stream(
             self.space,
@@ -614,8 +584,7 @@ class _FiniteSpace:
         if self.rep_index is None:
             yield from canonical
             return
-        size = max(1, DET_CHUNK_ENTRIES // self.rep_index.size)
-        while chunk := list(itertools.islice(canonical, size)):
+        while chunk := list(itertools.islice(canonical, MEASURE_CHUNK)):
             block = np.array(chunk, dtype=np.int64)
             if self.ring_det:
                 dets = norm_det_batch(block, self.group, self.rows)
@@ -633,8 +602,15 @@ class _FiniteSpace:
     def _canonical_mask(self, block: np.ndarray) -> np.ndarray:
         """Which rows of ``block`` are the greatest member of their orbit
         under sign, left translations and (square shapes) their adjoints,
-        from the key words of one matmul."""
-        return _orbit_greatest_keys(block, self.key_weights)
+        from the key words of one matmul, KEY_ROWS rows at a time."""
+        p, words, sources = self.key_weights.shape
+        weights = self.key_weights.reshape(p, -1)
+        keep = np.empty(len(block), dtype=bool)
+        for start in range(0, len(block), KEY_ROWS):
+            rows = block[start : start + KEY_ROWS].astype(np.float64)
+            keys = (rows @ weights).reshape(len(rows), words, sources)
+            keep[start : start + KEY_ROWS] = _orbit_greatest_keys(keys)
+        return keep
 
     def matrix(self, vec: tuple) -> FiniteGroupRingMatrix:
         n = self.n
@@ -757,6 +733,10 @@ class _LaurentSpace:
                 at = [flat.get(tuple(y - x for x, y in zip(e, top))) for e in self.exps]
                 rows.append([p if t is None else s + t for s in starts for t in at])
             self.adjoint = np.array(rows, dtype=np.int64)
+        # the key words of a row alone: _orbit_mask keys the rows and their
+        # adjoints each by one product
+        no_image = np.empty((0, space.positions()), dtype=np.int64)
+        self.key_weights = _key_weights(no_image, space.coeff_bound)[:, :, 0]
 
     def stream(self):
         """The canonical candidates in enumeration order."""
@@ -810,7 +790,9 @@ class _LaurentSpace:
         return keep
 
     def _orbit_mask(self, block: np.ndarray) -> np.ndarray:
-        """Which rows of ``block`` are the greatest member of their orbit."""
+        """Which rows of ``block`` are the greatest member of their orbit,
+        from the key words of the rows the shift-down anchor keeps and of
+        their shifted-down adjoints, KEY_ROWS rows at a time."""
         box = self.space.box
         # nonzero[r, k, *e]: whether row r has a term at exponent e in entry k
         nonzero = (block != 0).reshape(len(block), -1, *(b + 1 for b in box))
@@ -824,13 +806,16 @@ class _LaurentSpace:
             top = top * (b + 1) + b - levels[:, ::-1].argmax(axis=1)
         # the orbit test reads only the rows the shift-down anchor kept
         kept = np.flatnonzero(keep)
-        rows = block[kept]
-        images = ()
-        if self.adjoint is not None:
-            padded = np.concatenate([rows, np.zeros_like(rows[:, :1])], axis=1)
-            gather = self.adjoint.take(top[kept], axis=0)
-            images = (np.take_along_axis(padded, gather, axis=1),)
-        keep[kept] = _orbit_greatest(rows, images)
+        for start in range(0, len(kept), KEY_ROWS):
+            at = kept[start : start + KEY_ROWS]
+            rows = block[at]
+            sources = [rows]
+            if self.adjoint is not None:
+                padded = np.concatenate([rows, np.zeros_like(rows[:, :1])], axis=1)
+                gather = self.adjoint.take(top[at], axis=0)
+                sources.append(np.take_along_axis(padded, gather, axis=1))
+            keys = [src.astype(np.float64) @ self.key_weights for src in sources]
+            keep[at] = _orbit_greatest_keys(np.stack(keys, axis=2))
         return keep
 
     def matrix(self, vec: tuple) -> GroupRingMatrix:

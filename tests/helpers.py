@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 import functools
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,15 @@ from fkdet.mahler import (
     pad_lines,
     screen_lines,
 )
+
+
+def load_tracing():
+    """bench/tracing.py as a module: the tables of the names it patches."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mat(texts, rank=1):
@@ -309,3 +320,26 @@ def class_product_norm(coeffs, n):
                 zeros += len(phi) - 1
     norm = Fraction(norm, scale ** (n - zeros))
     return (norm.numerator if norm.denominator == 1 else norm), zeros
+
+
+def orbit_greatest_reference(rows, images=(), box=None) -> np.ndarray:
+    """Which rows A of an int array the scan's orbit filter keeps, one row
+    at a time in Python tuples: the first nonzero entry of A is positive,
+    and -A <= T <= A lexicographically for the row T of every image (an
+    array shaped like ``rows``, row for row).  Given the exponent box of a
+    space over Z^d, A must also be shifted down: its support reaches
+    exponent 0 on every axis."""
+    if box is not None:
+        exps = list(itertools.product(*(range(b + 1) for b in box)))
+    keep = []
+    for r, row in enumerate(rows.tolist()):
+        a = tuple(row)
+        neg = tuple(-x for x in a)
+        kept = next((x > 0 for x in a if x), False) and all(
+            neg <= tuple(image[r].tolist()) <= a for image in images
+        )
+        if kept and box is not None:
+            support = [exps[i % len(exps)] for i, x in enumerate(a) if x]
+            kept = all(min(e[k] for e in support) == 0 for k in range(len(box)))
+        keep.append(kept)
+    return np.array(keep)

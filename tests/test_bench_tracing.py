@@ -5,17 +5,8 @@ renamed or removed makes ``bench/run.py --trace 1`` fail at install time.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_tracing
 
 
 def test_traced_names_resolve():

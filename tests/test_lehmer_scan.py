@@ -59,6 +59,7 @@ from helpers import (
     cyclotomic_product_oracle,
     face_bound,
     measure_bound_reference,
+    orbit_greatest_reference,
     rand_poly,
     symmetric_group_3,
 )
@@ -832,9 +833,11 @@ def _neg(vec):
         zd_space((2, 1), shape=(1, 2), coeff_bound=1, support=3),
         zd_space((1, 2), shape=(2, 1), coeff_bound=1, support=3),
         zd_space((1,), shape=(3, 3), coeff_bound=1, support=2),
-        # coefficients past the int8 blocks, and a rank-3 square matrix
+        # coefficients past the int8 blocks, a rank-3 square matrix, and
+        # 36 positions of three digits, keyed in two words
         zd_space((1,), coeff_bound=128),
         zd_space((1, 1, 1), shape=(2, 2), coeff_bound=1, support=3),
+        zd_space((8,), shape=(2, 2), coeff_bound=1, support=3),
     ],
     ids=lambda s: "box%s-%dx%d-c%d-s%s" % (
         ",".join(map(str, s.box)), *s.shape, s.coeff_bound, s.support
@@ -1399,13 +1402,45 @@ def test_square_scans_read_their_determinants_from_the_memo(monkeypatch):
     monkeypatch.setattr(_FiniteSpace, "_det_kernel", counted)
     space = SearchSpace(group=make_cyclic(3), shape=(2, 2), coeff_bound=1, support=6)
     report = scan(space, "lambda_w")
-    assert report.count_examined > 2 * lehmer_scan.DET_CHUNK_ENTRIES // 36
+    assert report.count_examined > 2 * lehmer_scan.MEASURE_CHUNK
     assert seen == []
     space = SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=1)
     scan(space, "lambda")
     ctx = _FiniteSpace(space)
     singular = [vec for vec in ctx.stream() if ctx.dets[vec] == 0]
     assert seen and seen == singular
+
+
+@pytest.mark.parametrize(
+    "space, variant",
+    [
+        # a 4x4 representation, whose determinants used to come 2 304 at a time
+        (SearchSpace(group=make_cyclic(2), shape=(2, 2), coeff_bound=2), "lambda"),
+        (SearchSpace(group=make_cyclic(3), shape=(2, 2), support=6), "lambda_w"),
+        (SearchSpace(group=S3, shape=(2, 2), support=4), "lambda_w"),
+    ],
+    ids=["Z2-2x2-c2", "Z3-2x2-s6", "S3-2x2-s4"],
+)
+def test_square_memo_holds_one_chunk(monkeypatch, space, variant):
+    # the stream takes MEASURE_CHUNK determinants at a time, and the scan
+    # measures them before the next chunk comes
+    sizes = []
+
+    class Memo(dict):
+        def update(self, pairs):
+            super().update(pairs)
+            sizes.append(len(self))
+
+    init = _FiniteSpace.__init__
+
+    def recording(self, space):
+        init(self, space)
+        self.dets = Memo()
+
+    monkeypatch.setattr(_FiniteSpace, "__init__", recording)
+    scan(space, variant, budget=5000)
+    assert len(sizes) > 1
+    assert max(sizes) <= lehmer_scan.MEASURE_CHUNK
 
 
 def test_finite_memo_takes_each_determinant_once(monkeypatch):
@@ -1643,33 +1678,61 @@ def test_ring_determinant_route_needs_a_small_commutative_side():
         (SearchSpace(group=make_cyclic(9), shape=(2, 2)), 2),
         (SearchSpace(group=make_cyclic(9), shape=(2, 2), coeff_bound=2), 2),
         (SearchSpace(group=make_cyclic(25), shape=(2, 2)), 3),
+        # over Z^d: int8 rows, and int64 rows past the int8 blocks, whose
+        # 257 or 401 digits make words of 6 positions
+        (zd_space((5,), coeff_bound=1), 1),
+        (zd_space((10,), coeff_bound=128), 2),
+        (zd_space((8,), shape=(2, 2), coeff_bound=1), 2),
+        (zd_space((1,), shape=(2, 2), coeff_bound=200), 2),
+        (zd_space((1, 1), shape=(2, 2), coeff_bound=2), 1),
+        (zd_space((2, 1), shape=(1, 2), coeff_bound=1), 1),
     ],
     ids=[
         "Z3-2x2", "S3-2x2-c2", "Z4-1x2-c3", "Z4-file-2x1-c2", "Z9-2x2", "Z9-2x2-c2",
-        "Z25-2x2",
+        "Z25-2x2", "box5", "box10-c128", "box8-2x2", "box1-2x2-c200",
+        "box1,1-2x2-c2", "box2,1-1x2",
     ],
 )
-def test_key_matmul_mask_is_the_byte_key_mask(space, words):
-    ctx = _FiniteSpace(space)
+def test_key_mask_is_the_reference_mask(monkeypatch, space, words):
+    # a small KEY_ROWS makes every block cross several key matmuls
+    monkeypatch.setattr(lehmer_scan, "KEY_ROWS", 128)
+    ctx = lehmer_scan._context(space)
     assert ctx.key_weights.shape[1] == words
     b, p = space.coeff_bound, space.positions()
+    dtype = np.int8 if b <= np.iinfo(np.int8).max else np.int64
     rng = np.random.default_rng(p)
-    block = rng.integers(-b, b + 1, size=(300, p)).astype(np.int8)
+    block = rng.integers(-b, b + 1, size=(300, p)).astype(dtype)
     # sparse rows, which often tie with their images
-    block[100:200] *= (rng.random((100, p)) < 0.1).astype(np.int8)
-    images = np.concatenate([block[:, idx] for idx in ctx.images])
-    orbits = np.concatenate([block, -block, images, -images])
-    # the greatest member of each row's orbit, and rows fixed by every image
-    greatest = np.array([
-        max(tuple(o) for o in orbits[i :: len(block)].tolist())
-        for i in range(len(block))
-    ], dtype=np.int8)
-    fixed = np.ones((2, p), dtype=np.int8)
+    block[100:200] *= (rng.random((100, p)) < 0.1).astype(dtype)
+    fixed = np.ones((2, p), dtype=dtype)
     fixed[1] = 0
-    block = np.concatenate([block, images, greatest, fixed, -fixed])
-    want = lehmer_scan._orbit_greatest(
-        block, (block.take(idx, axis=1) for idx in ctx.images)
-    )
+    if space.group is not None:
+        images = np.concatenate([block[:, idx] for idx in ctx.images])
+        orbits = np.concatenate([block, -block, images, -images])
+        # the greatest member of each row's orbit, and rows fixed by every image
+        greatest = np.array([
+            max(tuple(o) for o in orbits[i :: len(block)].tolist())
+            for i in range(len(block))
+        ], dtype=dtype)
+        block = np.concatenate([block, images, greatest, fixed, -fixed])
+        want = orbit_greatest_reference(block, [block[:, idx] for idx in ctx.images])
+    else:
+        ref = _ReferenceLaurentFilter(space)
+
+        def adjoints(rows):
+            # each row's shifted-down adjoint, entry by entry
+            out = []
+            for vec in rows.tolist():
+                support = [i for i, x in enumerate(vec) if x]
+                out.append(ref._reverse(tuple(vec), support) if support else vec)
+            return np.array(out, dtype=dtype)
+
+        if ctx.adjoint is not None:
+            # the adjoints and their negatives tie with the rows they came from
+            block = np.concatenate([block, adjoints(block), -adjoints(block)])
+        block = np.concatenate([block, fixed, -fixed])
+        images = [adjoints(block)] if ctx.adjoint is not None else []
+        want = orbit_greatest_reference(block, images, space.box)
     assert want.any() and not want.all()
     assert (ctx._canonical_mask(block) == want).all()
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import fkdet
 
+from helpers import load_tracing
+
 
 def test_public_names_resolve_once():
     assert len(fkdet.__all__) == len(set(fkdet.__all__))
@@ -65,7 +67,7 @@ def test_intpoly_imports_nothing_from_the_package():
 def test_deleted_helpers_stay_gone():
     # code that only the tests called, and the second remainder sequence
     # over Z, which intpoly's subresultant sequence replaced
-    from fkdet import fk_finite, mahler
+    from fkdet import exact_linalg, fk_finite, lehmer_scan, mahler
 
     for owner, name in [
         (mahler, "_gcd_poly"),
@@ -74,8 +76,39 @@ def test_deleted_helpers_stay_gone():
         (mahler, "face_lower_bound"),
         (fk_finite, "_resultant"),
         (fk_finite.FiniteGroup, "mul"),
+        (lehmer_scan, "_row_keys"),
+        (lehmer_scan, "_orbit_greatest"),
+        (lehmer_scan, "DET_CHUNK_ENTRIES"),
+        (exact_linalg, "Row"),
     ]:
         assert not hasattr(owner, name), name
+
+
+def test_every_module_level_name_is_read():
+    # a function, class or constant that no module of the package reads and
+    # fkdet.__all__ does not export is dead code; the functions the bench
+    # tracer patches by name are kept for it
+    read = set()
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Assign):
+                defined += [(path.name, t.id) for t in node.targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    read |= set(fkdet.__all__) | {attr for _, _, attr, _ in load_tracing().FUNCTIONS}
+    dead = [
+        (module, name)
+        for module, name in defined
+        if name not in read and not name.startswith("__")
+    ]
+    assert dead == []
 
 
 def test_trusted_constructor_stays_in_laurent():
