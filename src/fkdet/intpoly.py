@@ -5,13 +5,16 @@ A polynomial is a list of ints, ascending by degree; [] is zero.  One
 remainder sequence over Z, the subresultant sequence, gives both ``gcd``
 and ``resultant``; Yun's ``squarefree_decomposition`` takes its gcds, and
 ``proven_squarefree`` proves a whole stack of rows square-free modulo one
-word prime first.  The module imports nothing from the rest of the package.
+word prime first.  ``scaled_power_sums`` tabulates the integer power sums of
+the roots, and ``cyclotomic_resultant`` gives Res(Phi_e, Phi_d) in closed
+form.  The module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -218,6 +221,41 @@ def cyclotomic(n: int) -> tuple:
         if n % d == 0:
             p = div_exact(p, cyclotomic(d))
     return tuple(p)
+
+
+def scaled_power_sums(coeffs: list, count: int) -> list:
+    """[S_0, ..., S_count], S_j the sum of (a alpha)^j over the roots alpha
+    of an integer polynomial of degree m >= 1 with leading coefficient a.
+
+    The a alpha are the roots of the monic integer polynomial
+    a^(m-1) coeffs(x/a) = x^m + c_(m-1) x^(m-1) + ... + c_0,
+    c_j = coeffs[j] a^(m-1-j), so every S_j is an integer: Newton's
+    identities give S_1 ... S_m, and S_j = -(c_0 S_(j-m) + ... +
+    c_(m-1) S_(j-1)) the rest.
+    """
+    m = len(coeffs) - 1
+    a = coeffs[-1]
+    low = [c * a ** (m - 1 - j) for j, c in enumerate(coeffs[:-1])]
+    sums = [m]
+    for j in range(1, min(m, count) + 1):
+        sums.append(-(j * low[m - j] + sum(map(operator.mul, low[m - j + 1 :], sums[1:j]))))
+    for j in range(m + 1, count + 1):
+        sums.append(-sum(map(operator.mul, low, sums[j - m : j])))
+    return sums
+
+
+def cyclotomic_resultant(e: int, d: int) -> int:
+    """|Res(Phi_e, Phi_d)| for e != d, in closed form (Apostol, Resultants
+    of cyclotomic polynomials, Proc. AMS 24, 1970): q^phi(min(e, d)) when
+    max(e, d) / min(e, d) is a power of a prime q, and 1 otherwise."""
+    lo, hi = sorted((e, d))
+    if hi % lo:
+        return 1
+    ratio = hi // lo
+    q = next(f for f in range(2, ratio + 1) if ratio % f == 0)
+    while ratio % q == 0:
+        ratio //= q
+    return q ** totient(lo) if ratio == 1 else 1
 
 
 def totient(n: int) -> int:

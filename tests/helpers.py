@@ -285,10 +285,12 @@ def primitive_prs_gcd(a, b):
 
 
 @functools.cache
+@functools.cache
 def sylvester_resultant(a, b):
     """Res(a, b) of two integer polynomials, ascending tuples with nonzero
     leading coefficients, not both constant: the determinant of their
-    Sylvester matrix."""
+    Sylvester matrix.  Cached, since class_product_norm takes the same
+    class products for every order a divisor d divides."""
     m, n = len(a) - 1, len(b) - 1
     rows = [[0] * i + list(a[::-1]) + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + list(b[::-1]) + [0] * (m - 1 - i) for i in range(m)]

@@ -299,8 +299,10 @@ def _ascending(coeffs):
 # Phi_1^2 Phi_3 (2 + t - t^2): a repeated cyclotomic factor
 _REPEATED = poly_mul(poly_mul(poly_mul(PHI[1], PHI[1]), PHI[3]), [2, 1, -1])
 
+LEHMER_P = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
 CHAIN_INPUTS = {
-    "lehmer": _ascending([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]),
+    "lehmer": _ascending(LEHMER_P),
     "lead 2": _ascending([1, -2, 0, 1, 2, -1, 0, 0, 1, -1, 2]),
     "lead -2": _ascending([-1, 0, 2, 1, -2, 0, 1, 1, 0, 2, -2]),
     "p(1) = 0": _ascending([2, -1, 0, 1, -2, 0, 0, 1, 0, -1]),
@@ -352,41 +354,128 @@ def test_t_power_mod_is_the_reduced_monomial(mod):
         assert fk_finite.t_power_mod(n, mod) == fk_finite.reduced_rem([0] * n + [1], 1, mod)
 
 
-def test_chain_pass_shares_the_power_and_the_trial_divisions(monkeypatch):
-    calls = {"t_power_mod": [], "div_exact": 0, "resultant": 0}
-    power, div, res = fk_finite.t_power_mod, fk_finite.div_exact, fk_finite.resultant
+def _times(*factors):
+    out = [1]
+    for f in factors:
+        out = poly_mul(out, f)
+    return out
 
-    def counted_power(n, mod):
-        calls["t_power_mod"].append(n)
-        return power(n, mod)
 
-    def counted_div(a, b):
-        calls["div_exact"] += 1
-        return div(a, b)
+PHI_6 = [1, -1, 1]
 
-    def counted_res(a, b):
-        calls["resultant"] += 1
+# the differential test of the two routes: |lc| 2 and 3 at either end,
+# rational coefficients, negative exponents, cyclotomic factors, and the
+# Gram elements sum x_i x_i* of a 2x1 and a 1x3 vector
+ROUTE_INPUTS = {
+    "lehmer": CHAIN_INPUTS["lehmer"],
+    "lead 2": CHAIN_INPUTS["lead 2"],
+    "lead -3": _ascending([1, 0, -1, 2, 1, -3]),
+    "constant 2": _ascending([2, 1, -1, 0, 1, 1]),
+    "constant -3": _ascending([-3, 1, 0, 2, -1, 1, 1]),
+    "fractions": {-1: Fraction(1, 2), 0: 3, 2: Fraction(-2, 3), 3: 1},
+    "negative exponents": {-3: 1, -1: -2, 0: 1, 2: 1},
+    "phi1^2 phi2 phi6 r": _ascending(_times(PHI[1], PHI[1], PHI[2], PHI_6, [2, 1, 0, -1])),
+    "cyclotomic product": _ascending(_times(PHI[1], PHI[3], PHI[4], PHI[4], PHI_6)),
+    "constant": {0: 3},
+    "zero": {},
+    "gram 2x1": _gram({0: 1, 1: 2, 3: -1}, {-1: 1, 2: 1}),
+    "gram 1x3": _gram({0: 2, 1: -1}, {1: 1, 2: 1, 4: 1}, {0: Fraction(1, 2), 3: 1}),
+}
+
+ROUTE_CHAINS = {
+    "from 1": list(range(1, 101)),
+    "falling": list(range(100, 0, -1)),
+    "duplicated": [n for n in range(1, 101) for _ in (0, 1)],
+}
+
+
+@pytest.mark.parametrize("chain", sorted(ROUTE_CHAINS))
+@pytest.mark.parametrize("name", sorted(ROUTE_INPUTS))
+def test_power_sum_route_matches_the_resultant_route_and_class_products(
+    monkeypatch, name, chain
+):
+    f, orders = ROUTE_INPUTS[name], ROUTE_CHAINS[chain]
+    runs = {}
+    for table in (True, False):
+        monkeypatch.setattr(fk_finite, "takes_power_sums", lambda r, orders, t=table: t)
+        runs[table] = cyclic_norm(f, orders)
+    assert runs[True] == runs[False]
+    assert runs[True] == [class_product_norm(f, n) for n in orders]
+
+
+def _routes(monkeypatch):
+    """Record the route of every pass, (name, orders, degree of r), and
+    count resultant calls."""
+    taken, counts = [], {"resultant": 0}
+    for name in ("_power_sum_resultants", "_carried_resultants"):
+        route = getattr(fk_finite, name)
+
+        def recorded(r, orders, route=route, name=name):
+            taken.append((name, list(orders), len(r) - 1))
+            return route(r, orders)
+
+        monkeypatch.setattr(fk_finite, name, recorded)
+    res = fk_finite.resultant
+
+    def counted(a, b):
+        counts["resultant"] += 1
         return res(a, b)
 
-    monkeypatch.setattr(fk_finite, "t_power_mod", counted_power)
-    monkeypatch.setattr(fk_finite, "div_exact", counted_div)
-    monkeypatch.setattr(fk_finite, "resultant", counted_res)
+    monkeypatch.setattr(fk_finite, "resultant", counted)
+    return taken, counts
 
-    def run(orders):
-        calls.update(t_power_mod=[], div_exact=0, resultant=0)
-        cyclic_norm(CHAIN_INPUTS["p(1) = 0"], orders)
-        return dict(calls)
 
-    short, long = run(range(2, 31)), run(range(2, 61))
-    # p has degree 9 and its widest gap is 3 (t^4 to t^7), so 12..60 read
-    # the same p and share one pass: t^12 once, then one step of t per
-    # stage; 3..11 each read a shorter p of their own, and 2 a constant
-    assert long["t_power_mod"] == [12] + [1] * 48 + list(range(3, 12))
-    # one resultant and one exact division by g_n per stage past the
-    # constant; the shared trial divisions, by the Phi_d with phi(d) <= 9,
-    # all with d <= 30, are the same for both chains
-    assert (short["resultant"], long["resultant"]) == (28, 58)
-    assert long["div_exact"] - 58 == short["div_exact"] - 28 > 0
+def test_chain_pass_route(monkeypatch):
+    taken, counts = _routes(monkeypatch)
+    # a dense chain takes the table and no resultant per stage
+    got = fk_finite._cyclic_pass(LEHMER_P, list(range(2, 61)))
+    assert taken == [("_power_sum_resultants", list(range(2, 61)), 10)]
+    assert counts["resultant"] == 0
+    # each cyclotomic factor, here Phi_1 and Phi_2, takes one resultant for
+    # the whole pass, its cut
+    taken.clear()
+    p = CHAIN_INPUTS["p(1) = 0"]
+    fk_finite._cyclic_pass([p.get(e, 0) for e in range(10)], list(range(12, 61)))
+    assert taken == [("_power_sum_resultants", list(range(12, 61)), 7)]
+    assert counts["resultant"] == 2
+    # a single order takes the resultant route, one resultant
+    taken.clear()
+    counts["resultant"] = 0
+    assert fk_finite._cyclic_pass(LEHMER_P, [60]) == [got[-1]]
+    assert taken == [("_carried_resultants", [60], 10)]
+    assert counts["resultant"] == 1
+    # through cyclic_norm: Lehmer's widest gap is 2, so 12..60 share one
+    # pass; 2..11 each read a shorter p in a pass of their own
+    taken.clear()
+    cyclic_norm(CHAIN_INPUTS["lehmer"], range(2, 61))
+    assert taken[0] == ("_power_sum_resultants", list(range(12, 61)), 10)
+    assert all(
+        name == "_carried_resultants" and len(orders) == 1 for name, orders, _ in taken[1:]
+    )
+
+
+@pytest.mark.parametrize(
+    "r, orders, table",
+    [
+        (LEHMER_P, range(2, 61), True),
+        (LEHMER_P, range(12, 161), True),
+        (LEHMER_P, [60], False),
+        (LEHMER_P, [60, 60], False),
+        (LEHMER_P, range(2, 200, 8), False),
+        ([2, 1, 1], range(4, 100, 6), True),
+        ([1] * 40 + [2], range(42, 102), True),
+        ([1] * 40 + [2], range(42, 342, 5), False),
+        # over the table's bits
+        ([1, 2, 2], range(3, 10001), False),
+        ([1, 2, 2], range(3, 4001), True),
+        ([10**6, 1], range(2, 4001), False),
+        ([-2, 1], range(2, 4001), True),
+        ([1] * 100 + [2], range(101, 301), False),
+        ([1] * 500 + [2], range(600, 631), False),
+    ],
+)
+def test_takes_power_sums_on_dense_chains(r, orders, table):
+    assert fk_finite.takes_power_sums(r, list(orders)) is table
 
 
 @pytest.mark.parametrize(
@@ -396,14 +485,17 @@ def test_chain_pass_shares_the_power_and_the_trial_divisions(monkeypatch):
         ({0: 2, 100000: 1}, range(2, 61)),
         # Lehmer's p(t^50): span 500, widest gap 100, so 600 is the first
         # order to read the same p
-        ({50 * e: c for e, c in CHAIN_INPUTS["lehmer"].items()}, range(595, 606)),
+        ({50 * e: c for e, c in CHAIN_INPUTS["lehmer"].items()}, range(590, 631)),
         (CHAIN_INPUTS["lehmer"], range(2, 61)),
         (CHAIN_INPUTS["gram"], [30, 2, 9, 31]),
+        ({0: 1, 100000: 2}, range(2, 61)),
     ],
 )
 def test_chain_pass_keeps_each_stage_at_its_own_degree(monkeypatch, coeffs, orders):
     # a span wider than the orders is not carried into their stages: every
-    # order is measured on a p no longer than its own reading mod n
+    # order is measured on a p no longer than its own reading mod n, and a
+    # pass of high degree keeps the resultant route
+    taken, _ = _routes(monkeypatch)
     passes = []
     measure = fk_finite._cyclic_pass
 
@@ -418,10 +510,11 @@ def test_chain_pass_keeps_each_stage_at_its_own_degree(monkeypatch, coeffs, orde
     degrees = {}
     for terms, group in passes:
         for n in group:
-            degrees[n] = max(terms, default=0)
+            degrees[n] = len(terms) - 1
     assert sorted(degrees) == sorted(set(orders))
     for n in orders:
-        assert degrees[n] == max(fk_finite._cyclic_poly(coeffs, n)[0], default=0)
+        assert degrees[n] == len(fk_finite._cyclic_poly(coeffs, n)[0]) - 1
+    assert all(name == "_carried_resultants" for name, _, m in taken if m > 100)
     monkeypatch.undo()
     assert got == [cyclic_norm(coeffs, [n])[0] for n in orders]
 

@@ -1,18 +1,24 @@
 """The exact integer-polynomial kernel: one subresultant sequence for the
 gcd and the resultant, against the primitive remainder sequence and the
-Sylvester determinant."""
+Sylvester determinant; the resultants of cyclotomic polynomials in closed
+form against that sequence; and the power sums of the roots against
+np.roots."""
 
 import random
 
+import numpy as np
 import pytest
 
 from fkdet.intpoly import (
+    cyclotomic,
+    cyclotomic_resultant,
     divisors,
     gcd,
     is_prime,
     poly_mul,
     primes_below,
     resultant,
+    scaled_power_sums,
     trim,
     word_prime,
 )
@@ -92,3 +98,44 @@ def test_primes():
     assert word_prime(0) == 2**31 - 1
     assert word_prime(1) == 2**31 - 19
     assert all(is_prime(word_prime(i)) for i in range(4))
+
+
+def test_cyclotomic_resultant_is_the_resultant_of_the_cyclotomic_polynomials():
+    # Apostol's closed form against the subresultant sequence, every pair
+    # e != d up to 150
+    for d in range(2, 151):
+        phi = list(cyclotomic(d))
+        for e in range(1, d):
+            want = resultant(list(cyclotomic(e)), phi)
+            assert cyclotomic_resultant(e, d) == cyclotomic_resultant(d, e) == want, (e, d)
+
+
+@pytest.mark.parametrize(
+    "coeffs, sums",
+    [
+        # z^2 - z - 1: the Lucas numbers
+        ([-1, -1, 1], [2, 1, 3, 4, 7, 11, 18, 29, 47]),
+        # (2z - 1)(z - 1): the roots 1/2 and 1, scaled by 2 to 1 and 2
+        ([1, -3, 2], [2, 3, 5, 9, 17, 33, 65, 129, 257]),
+        # 3z + 2: the root -2/3, scaled to -2
+        ([2, 3], [1, -2, 4, -8, 16, -32, 64, -128, 256]),
+        # z^3 - 2: the powers of the roots cancel unless 3 | j
+        ([-2, 0, 0, 1], [3, 0, 0, 6, 0, 0, 12, 0, 0]),
+    ],
+)
+def test_scaled_power_sums_goldens(coeffs, sums):
+    assert scaled_power_sums(coeffs, 8) == sums
+
+
+def test_scaled_power_sums_match_the_roots():
+    rng = random.Random(32)
+    for _ in range(200):
+        coeffs = _rand(rng, rng.randint(1, 8))
+        while not coeffs[0]:
+            coeffs[0] = rng.randint(-3, 3)
+        roots = coeffs[-1] * np.roots(coeffs[::-1])
+        sums = scaled_power_sums(coeffs, 30)
+        assert len(sums) == 31
+        for j, s in enumerate(sums):
+            powers = roots**j
+            assert abs(s - powers.sum()) <= 1e-9 * max(1.0, np.abs(powers).sum()), (coeffs, j)
