@@ -20,7 +20,6 @@ from fractions import Fraction
 import math
 
 from .fk_finite import (
-    FiniteGroup,
     FiniteGroupRingElement,
     FiniteGroupRingMatrix,
     cyclic_stages,

@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from math import gcd
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact_linalg import eliminate
 

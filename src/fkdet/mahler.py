@@ -7,8 +7,11 @@ proof modulo a word prime that most need none) before any
 floating-point root finding, so repeated roots cost no precision; the
 roots of each square-free factor are then polished with Newton steps
 against the exact coefficients.  The exact arithmetic, Yun's split and the
-word-prime proof included, is ``intpoly``'s; this module keeps what it
-builds on them: the batched split, the cyclotomic screen and the bounds.
+word-prime proof included, is ``intpoly``'s; this module keeps the batched
+split it builds on them.  The exact screens of the Z scans divide nothing:
+one root-squaring step (Graeffe) gives both the lower bounds of
+``graeffe_bounds`` and the cyclotomic test of ``screen_lines``, which
+decides "measure one" by Kronecker's theorem for a block of rows at once.
 
 One companion routine, ``_companion_roots``, finds every root: it stacks
 the companion matrices of polynomials of one degree and takes their
@@ -40,8 +43,6 @@ from fractions import Fraction
 import numpy as np
 
 from .intpoly import (
-    cyclotomic,
-    div_exact,
     gcd,
     primitive,
     proven_squarefree,
@@ -107,20 +108,6 @@ SMYTH_THETA0 = 1.324717957244746
 # ascending coefficient lists, on the kernel of intpoly)
 
 
-@functools.cache
-def _cyclotomic_orders(degree: int) -> tuple:
-    """Every n with phi(n) <= degree; phi(n) >= sqrt(n/2) bounds the search,
-    and one sieve gives every totient up to that bound: a prime q is the
-    first index whose entry is still itself, and it scales the entries of
-    its multiples by 1 - 1/q."""
-    top = 2 * degree * degree + 2
-    phi = np.arange(top + 1, dtype=np.int64)
-    for q in range(2, top + 1):
-        if phi[q] == q:
-            phi[q::q] -= phi[q::q] // q
-    return tuple((np.flatnonzero(phi[1:] <= degree) + 1).tolist())
-
-
 def _strip_monomial(coeffs: list) -> list:
     """Drop the z**k factor and trailing zeros of an ascending list."""
     c = trim(list(coeffs))
@@ -128,109 +115,6 @@ def _strip_monomial(coeffs: list) -> list:
     while k < len(c) and c[k] == 0:
         k += 1
     return c[k:]
-
-
-@functools.lru_cache(maxsize=8)
-def _cyclotomic_cofactors(degree: int) -> tuple:
-    """A linear map from polynomials of degree at most ``degree`` whose
-    block n vanishes exactly when Phi_n divides the polynomial, for every n
-    with phi(n) <= degree, stored by its generator rather than as a table.
-
-    Psi_n = (z^n - 1) / Phi_n is monic of degree n - phi(n) and prime to
-    Phi_n.  For f = r + q Phi_n with deg r < phi(n), the cyclic product
-    f Psi_n mod z^n - 1 is r Psi_n, whose top phi(n) coefficients are r's
-    under a unit triangular map, so they vanish iff r = 0.  Block n holds
-    those coefficients, at positions t = n - phi(n), ..., n - 1, and z^k
-    puts Psi_n[(t - k) mod n] at position t.
-
-    Returns psi (every Psi_n zero-padded to length n, end to end); for each
-    column the start of its Psi_n in psi, its position t and its n; for
-    each block its first column and phi(n); and the largest |entry| of psi.
-    """
-    psi, base, at, period, starts, phis = [], [], [], [], [], []
-    for n in _cyclotomic_orders(degree):
-        phi_n = list(cyclotomic(n))
-        phi = len(phi_n) - 1
-        cof = div_exact([-1] + [0] * (n - 1) + [1], phi_n)
-        starts.append(len(at))
-        phis.append(phi)
-        base += [len(psi)] * phi
-        at += range(n - phi, n)
-        period += [n] * phi
-        psi += cof + [0] * (phi - 1)
-    largest = max(map(abs, psi), default=0)
-    arrays = [np.array(psi, dtype=np.int64 if largest < 2**63 else object)]
-    arrays += [np.array(a, dtype=np.int64) for a in (base, at, period, starts, phis)]
-    for a in arrays:
-        # the cache hands these to every caller
-        a.flags.writeable = False
-    return (*arrays, largest)
-
-
-# the most cells of the cyclotomic map, and of its product with a chunk of
-# rows, held at once: 512 KB in int64
-_CYCLOTOMIC_CELLS = 1 << 16
-
-
-def _cyclotomic_divides(rows: np.ndarray, cofactors: tuple) -> np.ndarray:
-    """Whether Phi_n divides each row of ``rows`` (ascending coefficients,
-    nonzero rows), for every block n of _cyclotomic_cofactors.
-
-    The rows go through the map in chunks, each times the map's rows at the
-    exponents the chunk uses, built as needed, so a support-capped row of a
-    wide box costs its terms, not its width."""
-    psi, base, at, period, starts = cofactors[:5]
-    count, width = rows.shape
-    size = len(at)
-    step = max(1, _CYCLOTOMIC_CELLS // (width * size))
-    per_map = max(1, _CYCLOTOMIC_CELLS // size)
-    out = np.empty((count, len(starts)), dtype=bool)
-    for r in range(0, count, step):
-        chunk = rows[r : r + step]
-        used = np.flatnonzero((chunk != 0).any(axis=0))
-        product = 0
-        for k in range(0, len(used), per_map):
-            ks = used[k : k + per_map]
-            product = product + chunk[:, ks] @ psi[base + (at - ks[:, None]) % period]
-        out[r : r + step] = ~np.logical_or.reduceat(product != 0, starts, axis=1)
-    return out
-
-
-def _cyclotomic_degree(lines: np.ndarray) -> np.ndarray:
-    """sum of m_n phi(n) over the cyclotomic factors Phi_n^m_n of each row
-    of ``lines`` (ascending coefficients, nonzero rows).
-
-    Phi_n is irreducible and its roots are simple, so m_n is the order of
-    zeta_n as a root: the least j with Phi_n not dividing the Hasse
-    derivative D_j f = sum_k C(k, j) f_k z^(k - j).  Level j tests D_j f
-    against the blocks n that divided every lower derivative, for the rows
-    that have one; no block divides past j = deg f / phi(n), since
-    m_n phi(n) <= deg f.  Level j is taken in int64 when
-    largest |map entry| * largest |coefficient| * C(width, j + 1), a bound
-    on |D_j f|'s coefficients added up times the map, proves it fits, else
-    in Python ints."""
-    count, width = lines.shape
-    cofactors = _cyclotomic_cofactors(width - 1)
-    starts, phis, largest = cofactors[4:]
-    degree = np.zeros(count, dtype=np.int64)
-    if not len(starts) or not count:
-        return degree
-    coeff = int(np.abs(lines).max())
-    rows = np.arange(count)
-    divides = np.ones((count, len(starts)), dtype=bool)
-    for j in range(width):
-        fits = largest * coeff * math.comb(width, j + 1) < 2**63
-        binom = np.array(
-            [math.comb(k, j) for k in range(j, width)],
-            dtype=np.int64 if fits else object,
-        )
-        divides &= _cyclotomic_divides(lines[rows, j:] * binom, cofactors)
-        degree[rows] += divides @ phis
-        keep = divides.any(axis=1)
-        rows, divides = rows[keep], divides[keep]
-        if not len(rows):
-            break
-    return degree
 
 
 def line_bounds(lines: np.ndarray) -> tuple:
@@ -274,6 +158,29 @@ while len(_GRAEFFE_LIMITS) <= GRAEFFE_MAX_STEPS:
 _FLOAT_MAX = int(np.finfo(float).max)
 
 
+def _float_sizes(rows: np.ndarray) -> np.ndarray:
+    """|entry| of an int64 or Python-int array as floats; an entry past the
+    float range reads as the largest float."""
+    if rows.dtype != object:
+        return np.abs(rows).astype(float)
+    return np.array(
+        [[float(min(abs(x), _FLOAT_MAX)) for x in row] for row in rows.tolist()]
+    ).reshape(rows.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _binomials(width: int) -> np.ndarray:
+    """table[m, j] = C(m, j) for j <= m < width, and 0 for j > m, as floats
+    clipped as _float_sizes clips; rounding and clipping are monotone, so a
+    size above its entry is a coefficient above its binomial."""
+    table = np.zeros((width, width))
+    for m in range(width):
+        table[m, : m + 1] = [min(math.comb(m, j), _FLOAT_MAX) for j in range(m + 1)]
+    # the cache hands this to every caller
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=8)
 def _inverse_binomials(width: int) -> np.ndarray:
     """table[m, j] = 1 / C(m, j) for j <= m < width, and 0 for j > m; an
@@ -287,18 +194,22 @@ def _inverse_binomials(width: int) -> np.ndarray:
 
 
 def _graeffe_step(rows: np.ndarray) -> np.ndarray:
-    """One root-squaring step of each row (ascending int64 coefficients):
-    with p(x) = E(x^2) + x O(x^2), p(x) p(-x) = E(x^2)^2 - x^2 O(x^2)^2, so
+    """One root-squaring step of each row (ascending int64 or Python-int
+    coefficients): with p(x) = E(x^2) + x O(x^2),
+    p(x) p(-x) = E(x^2)^2 - x^2 O(x^2)^2, so
     the row E(y)^2 - y O(y)^2 has the squares of p's roots for its roots and
     p's degree; E has at most (width + 1) // 2 terms and O width // 2, so
     neither square runs past the width."""
     out = np.zeros_like(rows)
     even, odd = rows[:, 0::2], rows[:, 1::2]
     e, o = even.shape[1], odd.shape[1]
-    for i in range(e):
-        out[:, i : i + e] += even[:, i : i + 1] * even
-    for i in range(o):
-        out[:, i + 1 : i + 1 + o] -= odd[:, i : i + 1] * odd
+    # a column that is zero in every row adds nothing
+    for j in np.flatnonzero((rows != 0).any(axis=0)).tolist():
+        i = j // 2
+        if j % 2:
+            out[:, i + 1 : i + 1 + o] -= odd[:, i : i + 1] * odd
+        else:
+            out[:, i : i + e] += even[:, i : i + 1] * even
     return out
 
 
@@ -340,18 +251,68 @@ def graeffe_bounds(lines: np.ndarray) -> np.ndarray:
     count, width = lines.shape
     top = width - 1 - (lines[:, ::-1] != 0).argmax(axis=1)
     steps = _graeffe_steps(lines)
-    if lines.dtype == object:
-        size = np.array(
-            [[float(min(abs(x), _FLOAT_MAX)) for x in row] for row in lines.tolist()]
-        ).reshape(count, width)
-    else:
-        coeffs = lines.copy()
-        for k in range(1, int(steps.max(initial=0)) + 1):
-            active = steps >= k
-            coeffs[active] = _graeffe_step(coeffs[active])
-        size = np.abs(coeffs).astype(float)
-    largest = (size * _inverse_binomials(width)[top]).max(axis=1)
+    coeffs = lines.copy()
+    for k in range(1, int(steps.max(initial=0)) + 1):
+        active = steps >= k
+        coeffs[active] = _graeffe_step(coeffs[active])
+    largest = (_float_sizes(coeffs) * _inverse_binomials(width)[top]).max(axis=1)
     return largest ** (1.0 / 2.0**steps)
+
+
+def _cyclotomic_rows(lines: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Whether each row of ``lines`` (ascending integer coefficients with
+    |lead| = |p(0)| = 1, zero-padded to one width) is +-1 times a product of
+    cyclotomic polynomials; ``top`` holds the rows' degrees.
+
+    Root squaring decides it (Bradford and Davenport 1989).  Let m be a
+    row's degree, K = m.bit_length() and p_k its k-th root square
+    (_graeffe_step), whose roots are the 2^k-th powers of p's and whose lead
+    and constant term are +-1.
+    - A root of unity of order 2^e u, u odd, is a root of Phi_n with
+      2^(e - 1) <= phi(n) <= m, so e <= K.  After K squarings every root
+      has odd order; squaring permutes the primitive u-th roots, so step
+      K + 1 returns +-p_K.
+    - Conversely, if step K + 1 returns +-p_K, the roots of p_K are closed
+      under squaring, so none has modulus above 1.  Their product has
+      modulus 1, so all lie on the unit circle.  By Kronecker they are
+      roots of unity, and then so are the roots of p.
+    Both hold for any count of steps from K on, so a block takes the count
+    of its highest degree.  On the way a row with a coefficient
+    |c_j| > C(m, j) is dropped, since Mahler's inequality then gives
+    M(p) > 1; the drop only prunes, and the last comparison decides.
+
+    Each step takes a row in int64 when its ||p_k||_1 <= _GRAEFFE_LIMITS[1],
+    which bounds every partial sum of the step, and in Python ints
+    otherwise.  The drop keeps ||p_k||_1 <= 2^m, so a row of degree up to
+    31 squares in int64 throughout.
+    """
+    count, width = lines.shape
+    out = np.zeros(count, dtype=bool)
+    if not count:
+        return out
+    binom = _binomials(width)[top]
+    # the scans pass int8 blocks, whose squares need int64
+    rows = lines if lines.dtype == object else lines.astype(np.int64)
+    groups = [(np.arange(count), rows)]
+    steps = int(top.max(initial=0)).bit_length()
+    limit = _GRAEFFE_LIMITS[1]
+    for k in range(steps + 1):
+        routed = []
+        for ids, p in groups:
+            size = _float_sizes(p)
+            keep = (size <= binom[ids]).all(axis=1)
+            # clipped past the limit, as in _graeffe_steps, the sum is exact
+            fits = np.minimum(size, limit + 1).sum(axis=1) <= limit
+            for part, dtype in ((keep & fits, np.int64), (keep & ~fits, object)):
+                if part.any():
+                    routed.append((ids[part], p[part].astype(dtype, copy=False)))
+        groups = []
+        for ids, p in routed:
+            q = _graeffe_step(p)
+            if k == steps:
+                out[ids] = (q == p).all(axis=1) | (q == -p).all(axis=1)
+            groups.append((ids, q))
+    return out
 
 
 def screen_lines(lines: np.ndarray) -> tuple:
@@ -360,14 +321,13 @@ def screen_lines(lines: np.ndarray) -> tuple:
     ``bound`` is line_bounds of the row.  ``exact_one`` says whether the
     Mahler measure is 1: by Kronecker's theorem exactly when the row is +-1
     times a product of cyclotomic polynomials.  That needs bound 1, so
-    |lead| = 1, and then holds iff the cyclotomic factors' degrees
-    (_cyclotomic_degree) add up to the row's degree: their product divides
-    the row and is monic.
+    |lead| = |p(0)| = 1, and root squaring (_cyclotomic_rows) decides the
+    rest.
     """
     lines = np.asarray(lines)
     bound, top = line_bounds(lines)
     exact_one = bound == 1.0
-    exact_one[exact_one] = _cyclotomic_degree(lines[exact_one]) == top[exact_one]
+    exact_one[exact_one] = _cyclotomic_rows(lines[exact_one], top[exact_one])
     return exact_one, bound
 
 

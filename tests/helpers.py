@@ -18,13 +18,13 @@ from fkdet.intpoly import (
     primitive,
     pseudo_rem,
     squarefree_decomposition,
+    totient,
     trim,
 )
 from fkdet.laurent import GroupRingMatrix, LaurentPolynomial, parse_polynomial
 from fkdet.mahler import (
     SMYTH_THETA0,
     UNIT_BAND,
-    _cyclotomic_orders,
     _strip_monomial,
     face_lines,
     line_bounds,
@@ -248,6 +248,13 @@ def measure_bound_reference(coeffs) -> float:
     return float(bound)
 
 
+@functools.cache
+def cyclotomic_orders(degree: int) -> tuple:
+    """Every n with phi(n) <= degree, by the definition: phi(n) >= sqrt(n/2)
+    bounds the search by 2 degree^2 + 2."""
+    return tuple(n for n in range(1, 2 * degree * degree + 3) if totient(n) <= degree)
+
+
 def cyclotomic_product_oracle(coeffs) -> bool:
     """Whether the integer polynomial is +-z**k times a product of
     cyclotomic polynomials, by trial division by every Phi_n with
@@ -255,7 +262,7 @@ def cyclotomic_product_oracle(coeffs) -> bool:
     c = _strip_monomial(coeffs)
     if not c or abs(c[0]) != 1 or abs(c[-1]) != 1 or not _is_reciprocal(c):
         return False
-    for n in _cyclotomic_orders(len(c) - 1):
+    for n in cyclotomic_orders(len(c) - 1):
         phi = cyclotomic(n)
         while len(phi) <= len(c):
             try:

@@ -26,8 +26,8 @@ from fkdet.mahler import (
     JENSEN_MAX_DEGREE,
     QUADRATURE_MAX_POINTS,
     SMYTH_THETA0,
-    _cyclotomic_cofactors,
-    _cyclotomic_orders,
+    _GRAEFFE_LIMITS,
+    _graeffe_step,
     _graeffe_steps,
     _squarefree_splits,
     default_bl_schedule,
@@ -564,16 +564,6 @@ def _spread(c, k):
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 
 
-@pytest.mark.parametrize("degrees", [range(61), [200]], ids=["to60", "200"])
-def test_cyclotomic_orders_match_the_totient_definition(degrees):
-    # the sieve gives the tuple of every n with phi(n) <= D, searched up to
-    # 2 D^2 + 2 by _totient's trial factoring
-    for d in degrees:
-        want = tuple(n for n in range(1, 2 * d * d + 3) if totient(n) <= d)
-        assert _cyclotomic_orders(d) == want, d
-        assert all(type(n) is int for n in want)
-
-
 def _products_to_16():
     factors = [list(cyclotomic(n)) for n in range(1, 61) if totient(n) <= 16]
     assert len(factors) == 32
@@ -621,12 +611,16 @@ def test_cyclotomic_block_test_rejects_near_misses():
     assert 0 < sum(exact_one) < len(moved) // 4
 
 
+def _norm(c):
+    return sum(map(abs, c))
+
+
 def test_cyclotomic_block_test_takes_python_ints_past_int64():
-    # degree 40 with multiplicities up to 40: past the level j where
-    # largest |map entry| * largest |coefficient| * C(41, j + 1) reaches
-    # 2^63 the Hasse derivatives are taken in Python ints
+    # degree 40 with multiplicities up to 40: a row squares in Python ints
+    # from the first step whose ||p_k||_1 passes _GRAEFFE_LIMITS[1], at the
+    # start for (z - 1)^40 and after one step for (z^2 - 1)^20, whose square
+    # is (y - 1)^40
     top = math.comb(40, 20)
-    assert _cyclotomic_cofactors(40)[-1] * top * math.comb(41, 8) >= 2**63
     lines = [
         _power([-1, 1], 40),  # (z - 1)^40
         _spread(_power([-1, 1], 20), 2),  # (z^2 - 1)^20
@@ -638,31 +632,132 @@ def test_cyclotomic_block_test_takes_python_ints_past_int64():
     moved[20] += 1
     lines.append(moved)
     assert max(abs(c) for line in lines for c in line) == top + 1
+    assert _norm(lines[0]) > _GRAEFFE_LIMITS[1]
+    assert _norm(lines[1]) <= _GRAEFFE_LIMITS[1] < _norm(_graeffe_reference(lines[1], 1))
     assert _cyclotomic_block_agrees(lines) == [True, True, False, True, True, False]
 
 
-def test_cyclotomic_block_test_is_the_same_in_any_chunks(monkeypatch):
-    # the map's rows and the product go in chunks of at most
-    # _CYCLOTOMIC_CELLS cells; one cell a chunk, one row and one exponent a
-    # step, decides as one chunk does
+def _alone(lines):
+    # exact_one of each row screened as a block of one, at its own width
+    return [screen_lines(pad_lines([c], len(c)))[0][0] for c in lines]
+
+
+def test_cyclotomic_block_test_decides_each_row_as_alone():
+    # a block squares every row as often as its highest degree asks, and
+    # routes each row to int64 or Python ints by its own norm; each row
+    # decides in the block as it does alone
     rng = random.Random(18)
     products = rng.sample(_products_to_16(), 300)
     lehmer = [_conv(LEHMER_COEFFS, p) for p in products if len(p) <= 7][:100]
     lines = [p + [0] * (17 - len(p)) for p in products + lehmer]
     whole = screen_lines(np.array(lines))[0].tolist()
     assert 0 < sum(whole) < len(lines)
-    monkeypatch.setattr(fkdet.mahler, "_CYCLOTOMIC_CELLS", 1)
-    assert screen_lines(np.array(lines))[0].tolist() == whole
+    assert whole == _alone(products + lehmer)
+
+
+def test_cyclotomic_block_mixes_int64_and_python_int_rows():
+    # six squarings take 1 - z^64 to (1 - y)^64, whose ||.||_1 is 2^64; the
+    # fifth step already passes the int64 limit, so that row goes on in
+    # Python ints while the rest of its block stays in int64
+    wide = [
+        [1] + [0] * 63 + [-1],  # 1 - z^64
+        _conv(_spread([1, 1], 32), _power([-1, 1], 20)),  # (z^32 + 1)(z - 1)^20
+        _spread(LEHMER_COEFFS, 6),
+        _conv(_power([1, 1], 30), [1, 1, 1]),  # (z + 1)^30 Phi_3
+    ]
+    small = [[1, 1], [1, -1, 1], LEHMER_COEFFS, [1, 1, 1, 1], [1, 0, 1, 1]]
+    assert _graeffe_reference(wide[0], 6) == _power([1, -1], 64)
+    norms = [_norm(_graeffe_reference(wide[0], k)) for k in (4, 5)]
+    assert norms[0] <= _GRAEFFE_LIMITS[1] < norms[1]
+    lines = wide + small
+    expect = [True, True, False, True, True, True, False, True, False]
+    assert _cyclotomic_block_agrees(lines) == expect
+    assert _alone(lines) == expect
+    # a Python-int block, as pad_lines gives one past int64: the large row
+    # is dropped and every other decides as before
+    big = pad_lines(lines + [[1, 2**64, 1]], 65)
+    assert big.dtype == object
+    assert screen_lines(big)[0].tolist() == expect + [False]
+
+
+def test_cyclotomic_test_reads_coefficients_past_the_float_range():
+    # |c_j| past 1e308 reads as the largest float, above every binomial of
+    # these degrees: decided False, with no error
+    for p in ([1, 10**400, 1], [1, 0, -(10**400), 0, 1], [-1, 10**309, 10**309, -1]):
+        assert not screen_row(p)[0], p
+        assert not cyclotomic_product_oracle(p)
+    lines = pad_lines([[1, 10**400, 1], [1, 1, 1], [-1, 1]], 3)
+    assert screen_lines(lines)[0].tolist() == [False, True, True]
+
+
+def _boundary_rows():
+    # z^(2^j) + 1 = Phi_(2^(j + 1)), whose roots have order 2^(j + 1), and its
+    # products with factors of lower degree, all of degree m < 2^(j + 1):
+    # K = m.bit_length() = j + 1, so the roots reach odd order only at step K
+    rows = []
+    for j in range(8):
+        phi = _spread([1, 1], 2**j)
+        rows.append(phi)
+        if j:
+            rows += [_conv(phi, [-1, 1]), _conv(phi, _power([1, 1, 1], (2**j - 1) // 2))]
+        for c in rows[-3:]:
+            assert 2**j <= len(c) - 1 < 2 ** (j + 1)
+    return rows
+
+
+def test_cyclotomic_test_takes_every_squaring_at_the_boundary():
+    rows = _boundary_rows()
+    for c in rows:
+        if len(c) > 64:
+            continue
+        k = (len(c) - 1).bit_length()
+        # K squarings close the roots under squaring, K - 1 do not
+        after, before = _graeffe_reference(c, k + 1), _graeffe_reference(c, k)
+        assert after in (before, [-x for x in before]), c
+        last = _graeffe_reference(c, k - 1)
+        assert before not in (last, [-x for x in last]), c
+    assert all(_alone(rows))
+    width = max(map(len, rows))
+    assert screen_lines(pad_lines(rows, width))[0].all()
+    # one symmetric pair moved by one: cyclotomic only by accident, as
+    # (z + 1)(z^3 + 1) from z^4 + 1
+    moved = [
+        c[:1] + [c[1] + 1] + c[2:-2] + [c[-2] + 1] + c[-1:] for c in rows if 3 < len(c) <= 64
+    ]
+    assert 0 < sum(_cyclotomic_block_agrees(moved)) < len(moved) // 2
+
+
+def test_cyclotomic_test_of_odd_degree_and_signed_rows():
+    # a row of odd degree m squares to a lead of (-1)^m, so p_1 flips the
+    # sign of a positive lead; -1 at degree 0 squares to +1 = -p_0, the one
+    # place the sign of the last comparison shows
+    rows = [
+        [1, -1],  # -Phi_1
+        [-1, 1],
+        [1, 1],
+        [-1, 3, -3, 1],  # (z - 1)^3
+        [1, 2, 2, 1],  # Phi_2 Phi_3
+        [1, -2, 2, -1],  # -Phi_1 Phi_6
+        [1, 0, 0, 0, 0, -1],  # -(z^5 - 1)
+        [1] + [0] * 6 + [1],  # z^7 + 1
+        [1, -3, -3, 1],  # (z + 1)(z^2 - 4z + 1)
+        [1, 1, 0, 0, 0, 0, 1, 1],  # Phi_2 (z^6 + 1)
+        _conv(LEHMER_COEFFS, [1, 1]),
+        [1],
+        [-1],
+    ]
+    rows += [[-x for x in c] for c in rows]
+    want = [cyclotomic_product_oracle(c) for c in rows]
+    assert want.count(False) == 4
+    assert _alone(rows) == want
+    assert [screen_row(c)[0] for c in rows] == want
 
 
 def test_cyclotomic_test_of_a_wide_sparse_row_stays_small():
-    # a support-capped row of degree 200 reads the map only at its terms:
-    # the cached generator holds sum of n over phi(n) <= 200 entries, not a
-    # table of the width times the map's columns
-    psi, base = _cyclotomic_cofactors(200)[:2]
-    assert (len(psi), len(base)) == (91759, 40244)
+    # a support-capped row of degree 200 squares only the columns that are
+    # nonzero in some row, and each step is the Python-int one
     lehmer = dict(zip(range(0, 201, 20), LEHMER_COEFFS))
-    for terms, want in [
+    cases = [
         ({0: 1, 200: -1}, True),  # z^200 - 1
         ({0: 1, 100: 2, 200: 1}, True),  # (z^100 + 1)^2
         ({0: 1, 100: 3, 200: 1}, False),
@@ -670,9 +765,12 @@ def test_cyclotomic_test_of_a_wide_sparse_row_stays_small():
         ({0: 1, 99: -1, 101: -1, 200: 1}, True),  # (z^99 - 1)(z^101 - 1)
         (dict(zip(range(0, 201, 20), _power([-1, 1], 10))), True),  # (z^20 - 1)^10
         (lehmer, False),  # Lehmer's polynomial at z^20
-    ]:
-        coeffs = [terms.get(k, 0) for k in range(201)]
+    ]
+    rows = [[terms.get(k, 0) for k in range(201)] for terms, _ in cases]
+    for coeffs, (terms, want) in zip(rows, cases):
         assert screen_row(coeffs)[0] == want, terms
+    stepped = _graeffe_step(np.array(rows)).tolist()
+    assert stepped == [_graeffe_reference(c, 1) for c in rows]
 
 
 def test_measure_lower_bound():

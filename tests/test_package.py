@@ -52,6 +52,33 @@ def test_no_private_name_crosses_a_module_boundary():
     assert crossing == []
 
 
+def test_every_imported_name_is_read():
+    # __init__ imports to re-export; every other module reads each name it
+    # imports, in code or in an annotation
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        imports = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ]
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unread.append((path.name, name))
+    assert unread == []
+
+
 def test_intpoly_imports_nothing_from_the_package():
     path = SRC / "intpoly.py"
     assert all(
@@ -65,8 +92,9 @@ def test_intpoly_imports_nothing_from_the_package():
 
 
 def test_deleted_helpers_stay_gone():
-    # code that only the tests called, and the second remainder sequence
-    # over Z, which intpoly's subresultant sequence replaced
+    # code that only the tests called, the second remainder sequence over Z,
+    # which intpoly's subresultant sequence replaced, and the cyclotomic
+    # cofactor map, which root squaring replaced
     from fkdet import exact_linalg, fk_finite, lehmer_scan, mahler
 
     for owner, name in [
@@ -74,6 +102,11 @@ def test_deleted_helpers_stay_gone():
         (mahler, "is_cyclotomic_product"),
         (mahler, "measure_lower_bound"),
         (mahler, "face_lower_bound"),
+        (mahler, "_cyclotomic_orders"),
+        (mahler, "_cyclotomic_cofactors"),
+        (mahler, "_cyclotomic_divides"),
+        (mahler, "_cyclotomic_degree"),
+        (mahler, "_CYCLOTOMIC_CELLS"),
         (fk_finite, "_resultant"),
         (fk_finite.FiniteGroup, "mul"),
         (lehmer_scan, "_row_keys"),
