@@ -656,9 +656,9 @@ def test_cyclotomic_block_test_decides_each_row_as_alone():
 
 
 def test_cyclotomic_block_mixes_int64_and_python_int_rows():
-    # six squarings take 1 - z^64 to (1 - y)^64, whose ||.||_1 is 2^64; the
-    # fifth step already passes the int64 limit, so that row goes on in
-    # Python ints while the rest of its block stays in int64
+    # a row squares in Python ints only at the steps where its own
+    # ||p_k||_1 is past the int64 limit: 1 - z^64 from the fifth (six take
+    # it to (1 - y)^64, ||.||_1 = 2^64), (z + 1)^30 Phi_3 at the first only
     wide = [
         [1] + [0] * 63 + [-1],  # 1 - z^64
         _conv(_spread([1, 1], 32), _power([-1, 1], 20)),  # (z^32 + 1)(z - 1)^20
@@ -668,6 +668,8 @@ def test_cyclotomic_block_mixes_int64_and_python_int_rows():
     small = [[1, 1], [1, -1, 1], LEHMER_COEFFS, [1, 1, 1, 1], [1, 0, 1, 1]]
     assert _graeffe_reference(wide[0], 6) == _power([1, -1], 64)
     norms = [_norm(_graeffe_reference(wide[0], k)) for k in (4, 5)]
+    assert norms[0] <= _GRAEFFE_LIMITS[1] < norms[1]
+    norms = [_norm(_graeffe_reference(wide[3], k)) for k in (1, 0)]
     assert norms[0] <= _GRAEFFE_LIMITS[1] < norms[1]
     lines = wide + small
     expect = [True, True, False, True, True, True, False, True, False]
