@@ -270,7 +270,8 @@ def _build_chain(args, rank: int) -> QuotientChain:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (payload, text, csv), and main records
-# the parsed flags as the report's config
+# the parsed flags as the report's config; approx-chain builds its text and
+# csv only when that format is asked for, and leaves the other None
 
 
 def _group_json(group: FiniteGroup) -> dict:
@@ -405,6 +406,9 @@ def _run_chain(args):
         max_stage_order=args.max_stage_order,
     )
     payload = seq.as_json()
+    csv = det_sequence_to_csv(seq) if args.format == "csv" else None
+    if args.format != "text":
+        return payload, None, csv
     lines = []
     for mods, order, value in zip(chain.moduli, chain.orders(), seq.values):
         lines.append("order %d  moduli %s  value %r" % (order, list(mods), value.value))
@@ -413,7 +417,6 @@ def _run_chain(args):
     lines.append("limsup_ok = %s" % seq.limsup_ok)
     gap = abs(seq.values[-1].value - ref.value)
     lines.append("approaching = %s  (final gap %r)" % (seq.approaching, gap))
-    csv = det_sequence_to_csv(seq) if args.format == "csv" else None
     return payload, "\n".join(lines), csv
 
 

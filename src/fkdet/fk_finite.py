@@ -617,11 +617,13 @@ def regular_rep(a) -> list:
 
 def _radical_value(q, root: int, method: str) -> FKValue:
     """|q|**(1/root) for a nonzero rational q: exact when q is an integer."""
-    q = abs(Fraction(q))
-    if q.denominator == 1:
-        return fk_exact(Radical(q.numerator, Fraction(1, root)), method)
-    value = math.exp((math.log(q.numerator) - math.log(q.denominator)) / root)
-    return FKValue(value, method, 1e-14 * value)
+    if not isinstance(q, int):
+        q = abs(Fraction(q))
+        if q.denominator != 1:
+            value = math.exp((math.log(q.numerator) - math.log(q.denominator)) / root)
+            return FKValue(value, method, 1e-14 * value)
+        q = q.numerator
+    return fk_exact(Radical(abs(q), Fraction(1, root)), method)
 
 
 # ---------------------------------------------------------------------------
@@ -639,20 +641,32 @@ def cyclic_norm(coeffs, orders) -> list:
     widest gap between the exponents of p, read the same p mod n, and they
     share one _cyclic_pass on it: a dense chain of them takes one table of
     power sums, a sparse one a resultant per order (takes_power_sums).
-    Any lower order reads its own p mod n, of degree below m, in a pass of
-    its own, which takes a resultant: a span wider than the orders, such
-    as 1 + t^1000 on 2..160, would otherwise carry every stage at degree
-    m.  Each norm is exact, an int or a Fraction.
+    Every order reads p at its roots of unity as it reads its own p mod n,
+    up to a power of t, so the shared p gives the lower orders their norms
+    too.  They join the shared pass when it takes the table, where each
+    costs one Newton step on a table built anyway; the rule is read on r,
+    p with its cyclotomic factors taken out (_cyclic_pass).  Otherwise
+    each lower order reads its own p mod n, of degree below m, in a pass
+    of its own, which takes a resultant: a span wider than the orders,
+    such as 1 + t^1000 on 2..160, would otherwise carry every stage at
+    degree m.  Each norm is exact, an int or a Fraction.
     """
     orders = list(orders)
     if any(n < 1 for n in orders):
         raise ValueError("group order must be positive")
-    shared = _cyclic_poly(coeffs, math.lcm(*orders))
-    passes = [(shared, [n for n in orders if n >= shared[2]])]
-    passes += [(_cyclic_poly(coeffs, n), [n]) for n in orders if n < shared[2]]
+    p, scale, least = _cyclic_poly(coeffs, math.lcm(*orders))
+    group = [n for n in orders if n >= least]
+    low = [n for n in orders if n < least]
+    stages = _cyclic_pass(p, group, low)
+    if len(stages) > len(group):
+        group, low = group + low, []
+    passes = [(scale, group, stages)]
+    for n in low:
+        own, own_scale, _ = _cyclic_poly(coeffs, n)
+        passes.append((own_scale, [n], _cyclic_pass(own, [n])))
     measured = {}
-    for (p, scale, _), group in passes:
-        for n, (num, zeros) in zip(group, _cyclic_pass(p, group)):
+    for scale, group, stages in passes:
+        for n, (num, zeros) in zip(group, stages):
             den = scale ** (n - zeros)
             norm = num // den if num % den == 0 else Fraction(num, den)
             measured[n] = (norm, zeros)
@@ -683,45 +697,44 @@ def _cyclic_poly(coeffs, period: int) -> tuple:
     return p, scale, len(p) - 1 + (gaps[-2][0] if len(gaps) > 1 else 0)
 
 
-def _cyclic_pass(p: list, orders: list) -> list:
-    """(norm, zeros) of an integer polynomial p for each order n: the norm
-    is |prod p(zeta)| over the n-th roots of unity zeta with p(zeta) != 0,
-    an int, and zeros counts the rest.
+def _cyclic_pass(p: list, orders: list, low: list = ()) -> list:
+    """(norm, zeros) of an integer polynomial p for each order n of
+    ``orders``, then of ``low`` when those join the pass: the norm is
+    |prod p(zeta)| over the n-th roots of unity zeta with p(zeta) != 0, an
+    int, and zeros counts the rest.
 
     p = C r, C the product of the Phi_d^k_d that divide p exactly, d a
     divisor of some order, found once; an n-th root of unity is a zero of
     p iff its order divides n and is one of those d.  r has no zero at any
     n-th root, so the product of |r| over them is |Res(t^n - 1, r)|, which
     is unchanged when r is reversed; the end with the smaller absolute
-    value leads.  takes_power_sums picks its route for the pass: one table
-    of power sums (_power_sum_resultants) or one resultant per order
-    (_carried_resultants).  The norm is then the product over the n-th
-    roots that are no zeros: |Res(t^n - 1, r)| divided by |Res(Phi_d, r)|
-    for each of those d that divides n, times |C| over the other classes,
-    |Res(Phi_e, Phi_d)|^k_e for each factor Phi_e^k_e of C and each other
-    divisor d of n, in closed form (cyclotomic_resultant).
+    value leads.  takes_power_sums picks the route for ``orders``, read on
+    r: one table of power sums (_power_sum_resultants) or one resultant
+    per order (_carried_resultants).  The orders of ``low``, lower ones
+    whose own reading of p at their roots of unity is p's, join the pass
+    only on the table, whose length they do not change: the search for C
+    goes on over their divisors, and each takes one Newton step.  The
+    norm is then the product over the n-th roots that are no zeros:
+    |Res(t^n - 1, r)| divided by |Res(Phi_d, r)| for each of those d that
+    divides n, times |C| over the other classes, |Res(Phi_e, Phi_d)|^k_e
+    for each factor Phi_e^k_e of C and each other divisor d of n, in
+    closed form (cyclotomic_resultant).
     """
     if not p or not orders:
         return [(1, n) for n in orders]
-    factors, r = [], p
-    for d in sorted({d for n in orders for d in divisors(n)}):
-        if totient(d) > len(r) - 1:
-            continue
-        phi, k = list(cyclotomic(d)), 0
-        while len(phi) <= len(r):
-            try:
-                r = div_exact(r, phi)
-            except ValueError:
-                break
-            k += 1
-        if k:
-            factors.append((d, k))
+    searched = {d for n in orders for d in divisors(n)}
+    r, factors = _divide_cyclotomic(p, searched)
+    table = len(r) > 1 and takes_power_sums(r, orders)
+    if table and low:
+        r, more = _divide_cyclotomic(r, {d for n in low for d in divisors(n)} - searched)
+        factors += more
+        orders = list(orders) + list(low)
     if 0 < abs(r[0]) < abs(r[-1]):
         r = r[::-1]
     m = len(r) - 1
     if m == 0:
         full = [abs(r[0]) ** n for n in orders]
-    elif takes_power_sums(r, orders):
+    elif table:
         full = _power_sum_resultants(r, orders)
     else:
         full = _carried_resultants(r, orders)
@@ -739,6 +752,26 @@ def _cyclic_pass(p: list, orders: list) -> list:
                     value *= cyclotomic_resultant(e, d) ** k
         stages.append((value, sum(map(totient, held))))
     return stages
+
+
+def _divide_cyclotomic(r: list, ds) -> tuple:
+    """r with every Phi_d that divides it, d in ``ds``, divided out as
+    often as it divides, and the list of those (d, k), k the times
+    divided."""
+    factors = []
+    for d in sorted(ds):
+        if totient(d) > len(r) - 1:
+            continue
+        phi, k = list(cyclotomic(d)), 0
+        while len(phi) <= len(r):
+            try:
+                r = div_exact(r, phi)
+            except ValueError:
+                break
+            k += 1
+        if k:
+            factors.append((d, k))
+    return r, factors
 
 
 def takes_power_sums(r: list, orders: list) -> bool:
@@ -782,7 +815,7 @@ def _power_sum_resultants(r: list, orders: list) -> list:
     sums = scaled_power_sums(r, m * max(orders))
     out = []
     for n in orders:
-        powers = sums[n :: n]
+        powers = sums[n : m * n + 1 : n]
         q = [1]
         for k in range(1, m + 1):
             q.append(-sum(map(operator.mul, reversed(q), powers)) // k)

@@ -19,6 +19,9 @@ from .intpoly import primes_below, residue_moduli
 # the product of the primes below 1000, for perfect_power's first test
 _SMALL_PRIMORIAL = math.prod(primes_below(1000))
 
+# the exponent of every Radical whose value is an integer
+_ONE = Fraction(1)
+
 
 def integer_nth_root(n: int, k: int) -> int:
     """Largest x with x**k <= n, for n >= 0 and k >= 1."""
@@ -43,29 +46,68 @@ def integer_nth_root(n: int, k: int) -> int:
         x = y
 
 
+def _valuation(n: int, q: int) -> int:
+    """The exponent of the prime q in n >= 1: n is divided by q, q^2,
+    q^4, ... while they divide it, then the rest of the exponent is read
+    off bit by bit from the top."""
+    v, powers = 0, [q]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for j in range(len(powers) - 2, -1, -1):
+        if n % powers[j] == 0:
+            n //= powers[j]
+            v += 1 << j
+    return v
+
+
 def perfect_power(n: int) -> tuple[int, int]:
-    """Write n >= 1 as m**k with k maximal; (n, 1) when n is not a power."""
+    """Write n >= 1 as m**k with k maximal; (n, 1) when n is not a power.
+
+    n = m**k is a j-th power exactly when j divides k, so taking prime
+    roots one at a time reaches k, and only a prime that can divide k is
+    tried.  g, the product of the primes below 1000 that divide n, bounds
+    the primes:
+
+    - g = 1: no prime below 1000 divides m, so m >= 1009 > 2^9 and
+      2^bits > n >= 1009^k > 2^(9k), bits the bit length of n; hence
+      k <= bits // 9.  A p-th root keeps this true of the root, so the
+      bound is read afresh on it.
+    - g > 1: k divides the exponent of every prime q in n, so it divides
+      e, the gcd of the exponents of the primes q dividing g, and only the
+      prime factors of e are tried; e = 1 means n is no power.  If one of
+      those q divides n only once, g does not divide n / g, and that is
+      seen before g is factored.  g is factored by trial division, which
+      stops once g is used up.
+
+    A p-th power is a p-th power residue mod every prime q = 1 mod p,
+    which rules out almost every p before any root is taken.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    # n = m**k is a j-th power exactly when j divides k, so taking prime
-    # roots one at a time reaches k; base >= 2 bounds each prime by the
-    # bit length.  A p-th power is a p-th power residue mod every prime
-    # q = 1 mod p, which rules out almost every p before any root is taken.
-    # g is the product of the primes below 1000 that divide n; if one of
-    # them divides n only once, n is no proper power
     g = math.gcd(n, _SMALL_PRIMORIAL)
     if math.gcd(n // g, g) != g:
         return n, 1
+    e = 0
+    for q in primes_below(1000):
+        if g == 1:
+            break
+        if g % q == 0:
+            g //= q
+            e = math.gcd(e, _valuation(n, q))
+            if e == 1:
+                return n, 1
     k = 1
-    for p in primes_below(1 << n.bit_length().bit_length()):
-        while p < n.bit_length() and all(
+    for p in primes_below(1 << (e or n.bit_length() // 9).bit_length()):
+        while (e % p == 0 if e else 9 * p <= n.bit_length()) and all(
             n % q == 0 or pow(n % q, (q - 1) // p, q) == 1 for q in residue_moduli(p)
         ):
             m = integer_nth_root(n, p)
             if m ** p != n:
                 break
-            n, k = m, k * p
-        if p >= n.bit_length():
+            n, k, e = m, k * p, e // p
+        if p >= (e or n.bit_length() // 9):
             break
     return n, k
 
@@ -89,18 +131,21 @@ class Radical:
     def __init__(self, base: int, exponent: Fraction | int = 1) -> None:
         if not isinstance(base, int) or base < 1:
             raise ValueError("base must be a positive integer")
-        e = Fraction(exponent)
-        if e < 0:
+        e = exponent if isinstance(exponent, (int, Fraction)) else Fraction(exponent)
+        num, den = e.numerator, e.denominator
+        if num < 0:
             raise ValueError("exponent must be nonnegative")
-        if base == 1 or e == 0:
-            base, e = 1, Fraction(1)
+        if base == 1 or num == 0:
+            base, e = 1, _ONE
         else:
+            # (num/den) k in lowest terms is (num k/g)/(den/g), g = gcd(k, den)
             m, k = perfect_power(base)
-            e = e * k
-            if e.denominator == 1:
-                base, e = m ** e.numerator, Fraction(1)
+            g = math.gcd(k, den)
+            num, den = num * (k // g), den // g
+            if den == 1:
+                base, e = m ** num, _ONE
             else:
-                base = m
+                base, e = m, (e if k == 1 else Fraction(num, den))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", e)
 
@@ -109,8 +154,9 @@ class Radical:
 
     def log(self) -> float:
         # math.log accepts arbitrary-size ints, so huge bases never need
-        # to pass through a float
-        return float(self.exponent) * math.log(self.base)
+        # to pass through a float; numerator / denominator is float(exponent),
+        # one correctly rounded division
+        return self.exponent.numerator / self.exponent.denominator * math.log(self.base)
 
     def __float__(self) -> float:
         # an integer is rounded once, where exp(log) can land an ulp off

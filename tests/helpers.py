@@ -331,6 +331,43 @@ def class_product_norm(coeffs, n):
     return (norm.numerator if norm.denominator == 1 else norm), zeros
 
 
+def _root_floor(n: int, k: int) -> int:
+    """The largest x with x**k <= n, by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def perfect_power_reference(n: int) -> tuple:
+    """n >= 1 as m**k with k maximal: every k from the bit length of n down
+    is tried by an exact bisection root.  A reference for
+    values.perfect_power that shares none of its code."""
+    for k in range(n.bit_length(), 1, -1):
+        m = _root_floor(n, k)
+        if m**k == n:
+            return m, k
+    return n, 1
+
+
+def radical_reference(base: int, exponent) -> tuple:
+    """(base, exponent) of the canonical Radical of base**exponent, by
+    Fraction arithmetic on perfect_power_reference: a whole exponent goes
+    into the base, else the base is not a proper power."""
+    e = Fraction(exponent)
+    if base == 1 or e == 0:
+        return 1, Fraction(1)
+    m, k = perfect_power_reference(base)
+    e *= k
+    if e.denominator == 1:
+        return m**e.numerator, Fraction(1)
+    return m, e
+
+
 def orbit_greatest_reference(rows, images=(), box=None) -> np.ndarray:
     """Which rows A of an int array the scan's orbit filter keeps, one row
     at a time in Python tuples: the first nonzero entry of A is positive,

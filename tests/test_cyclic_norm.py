@@ -36,7 +36,13 @@ from fkdet.fk_finite import (
 from fkdet.laurent import GroupRingMatrix
 from fkdet.values import Radical
 
-from helpers import check_gram_route_against_berkowitz, class_product_norm, mat, rand_poly
+from helpers import (
+    check_gram_route_against_berkowitz,
+    class_product_norm,
+    cyclotomic_reference,
+    mat,
+    rand_poly,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -403,6 +409,62 @@ def test_power_sum_route_matches_the_resultant_route_and_class_products(
     assert runs[True] == [class_product_norm(f, n) for n in orders]
 
 
+def _dense(rng, degree, lead):
+    """Ascending coefficients of degree ``degree``, none zero, lc ``lead``."""
+    return [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(degree)] + [lead]
+
+
+_MERGED_RNG = random.Random(34)
+_PHI_5_7 = _times(cyclotomic_reference(5), cyclotomic_reference(7))
+
+# inputs whose lower orders join the table pass of the orders that read the
+# same p, each with its chain: dense of degree 2 to 40 with |lc| 1 to 3,
+# rational coefficients, shifted exponents, and Phi_5 Phi_7, whose orders
+# divide only the lower orders 5, 7 and 10 of the chain
+MERGED_INPUTS = {
+    "degree 2, lc 3": (_ascending([1, -1, 3]), range(2, 41)),
+    "degree 10, lc -2": (_ascending(_dense(_MERGED_RNG, 10, -2)), range(2, 61)),
+    "degree 25, lc 3": (_ascending(_dense(_MERGED_RNG, 25, 3)), range(2, 81)),
+    "degree 40, lc 2": (_ascending(_dense(_MERGED_RNG, 40, 2)), range(2, 96)),
+    "degree 40, lc -1": (_ascending(_dense(_MERGED_RNG, 40, -1)), range(2, 96)),
+    "fractions": (
+        {e: Fraction(c, 1 + e % 3) for e, c in enumerate(_dense(_MERGED_RNG, 12, 1))},
+        range(2, 61),
+    ),
+    "shifted exponents": (
+        {e - 17: c for e, c in enumerate(_dense(_MERGED_RNG, 15, -3))},
+        range(2, 61),
+    ),
+    "phi5 phi7 below": (
+        _ascending(_times([2, 1, 1], _PHI_5_7)),
+        [5, 7, 10] + [n for n in range(14, 81) if math.gcd(n, 35) == 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("falling", [False, True])
+@pytest.mark.parametrize("name", sorted(MERGED_INPUTS))
+def test_lower_orders_on_the_table_pass_match_one_call_per_order(monkeypatch, name, falling):
+    f, orders = MERGED_INPUTS[name]
+    orders = sorted(orders, reverse=falling)
+    passes = []
+    measure = fk_finite._cyclic_pass
+
+    def counted(terms, group, low=()):
+        passes.append(list(group) + list(low))
+        return measure(terms, group, low)
+
+    monkeypatch.setattr(fk_finite, "_cyclic_pass", counted)
+    got = cyclic_norm(f, orders)
+    # one pass: the lower orders joined the table
+    assert len(passes) == 1
+    monkeypatch.undo()
+    single = [cyclic_norm(f, [n])[0] for n in orders]
+    assert got == single
+    assert [type(norm) for norm, _ in got] == [type(norm) for norm, _ in single]
+    assert got == [class_product_norm(f, n) for n in orders]
+
+
 def _routes(monkeypatch):
     """Record the route of every pass, (name, orders, degree of r), and
     count resultant calls."""
@@ -444,14 +506,22 @@ def test_chain_pass_route(monkeypatch):
     assert fk_finite._cyclic_pass(LEHMER_P, [60]) == [got[-1]]
     assert taken == [("_carried_resultants", [60], 10)]
     assert counts["resultant"] == 1
-    # through cyclic_norm: Lehmer's widest gap is 2, so 12..60 share one
-    # pass; 2..11 each read a shorter p in a pass of their own
+    # through cyclic_norm: Lehmer's widest gap is 2, so 12..60 read the same
+    # p and take the table; 2..11 join that pass, a Newton step each and no
+    # resultant
     taken.clear()
+    counts["resultant"] = 0
     cyclic_norm(CHAIN_INPUTS["lehmer"], range(2, 61))
-    assert taken[0] == ("_power_sum_resultants", list(range(12, 61)), 10)
-    assert all(
-        name == "_carried_resultants" and len(orders) == 1 for name, orders, _ in taken[1:]
-    )
+    assert taken == [("_power_sum_resultants", list(range(12, 61)) + list(range(2, 12)), 10)]
+    assert counts["resultant"] == 0
+    # on the resultant route the lower orders keep passes of their own
+    taken.clear()
+    cyclic_norm(CHAIN_INPUTS["lehmer"], [8, 9, 60])
+    assert [(name, orders) for name, orders, _ in taken] == [
+        ("_carried_resultants", [60]),
+        ("_carried_resultants", [8]),
+        ("_carried_resultants", [9]),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -488,20 +558,26 @@ def test_takes_power_sums_on_dense_chains(r, orders, table):
         ({50 * e: c for e, c in CHAIN_INPUTS["lehmer"].items()}, range(590, 631)),
         (CHAIN_INPUTS["lehmer"], range(2, 61)),
         (CHAIN_INPUTS["gram"], [30, 2, 9, 31]),
-        ({0: 1, 100000: 2}, range(2, 61)),
+        ({0: 2, 100000: 1}, range(2, 61)),
+        ({0: 1, 1: 1, 100: 1}, range(2, 401)),
+        # dense, degree 40, lc 2: 2..40 join the table pass of 41..120
+        (_ascending([(-1) ** e * (1 + e % 3) for e in range(40)] + [2]), range(2, 121)),
     ],
 )
 def test_chain_pass_keeps_each_stage_at_its_own_degree(monkeypatch, coeffs, orders):
     # a span wider than the orders is not carried into their stages: every
-    # order is measured on a p no longer than its own reading mod n, and a
-    # pass of high degree keeps the resultant route
+    # order is measured on its own reading of p mod n, or on the shared p
+    # inside a pass that takes the table of power sums, whose length the
+    # lower orders do not change; a pass of high degree keeps the
+    # resultant route
     taken, _ = _routes(monkeypatch)
     passes = []
     measure = fk_finite._cyclic_pass
 
-    def recorded(terms, group):
-        passes.append((terms, group))
-        return measure(terms, group)
+    def recorded(terms, group, low=()):
+        out = measure(terms, group, low)
+        passes.append((terms, list(group) + list(low)[: len(out) - len(group)]))
+        return out
 
     monkeypatch.setattr(fk_finite, "_cyclic_pass", recorded)
     start = time.perf_counter()
@@ -512,8 +588,9 @@ def test_chain_pass_keeps_each_stage_at_its_own_degree(monkeypatch, coeffs, orde
         for n in group:
             degrees[n] = len(terms) - 1
     assert sorted(degrees) == sorted(set(orders))
+    table = {n for name, group, _ in taken if name == "_power_sum_resultants" for n in group}
     for n in orders:
-        assert degrees[n] == len(fk_finite._cyclic_poly(coeffs, n)[0]) - 1
+        assert degrees[n] == len(fk_finite._cyclic_poly(coeffs, n)[0]) - 1 or n in table
     assert all(name == "_carried_resultants" for name, _, m in taken if m > 100)
     monkeypatch.undo()
     assert got == [cyclic_norm(coeffs, [n])[0] for n in orders]

@@ -1,12 +1,13 @@
 """Canonical radical forms and the shared value containers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fkdet import values
+from fkdet import fk_finite
 from fkdet.values import (
     FKValue,
     MahlerValue,
@@ -15,6 +16,8 @@ from fkdet.values import (
     integer_nth_root,
     perfect_power,
 )
+
+from helpers import perfect_power_reference, radical_reference
 
 
 def test_integer_nth_root_small():
@@ -64,23 +67,100 @@ def test_perfect_power_randomized_maximality():
         assert perfect_power(base) == (base, 1)
 
 
-def test_perfect_power_prefilter_agrees_with_the_prime_loop(monkeypatch):
-    # the small-prime test in front of the loop decides only what the loop
-    # would: every n below 10^5, and powers hidden behind a prime above 1000,
-    # which no prime below 1000 sees
-    with_filter = [perfect_power(n) for n in range(1, 10**5)]
+def test_perfect_power_agrees_with_a_brute_force_reference():
+    # every n below 10^5; powers hidden behind a prime above 1000, which no
+    # prime below 1000 sees; powers with no prime factor below 1000, whose
+    # exponent is bounded by bit_length // 9; and mixes where the gcd of the
+    # small primes' exponents decides
     rng = random.Random(27)
     planted = []
     for _ in range(300):
         m, k = rng.randrange(2, 10**4), rng.randrange(2, 9)
         big = rng.choice([1009, 7919, 104729, 2**31 - 1])
         planted += [m**k * big, (m * big) ** k, m**k * big**k * 2]
-    planted_with_filter = [perfect_power(n) for n in planted]
-    monkeypatch.setattr(values, "_SMALL_PRIMORIAL", 1)
-    assert with_filter == [perfect_power(n) for n in range(1, 10**5)]
-    assert planted_with_filter == [perfect_power(n) for n in planted]
-    for n, (base, k) in zip(planted, planted_with_filter):
-        assert base**k == n
+    unseen = [1009**k for k in range(1, 25)] + [1009**64, 1013**5, (1009 * 1013) ** 6]
+    mixed = [
+        2**6 * 1009**3,
+        2**6 * 3**9 * 1009**3,
+        2**4 * 1009**6,
+        2**6 * 1009**4,
+        3**10 * 5**15 * 1009**5,
+        2**7 * 1009**14,
+        2**2 * 3**4 * 1009**3,
+        2**6 * 1013,
+        2**12 * 7**18 * 1009**6,
+        2**30 * (1009 * 1013) ** 6,
+    ]
+    for n in itertools.chain(range(1, 10**5), planted, unseen, mixed):
+        assert perfect_power(n) == perfect_power_reference(n), n
+    # the bound met with equality: 1009^7 and 1013^7 have 70 bits, 70 // 9 = 7
+    for n in (1009**7, 1013**7):
+        assert n.bit_length() // 9 == 7
+        assert perfect_power(n) == (round(n ** (1 / 7)), 7)
+
+
+def test_radical_matches_the_fraction_reference():
+    rng = random.Random(34)
+    cases = [
+        (1, Fraction(3, 4)),
+        (1, 0),
+        (7, 0),
+        (1, 5),
+        (2**6, Fraction(1, 4)),
+        (3**4, Fraction(5, 6)),
+        (6**12, Fraction(7, 18)),
+        (1009**6, Fraction(1, 4)),
+        (2**6, 3),
+    ]
+    for _ in range(500):
+        m = rng.choice([rng.randrange(2, 40), 1009, 3 * 1013, 2**61 - 1])
+        k = rng.randrange(1, 13)
+        den = rng.randrange(1, 25)
+        num = rng.randrange(0, 3 * den)
+        cases += [(m**k, Fraction(num, den)), (m**k, num)]
+    reduced = 0
+    for base, exponent in cases:
+        r = Radical(base, exponent)
+        assert (r.base, r.exponent) == radical_reference(base, exponent)
+        assert type(r.exponent) is Fraction
+        if r.exponent == 1:
+            assert float(r) == (float(r.base) if r.base.bit_length() <= 1024 else math.inf)
+        else:
+            log = float(r.exponent) * math.log(r.base)
+            want = math.exp(log) if log <= 709.0 else math.inf
+            assert float(r).hex() == want.hex()
+        k = perfect_power_reference(base)[1]
+        reduced += math.gcd(k, Fraction(exponent).denominator) > 1
+    assert reduced > 100
+
+
+def test_radical_value_of_ints_fractions_and_non_integers():
+    cases = [
+        (12, 4),
+        (-12, 4),
+        (1, 7),
+        (-1, 3),
+        (2**64, 8),
+        (-(3**10), 15),
+        (Fraction(-36, 1), 4),
+        (Fraction(81), 6),
+        (Fraction(3, 4), 5),
+        (Fraction(-3, 4), 5),
+    ]
+    for q, root in cases:
+        got = fk_finite._radical_value(q, root, "m")
+        assert got.method == "m"
+        f = Fraction(q)
+        if f.denominator == 1:
+            base, exponent = radical_reference(abs(f.numerator), Fraction(1, root))
+            assert (got.exact.base, got.exact.exponent) == (base, exponent)
+            assert got.value == float(got.exact)
+            assert got.error_estimate == 0.0
+        else:
+            value = math.exp((math.log(abs(f.numerator)) - math.log(f.denominator)) / root)
+            assert got.exact is None
+            assert got.value == value
+            assert got.error_estimate == 1e-14 * value
 
 
 def test_radical_canonical_equalities():
