@@ -655,21 +655,16 @@ def cyclic_norm(coeffs, orders) -> list:
     if any(n < 1 for n in orders):
         raise ValueError("group order must be positive")
     p, scale, least = _cyclic_poly(coeffs, math.lcm(*orders))
-    group = [n for n in orders if n >= least]
-    low = [n for n in orders if n < least]
-    stages = _cyclic_pass(p, group, low)
-    if len(stages) > len(group):
-        group, low = group + low, []
-    passes = [(scale, group, stages)]
-    for n in low:
-        own, own_scale, _ = _cyclic_poly(coeffs, n)
-        passes.append((own_scale, [n], _cyclic_pass(own, [n])))
+    shared = _cyclic_pass(p, [n for n in orders if n >= least], [n for n in orders if n < least])
+    readings = {n: (scale, stage) for n, stage in shared.items()}
+    for n in orders:
+        if n not in readings:
+            own, own_scale, _ = _cyclic_poly(coeffs, n)
+            readings[n] = (own_scale, _cyclic_pass(own, [n])[n])
     measured = {}
-    for scale, group, stages in passes:
-        for n, (num, zeros) in zip(group, stages):
-            den = scale ** (n - zeros)
-            norm = num // den if num % den == 0 else Fraction(num, den)
-            measured[n] = (norm, zeros)
+    for n, (scale, (num, zeros)) in readings.items():
+        den = scale ** (n - zeros)
+        measured[n] = (num // den if num % den == 0 else Fraction(num, den), zeros)
     return [measured[n] for n in orders]
 
 
@@ -697,9 +692,9 @@ def _cyclic_poly(coeffs, period: int) -> tuple:
     return p, scale, len(p) - 1 + (gaps[-2][0] if len(gaps) > 1 else 0)
 
 
-def _cyclic_pass(p: list, orders: list, low: list = ()) -> list:
-    """(norm, zeros) of an integer polynomial p for each order n of
-    ``orders``, then of ``low`` when those join the pass: the norm is
+def _cyclic_pass(p: list, orders: list, low: list = ()) -> dict:
+    """{n: (norm, zeros)} of an integer polynomial p for each order n of
+    ``orders``, and of ``low`` when those join the pass: the norm is
     |prod p(zeta)| over the n-th roots of unity zeta with p(zeta) != 0, an
     int, and zeros counts the rest.
 
@@ -721,7 +716,7 @@ def _cyclic_pass(p: list, orders: list, low: list = ()) -> list:
     closed form (cyclotomic_resultant).
     """
     if not p or not orders:
-        return [(1, n) for n in orders]
+        return {n: (1, n) for n in orders}
     searched = {d for n in orders for d in divisors(n)}
     r, factors = _divide_cyclotomic(p, searched)
     table = len(r) > 1 and takes_power_sums(r, orders)
@@ -739,9 +734,9 @@ def _cyclic_pass(p: list, orders: list, low: list = ()) -> list:
     else:
         full = _carried_resultants(r, orders)
     if not factors:
-        return [(value, 0) for value in full]
+        return {n: (value, 0) for n, value in zip(orders, full)}
     cuts = {d: resultant(list(cyclotomic(d)), r) for d, _ in factors}
-    stages = []
+    stages = {}
     for n, value in zip(orders, full):
         held = [d for d, _ in factors if n % d == 0]
         for d in held:
@@ -750,7 +745,7 @@ def _cyclic_pass(p: list, orders: list, low: list = ()) -> list:
             if d not in held:
                 for e, k in factors:
                     value *= cyclotomic_resultant(e, d) ** k
-        stages.append((value, sum(map(totient, held))))
+        stages[n] = (value, sum(map(totient, held)))
     return stages
 
 

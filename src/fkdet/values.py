@@ -46,20 +46,16 @@ def integer_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def _valuation(n: int, q: int) -> int:
-    """The exponent of the prime q in n >= 1: n is divided by q, q^2,
-    q^4, ... while they divide it, then the rest of the exponent is read
-    off bit by bit from the top."""
-    v, powers = 0, [q]
-    while n % powers[-1] == 0:
-        n //= powers[-1]
-        v += 1 << (len(powers) - 1)
-        powers.append(powers[-1] * powers[-1])
-    for j in range(len(powers) - 2, -1, -1):
-        if n % powers[j] == 0:
-            n //= powers[j]
-            v += 1 << j
-    return v
+def _valuation(n: int, q: int) -> tuple[int, int]:
+    """(v, n / q**v), v the exponent of the prime q in n >= 1.  The
+    exponent of q**2 in n / q is read first, so v takes O(log v)
+    divisions, not v: a stage norm such as 8**n carries v = 3n."""
+    if n % q:
+        return 0, n
+    v, n = _valuation(n // q, q * q)
+    if n % q:
+        return 2 * v + 1, n
+    return 2 * v + 2, n // q
 
 
 def perfect_power(n: int) -> tuple[int, int]:
@@ -95,7 +91,7 @@ def perfect_power(n: int) -> tuple[int, int]:
             break
         if g % q == 0:
             g //= q
-            e = math.gcd(e, _valuation(n, q))
+            e = math.gcd(e, _valuation(n, q)[0])
             if e == 1:
                 return n, 1
     k = 1
@@ -154,9 +150,8 @@ class Radical:
 
     def log(self) -> float:
         # math.log accepts arbitrary-size ints, so huge bases never need
-        # to pass through a float; numerator / denominator is float(exponent),
-        # one correctly rounded division
-        return self.exponent.numerator / self.exponent.denominator * math.log(self.base)
+        # to pass through a float
+        return float(self.exponent) * math.log(self.base)
 
     def __float__(self) -> float:
         # an integer is rounded once, where exp(log) can land an ulp off

@@ -503,7 +503,7 @@ def test_chain_pass_route(monkeypatch):
     # a single order takes the resultant route, one resultant
     taken.clear()
     counts["resultant"] = 0
-    assert fk_finite._cyclic_pass(LEHMER_P, [60]) == [got[-1]]
+    assert fk_finite._cyclic_pass(LEHMER_P, [60]) == {60: got[60]}
     assert taken == [("_carried_resultants", [60], 10)]
     assert counts["resultant"] == 1
     # through cyclic_norm: Lehmer's widest gap is 2, so 12..60 read the same
@@ -558,7 +558,7 @@ def test_takes_power_sums_on_dense_chains(r, orders, table):
         ({50 * e: c for e, c in CHAIN_INPUTS["lehmer"].items()}, range(590, 631)),
         (CHAIN_INPUTS["lehmer"], range(2, 61)),
         (CHAIN_INPUTS["gram"], [30, 2, 9, 31]),
-        ({0: 2, 100000: 1}, range(2, 61)),
+        ({0: 1, 100000: 2}, range(2, 61)),
         ({0: 1, 1: 1, 100: 1}, range(2, 401)),
         # dense, degree 40, lc 2: 2..40 join the table pass of 41..120
         (_ascending([(-1) ** e * (1 + e % 3) for e in range(40)] + [2]), range(2, 121)),
@@ -576,7 +576,7 @@ def test_chain_pass_keeps_each_stage_at_its_own_degree(monkeypatch, coeffs, orde
 
     def recorded(terms, group, low=()):
         out = measure(terms, group, low)
-        passes.append((terms, list(group) + list(low)[: len(out) - len(group)]))
+        passes.append((terms, list(out)))
         return out
 
     monkeypatch.setattr(fk_finite, "_cyclic_pass", recorded)
